@@ -107,7 +107,6 @@ def cmd_fit(args):
                            column_norms=state.column_norms)
         coeffs = state.U
         save_npy(activations, out / "activations.npy")
-        converged = state.converged
     else:
         if model is None:
             raise ValueError("fit needs --activations or --model")
@@ -130,16 +129,17 @@ def cmd_fit(args):
         save_npy(crops, out / "crops.npy")
         _json_dump(provenance, out / "provenance.json")
         save_npy(activations, out / "activations.npy")
-        converged = state.converged
 
     save_bank(bank, out / "bank")
     save_npy(coeffs, out / "coeffs.npy")
-    if not converged:
+    meta = json.loads((out / "bank" / "meta.json").read_text())
+    meta["converged"] = bool(state.converged)
+    meta["kkt_residual"] = float(state.kkt_residual)
+    meta["outer_iters"] = len(state.objective_trace) - 1
+    _json_dump(meta, out / "bank" / "meta.json")
+    if not state.converged:
         print("fit: not converged within the outer budget; artifacts flagged",
               file=sys.stderr)
-        meta = json.loads((out / "bank" / "meta.json").read_text())
-        meta["converged"] = False
-        _json_dump(meta, out / "bank" / "meta.json")
         return _EXIT_NUMERICAL
     return _EXIT_OK
 

@@ -31,7 +31,7 @@ class InsufficientDataError(DataError):
 
 
 class NumericalError(CraftError):
-    """A numerical procedure broke down (CG stagnation, singular system)."""
+    """A numerical procedure broke down (singular system, failed factorization)."""
 
 
 class DegeneracyError(NumericalError):

@@ -150,9 +150,15 @@ def mask_designs(r, n, sequence="sobol_joe_kuo", seed=None):
     """A and B mask blocks (n x r each) from one (2r)-dimensional stream.
 
     sequence "sobol_joe_kuo" is deterministic; "uniform" draws pseudo-random
-    masks from the counter-based generator keyed by seed.
+    masks from the counter-based generator keyed by seed. The embedded
+    Sobol' table covers 2r <= 64 dimensions, so "sobol_joe_kuo" supports at
+    most 32 concepts.
     """
     if sequence == "sobol_joe_kuo":
+        if 2 * r > _MAX_DIM:
+            raise ValueError(
+                f"rank {r} exceeds the {_MAX_DIM // 2}-concept limit of the "
+                f"sobol_joe_kuo design (2r <= {_MAX_DIM} Sobol' dimensions)")
         block = sobol_sequence(2 * r, n)
     elif sequence == "uniform":
         gen = Rng(0 if seed is None else seed).generator()

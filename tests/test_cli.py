@@ -27,7 +27,10 @@ class TestFit:
         meta = json.loads((out / "bank" / "meta.json").read_text())
         assert meta["rank"] == 4
         assert set(meta) >= {"rank", "layer_tag", "objective", "column_norms",
-                             "created_by"}
+                             "created_by", "converged", "kkt_residual", "outer_iters"}
+        assert meta["converged"] is True
+        assert 0.0 <= meta["kkt_residual"] < np.inf
+        assert meta["outer_iters"] >= 1
 
     def test_missing_rank_is_usage_error(self, tmp_path):
         code = main(["fit", "--model", "toy:7", "--out", str(tmp_path / "r")])
@@ -125,6 +128,17 @@ class TestImportance:
         records = json.loads((fitted_run / "importance.json").read_text())
         assert all(rec["degenerate"] for rec in records)
         assert all(rec["total_sobol"] == 0.0 for rec in records)
+
+    def test_rank_beyond_sobol_table_is_usage_error(self, tmp_path):
+        from craftkit.pipeline import ConceptBank, save_bank
+        out = tmp_path / "run"
+        W = np.abs(np.random.default_rng(0).normal(size=(4, 33)))
+        save_bank(ConceptBank(W=W, layer_tag="final", r=33, fit_objective=0.0,
+                              column_norms=np.ones(33)), out / "bank")
+        save_npy(np.ones((5, 33)), out / "coeffs.npy")
+        code = main(["importance", "--model", "toy:3", "--n-samples", "8",
+                     "--out", str(out)])
+        assert code == 2
 
     def test_corrupt_activations_file_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.npy"

@@ -155,6 +155,31 @@ class TestTransformJacobian:
                                    atol=1e-12)
         np.testing.assert_array_equal(jac.vjp(np.zeros_like(y1)), 0.0)
 
+    def test_grouped_solves_match_per_row_reference(self):
+        # rows share free sets in several patterns; every row must agree with
+        # its own solve of G_II dU_I = W_I^T dA_i
+        rng = np.random.default_rng(51)
+        W = rng.normal(size=(6, 3))
+        inactive = rng.uniform(size=(9, 3)) < 0.6
+        inactive[0] = False
+        jac = ConceptJacobian(W, inactive)
+        dA = rng.normal(size=(9, 6))
+        Y = rng.normal(size=(9, 3))
+        dU_ref = np.zeros((9, 3))
+        dA_ref = np.zeros((9, 6))
+        J_ref = np.zeros((9 * 3, 9 * 6))
+        for i in range(9):
+            free = np.flatnonzero(inactive[i])
+            if free.size == 0:
+                continue
+            M = W[:, free].T @ W[:, free]
+            dU_ref[i, free] = np.linalg.solve(M, W[:, free].T @ dA[i])
+            dA_ref[i] = W[:, free] @ np.linalg.solve(M, Y[i, free])
+            J_ref[i * 3 + free, i * 6:(i + 1) * 6] = np.linalg.solve(M, W[:, free].T)
+        np.testing.assert_allclose(jac.jvp(dA), dU_ref, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(jac.vjp(Y), dA_ref, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(jac.dense_form, J_ref, rtol=1e-10, atol=1e-12)
+
 
 class TestGuards:
     def test_degenerate_point_raises_with_coordinates(self):
@@ -174,6 +199,16 @@ class TestGuards:
                               iterations=1, kkt_residual=0.5, converged=False)
         with pytest.raises(NumericalError):
             jacobian_u_wrt_a(sloppy, A, W)
+
+    @pytest.mark.parametrize("W", [
+        np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),   # duplicate unit columns
+        np.array([[1.0, 0.0], [0.0, 0.0], [0.3, 0.0]]),   # zero column
+    ], ids=["duplicate_columns", "zero_column"])
+    def test_singular_gram_block_raises_with_row_and_concepts(self, W):
+        # row 0 frees only concept 0 and is well posed; row 1 frees both
+        inactive = np.array([[True, False], [True, True]])
+        with pytest.raises(NumericalError, match=r"row 1 on concepts \[0, 1\]"):
+            ConceptJacobian(W, inactive)
 
     def test_jvp_shape_check(self):
         jac = ConceptJacobian(np.eye(2), np.ones((1, 2), dtype=bool))

@@ -121,11 +121,15 @@ class TestProperties:
             np.testing.assert_allclose(sol.U, base.U, rtol=1e-6, atol=1e-9)
 
     def test_rank_deficient_dictionary(self):
-        W = np.array([[1.0, 1.0], [1.0, 1.0]])  # identical columns
         A = np.array([[1.0, 1.0]])
-        sol = solve_nnls(A, W, TIGHT)
-        # reconstruction is what matters; the split between columns is not unique
-        np.testing.assert_allclose(sol.U @ W.T, A, atol=1e-7)
+        # identical columns make the polish's reduced Gram block singular, so
+        # the ADMM iterate must be kept; a zero column must be just as harmless
+        for W in (np.array([[1.0, 1.0], [1.0, 1.0]]),
+                  np.array([[1.0, 0.0], [1.0, 0.0]])):
+            sol = solve_nnls(A, W, TIGHT)
+            # reconstruction is what matters; the split between columns is not unique
+            np.testing.assert_allclose(sol.U @ W.T, A, atol=1e-7)
+            assert sol.kkt_residual < 1e-8
 
     def test_warm_start_converges_fast(self):
         rng = np.random.default_rng(9)

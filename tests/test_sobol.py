@@ -73,6 +73,14 @@ class TestMaskDesigns:
         np.testing.assert_array_equal(a1.masks, a2.masks)
         np.testing.assert_array_equal(b1.masks, b2.masks)
 
+    def test_rank_beyond_sobol_table_rejected_up_front(self):
+        a, _ = mask_designs(32, 4)
+        assert a.masks.shape == (4, 32)
+        with pytest.raises(ValueError, match="32-concept limit"):
+            mask_designs(33, 4)
+        a, _ = mask_designs(33, 4, sequence="uniform", seed=1)
+        assert a.masks.shape == (4, 33)
+
     def test_masks_validated(self):
         with pytest.raises(ValueError):
             MaskBatch(np.array([[1.5]]), "A", "uniform")
