@@ -12,18 +12,17 @@ from .errors import (CraftError, DataError, DegeneracyError, EmptySetError,
                      FormatError, InsufficientDataError, NumericalError,
                      UnsupportedError)
 from .implicit import (ConceptJacobian, OptimalityResidual, jacobian_u_wrt_a,
-                       optimality_fn, vjp_u_wrt_a)
+                       optimality_fn)
 from .nmf import FactorizationState, NmfParams, fit_nmf, init_factors, transform
 from .nnls import AdmmParams, NnlsSolution, kkt_residual, nnls_objective, solve_nnls
 from .npyio import load_npy, save_npy
 from .pipeline import (ConceptBank, CropSpec, FidelityCurve, Heatmap,
                        bilinear_resize, build_concept_bank,
                        concept_attribution_map, extract_crops, fidelity_curves,
-                       load_bank, recursive_decompose, save_bank,
+                       fit_bank, load_bank, recursive_decompose, save_bank,
                        select_class_set)
 from .sobol import (MaskBatch, SobolEstimate, concept_importance, mask_designs,
-                    per_row_concept_importance, perturb, sobol_sequence,
-                    tcav_importance, total_sobol_jansen)
+                    perturb, sobol_sequence, tcav_importance, total_sobol_jansen)
 from .toy import (SyntheticDataset, ToyBackbone, load_backbone,
                   make_synthetic_dataset, pair_backbone, save_backbone,
                   standard_backbone, two_layer_backbone)

@@ -1,12 +1,15 @@
 """Command-line interface over the run-directory file contract.
 
-Commands populate an output directory incrementally: ``fit`` writes crops,
-activations, the bank, and coefficients; ``importance`` adds
-importance.json; ``explain`` fills heatmaps/; ``fidelity`` writes curve
-CSVs; ``recurse`` adds a sub-bank directory; ``sanity`` compares banks from
-trained and weight-randomized models. Exit codes: 0 success, 2 usage or
-argument error, 3 data error, 4 numerical failure (non-convergence still
-writes the flagged artifact).
+A thin layer over ``pipeline``: each command parses its arguments, calls
+the library, and reads or writes run-directory files. Commands populate an
+output directory incrementally: ``fit`` writes crops, activations, the
+bank, and coefficients (``build_concept_bank`` on images, ``fit_bank`` on
+``--activations``); ``importance`` adds importance.json; ``explain`` fills
+heatmaps/; ``fidelity`` writes curve CSVs; ``recurse`` adds a sub-bank
+directory; ``sanity`` compares banks from trained and weight-randomized
+models. Every bank directory is written by ``save_bank``, fit diagnostics
+included. Exit codes: 0 success, 2 usage or argument error, 3 data error,
+4 numerical failure (non-convergence still writes the flagged artifact).
 """
 
 import argparse
@@ -21,11 +24,10 @@ import numpy as np
 from .core import Rng
 from .errors import CraftError, DataError, NumericalError
 from .nmf import NmfParams, fit_nmf
-from .nnls import AdmmParams
 from .npyio import load_npy, save_npy
-from .pipeline import (ConceptBank, CropSpec, concept_attribution_map,
-                       extract_crops, fidelity_curves, load_bank,
-                       recursive_decompose, save_bank, select_class_set)
+from .pipeline import (CropSpec, build_concept_bank, concept_attribution_map,
+                       extract_crops, fidelity_curves, fit_bank, load_bank,
+                       recursive_decompose, save_bank)
 from .sobol import concept_importance, tcav_importance
 from .toy import (load_backbone, make_synthetic_dataset, standard_backbone,
                   two_layer_backbone)
@@ -51,27 +53,22 @@ def _resolve_threads(value):
 def _load_model(spec_str, seed_override=None):
     """Resolve --model: 'toy:<seed>' (single layer), 'toy2:<seed>' (two
     layer), or a directory produced by save_backbone. Returns (model,
-    default dataset seed)."""
+    seed): --seed when given, else the toy model's seed, else 0."""
+    seed = 0 if seed_override is None else seed_override
     if spec_str is None:
-        return None, seed_override
+        return None, seed
     if spec_str.startswith("toy:") or spec_str.startswith("toy2:"):
         scheme, _, seed_text = spec_str.partition(":")
         try:
-            seed = int(seed_text)
+            toy_seed = int(seed_text)
         except ValueError:
             raise ValueError(f"bad toy model seed in {spec_str!r}")
         model = two_layer_backbone() if scheme == "toy2" else standard_backbone()
-        return model, seed if seed_override is None else seed_override
+        return model, toy_seed if seed_override is None else seed_override
     path = Path(spec_str)
     if not path.is_dir():
         raise ValueError(f"model directory {spec_str!r} does not exist")
-    return load_backbone(path), seed_override
-
-
-def _dataset_for(model, args, seed):
-    data = make_synthetic_dataset(model, args.n_images, noise=args.noise,
-                                  seed=seed if seed is not None else 0)
-    return data.images
+    return load_backbone(path), seed
 
 
 def _input_images(args, model, seed):
@@ -79,7 +76,14 @@ def _input_images(args, model, seed):
         return load_npy(Path(args.images))
     if model is None:
         raise ValueError("either --images or a --model able to generate data is required")
-    return _dataset_for(model, args, seed)
+    return make_synthetic_dataset(model, args.n_images, noise=args.noise,
+                                  seed=seed).images
+
+
+def _crop_spec(args, model, seed):
+    return CropSpec(mode=args.crop_mode, crop_fraction=args.crop_fraction,
+                    crops_per_image=args.crops_per_image,
+                    resize_to=tuple(model.input_shape[:2]), seed=seed)
 
 
 def _json_dump(payload, path):
@@ -97,46 +101,25 @@ def cmd_fit(args):
     # so they are fit much tighter than statistical image-mode banks
     tol = 2e-7 if args.activations is not None else 1e-4
     nmf_params = NmfParams(rank=rank, outer_iters=args.outer_iters,
-                           objective_tol=tol, admm=AdmmParams())
+                           objective_tol=tol)
 
     if args.activations is not None:
         activations = load_npy(Path(args.activations))
-        state = fit_nmf(activations, nmf_params)
-        bank = ConceptBank(W=state.W, layer_tag=args.layer or "external", r=rank,
-                           fit_objective=float(state.objective_trace[-1]),
-                           column_norms=state.column_norms)
-        coeffs = state.U
-        save_npy(activations, out / "activations.npy")
+        bank, state = fit_bank(activations, nmf_params, args.layer or "external")
     else:
         if model is None:
             raise ValueError("fit needs --activations or --model")
         images = _input_images(args, model, seed)
-        idx = select_class_set(model.predict(images), args.target_class)
-        spec = CropSpec(mode=args.crop_mode, crop_fraction=args.crop_fraction,
-                        crops_per_image=args.crops_per_image,
-                        resize_to=tuple(model.input_shape[:2]),
-                        seed=seed if seed is not None else 0)
-        crops, provenance = extract_crops(images[idx], spec)
-        for row in provenance:
-            row["image"] = int(idx[row["image"]])
-        activations = model.features(crops, layer=args.layer)
-        state = fit_nmf(activations, nmf_params)
-        tag = args.layer if args.layer else "final"
-        bank = ConceptBank(W=state.W, layer_tag=tag, r=rank,
-                           fit_objective=float(state.objective_trace[-1]),
-                           column_norms=state.column_norms)
-        coeffs = state.U
-        save_npy(crops, out / "crops.npy")
-        _json_dump(provenance, out / "provenance.json")
-        save_npy(activations, out / "activations.npy")
+        bank, _, ctx = build_concept_bank(images, model, args.target_class, rank,
+                                          spec=_crop_spec(args, model, seed),
+                                          nmf_params=nmf_params, layer=args.layer)
+        state, activations = ctx["state"], ctx["activations"]
+        save_npy(ctx["crops"], out / "crops.npy")
+        _json_dump(ctx["provenance"], out / "provenance.json")
+    save_npy(activations, out / "activations.npy")
 
     save_bank(bank, out / "bank")
-    save_npy(coeffs, out / "coeffs.npy")
-    meta = json.loads((out / "bank" / "meta.json").read_text())
-    meta["converged"] = bool(state.converged)
-    meta["kkt_residual"] = float(state.kkt_residual)
-    meta["outer_iters"] = len(state.objective_trace) - 1
-    _json_dump(meta, out / "bank" / "meta.json")
+    save_npy(state.U, out / "coeffs.npy")
     if not state.converged:
         print("fit: not converged within the outer budget; artifacts flagged",
               file=sys.stderr)
@@ -175,11 +158,6 @@ def cmd_importance(args):
     return _EXIT_OK
 
 
-def _heatmap_job(image, bank, model, concept, method, seed):
-    return concept_attribution_map(image, bank, model, concept,
-                                   method=method, seed=seed)
-
-
 def cmd_explain(args):
     out = Path(args.out)
     bank = load_bank(out / "bank")
@@ -194,8 +172,8 @@ def cmd_explain(args):
     (out / "heatmaps").mkdir(exist_ok=True)
 
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        futures = [pool.submit(_heatmap_job, images[index], bank, model, c,
-                               args.method, seed if seed is not None else 0)
+        futures = [pool.submit(concept_attribution_map, images[index], bank,
+                               model, c, method=args.method, seed=seed)
                    for c in concepts]
         heatmaps = [f.result() for f in futures]
     for concept, hm in zip(concepts, heatmaps):
@@ -222,7 +200,7 @@ def cmd_fidelity(args):
             raise DataError(f"importance.json lacks {key} scores")
         importance = np.asarray(values, dtype=np.float64)
     else:
-        gen = Rng(seed if seed is not None else 0, stream=23).generator()
+        gen = Rng(seed, stream=23).generator()
         importance = gen.permutation(bank.r).astype(np.float64)
 
     curve = fidelity_curves(coeffs, bank.W, model.head, importance,
@@ -277,16 +255,12 @@ def cmd_sanity(args):
     model, seed = _load_model(args.model, args.seed)
     if model is None:
         raise ValueError("sanity needs --model")
-    seed = seed if seed is not None else 0
     images = _input_images(args, model, seed)
     rank = args.rank or 2
     nmf_params = NmfParams(rank=rank, outer_iters=args.outer_iters,
                            objective_tol=1e-4)
-    spec = CropSpec(mode=args.crop_mode, crop_fraction=args.crop_fraction,
-                    crops_per_image=args.crops_per_image,
-                    resize_to=tuple(model.input_shape[:2]), seed=seed)
-
-    crops, _ = extract_crops(images, spec)
+    # the comparison covers every image, not only the class set
+    crops, _ = extract_crops(images, _crop_spec(args, model, seed))
 
     def fit_bank_for(m):
         state = fit_nmf(m.features(crops, layer=args.layer), nmf_params)

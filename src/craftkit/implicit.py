@@ -71,8 +71,8 @@ class ConceptJacobian:
     Implicit Differentiation", arXiv 2105.15183). A numerically singular
     block (linearly dependent or zero columns among the free concepts)
     raises NumericalError naming the row and the concepts. ``dense_form``
-    holds the full (n r) x (n p) matrix whenever n*r*p is at most 10^6,
-    otherwise None.
+    holds the full (n r) x (n p) matrix whenever its n^2 r p entries number
+    at most 10^6, otherwise None.
     """
 
     def __init__(self, W, inactive):
@@ -85,7 +85,7 @@ class ConceptJacobian:
         self._groups = [(rows, free, _inverse_gram_block(gram, rows, free))
                         for rows, free in support_groups(self.inactive)]
         self.dense_form = None
-        if self.n * self.r * self.p <= _DENSE_LIMIT:
+        if self.n**2 * self.r * self.p <= _DENSE_LIMIT:
             self.dense_form = self._materialize()
 
     def jvp(self, dA):
@@ -139,7 +139,9 @@ class FitJacobian:
 
     The coupled first-order system is singular along the column-rescaling
     gauge, so the operator returns the minimum-norm directional solution.
-    Materialized densely; sizes are gated accordingly.
+    The system over the free coordinates is materialized densely, at most
+    (n r + p r)^2 entries; above 10^6 entries construction raises
+    NumericalError.
     """
 
     def __init__(self, state, A):
@@ -148,8 +150,9 @@ class FitJacobian:
         self.p = W.shape[0]
         free_u = state.dual_U < np.abs(U)      # inactive: u > 0, dual = 0
         free_w = state.dual_W < np.abs(W)
-        if self.n * self.r * self.p > _DENSE_LIMIT:
-            raise NumericalError("fit-mode Jacobian limited to n*r*p <= 1e6")
+        if (self.n * self.r + self.p * self.r) ** 2 > _DENSE_LIMIT:
+            raise NumericalError(
+                "fit-mode Jacobian limited to (n*r + p*r)^2 <= 1e6 entries")
         self._assemble(A, U, W, free_u, free_w)
 
     def _assemble(self, A, U, W, free_u, free_w):
@@ -242,13 +245,3 @@ def jacobian_u_wrt_a(solution, A, W=None, *,
         _check_strict_complementarity(solution.W, solution.dual_W, degeneracy_margin)
         return FitJacobian(solution, A)
     raise TypeError(f"cannot differentiate {type(solution).__name__}")
-
-
-def vjp_u_wrt_a(jac, cotangent_U):
-    """Pull a cotangent on U back to the input: returns J^T cotangent.
-
-    With the indicator of concept i as cotangent this is the gradient of
-    U[:, i] summed over rows, the quantity attribution maps propagate into
-    the feature extractor.
-    """
-    return jac.vjp(cotangent_U)

@@ -51,7 +51,12 @@ class CropSpec:
 
 @dataclass(frozen=True)
 class ConceptBank:
-    """Unit-norm nonnegative concept vectors (columns of W) for one layer."""
+    """Unit-norm nonnegative concept vectors (columns of W) for one layer.
+
+    converged, kkt_residual and outer_iters are the diagnostics of the fit
+    that produced the bank (see fit_bank); they are None for a bank built
+    by hand.
+    """
 
     W: np.ndarray
     layer_tag: str
@@ -60,6 +65,12 @@ class ConceptBank:
     column_norms: np.ndarray
     bank_id: str = "bank"
     parent: tuple | None = None  # (parent bank id, concept index)
+    converged: bool | None = None
+    kkt_residual: float | None = None
+    outer_iters: int | None = None
+
+
+_DIAGNOSTICS = ("converged", "kkt_residual", "outer_iters")
 
 
 @dataclass(frozen=True)
@@ -170,6 +181,24 @@ def select_class_set(predictions, target_class):
     return idx
 
 
+def fit_bank(activations, nmf_params, layer_tag, bank_id="bank", parent=None):
+    """Factorize an activation matrix (n x p) into a concept bank.
+
+    The entry point for activations computed elsewhere; build_concept_bank
+    and recursive_decompose call it after encoding their crops. The bank
+    carries the fit's diagnostics, so save_bank records them. Returns
+    (bank, state) with the coefficients in state.U.
+    """
+    state = fit_nmf(activations, nmf_params)
+    bank = ConceptBank(W=state.W, layer_tag=layer_tag, r=nmf_params.rank,
+                       fit_objective=float(state.objective_trace[-1]),
+                       column_norms=state.column_norms, bank_id=bank_id,
+                       parent=parent, converged=bool(state.converged),
+                       kkt_residual=float(state.kkt_residual),
+                       outer_iters=len(state.objective_trace) - 1)
+    return bank, state
+
+
 def build_concept_bank(images, model, target_class, r, spec=None, nmf_params=None,
                        layer=None, bank_id="bank"):
     """Fit a concept bank on crops of the images the model assigns to a class.
@@ -188,11 +217,8 @@ def build_concept_bank(images, model, target_class, r, spec=None, nmf_params=Non
     params = nmf_params or NmfParams(rank=r)
     if params.rank != r:
         raise ValueError("nmf_params.rank disagrees with r")
-    state = fit_nmf(activations, params)
     tag = layer if isinstance(layer, str) else ("final" if layer is None else f"layer{layer}")
-    bank = ConceptBank(W=state.W, layer_tag=tag, r=r,
-                       fit_objective=float(state.objective_trace[-1]),
-                       column_norms=state.column_norms, bank_id=bank_id)
+    bank, state = fit_bank(activations, params, tag, bank_id=bank_id)
     context = {"crops": crops, "provenance": provenance,
                "activations": activations, "state": state}
     return bank, state.U, context
@@ -232,13 +258,10 @@ def recursive_decompose(bank, U, concept_index, crops, earlier_features, r_sub,
     params = nmf_params or NmfParams(rank=r_sub)
     if params.rank != r_sub:
         raise ValueError("nmf_params.rank disagrees with r_sub")
-    state = fit_nmf(activations, params)
-    sub_bank = ConceptBank(W=state.W,
-                           layer_tag=layer_tag or f"{bank.layer_tag}.earlier",
-                           r=r_sub, fit_objective=float(state.objective_trace[-1]),
-                           column_norms=state.column_norms,
-                           bank_id=f"{bank.bank_id}/concept{concept_index}",
-                           parent=(bank.bank_id, concept_index))
+    sub_bank, state = fit_bank(activations, params,
+                               layer_tag or f"{bank.layer_tag}.earlier",
+                               bank_id=f"{bank.bank_id}/concept{concept_index}",
+                               parent=(bank.bank_id, concept_index))
     return sub_bank, state.U, selected
 
 
@@ -342,7 +365,11 @@ def fidelity_curves(U, W, head, importance, direction="deletion", mu=0.0,
 
 
 def save_bank(bank, directory):
-    """Persist a bank as W.npy plus a JSON sidecar."""
+    """Persist a bank as W.npy plus a JSON sidecar (meta.json).
+
+    The sidecar records the fit diagnostics (converged, kkt_residual,
+    outer_iters) whenever the bank carries them.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_npy(bank.W, directory / "W.npy")
@@ -355,6 +382,8 @@ def save_bank(bank, directory):
         "bank_id": bank.bank_id,
         "parent": list(bank.parent) if bank.parent else None,
     }
+    meta.update({key: getattr(bank, key) for key in _DIAGNOSTICS
+                 if getattr(bank, key) is not None})
     (directory / "meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
@@ -367,4 +396,5 @@ def load_bank(directory):
     return ConceptBank(W=W, layer_tag=meta["layer_tag"], r=int(meta["rank"]),
                        fit_objective=float(meta["objective"]),
                        column_norms=np.asarray(meta["column_norms"]),
-                       bank_id=meta.get("bank_id", "bank"), parent=parent)
+                       bank_id=meta.get("bank_id", "bank"), parent=parent,
+                       **{key: meta[key] for key in _DIAGNOSTICS if key in meta})

@@ -276,17 +276,6 @@ def concept_importance(U, W, head, n, mu=0.0, sequence="sobol_joe_kuo", seed=Non
     return estimate
 
 
-def per_row_concept_importance(U, W, head, n, mu=0.0, sequence="sobol_joe_kuo",
-                               seed=None):
-    """Single-row diagnostic variant: one SobolEstimate per row of U."""
-    U = np.asarray(U, dtype=np.float64)
-    results = []
-    for row in U:
-        results.append(concept_importance(row[None, :], W, head, n, mu=mu,
-                                           sequence=sequence, seed=seed))
-    return results
-
-
 def _mean_head_outputs(U, W, head, masks, mu, chunk=1 << 18):
     """Row-averaged head output for every mask, evaluated in chunks."""
     n_rows = U.shape[0]
@@ -294,7 +283,7 @@ def _mean_head_outputs(U, W, head, masks, mu, chunk=1 << 18):
     step = max(1, chunk // max(n_rows, 1))
     for start in range(0, masks.shape[0], step):
         m = masks[start:start + step]
-        perturbed = U[None, :, :] * m[:, None, :] + (1.0 - m)[:, None, :] * mu
+        perturbed = perturb(U[None, :, :], m[:, None, :], mu)
         acts = perturbed.reshape(-1, U.shape[1]) @ W.T
         y = np.asarray(head(acts), dtype=np.float64).reshape(len(m), n_rows)
         out[start:start + step] = y.mean(axis=1)

@@ -48,6 +48,33 @@ class TestFit:
         assert code == 0
         meta = json.loads((out / "bank" / "meta.json").read_text())
         assert meta["objective"] < 1e-6
+        assert meta["converged"] is True
+        assert 0.0 <= meta["kkt_residual"] < np.inf
+        assert meta["outer_iters"] >= 1
+
+    def test_fit_writes_what_build_concept_bank_returns(self, tmp_path):
+        from craftkit.nmf import NmfParams
+        from craftkit.pipeline import CropSpec, build_concept_bank, save_bank
+        from craftkit.toy import make_synthetic_dataset, two_layer_backbone
+        out = tmp_path / "cli"
+        assert main(["fit", "--model", "toy2:5", "--rank", "2", "--n-images", "80",
+                     "--out", str(out)]) == 0
+        model = two_layer_backbone()
+        images = make_synthetic_dataset(model, 80, noise=0.02, seed=5).images
+        bank, U, ctx = build_concept_bank(
+            images, model, 1, 2,
+            spec=CropSpec(resize_to=tuple(model.input_shape[:2]), seed=5),
+            nmf_params=NmfParams(rank=2, outer_iters=200, objective_tol=1e-4))
+        ref = tmp_path / "library"
+        save_bank(bank, ref / "bank")
+        save_npy(U, ref / "coeffs.npy")
+        save_npy(ctx["crops"], ref / "crops.npy")
+        save_npy(ctx["activations"], ref / "activations.npy")
+        (ref / "provenance.json").write_text(
+            json.dumps(ctx["provenance"], indent=2, sort_keys=True) + "\n")
+        assert run_dir_files(out) == run_dir_files(ref)
+        for rel in run_dir_files(ref):
+            assert (out / rel).read_bytes() == (ref / rel).read_bytes(), rel
 
     def test_nonexistent_model_dir(self, tmp_path):
         code = main(["fit", "--model", str(tmp_path / "missing"), "--rank", "2",
@@ -204,6 +231,9 @@ class TestExplainFidelityRecurse:
         assert (sub / "W.npy").exists()
         meta = json.loads((sub / "meta.json").read_text())
         assert meta["parent"] == ["bank", top]
+        assert meta["converged"] is True
+        assert 0.0 <= meta["kkt_residual"] < np.inf
+        assert meta["outer_iters"] >= 1
 
     def test_recurse_all_equal_coefficients_exit_3(self, tmp_path):
         out = tmp_path / "run"

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from craftkit.errors import DegeneracyError, NumericalError
-from craftkit.implicit import (ConceptJacobian, jacobian_u_wrt_a, optimality_fn,
-                               vjp_u_wrt_a)
-from craftkit.nmf import NmfParams, fit_nmf
+from craftkit.implicit import (ConceptJacobian, FitJacobian, jacobian_u_wrt_a,
+                               optimality_fn)
+from craftkit.nmf import FactorizationState, NmfParams, fit_nmf
 from craftkit.nnls import AdmmParams, solve_nnls
 
 from oracles import nnls_enumerate, nnls_enumerate_row
@@ -84,7 +84,7 @@ class TestTransformJacobian:
         jac = jacobian_u_wrt_a(sol, A, W)
         np.testing.assert_allclose(jac.dense_form, [[0.2, 0.4]], atol=1e-9)
         # the adjoint of the same map, probed with a unit cotangent
-        np.testing.assert_allclose(vjp_u_wrt_a(jac, np.array([[1.0]])),
+        np.testing.assert_allclose(jac.vjp(np.array([[1.0]])),
                                    [[0.2, 0.4]], atol=1e-9)
 
     def test_standard_basis_column_projects(self):
@@ -140,7 +140,7 @@ class TestTransformJacobian:
         jac = jacobian_u_wrt_a(sol, A, W)
         Y = np.zeros((3, 2))
         Y[1] = rng.normal(size=2)
-        dA = vjp_u_wrt_a(jac, Y)
+        dA = jac.vjp(Y)
         np.testing.assert_array_equal(dA[0], 0.0)
         np.testing.assert_array_equal(dA[2], 0.0)
 
@@ -209,6 +209,25 @@ class TestGuards:
         inactive = np.array([[True, False], [True, True]])
         with pytest.raises(NumericalError, match=r"row 1 on concepts \[0, 1\]"):
             ConceptJacobian(W, inactive)
+
+    def test_dense_form_gated_on_allocated_entries(self):
+        # (n r) x (n p) = 100 x 20000 entries: n r p = 10^5 is under the
+        # limit, but the dense form would hold 2 * 10^6 entries
+        W = np.random.default_rng(61).uniform(0.1, 1.0, size=(1000, 5))
+        jac = ConceptJacobian(W, np.ones((20, 5), dtype=bool))
+        assert jac.dense_form is None
+
+    def test_fit_jacobian_gated_on_system_size(self):
+        # n r p = 18000, but the free-coordinate system is 1200 x 1200
+        rng = np.random.default_rng(62)
+        U = rng.uniform(0.5, 1.5, size=(30, 20))
+        W = rng.uniform(0.5, 1.5, size=(30, 20))
+        state = FactorizationState(U=U, W=W, dual_U=np.zeros_like(U),
+                                   dual_W=np.zeros_like(W), objective_trace=(0.0,),
+                                   converged=True, kkt_residual=0.0,
+                                   column_norms=np.ones(20))
+        with pytest.raises(NumericalError, match=r"\(n\*r \+ p\*r\)\^2"):
+            FitJacobian(state, U @ W.T)
 
     def test_jvp_shape_check(self):
         jac = ConceptJacobian(np.eye(2), np.ones((1, 2), dtype=bool))

@@ -1,12 +1,15 @@
 """Crop geometry, bank building, refinement, attribution, and fidelity."""
 
+import json
+
 import numpy as np
 import pytest
 
 from craftkit.errors import DegeneracyError, EmptySetError, InsufficientDataError
 from craftkit.nmf import NmfParams
 from craftkit.nnls import AdmmParams, solve_nnls
-from craftkit.pipeline import (CropSpec, bilinear_resize, build_concept_bank,
+from craftkit.pipeline import (ConceptBank, CropSpec, bilinear_resize,
+                               build_concept_bank,
                                concept_attribution_map,
                                concept_percentile_threshold, extract_crops,
                                fidelity_curves, load_bank, recursive_decompose,
@@ -389,3 +392,14 @@ class TestBankPersistence:
         assert loaded.layer_tag == bank.layer_tag
         assert loaded.fit_objective == pytest.approx(bank.fit_objective)
         np.testing.assert_allclose(loaded.column_norms, bank.column_norms)
+        assert bank.converged is not None and bank.outer_iters >= 1
+        assert (loaded.converged, loaded.kkt_residual, loaded.outer_iters) == (
+            bank.converged, bank.kkt_residual, bank.outer_iters)
+
+    def test_hand_built_bank_saves_without_diagnostics(self, tmp_path):
+        bank = ConceptBank(W=np.eye(2), layer_tag="final", r=2, fit_objective=0.0,
+                           column_norms=np.ones(2))
+        save_bank(bank, tmp_path / "bank")
+        meta = json.loads((tmp_path / "bank" / "meta.json").read_text())
+        assert not {"converged", "kkt_residual", "outer_iters"} & set(meta)
+        assert load_bank(tmp_path / "bank").converged is None

@@ -10,8 +10,8 @@ import pytest
 
 from craftkit.errors import DataError, UnsupportedError
 from craftkit.sobol import (MaskBatch, ab_design, concept_importance, mask_designs,
-                            per_row_concept_importance, perturb, sobol_sequence,
-                            tcav_importance, total_sobol_jansen,
+                            perturb, sobol_sequence, tcav_importance,
+                            total_sobol_jansen,
                             _first_order_saltelli, _jansen_total)
 
 from oracles import ishigami, ishigami_total_indices
@@ -200,14 +200,6 @@ class TestConceptImportance:
         est = concept_importance(U, np.eye(2), lambda acts: acts[:, 0] * acts[:, 1],
                                  2048)
         assert abs(est.total_indices[0] - est.total_indices[1]) < 0.03
-
-    def test_per_row_variant_shape(self):
-        U = np.array([[1.0, 0.0], [0.0, 1.0]])
-        results = per_row_concept_importance(U, np.eye(2),
-                                             lambda acts: acts[:, 0], 128)
-        assert len(results) == 2
-        # row 2 has no concept-1 mass, so its output is constant zero
-        assert results[1].degenerate
 
     def test_nonzero_baseline_exposes_absent_concepts(self):
         # with a zero baseline a zero-coefficient concept is invisible; a
