@@ -266,14 +266,18 @@ def recursive_decompose(bank, U, concept_index, crops, earlier_features, r_sub,
 
 
 def _gradient_heatmap(x, bank, model, concept_index, admm):
+    """Mean over the images of x of |d u_concept / d pixel|, channel-summed.
+
+    The whole stack goes through one features call, one NNLS solve (rows
+    are separable), one Jacobian and one vjp_features call.
+    """
     acts = model.features(x, layer=bank.layer_tag)
     sol = solve_nnls(acts, bank.W, admm)
     jac = jacobian_u_wrt_a(sol, acts, bank.W)
-    cot = np.zeros((1, bank.r))
-    cot[0, concept_index] = 1.0
-    d_act = jac.vjp(cot)
-    dx = model.vjp_features(x, d_act, layer=bank.layer_tag)
-    return np.abs(dx[0]).sum(axis=-1)
+    cot = np.zeros((len(x), bank.r))
+    cot[:, concept_index] = 1.0
+    dx = model.vjp_features(x, jac.vjp(cot), layer=bank.layer_tag)
+    return np.abs(dx).sum(axis=-1).mean(axis=0)
 
 
 def concept_attribution_map(x, bank, model, concept_index, method="gradient",
@@ -282,8 +286,14 @@ def concept_attribution_map(x, bank, model, concept_index, method="gradient",
 
     gradient: implicit differentiation of the coefficient chained with the
     model's input gradient, channel-reduced by summed absolute values.
-    smoothgrad: mean of gradient maps over Gaussian-jittered copies.
+    smoothgrad: mean of gradient maps over n_noise Gaussian-jittered copies;
+    a degenerate solution on any copy raises DegeneracyError for the map.
     occlusion: coefficient drop from zeroing a sliding patch (forward only).
+
+    smoothgrad and occlusion each stack their images (the jittered copies,
+    or the clean image plus one copy per patch position) and make one
+    batched features call and one NNLS solve per map; the occluded stack
+    holds (patches + 1) * H * W * C floats.
     """
     x = as_tensor4(np.asarray(x)[None] if np.asarray(x).ndim == 3 else x, "image")
     if x.shape[0] != 1:
@@ -295,13 +305,12 @@ def concept_attribution_map(x, bank, model, concept_index, method="gradient",
     if method == "gradient":
         values = _gradient_heatmap(x, bank, model, concept_index, admm)
     elif method == "smoothgrad":
+        if n_noise < 1:
+            raise ValueError(f"n_noise must be at least 1, got {n_noise}")
         sigma = noise_scale * float(x.max() - x.min())
         gen = Rng(seed, stream=17).generator()
-        acc = np.zeros(x.shape[1:3])
-        for _ in range(n_noise):
-            jittered = x + sigma * gen.normal(size=x.shape)
-            acc += _gradient_heatmap(jittered, bank, model, concept_index, admm)
-        values = acc / n_noise
+        jittered = x + sigma * gen.normal(size=(n_noise,) + x.shape[1:])
+        values = _gradient_heatmap(jittered, bank, model, concept_index, admm)
     elif method == "occlusion":
         values = _occlusion_heatmap(x, bank, model, concept_index, admm)
     else:
@@ -313,20 +322,19 @@ def _occlusion_heatmap(x, bank, model, concept_index, admm):
     h, w = x.shape[1:3]
     patch = max(1, round(min(h, w) / 8))
     stride = max(1, patch // 2)
-    base = solve_nnls(model.features(x, layer=bank.layer_tag), bank.W, admm)
-    u0 = base.U[0, concept_index]
+    corners = [(y0, x0) for y0 in range(0, h - patch + 1, stride)
+               for x0 in range(0, w - patch + 1, stride)]
+    # row 0 is the clean image, row k the copy with patch k - 1 zeroed
+    stack = np.repeat(x, len(corners) + 1, axis=0)
+    for k, (y0, x0) in enumerate(corners, start=1):
+        stack[k, y0:y0 + patch, x0:x0 + patch, :] = 0.0
+    u = solve_nnls(model.features(stack, layer=bank.layer_tag),
+                   bank.W, admm).U[:, concept_index]
     heat = np.zeros((h, w))
     count = np.zeros((h, w))
-    ys = list(range(0, h - patch + 1, stride))
-    xs = list(range(0, w - patch + 1, stride))
-    for y0 in ys:
-        for x0 in xs:
-            occluded = x.copy()
-            occluded[0, y0:y0 + patch, x0:x0 + patch, :] = 0.0
-            u = solve_nnls(model.features(occluded, layer=bank.layer_tag),
-                           bank.W, admm).U[0, concept_index]
-            heat[y0:y0 + patch, x0:x0 + patch] += u0 - u
-            count[y0:y0 + patch, x0:x0 + patch] += 1.0
+    for k, (y0, x0) in enumerate(corners, start=1):
+        heat[y0:y0 + patch, x0:x0 + patch] += u[0] - u[k]
+        count[y0:y0 + patch, x0:x0 + patch] += 1.0
     return heat / np.maximum(count, 1.0)
 
 

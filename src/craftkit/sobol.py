@@ -277,10 +277,15 @@ def concept_importance(U, W, head, n, mu=0.0, sequence="sobol_joe_kuo", seed=Non
 
 
 def _mean_head_outputs(U, W, head, masks, mu, chunk=1 << 18):
-    """Row-averaged head output for every mask, evaluated in chunks."""
+    """Row-averaged head output for every mask, evaluated in chunks.
+
+    A chunk of m masks builds m * n_rows * max(r, p) floats (perturbed
+    coefficients, then activations), so m is chosen to keep that product
+    near ``chunk``; at least one mask is evaluated per chunk.
+    """
     n_rows = U.shape[0]
     out = np.empty(masks.shape[0])
-    step = max(1, chunk // max(n_rows, 1))
+    step = max(1, chunk // max(n_rows * max(U.shape[1], W.shape[0]), 1))
     for start in range(0, masks.shape[0], step):
         m = masks[start:start + step]
         perturbed = perturb(U[None, :, :], m[:, None, :], mu)

@@ -293,7 +293,8 @@ class TestDeterminism:
         assert main(["fit", "--model", "toy:3", "--rank", "2", "--n-images",
                      "40", "--out", str(out)]) == 0
 
-    def test_explain_output_independent_of_thread_count(self, tmp_path):
+    @pytest.mark.parametrize("method", ["gradient", "smoothgrad", "occlusion"])
+    def test_explain_output_independent_of_thread_count(self, tmp_path, method):
         outs = []
         for tag, threads in (("a", "1"), ("b", "3")):
             out = tmp_path / tag
@@ -301,7 +302,7 @@ class TestDeterminism:
                          "--n-images", "40", "--out", str(out)]) == 0
             assert main(["explain", "--model", "toy:3", "--seed", "2",
                          "--n-images", "40", "--threads", threads,
-                         "--out", str(out)]) == 0
+                         "--method", method, "--out", str(out)]) == 0
             outs.append(out)
         for name in ("0_0.npy", "0_1.npy"):
             a = (outs[0] / "heatmaps" / name).read_bytes()

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from craftkit.core import Rng
 from craftkit.errors import DegeneracyError, EmptySetError, InsufficientDataError
+from craftkit.implicit import jacobian_u_wrt_a
 from craftkit.nmf import NmfParams
 from craftkit.nnls import AdmmParams, solve_nnls
 from craftkit.pipeline import (ConceptBank, CropSpec, bilinear_resize,
@@ -17,6 +19,7 @@ from craftkit.pipeline import (ConceptBank, CropSpec, bilinear_resize,
 from craftkit.toy import make_synthetic_dataset, pair_backbone, two_layer_backbone
 
 FIT_PARAMS = NmfParams(rank=2, outer_iters=80, objective_tol=1e-8)
+ATTRIBUTION_ADMM = AdmmParams(tol_primal=1e-11, tol_dual=1e-11)
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +286,70 @@ class TestAttributionMaps:
                                       method="smoothgrad", seed=5, n_noise=4)
         np.testing.assert_array_equal(hm1.values, hm2.values)
 
+    def test_occlusion_matches_per_patch_solves(self, fitted_pair):
+        # reference: one features call and one single-row solve per patch
+        model, _, bank, _, _, concept_of = fitted_pair
+        probe = make_synthetic_dataset(model, 1, noise=0.0, seed=2104,
+                                       max_stamps=1, template_pool=(0, 1))
+        x = probe.images
+        concept = int(concept_of[probe.stamps[0][0][0]])
+        h, w = x.shape[1:3]
+        patch = max(1, round(min(h, w) / 8))
+        stride = max(1, patch // 2)
+
+        def coefficient(image):
+            return solve_nnls(model.features(image), bank.W,
+                              ATTRIBUTION_ADMM).U[0, concept]
+
+        u0 = coefficient(x)
+        heat = np.zeros((h, w))
+        count = np.zeros((h, w))
+        for y0 in range(0, h - patch + 1, stride):
+            for x0 in range(0, w - patch + 1, stride):
+                occluded = x.copy()
+                occluded[0, y0:y0 + patch, x0:x0 + patch, :] = 0.0
+                heat[y0:y0 + patch, x0:x0 + patch] += u0 - coefficient(occluded)
+                count[y0:y0 + patch, x0:x0 + patch] += 1.0
+        expected = heat / np.maximum(count, 1.0)
+
+        hm = concept_attribution_map(x[0], bank, model, concept, method="occlusion",
+                                     admm=ATTRIBUTION_ADMM)
+        np.testing.assert_allclose(hm.values, expected, rtol=1e-12)
+
+    def test_smoothgrad_matches_per_jitter_gradients(self, fitted_pair):
+        # reference: draw each jitter in turn from the same stream and
+        # differentiate it on its own
+        model, _, bank, _, _, concept_of = fitted_pair
+        probe = make_synthetic_dataset(model, 1, noise=0.05, seed=2050,
+                                       max_stamps=1, template_pool=(0, 1))
+        x = probe.images
+        concept = int(concept_of[probe.stamps[0][0][0]])
+        seed, n_noise, noise_scale = 5, 6, 0.1
+        sigma = noise_scale * float(x.max() - x.min())
+        gen = Rng(seed, stream=17).generator()
+        acc = np.zeros(x.shape[1:3])
+        for _ in range(n_noise):
+            jittered = x + sigma * gen.normal(size=x.shape)
+            acts = model.features(jittered)
+            sol = solve_nnls(acts, bank.W, ATTRIBUTION_ADMM)
+            cot = np.zeros((1, bank.r))
+            cot[0, concept] = 1.0
+            d_act = jacobian_u_wrt_a(sol, acts, bank.W).vjp(cot)
+            acc += np.abs(model.vjp_features(jittered, d_act)[0]).sum(axis=-1)
+        expected = acc / n_noise
+
+        hm = concept_attribution_map(x[0], bank, model, concept, method="smoothgrad",
+                                     admm=ATTRIBUTION_ADMM, seed=seed,
+                                     n_noise=n_noise, noise_scale=noise_scale)
+        np.testing.assert_allclose(hm.values, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_noise", [0, -3])
+    def test_smoothgrad_rejects_empty_noise_count(self, fitted_pair, n_noise):
+        model, _, bank, _, _, _ = fitted_pair
+        with pytest.raises(ValueError, match="n_noise"):
+            concept_attribution_map(np.zeros(model.input_shape), bank, model, 0,
+                                    method="smoothgrad", n_noise=n_noise)
+
     def test_concept_out_of_range(self, fitted_pair):
         model, _, bank, _, _, _ = fitted_pair
         with pytest.raises(ValueError):
@@ -292,7 +359,6 @@ class TestAttributionMaps:
         # end-to-end: d coefficient / d pixel through features, the NNLS
         # solve, and the implicit Jacobian, against finite differences of
         # the exact enumeration re-solve on the perturbed image
-        from craftkit.implicit import jacobian_u_wrt_a
         from oracles import nnls_enumerate_row
 
         model, _, bank, _, _, concept_of = fitted_pair

@@ -228,6 +228,29 @@ class TestConceptImportance:
             np.testing.assert_array_equal(tiny, full)
 
 
+    def test_peak_memory_bounded_by_chunk_at_wide_features(self):
+        # a chunk holds masks x rows x max(r, p) floats; sizing it by the row
+        # count alone put all 64 masks' 200 x 512 activations (52 MB) in one
+        import tracemalloc
+        from craftkit.sobol import _mean_head_outputs
+        rng = np.random.default_rng(4)
+        U = rng.uniform(size=(200, 10))
+        W = rng.uniform(size=(512, 10))
+        w = rng.normal(size=512)
+        masks = rng.uniform(size=(64, 10))
+        chunk = 1 << 18
+        tracemalloc.start()
+        try:
+            out = _mean_head_outputs(U, W, lambda acts: acts @ w, masks, 0.0,
+                                     chunk=chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * chunk
+        expected = [np.mean(perturb(U, m) @ W.T @ w) for m in masks]
+        np.testing.assert_allclose(out, expected, rtol=1e-12)
+
+
 class TestTcav:
     def test_positive_alignment_scores_one(self):
         grads = np.tile([1.0, 0.5], (10, 1))
