@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegeneracyError, NumericalError
 from .nmf import FactorizationState
-from .nnls import NnlsSolution, support_groups
+from .nnls import NnlsSolution
 
 _DENSE_LIMIT = 10**6
 _DEGENERACY_MARGIN = 1e-7
@@ -114,6 +114,24 @@ class ConceptJacobian:
             # every row of a group shares the block G_II^-1 W_I^T
             J[rows[:, None], free[None, :], rows[:, None], :] = inv @ self.W[:, free].T
         return J.reshape(self.n * self.r, self.n * self.p)
+
+
+def support_groups(mask):
+    """Group the rows of a boolean n x r mask by their pattern.
+
+    Returns one (rows, cols) pair of index arrays per distinct pattern with
+    at least one True entry, in order of first appearance; rows whose
+    pattern is all False are left out.
+    """
+    groups = {}
+    for i, row in enumerate(mask):
+        groups.setdefault(row.tobytes(), []).append(i)
+    out = []
+    for rows in groups.values():
+        cols = np.flatnonzero(mask[rows[0]])
+        if cols.size:
+            out.append((np.array(rows), cols))
+    return out
 
 
 def _inverse_gram_block(gram, rows, free):

@@ -9,7 +9,9 @@ update is one factored r x r solve per system: the regularized Gram matrix
 W^T W + rho*I is fixed for the whole solve, so it is inverted once and every
 iteration is a single matrix product (the factorization caching of Boyd et
 al., "Distributed Optimization and Statistical Learning via ADMM", 2011,
-section 4.2.3).
+section 4.2.3). Convergence checks work in Gram form, from W^T W and A W,
+so they never rebuild the n x p residual; the active-set polish solves
+every row's reduced system in one batched call.
 """
 
 from dataclasses import dataclass
@@ -22,6 +24,10 @@ from .errors import DataError
 # the usual sweet spot, roughly halving the iteration count
 _RELAX = 1.7
 
+# matrix entries per batched polish solve: the n x r x r stack of padded
+# systems goes through in row blocks of this many floats (128 KiB)
+_POLISH_FLOATS = 1 << 14
+
 
 @dataclass(frozen=True)
 class AdmmParams:
@@ -29,8 +35,9 @@ class AdmmParams:
 
     rho is the quadratic penalty coupling the smooth and projected iterates;
     the primal/dual tolerances are infinity-norm stopping thresholds. The
-    smooth subproblem needs no knobs: it is one factored r x r solve per
-    system, exact to rounding.
+    linear algebra needs no knobs: the smooth subproblem is one factored
+    r x r solve per system and the polish one batched solve of every row's
+    reduced system, both exact to rounding.
     """
 
     rho: float = 1.0
@@ -124,6 +131,9 @@ def solve_nnls(A, W, params=None, warm=None):
     else:
         U = np.zeros((n, r))
         V = np.zeros((n, r))
+    if n == 0:
+        return NnlsSolution(U=U, dual_U=np.zeros((0, r)), iterations=0,
+                            kkt_residual=0.0, converged=True)
 
     # solutions count as converged once the worst KKT violation falls below
     # the stopping tolerance at gradient scale; no unit floor here, or
@@ -151,10 +161,8 @@ def solve_nnls(A, W, params=None, warm=None):
         if admm_converged or iterations % check_every == 0:
             # ADMM pins the active set long before its iterates are sharp;
             # an exact solve on that support usually finishes the job early
-            dual_admm = np.maximum(-rho * V, 0.0)
-            candidates = [(U, dual_admm, kkt_residual(A, W, U, dual_admm))]
-            candidates.append(_polish_active_set(A, W, AW, G, U))
-            candidate = min(candidates, key=lambda c: c[2])
+            candidate = min(_admm_candidate(AW, G, U, V, rho),
+                            _polish_active_set(AW, G, U), key=lambda c: c[2])
             if best is None or candidate[2] < best[2]:
                 best = candidate
             if admm_converged or best[2] <= kkt_target:
@@ -162,55 +170,64 @@ def solve_nnls(A, W, params=None, warm=None):
                 break
 
     if best is None:
-        dual_admm = np.maximum(-rho * V, 0.0)
-        candidates = [(U, dual_admm, kkt_residual(A, W, U, dual_admm))]
-        candidates.append(_polish_active_set(A, W, AW, G, U))
-        best = min(candidates, key=lambda c: c[2])
+        best = min(_admm_candidate(AW, G, U, V, rho),
+                   _polish_active_set(AW, G, U), key=lambda c: c[2])
     U, dual_U, residual = best
     return NnlsSolution(U=U, dual_U=dual_U, iterations=iterations,
                         kkt_residual=residual, converged=converged)
 
 
-def _polish_active_set(A, W, AW, G, U):
+def _admm_candidate(AW, G, U, V, rho):
+    """The projected ADMM iterate with the multipliers its scaled dual implies."""
+    dual = np.maximum(-rho * V, 0.0)
+    return U, dual, _kkt_max(U @ G - AW - dual, U, dual)
+
+
+def _polish_active_set(AW, G, U):
     """Re-solve the reduced least squares on the support ADMM identified.
 
     ADMM pins the active set long before its iterates are accurate, so one
-    exact solve per distinct support (one factored solve of the reduced Gram
-    block, batched over all rows of the group) reaches machine precision
-    cheaply. The caller keeps the polish only when its KKT residual actually
-    improves, so a misidentified support is harmless; a singular block (a
-    bank with dependent columns) yields an infinite residual for the same
-    reason.
+    exact solve of each row's reduced Gram system G_FF u_F = (A W)_F reaches
+    machine precision cheaply. All rows are solved by one batched LAPACK
+    call over r x r systems: the free block of a row's system is G_FF, and
+    each clamped coordinate gets an identity row and column with a zero
+    right-hand side. Rows go through in blocks of _POLISH_FLOATS matrix
+    entries (at least one row), so the stack of systems stays small. The
+    caller keeps the polish only when its KKT residual actually improves,
+    so a misidentified support is harmless; a singular block (a bank with
+    dependent columns) yields an infinite residual for the same reason.
     """
+    n, r = U.shape
     inactive = U > 0.0
     U_pol = np.zeros_like(U)
-    for rows, free in support_groups(inactive):
+    diag = np.arange(r)
+    step = max(1, _POLISH_FLOATS // (r * r))
+    for start in range(0, n, step):
+        free = inactive[start:start + step]
+        systems = np.where(free[:, :, None] & free[:, None, :], G, 0.0)
+        systems[:, diag, diag] = np.where(free, np.diag(G), 1.0)
+        rhs = np.where(free, AW[start:start + step], 0.0)
         try:
-            sol = np.linalg.solve(G[np.ix_(free, free)], AW[np.ix_(rows, free)].T).T
+            sol = np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             return U_pol, np.zeros_like(U), np.inf
-        U_pol[np.ix_(rows, free)] = np.maximum(sol, 0.0)
-    grad = (U_pol @ W.T - A) @ W
+        U_pol[start:start + step] = np.maximum(sol, 0.0)
+    grad = U_pol @ G - AW
     dual_pol = np.where(inactive, 0.0, np.maximum(grad, 0.0))
-    return U_pol, dual_pol, kkt_residual(A, W, U_pol, dual_pol)
+    return U_pol, dual_pol, _kkt_max(grad - dual_pol, U_pol, dual_pol)
 
 
-def support_groups(mask):
-    """Group the rows of a boolean n x r mask by their pattern.
+def _kkt_max(stationarity, U, dual_U):
+    """kkt_residual given its stationarity block (U W^T - A) W - dual_U.
 
-    Returns one (rows, cols) pair of index arrays per distinct pattern with
-    at least one True entry, in order of first appearance; rows whose
-    pattern is all False are left out.
+    Inside a solve G = W^T W and A W are at hand, so the block is formed as
+    U G - A W - dual_U, an n x r x r product, instead of rebuilding the
+    n x p residual U W^T - A at every convergence check.
     """
-    groups = {}
-    for i, row in enumerate(mask):
-        groups.setdefault(row.tobytes(), []).append(i)
-    out = []
-    for rows in groups.values():
-        cols = np.flatnonzero(mask[rows[0]])
-        if cols.size:
-            out.append((np.array(rows), cols))
-    return out
+    primal = max(0.0, -U.min(initial=0.0))
+    dual = max(0.0, -dual_U.min(initial=0.0))
+    slack = np.abs(dual_U * U).max(initial=0.0)
+    return float(max(np.abs(stationarity).max(initial=0.0), primal, dual, slack))
 
 
 def kkt_residual(A, W, U, dual_U):
@@ -224,11 +241,7 @@ def kkt_residual(A, W, U, dual_U):
     W = np.asarray(W, dtype=np.float64)
     U = np.asarray(U, dtype=np.float64)
     dual_U = np.asarray(dual_U, dtype=np.float64)
-    stationarity = np.abs((U @ W.T - A) @ W - dual_U).max()
-    primal = max(0.0, -U.min()) if U.size else 0.0
-    dual = max(0.0, -dual_U.min()) if dual_U.size else 0.0
-    slack = np.abs(dual_U * U).max()
-    return float(max(stationarity, primal, dual, slack))
+    return _kkt_max((U @ W.T - A) @ W - dual_U, U, dual_U)
 
 
 def nnls_objective(A, W, U):

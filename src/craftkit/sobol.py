@@ -120,12 +120,14 @@ def sobol_sequence(dim, n):
     if n >= 2**_BITS:
         raise UnsupportedError(f"at most {2**_BITS - 1} points are supported")
     V = _direction_integers(dim, _BITS)
-    out = np.empty((n, dim))
-    state = np.zeros(dim, dtype=np.uint64)
-    for i in range(1, n + 1):
-        state ^= V[:, (i & -i).bit_length() - 1]
-        out[i - 1] = state / _SCALE
-    return out
+    # point i is the XOR of the direction integers over the set bits of its
+    # Gray code i ^ (i >> 1), the closed form of the one-bit-flip recurrence
+    i = np.arange(1, n + 1, dtype=np.uint64)
+    gray = i ^ (i >> np.uint64(1))
+    state = np.zeros((n, dim), dtype=np.uint64)
+    for k in range(int(n).bit_length()):
+        state ^= ((gray >> np.uint64(k)) & np.uint64(1))[:, None] * V[:, k]
+    return state / _SCALE
 
 
 @dataclass(frozen=True)
@@ -279,18 +281,28 @@ def concept_importance(U, W, head, n, mu=0.0, sequence="sobol_joe_kuo", seed=Non
 def _mean_head_outputs(U, W, head, masks, mu, chunk=1 << 18):
     """Row-averaged head output for every mask, evaluated in chunks.
 
-    A chunk of m masks builds m * n_rows * max(r, p) floats (perturbed
-    coefficients, then activations), so m is chosen to keep that product
-    near ``chunk``; at least one mask is evaluated per chunk.
+    A chunk of m masks on k rows builds m * k * max(r, p) floats (perturbed
+    coefficients, then activations). Whole masks are batched while that
+    stays near ``chunk``; once a single mask's n_rows * max(r, p) exceeds
+    it, each mask goes through in row blocks, so the bound holds per row
+    block. At least one mask and one row go per chunk. Each mask's mean is
+    taken over all its rows at once, so the result does not depend on the
+    chunking.
     """
-    n_rows = U.shape[0]
+    n_rows, r = U.shape
+    width = max(r, W.shape[0])
     out = np.empty(masks.shape[0])
-    step = max(1, chunk // max(n_rows * max(U.shape[1], W.shape[0]), 1))
+    step = max(1, chunk // max(n_rows * width, 1))
+    row_step = max(1, chunk // width)
     for start in range(0, masks.shape[0], step):
         m = masks[start:start + step]
-        perturbed = perturb(U[None, :, :], m[:, None, :], mu)
-        acts = perturbed.reshape(-1, U.shape[1]) @ W.T
-        y = np.asarray(head(acts), dtype=np.float64).reshape(len(m), n_rows)
+        y = np.empty((len(m), n_rows))
+        for lo in range(0, n_rows, row_step):
+            rows = U[lo:lo + row_step]
+            perturbed = perturb(rows[None, :, :], m[:, None, :], mu)
+            acts = perturbed.reshape(-1, r) @ W.T
+            y[:, lo:lo + row_step] = np.asarray(head(acts), dtype=np.float64).reshape(
+                len(m), len(rows))
         out[start:start + step] = y.mean(axis=1)
     return out
 

@@ -148,6 +148,10 @@ class TestTransform:
         U = transform(np.array([[0.0, 1.0]]), W, TIGHT)
         np.testing.assert_allclose(U, [[0.0, 0.5]], atol=1e-8)
 
+    def test_no_rows_give_empty_coefficients(self):
+        W = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(transform(np.zeros((0, 3)), W), np.zeros((0, 2)))
+
     def test_column_mismatch(self):
         with pytest.raises(ValueError):
             transform(np.ones((1, 3)), np.ones((2, 2)))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from craftkit.errors import DataError
-from craftkit.nnls import AdmmParams, NnlsSolution, kkt_residual, nnls_objective, solve_nnls
+from craftkit.nnls import (AdmmParams, NnlsSolution, kkt_residual, nnls_objective,
+                           solve_nnls, _polish_active_set)
 
 from oracles import nnls_dual, nnls_enumerate
 
@@ -47,6 +48,10 @@ class TestKktResidual:
         res = kkt_residual(np.zeros((1, 2)), np.eye(2), U, np.zeros((1, 2)))
         assert res >= 0.3
 
+    def test_no_rows_score_zero(self):
+        assert kkt_residual(np.zeros((0, 3)), np.ones((3, 2)),
+                            np.zeros((0, 2)), np.zeros((0, 2))) == 0.0
+
     def test_hand_case_after_convergence(self):
         A = np.array([[0.0, 1.0]])
         W = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -65,6 +70,10 @@ class TestAgainstEnumeration:
             _, obj_ref = nnls_enumerate(A, W)
             assert nnls_objective(A, W, sol.U) <= obj_ref + 1e-6
             assert sol.kkt_residual < 1e-8
+            # the solver scores candidates in Gram form (U G - A W); the
+            # public residual rebuilds U W^T - A and must agree to rounding
+            public = kkt_residual(A, W, sol.U, sol.dual_U)
+            assert abs(sol.kkt_residual - public) <= 1e-12 * np.abs(A @ W).max()
 
     def test_duals_match_stationarity_form(self):
         rng = np.random.default_rng(11)
@@ -73,6 +82,44 @@ class TestAgainstEnumeration:
             W = rng.normal(size=(4, 2))
             sol = solve_nnls(A, W, TIGHT)
             np.testing.assert_allclose(sol.dual_U, nnls_dual(A, W, sol.U), atol=1e-7)
+
+
+class TestPolish:
+    def test_batched_polish_matches_per_group_solves(self):
+        # 300 rows with random supports cover most of the 2^6 patterns; the
+        # reference solves each support group's reduced Gram system apart
+        rng = np.random.default_rng(29)
+        n, p, r = 300, 20, 6
+        W = rng.uniform(size=(p, r))
+        A = rng.uniform(size=(n, p)) * rng.uniform(0.1, 10.0, size=(n, 1))
+        U = rng.uniform(size=(n, r)) * (rng.uniform(size=(n, r)) < 0.6)
+        G, AW = W.T @ W, A @ W
+        free_sets = U > 0.0
+        assert len({row.tobytes() for row in free_sets}) > 40
+        U_ref = np.zeros((n, r))
+        for key in {row.tobytes() for row in free_sets}:
+            rows = np.flatnonzero([row.tobytes() == key for row in free_sets])
+            free = np.flatnonzero(free_sets[rows[0]])
+            if free.size:
+                sol = np.linalg.solve(G[np.ix_(free, free)], AW[np.ix_(rows, free)].T).T
+                U_ref[np.ix_(rows, free)] = np.maximum(sol, 0.0)
+        U_pol, dual_pol, residual = _polish_active_set(AW, G, U)
+        # backward-stable solves: error within a small multiple of
+        # cond(G) * eps * |u| per row (cond(G_FF) <= cond(G) by interlacing)
+        tol = 100 * np.linalg.cond(G) * np.finfo(np.float64).eps
+        row_scale = np.abs(U_ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(U_pol - U_ref) <= tol * row_scale)
+        dual_ref = np.where(free_sets, 0.0, np.maximum((U_ref @ W.T - A) @ W, 0.0))
+        np.testing.assert_allclose(dual_pol, dual_ref, rtol=0,
+                                   atol=tol * np.abs(AW).max())
+        assert residual == pytest.approx(kkt_residual(A, W, U_pol, dual_pol), rel=0,
+                                         abs=1e-12 * np.abs(AW).max())
+
+    def test_singular_block_gives_infinite_residual(self):
+        W = np.array([[1.0, 1.0], [1.0, 1.0]])
+        A = np.array([[1.0, 1.0], [2.0, 0.5]])
+        _, _, residual = _polish_active_set(A @ W, W.T @ W, np.ones((2, 2)))
+        assert residual == np.inf
 
 
 class TestProperties:
@@ -171,6 +218,11 @@ class TestProperties:
 
 
 class TestValidation:
+    def test_no_rows_give_empty_converged_solution(self):
+        sol = solve_nnls(np.zeros((0, 3)), np.ones((3, 2)))
+        assert sol.U.shape == sol.dual_U.shape == (0, 2)
+        assert sol.converged and sol.kkt_residual == 0.0
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             solve_nnls(np.ones((2, 3)), np.ones((4, 2)))

@@ -49,6 +49,20 @@ class TestSobolSequence:
         pts = sobol_sequence(3, 1024)
         np.testing.assert_allclose(pts.mean(axis=0), 0.5, atol=1e-3)
 
+    @pytest.mark.parametrize("dim", [1, 2, 20, 64])
+    def test_matches_per_point_gray_code_loop(self, dim):
+        # the loop flips one direction integer per point, at the lowest set
+        # bit of i; the vectorized form must give the same bits
+        from craftkit.sobol import _BITS, _direction_integers
+        V = _direction_integers(dim, _BITS)
+        for n in (0, 1, 1000, 4096):
+            expected = np.empty((n, dim))
+            state = np.zeros(dim, dtype=np.uint64)
+            for i in range(1, n + 1):
+                state ^= V[:, (i & -i).bit_length() - 1]
+                expected[i - 1] = state / 2.0**_BITS
+            np.testing.assert_array_equal(sobol_sequence(dim, n), expected)
+
     def test_leading_dimensions_project_consistently(self):
         # each dimension has its own direction numbers, so a lower-dim
         # sequence is exactly the prefix of a higher-dim one
@@ -230,25 +244,27 @@ class TestConceptImportance:
 
     def test_peak_memory_bounded_by_chunk_at_wide_features(self):
         # a chunk holds masks x rows x max(r, p) floats; sizing it by the row
-        # count alone put all 64 masks' 200 x 512 activations (52 MB) in one
+        # count alone put all 64 masks' 200 x 512 activations (52 MB) in one,
+        # and at 1000 x 2048 a single mask is 8 chunks, so rows must split
         import tracemalloc
         from craftkit.sobol import _mean_head_outputs
         rng = np.random.default_rng(4)
-        U = rng.uniform(size=(200, 10))
-        W = rng.uniform(size=(512, 10))
-        w = rng.normal(size=512)
-        masks = rng.uniform(size=(64, 10))
         chunk = 1 << 18
-        tracemalloc.start()
-        try:
-            out = _mean_head_outputs(U, W, lambda acts: acts @ w, masks, 0.0,
-                                     chunk=chunk)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 8 * chunk
-        expected = [np.mean(perturb(U, m) @ W.T @ w) for m in masks]
-        np.testing.assert_allclose(out, expected, rtol=1e-12)
+        for n_rows, p in ((200, 512), (1000, 2048)):
+            U = rng.uniform(size=(n_rows, 10))
+            W = rng.uniform(size=(p, 10))
+            w = rng.normal(size=p)
+            masks = rng.uniform(size=(64, 10))
+            tracemalloc.start()
+            try:
+                out = _mean_head_outputs(U, W, lambda acts: acts @ w, masks, 0.0,
+                                         chunk=chunk)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 8 * chunk
+            expected = [np.mean(perturb(U, m) @ W.T @ w) for m in masks]
+            np.testing.assert_array_equal(out, expected)
 
 
 class TestTcav:
