@@ -11,8 +11,7 @@ from .core import Rng, global_average_pool
 from .errors import (CraftError, DataError, DegeneracyError, EmptySetError,
                      FormatError, InsufficientDataError, NumericalError,
                      UnsupportedError)
-from .implicit import (ConceptJacobian, OptimalityResidual, jacobian_u_wrt_a,
-                       optimality_fn)
+from .implicit import ConceptJacobian, jacobian_u_wrt_a
 from .nmf import FactorizationState, NmfParams, fit_nmf, init_factors, transform
 from .nnls import AdmmParams, NnlsSolution, kkt_residual, nnls_objective, solve_nnls
 from .npyio import load_npy, save_npy

@@ -1,4 +1,4 @@
-"""Differentiating NNLS solutions with respect to their input.
+"""Differentiating NNLS coefficients with respect to their input rows.
 
 At a solution with strict complementarity the active coordinates are locally
 constant, so the solution map is differentiable and its Jacobian follows
@@ -6,52 +6,22 @@ from the first-order conditions restricted to the free coordinates: for each
 row, dU restricted to the free set I solves G_II dU_I = W_I^T dA, with
 G = W^T W. Rows of dU on clamped coordinates are identically zero.
 
-Transform mode (fixed bank W) is the workhorse used for attribution maps.
-Fit mode differentiates the full coupled factorization; the factorization
-has a column-rescaling gauge freedom, so that system is singular and the
-minimum-norm solution is returned.
+Only transform mode is implemented: the bank W stays fixed and only the
+coefficients move. That is the map CRAFT's concept attribution maps chain
+with the model's input gradient. Nothing in CRAFT differentiates the coupled
+fit of U and W, whose first-order system is singular along the
+column-rescaling gauge.
 """
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegeneracyError, NumericalError
-from .nmf import FactorizationState
-from .nnls import NnlsSolution
 
 _DENSE_LIMIT = 10**6
 _DEGENERACY_MARGIN = 1e-7
 _KKT_GATE = 1e-6
-
-
-@dataclass(frozen=True)
-class OptimalityResidual:
-    """The four stacked first-order blocks; all vanish at an exact solution."""
-
-    stat_U: np.ndarray
-    stat_W: np.ndarray
-    slack_U: np.ndarray
-    slack_W: np.ndarray
-
-    def max_abs(self):
-        return float(max(np.abs(self.stat_U).max(), np.abs(self.stat_W).max(),
-                         np.abs(self.slack_U).max(), np.abs(self.slack_W).max()))
-
-
-def optimality_fn(U, W, dual_U, dual_W, A):
-    """Stationarity and complementary-slackness blocks of the factorization.
-
-    Returns (U W^T - A) W - dual_U, (W U^T - A^T) U - dual_W, dual_U * U,
-    and dual_W * W as an OptimalityResidual.
-    """
-    U, W, A = np.asarray(U), np.asarray(W), np.asarray(A)
-    dual_U, dual_W = np.asarray(dual_U), np.asarray(dual_W)
-    R = U @ W.T - A
-    return OptimalityResidual(stat_U=R @ W - dual_U,
-                              stat_W=R.T @ U - dual_W,
-                              slack_U=dual_U * U,
-                              slack_W=dual_W * W)
 
 
 def _check_strict_complementarity(U, dual_U, margin):
@@ -70,9 +40,9 @@ class ConceptJacobian:
     optimality-condition Jacobian of Blondel et al., "Efficient and Modular
     Implicit Differentiation", arXiv 2105.15183). A numerically singular
     block (linearly dependent or zero columns among the free concepts)
-    raises NumericalError naming the row and the concepts. ``dense_form``
-    holds the full (n r) x (n p) matrix whenever its n^2 r p entries number
-    at most 10^6, otherwise None.
+    raises NumericalError naming the row and the concepts. The dense
+    matrix is not built at construction; ``dense_form`` builds it on first
+    read.
     """
 
     def __init__(self, W, inactive):
@@ -84,9 +54,6 @@ class ConceptJacobian:
         # one (rows, free, G_II^-1) triple per distinct free set
         self._groups = [(rows, free, _inverse_gram_block(gram, rows, free))
                         for rows, free in support_groups(self.inactive)]
-        self.dense_form = None
-        if self.n**2 * self.r * self.p <= _DENSE_LIMIT:
-            self.dense_form = self._materialize()
 
     def jvp(self, dA):
         """dU for a perturbation dA of the input rows."""
@@ -108,7 +75,14 @@ class ConceptJacobian:
             dA[rows] = Y[np.ix_(rows, free)] @ inv @ self.W[:, free].T
         return dA
 
-    def _materialize(self):
+    @cached_property
+    def dense_form(self):
+        """The full (n r) x (n p) matrix, built on first read and then kept.
+
+        None when its n^2 r p entries would number more than 10^6.
+        """
+        if self.n**2 * self.r * self.p > _DENSE_LIMIT:
+            return None
         J = np.zeros((self.n, self.r, self.n, self.p))
         for rows, free, inv in self._groups:
             # every row of a group shares the block G_II^-1 W_I^T
@@ -152,114 +126,23 @@ def _inverse_gram_block(gram, rows, free):
     return (eigvecs / eigvals) @ eigvecs.T
 
 
-class FitJacobian:
-    """Jacobian of the coupled fit (U, W) with respect to A, desk scale only.
+def jacobian_u_wrt_a(solution, W, *, degeneracy_margin=_DEGENERACY_MARGIN,
+                     kkt_gate=_KKT_GATE):
+    """ConceptJacobian of an NNLS solution against the fixed bank W.
 
-    The coupled first-order system is singular along the column-rescaling
-    gauge, so the operator returns the minimum-norm directional solution.
-    The system over the free coordinates is materialized densely, at most
-    (n r + p r)^2 entries; above 10^6 entries construction raises
-    NumericalError.
+    ``solution`` is the NnlsSolution of some input rows A; the Jacobian
+    does not read A itself. The solution must be converged (KKT residual
+    below kkt_gate, else NumericalError) and strictly complementary: any
+    coordinate with both primal and dual below degeneracy_margin raises
+    DegeneracyError, because the solution map is not differentiable there.
+    A coordinate is free where its coefficient exceeds its dual. Each
+    reduced Gram block is factored once; a singular block raises
+    NumericalError. The dense matrix is built only if ``dense_form`` is
+    read.
     """
-
-    def __init__(self, state, A):
-        U, W = state.U, state.W
-        self.n, self.r = U.shape
-        self.p = W.shape[0]
-        free_u = state.dual_U < np.abs(U)      # inactive: u > 0, dual = 0
-        free_w = state.dual_W < np.abs(W)
-        if (self.n * self.r + self.p * self.r) ** 2 > _DENSE_LIMIT:
-            raise NumericalError(
-                "fit-mode Jacobian limited to (n*r + p*r)^2 <= 1e6 entries")
-        self._assemble(A, U, W, free_u, free_w)
-
-    def _assemble(self, A, U, W, free_u, free_w):
-        iu = np.argwhere(free_u)
-        iw = np.argwhere(free_w)
-        nu, nw = len(iu), len(iw)
-        R = U @ W.T - A
-
-        def apply(dU, dW):
-            # stationarity blocks differentiated in (U, W), duals eliminated
-            f1 = (dU @ W.T + U @ dW.T) @ W + R @ dW
-            f2 = (dW @ U.T + W @ dU.T) @ U + R.T @ dU
-            return f1, f2
-
-        L = np.zeros((nu + nw, nu + nw))
-        for k, (i, j) in enumerate(iu):
-            dU = np.zeros_like(U)
-            dU[i, j] = 1.0
-            f1, f2 = apply(dU, np.zeros_like(W))
-            L[:nu, k] = f1[free_u]
-            L[nu:, k] = f2[free_w]
-        for k, (i, j) in enumerate(iw):
-            dW = np.zeros_like(W)
-            dW[i, j] = 1.0
-            f1, f2 = apply(np.zeros_like(U), dW)
-            L[:nu, nu + k] = f1[free_u]
-            L[nu:, nu + k] = f2[free_w]
-
-        self._L = L
-        self._free_u, self._free_w = free_u, free_w
-        self._U, self._W = U, W
-
-    def jvp(self, dA):
-        """(dU, dW) for a perturbation dA, minimum-norm across the gauge."""
-        dA = np.asarray(dA, dtype=np.float64)
-        rhs = np.concatenate([(dA @ self._W)[self._free_u],
-                              (dA.T @ self._U)[self._free_w]])
-        z, *_ = np.linalg.lstsq(self._L, rhs, rcond=None)
-        nu = int(self._free_u.sum())
-        dU = np.zeros_like(self._U)
-        dW = np.zeros_like(self._W)
-        dU[self._free_u] = z[:nu]
-        dW[self._free_w] = z[nu:]
-        return dU, dW
-
-    def vjp(self, cotangent):
-        """Adjoint of the dU output: pulls a cotangent on U back to A."""
-        Y = np.asarray(cotangent, dtype=np.float64)
-        if Y.shape != self._U.shape:
-            raise ValueError(f"cotangent must be {self._U.shape}, got {Y.shape}")
-        nu = int(self._free_u.sum())
-        nw = int(self._free_w.sum())
-        y_hat = np.concatenate([Y[self._free_u], np.zeros(nw)])
-        z, *_ = np.linalg.lstsq(self._L.T, y_hat, rcond=None)
-        Z_u = np.zeros_like(self._U)
-        Z_w = np.zeros_like(self._W)
-        Z_u[self._free_u] = z[:nu]
-        Z_w[self._free_w] = z[nu:]
-        return Z_u @ self._W.T + self._U @ Z_w.T
-
-
-def jacobian_u_wrt_a(solution, A, W=None, *,
-                     degeneracy_margin=_DEGENERACY_MARGIN, kkt_gate=_KKT_GATE):
-    """Differentiate a solved problem with respect to its input A.
-
-    Pass an NnlsSolution together with its fixed bank W for transform mode
-    (the mode used by attribution maps); pass a FactorizationState for fit
-    mode. Requires the solution to be converged (KKT residual below
-    kkt_gate) and strictly complementary: any coordinate with both primal
-    and dual below degeneracy_margin raises DegeneracyError, because the
-    solution map is not differentiable there. In transform mode each
-    reduced Gram block is one factored r x r solve per system, computed
-    once; a singular block raises NumericalError.
-    """
-    if isinstance(solution, NnlsSolution):
-        if W is None:
-            raise ValueError("transform mode needs the bank W")
-        if solution.kkt_residual >= kkt_gate:
-            raise NumericalError(
-                f"KKT residual {solution.kkt_residual:.2e} exceeds gate {kkt_gate:g}; "
-                "re-solve tighter before differentiating")
-        _check_strict_complementarity(solution.U, solution.dual_U, degeneracy_margin)
-        inactive = solution.U > solution.dual_U
-        return ConceptJacobian(W, inactive)
-    if isinstance(solution, FactorizationState):
-        if solution.kkt_residual >= kkt_gate:
-            raise NumericalError(
-                f"KKT residual {solution.kkt_residual:.2e} exceeds gate {kkt_gate:g}")
-        _check_strict_complementarity(solution.U, solution.dual_U, degeneracy_margin)
-        _check_strict_complementarity(solution.W, solution.dual_W, degeneracy_margin)
-        return FitJacobian(solution, A)
-    raise TypeError(f"cannot differentiate {type(solution).__name__}")
+    if solution.kkt_residual >= kkt_gate:
+        raise NumericalError(
+            f"KKT residual {solution.kkt_residual:.2e} exceeds gate {kkt_gate:g}; "
+            "re-solve tighter before differentiating")
+    _check_strict_complementarity(solution.U, solution.dual_U, degeneracy_margin)
+    return ConceptJacobian(W, solution.U > solution.dual_U)

@@ -273,7 +273,7 @@ def _gradient_heatmap(x, bank, model, concept_index, admm):
     """
     acts = model.features(x, layer=bank.layer_tag)
     sol = solve_nnls(acts, bank.W, admm)
-    jac = jacobian_u_wrt_a(sol, acts, bank.W)
+    jac = jacobian_u_wrt_a(sol, bank.W)
     cot = np.zeros((len(x), bank.r))
     cot[:, concept_index] = 1.0
     dx = model.vjp_features(x, jac.vjp(cot), layer=bank.layer_tag)
@@ -350,6 +350,8 @@ def fidelity_curves(U, W, head, importance, direction="deletion", mu=0.0,
     U = np.asarray(U, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
     importance = np.asarray(importance, dtype=np.float64).reshape(-1)
+    if U.shape[0] == 0:
+        raise ValueError("U has no coefficient rows to draw a curve from")
     r = U.shape[1]
     if importance.size != r:
         raise ValueError("importance length must equal the concept count")

@@ -269,6 +269,8 @@ def concept_importance(U, W, head, n, mu=0.0, sequence="sobol_joe_kuo", seed=Non
     W = np.asarray(W, dtype=np.float64)
     if U.ndim != 2 or W.ndim != 2 or U.shape[1] != W.shape[1]:
         raise ValueError("U must be n x r and W must be p x r")
+    if U.shape[0] == 0:
+        raise ValueError("U has no coefficient rows to score")
     r = U.shape[1]
 
     def eval_batch(masks):

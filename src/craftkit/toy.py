@@ -171,17 +171,23 @@ class ToyBackbone:
         feature extraction (e.g. the crop-and-resize a pipeline applies),
         so the oracle matches what a bank actually sees.
         """
-        h, w, c = self.input_shape
-        th, tw = self.templates.shape[1:3]
-        y0, x0 = (h - th) // 2, (w - tw) // 2
-        probes = np.zeros((self.n_templates, h, w, c))
-        for k in range(self.n_templates):
-            probes[k, y0:y0 + th, x0:x0 + tw, :] = self.templates[k]
+        probes = _centred_probes(self)
         if transform is not None:
             probes = transform(probes)
         acts = self.features(probes, layer=1)
         norms = np.linalg.norm(acts, axis=1, keepdims=True)
         return acts / np.where(norms > 0, norms, 1.0)
+
+
+def _centred_probes(model):
+    """One clean image per template, with that template stamped once at the centre."""
+    h, w, c = model.input_shape
+    th, tw = model.templates.shape[1:3]
+    y0, x0 = (h - th) // 2, (w - tw) // 2
+    probes = np.zeros((model.n_templates, h, w, c))
+    for k in range(model.n_templates):
+        probes[k, y0:y0 + th, x0:x0 + tw, :] = model.templates[k]
+    return probes
 
 
 def _calibrate_head(model, target):
@@ -192,13 +198,7 @@ def _calibrate_head(model, target):
     when probe activations are nearly collinear (the template responses
     overlap substantially).
     """
-    h, w, c = model.input_shape
-    th, tw = model.templates.shape[1:3]
-    y0, x0 = (h - th) // 2, (w - tw) // 2
-    probes = np.zeros((model.n_templates, h, w, c))
-    for k in range(model.n_templates):
-        probes[k, y0:y0 + th, x0:x0 + tw, :] = model.templates[k]
-    acts = model.features(probes)
+    acts = model.features(_centred_probes(model))
     target = np.asarray(target, dtype=np.float64)
     gram = acts.T @ acts
     ridge = 1e-3 * np.trace(gram) / gram.shape[0]

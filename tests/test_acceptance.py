@@ -117,7 +117,7 @@ def test_criterion_3_implicit_vs_finite_differences():
                 continue  # too close to degenerate for clean differences
             checked += 1
             sol = solve_nnls(A, W, TIGHT)
-            jac = jacobian_u_wrt_a(sol, A, W)
+            jac = jacobian_u_wrt_a(sol, W)
             step = 1e-5
             for i in range(n):
                 active_rows = np.flatnonzero(~jac.inactive[i])

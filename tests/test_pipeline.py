@@ -334,7 +334,7 @@ class TestAttributionMaps:
             sol = solve_nnls(acts, bank.W, ATTRIBUTION_ADMM)
             cot = np.zeros((1, bank.r))
             cot[0, concept] = 1.0
-            d_act = jacobian_u_wrt_a(sol, acts, bank.W).vjp(cot)
+            d_act = jacobian_u_wrt_a(sol, bank.W).vjp(cot)
             acc += np.abs(model.vjp_features(jittered, d_act)[0]).sum(axis=-1)
         expected = acc / n_noise
 
@@ -370,7 +370,7 @@ class TestAttributionMaps:
         acts = model.features(x)
         sol = solve_nnls(acts, bank.W, AdmmParams(tol_primal=1e-12,
                                                   tol_dual=1e-12))
-        jac = jacobian_u_wrt_a(sol, acts, bank.W)
+        jac = jacobian_u_wrt_a(sol, bank.W)
         cot = np.zeros((1, 2))
         cot[0, concept] = 1.0
         dx = model.vjp_features(x, jac.vjp(cot))[0]

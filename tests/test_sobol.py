@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from craftkit.errors import DataError, UnsupportedError
+from craftkit.pipeline import fidelity_curves
 from craftkit.sobol import (MaskBatch, ab_design, concept_importance, mask_designs,
                             perturb, sobol_sequence, tcav_importance,
                             total_sobol_jansen,
@@ -224,6 +225,15 @@ class TestConceptImportance:
         with_mu = concept_importance(U, np.eye(2), head, 512, mu=1.0)
         assert zero_mu.total_indices[1] < 0.01
         assert with_mu.total_indices[1] > 0.2
+
+    @pytest.mark.parametrize("score", [
+        lambda U, W, head: concept_importance(U, W, head, 16),
+        lambda U, W, head: fidelity_curves(U, W, head, importance=[1.0, 0.5]),
+    ], ids=["concept_importance", "fidelity_curves"])
+    def test_zero_rows_rejected_up_front(self, score):
+        # without the check the empty row mean warns and then yields NaN
+        with pytest.raises(ValueError, match="no coefficient rows"):
+            score(np.zeros((0, 2)), np.eye(2), lambda acts: acts[:, 0])
 
     def test_single_concept_gets_full_index(self):
         est = total_sobol_jansen(lambda m: 2.0 * m[0] + 1.0, 1, 512)
