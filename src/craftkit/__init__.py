@@ -17,9 +17,9 @@ from .nnls import AdmmParams, NnlsSolution, kkt_residual, nnls_objective, solve_
 from .npyio import load_npy, save_npy
 from .pipeline import (ConceptBank, CropSpec, FidelityCurve, Heatmap,
                        bilinear_resize, build_concept_bank,
-                       concept_attribution_map, extract_crops, fidelity_curves,
-                       fit_bank, load_bank, recursive_decompose, save_bank,
-                       select_class_set)
+                       concept_attribution_map, concept_attribution_maps,
+                       extract_crops, fidelity_curves, fit_bank, load_bank,
+                       recursive_decompose, save_bank, select_class_set)
 from .sobol import (MaskBatch, SobolEstimate, concept_importance, mask_designs,
                     perturb, sobol_sequence, tcav_importance, total_sobol_jansen)
 from .toy import (SyntheticDataset, ToyBackbone, load_backbone,

@@ -5,18 +5,19 @@ the library, and reads or writes run-directory files. Commands populate an
 output directory incrementally: ``fit`` writes crops, activations, the
 bank, and coefficients (``build_concept_bank`` on images, ``fit_bank`` on
 ``--activations``); ``importance`` adds importance.json; ``explain`` fills
-heatmaps/; ``fidelity`` writes curve CSVs; ``recurse`` adds a sub-bank
-directory; ``sanity`` compares banks from trained and weight-randomized
-models. Every bank directory is written by ``save_bank``, fit diagnostics
-included. Exit codes: 0 success, 2 usage or argument error, 3 data error,
-4 numerical failure (non-convergence still writes the flagged artifact).
+heatmaps/ in one attribution pass over all requested concepts; ``fidelity``
+writes curve CSVs; ``recurse`` adds a sub-bank directory; ``sanity``
+compares banks from trained and weight-randomized models. Every bank
+directory is written by ``save_bank``, fit diagnostics included. Exit
+codes: 0 success, 2 usage or argument error, 3 data error, 4 numerical
+failure (non-convergence still writes the flagged artifact). ``--threads``
+(fallback CRAFT_KIT_THREADS) is validated but has no effect.
 """
 
 import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +26,10 @@ from .core import Rng
 from .errors import CraftError, DataError, NumericalError
 from .nmf import NmfParams, fit_nmf
 from .npyio import load_npy, save_npy
+# concept_attribution_map is unused here but wrapped by perfbench/spans.py
 from .pipeline import (CropSpec, build_concept_bank, concept_attribution_map,
-                       extract_crops, fidelity_curves, fit_bank, load_bank,
-                       recursive_decompose, save_bank)
+                       concept_attribution_maps, extract_crops, fidelity_curves,
+                       fit_bank, load_bank, recursive_decompose, save_bank)
 from .sobol import concept_importance, tcav_importance
 from .toy import (load_backbone, make_synthetic_dataset, standard_backbone,
                   two_layer_backbone)
@@ -168,16 +170,11 @@ def cmd_explain(args):
     index = args.image_index
     if not 0 <= index < len(images):
         raise ValueError(f"--image-index {index} out of range")
-    concepts = [args.concept] if args.concept is not None else list(range(bank.r))
+    concepts = [args.concept] if args.concept is not None else range(bank.r)
     (out / "heatmaps").mkdir(exist_ok=True)
-
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        futures = [pool.submit(concept_attribution_map, images[index], bank,
-                               model, c, method=args.method, seed=seed)
-                   for c in concepts]
-        heatmaps = [f.result() for f in futures]
-    for concept, hm in zip(concepts, heatmaps):
-        save_npy(hm.values, out / "heatmaps" / f"{index}_{concept}.npy")
+    for hm in concept_attribution_maps(images[index], bank, model, concepts,
+                                       method=args.method, seed=seed):
+        save_npy(hm.values, out / "heatmaps" / f"{index}_{hm.concept_index}.npy")
     return _EXIT_OK
 
 
@@ -228,7 +225,7 @@ def cmd_recurse(args):
         raise ValueError("recurse needs --model")
     if args.concept is None:
         raise ValueError("--concept is required for recurse")
-    r_sub = args.rank_sub or 2
+    r_sub = 2 if args.rank_sub is None else args.rank_sub
     sub_bank, u_sub, selected = recursive_decompose(
         bank, coeffs, args.concept, crops,
         lambda batch: model.features(batch, layer=1), r_sub,
@@ -256,7 +253,7 @@ def cmd_sanity(args):
     if model is None:
         raise ValueError("sanity needs --model")
     images = _input_images(args, model, seed)
-    rank = args.rank or 2
+    rank = 2 if args.rank is None else args.rank
     nmf_params = NmfParams(rank=rank, outer_iters=args.outer_iters,
                            objective_tol=1e-4)
     # the comparison covers every image, not only the class set
@@ -305,7 +302,7 @@ def build_parser():
         p.add_argument("--method", choices=("gradient", "smoothgrad", "occlusion"),
                        default="gradient")
         p.add_argument("--threads", default=None,
-                       help="worker cap (default: CRAFT_KIT_THREADS or 1)")
+                       help="validated, no effect (default: CRAFT_KIT_THREADS or 1)")
         p.add_argument("--out", required=True, help="run directory")
         p.add_argument("--n-images", type=int, default=200,
                        help="synthetic dataset size when generating data")

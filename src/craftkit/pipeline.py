@@ -7,6 +7,7 @@ and an input_shape. Banks store unit-norm nonnegative concept vectors for
 one layer; coefficients live in the rows of U.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -20,6 +21,7 @@ from .implicit import jacobian_u_wrt_a
 from .nmf import NmfParams, fit_nmf
 from .nnls import AdmmParams, solve_nnls
 from .npyio import load_npy, save_npy
+from .sobol import _evaluate, _mean_head_outputs
 
 _ATTRIBUTION_ADMM = AdmmParams(tol_primal=1e-11, tol_dual=1e-11)
 
@@ -265,76 +267,86 @@ def recursive_decompose(bank, U, concept_index, crops, earlier_features, r_sub,
     return sub_bank, state.U, selected
 
 
-def _gradient_heatmap(x, bank, model, concept_index, admm):
-    """Mean over the images of x of |d u_concept / d pixel|, channel-summed.
-
-    The whole stack goes through one features call, one NNLS solve (rows
-    are separable), one Jacobian and one vjp_features call.
+def _gradient_heatmaps(x, bank, model, concepts, admm):
+    """Mean over the images of x of |d u_c / d pixel|, channel-summed, per
+    concept c: one features call, one NNLS solve (rows are separable), one
+    Jacobian, and one vjp_features call on the stack repeated per concept.
     """
     acts = model.features(x, layer=bank.layer_tag)
-    sol = solve_nnls(acts, bank.W, admm)
-    jac = jacobian_u_wrt_a(sol, bank.W)
-    cot = np.zeros((len(x), bank.r))
-    cot[:, concept_index] = 1.0
-    dx = model.vjp_features(x, jac.vjp(cot), layer=bank.layer_tag)
-    return np.abs(dx).sum(axis=-1).mean(axis=0)
+    jac = jacobian_u_wrt_a(solve_nnls(acts, bank.W, admm), bank.W)
+    d_acts = [jac.vjp(np.tile(one_hot, (len(x), 1)))
+              for one_hot in np.eye(bank.r)[concepts]]
+    dx = model.vjp_features(np.concatenate([x] * len(concepts)),
+                            np.concatenate(d_acts), layer=bank.layer_tag)
+    return np.abs(dx).sum(axis=-1).reshape(len(concepts), *x.shape[:3]).mean(axis=1)
 
 
-def concept_attribution_map(x, bank, model, concept_index, method="gradient",
-                            admm=None, seed=0, n_noise=16, noise_scale=0.1):
-    """Locate one concept in one image.
+def concept_attribution_maps(x, bank, model, concepts, method="gradient",
+                             admm=None, seed=0, n_noise=16, noise_scale=0.1):
+    """Locate each of the given concepts in one image, in one pass.
 
     gradient: implicit differentiation of the coefficient chained with the
     model's input gradient, channel-reduced by summed absolute values.
     smoothgrad: mean of gradient maps over n_noise Gaussian-jittered copies;
-    a degenerate solution on any copy raises DegeneracyError for the map.
+    a degenerate solution on any copy raises DegeneracyError for the pass.
     occlusion: coefficient drop from zeroing a sliding patch (forward only).
 
-    smoothgrad and occlusion each stack their images (the jittered copies,
-    or the clean image plus one copy per patch position) and make one
-    batched features call and one NNLS solve per map; the occluded stack
-    holds (patches + 1) * H * W * C floats.
+    All concepts share one stack (the image, its jittered copies, or the
+    clean image and one copy per occluded patch), one features call and
+    one NNLS solve. Returns one Heatmap per entry of concepts, in order.
     """
     x = as_tensor4(np.asarray(x)[None] if np.asarray(x).ndim == 3 else x, "image")
     if x.shape[0] != 1:
         raise ValueError("one image at a time")
-    if not 0 <= concept_index < bank.r:
-        raise ValueError(f"concept index {concept_index} out of range")
+    concepts = list(concepts)
+    if not concepts:
+        raise ValueError("no concepts requested")
+    for c in concepts:
+        if not 0 <= c < bank.r:
+            raise ValueError(f"concept index {c} out of range")
     admm = admm or _ATTRIBUTION_ADMM
 
     if method == "gradient":
-        values = _gradient_heatmap(x, bank, model, concept_index, admm)
+        values = _gradient_heatmaps(x, bank, model, concepts, admm)
     elif method == "smoothgrad":
         if n_noise < 1:
             raise ValueError(f"n_noise must be at least 1, got {n_noise}")
         sigma = noise_scale * float(x.max() - x.min())
         gen = Rng(seed, stream=17).generator()
         jittered = x + sigma * gen.normal(size=(n_noise,) + x.shape[1:])
-        values = _gradient_heatmap(jittered, bank, model, concept_index, admm)
+        values = _gradient_heatmaps(jittered, bank, model, concepts, admm)
     elif method == "occlusion":
-        values = _occlusion_heatmap(x, bank, model, concept_index, admm)
+        values = _occlusion_heatmaps(x, bank, model, concepts, admm)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return Heatmap(values=values, concept_index=concept_index, method=method)
+    return [Heatmap(v, c, method) for c, v in zip(concepts, values)]
 
 
-def _occlusion_heatmap(x, bank, model, concept_index, admm):
+def concept_attribution_map(x, bank, model, concept_index, method="gradient",
+                            admm=None, seed=0, n_noise=16, noise_scale=0.1):
+    """Locate one concept in one image (concept_attribution_maps of one)."""
+    return concept_attribution_maps(x, bank, model, [concept_index], method, admm,
+                                    seed, n_noise, noise_scale)[0]
+
+
+def _occlusion_heatmaps(x, bank, model, concepts, admm):
     h, w = x.shape[1:3]
     patch = max(1, round(min(h, w) / 8))
     stride = max(1, patch // 2)
-    corners = [(y0, x0) for y0 in range(0, h - patch + 1, stride)
-               for x0 in range(0, w - patch + 1, stride)]
+    ys, xs = range(0, h - patch + 1, stride), range(0, w - patch + 1, stride)
     # row 0 is the clean image, row k the copy with patch k - 1 zeroed
-    stack = np.repeat(x, len(corners) + 1, axis=0)
-    for k, (y0, x0) in enumerate(corners, start=1):
+    stack = np.repeat(x, len(ys) * len(xs) + 1, axis=0)
+    for k, (y0, x0) in enumerate(itertools.product(ys, xs), start=1):
         stack[k, y0:y0 + patch, x0:x0 + patch, :] = 0.0
-    u = solve_nnls(model.features(stack, layer=bank.layer_tag),
-                   bank.W, admm).U[:, concept_index]
-    heat = np.zeros((h, w))
+    u = solve_nnls(model.features(stack, layer=bank.layer_tag), bank.W, admm).U
+    drop = (u[0] - u[1:])[:, concepts].T.reshape(len(concepts), len(ys), len(xs))
+    heat = np.zeros((len(concepts), h, w))
     count = np.zeros((h, w))
-    for k, (y0, x0) in enumerate(corners, start=1):
-        heat[y0:y0 + patch, x0:x0 + patch] += u[0] - u[k]
-        count[y0:y0 + patch, x0:x0 + patch] += 1.0
+    # descending offsets within the patch add each pixel's patches in corner order
+    for dy, dx in itertools.product(reversed(range(patch)), repeat=2):
+        window = np.s_[dy:dy + ys[-1] + 1:stride, dx:dx + xs[-1] + 1:stride]
+        heat[:, window[0], window[1]] += drop
+        count[window] += 1.0
     return heat / np.maximum(count, 1.0)
 
 
@@ -344,8 +356,9 @@ def fidelity_curves(U, W, head, importance, direction="deletion", mu=0.0,
 
     Deletion replaces the top-k concepts' coefficients with the baseline;
     insertion keeps only the top-k. The y value at step k is the mean head
-    output over the reconstructed activations; auc integrates y over the
-    fraction of concepts touched.
+    output over the reconstructed activations, evaluated in chunks as the
+    Sobol' masks are (a non-finite output raises DataError); auc integrates
+    y over the fraction of concepts touched.
     """
     U = np.asarray(U, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
@@ -357,19 +370,13 @@ def fidelity_curves(U, W, head, importance, direction="deletion", mu=0.0,
         raise ValueError("importance length must equal the concept count")
     if direction not in ("deletion", "insertion"):
         raise ValueError(f"unknown direction {direction!r}")
-    order = np.argsort(-importance, kind="stable")
-    ys = []
-    for k in range(r + 1):
-        mod = U.copy()
-        touched = order[:k]
-        if direction == "deletion":
-            mod[:, touched] = mu
-        else:
-            untouched = order[k:]
-            mod[:, untouched] = mu
-        ys.append(float(np.mean(head(mod @ W.T))))
+    # top[k, j]: concept j is among the k most important; mask row k is step k
+    rank = np.argsort(np.argsort(-importance, kind="stable"))
+    top = rank[None, :] < np.arange(r + 1)[:, None]
+    masks = (~top if direction == "deletion" else top).astype(np.float64)
+    ys = _evaluate(lambda m: _mean_head_outputs(U, W, head, m, mu), masks,
+                   f"{direction} curve")
     xs = np.arange(r + 1) / r
-    ys = np.asarray(ys)
     return FidelityCurve(xs=xs, ys=ys, auc=float(np.trapezoid(ys, xs)),
                          ranking_source=ranking_source, direction=direction)
 

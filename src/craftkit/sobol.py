@@ -249,10 +249,8 @@ def total_sobol_jansen(f, r, n, sequence="sobol_joe_kuo", seed=None):
     seed : int, optional
         Only used by the "uniform" sequence.
     """
-    def eval_batch(masks):
-        return np.array([float(f(row)) for row in masks])
-
-    estimate, _ = _jansen_total(eval_batch, r, n, sequence, seed)
+    estimate, _ = _jansen_total(lambda masks: np.array([float(f(row)) for row in masks]),
+                                r, n, sequence, seed)
     return estimate
 
 
@@ -271,12 +269,8 @@ def concept_importance(U, W, head, n, mu=0.0, sequence="sobol_joe_kuo", seed=Non
         raise ValueError("U must be n x r and W must be p x r")
     if U.shape[0] == 0:
         raise ValueError("U has no coefficient rows to score")
-    r = U.shape[1]
-
-    def eval_batch(masks):
-        return _mean_head_outputs(U, W, head, masks, mu)
-
-    estimate, _ = _jansen_total(eval_batch, r, n, sequence, seed)
+    estimate, _ = _jansen_total(lambda masks: _mean_head_outputs(U, W, head, masks, mu),
+                                U.shape[1], n, sequence, seed)
     return estimate
 
 
@@ -320,4 +314,6 @@ def tcav_importance(grads_A, W):
     W = np.asarray(W, dtype=np.float64)
     if grads_A.ndim != 2 or grads_A.shape[1] != W.shape[0]:
         raise ValueError("grads_A must be n x p matching W's row count")
+    if grads_A.shape[0] == 0:
+        raise ValueError("grads_A has no gradient rows to score")
     return np.mean((grads_A @ W) > 0.0, axis=0)

@@ -213,6 +213,21 @@ class TestExplainFidelityRecurse:
         # insertion starts from the empty reconstruction and rises
         assert float(rows[0][1]) <= float(rows[-1][1])
 
+    def test_fidelity_nan_baseline_is_data_error(self, full_run):
+        # importance --mu nan already exits 3; the curve must not be written
+        code = main(["fidelity", "--model", "toy2:5", "--mu", "nan",
+                     "--out", str(full_run)])
+        assert code == 3
+        assert not (full_run / "curves.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sanity", "--rank", "0"],
+        ["recurse", "--concept", "0", "--rank-sub", "0"],
+    ], ids=["sanity", "recurse"])
+    def test_zero_rank_is_usage_error(self, full_run, argv):
+        assert main(argv + ["--model", "toy2:5", "--n-images", "80",
+                            "--out", str(full_run)]) == 2
+
     def test_fidelity_without_importance_is_data_error(self, tmp_path):
         out = tmp_path / "run"
         assert main(["fit", "--model", "toy:3", "--rank", "2", "--n-images",

@@ -1,6 +1,7 @@
 """Crop geometry, bank building, refinement, attribution, and fidelity."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from craftkit.nmf import NmfParams
 from craftkit.nnls import AdmmParams, solve_nnls
 from craftkit.pipeline import (ConceptBank, CropSpec, bilinear_resize,
                                build_concept_bank,
-                               concept_attribution_map,
+                               concept_attribution_map, concept_attribution_maps,
                                concept_percentile_threshold, extract_crops,
                                fidelity_curves, load_bank, recursive_decompose,
                                save_bank, select_class_set)
-from craftkit.toy import make_synthetic_dataset, pair_backbone, two_layer_backbone
+from craftkit.toy import (make_synthetic_dataset, pair_backbone, standard_backbone,
+                          two_layer_backbone)
 
 FIT_PARAMS = NmfParams(rank=2, outer_iters=80, objective_tol=1e-8)
 ATTRIBUTION_ADMM = AdmmParams(tol_primal=1e-11, tol_dual=1e-11)
@@ -388,7 +390,138 @@ class TestAttributionMaps:
             assert dx[i, j, 0] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
+@pytest.fixture(scope="module")
+def three_concepts():
+    """A hand-built rank-3 bank over standard_backbone's four features and
+    noisy probes; concept 0 is clamped at zero on probe 3."""
+    model = standard_backbone()
+    W = np.random.default_rng(3).uniform(0.1, 1.0, size=(4, 3))
+    W /= np.linalg.norm(W, axis=0)
+    bank = ConceptBank(W=W, layer_tag="final", r=3, fit_objective=0.0,
+                       column_norms=np.ones(3))
+    probes = make_synthetic_dataset(model, 4, noise=0.05, seed=11).images
+    return model, bank, probes
+
+
+class CountingModel:
+    """Delegates to a model and counts its features and vjp_features calls."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def features(self, x, layer=None):
+        self.calls["features"] += 1
+        return self.model.features(x, layer=layer)
+
+    def vjp_features(self, x, cotangent, layer=None):
+        self.calls["vjp_features"] += 1
+        return self.model.vjp_features(x, cotangent, layer=layer)
+
+
+class TestAttributionMapsOnePass:
+    @pytest.mark.parametrize("method", ["gradient", "smoothgrad", "occlusion"])
+    def test_matches_per_concept_maps(self, three_concepts, method):
+        # exact: each concept's map comes from the same rows, solve and
+        # Jacobian as its own pass, and the toy model treats every image of
+        # a stack independently
+        model, bank, probes = three_concepts
+        concepts = [2, 0, 1, 2]
+        for image in probes[[0, 3]]:
+            hms = concept_attribution_maps(image, bank, model, concepts,
+                                           method=method, seed=4, n_noise=5)
+            assert [hm.concept_index for hm in hms] == concepts
+            for c, hm in zip(concepts, hms):
+                ref = concept_attribution_map(image, bank, model, c,
+                                              method=method, seed=4, n_noise=5)
+                assert hm.method == method
+                np.testing.assert_array_equal(hm.values, ref.values)
+
+    @pytest.mark.parametrize("method", ["gradient", "smoothgrad", "occlusion"])
+    def test_one_forward_and_one_solve_per_pass(self, three_concepts, monkeypatch,
+                                                 method):
+        import craftkit.pipeline as pipeline_module
+        model, bank, probes = three_concepts
+        counting = CountingModel(model)
+        solves = []
+        solve = pipeline_module.solve_nnls
+        monkeypatch.setattr(pipeline_module, "solve_nnls",
+                            lambda *args: solves.append(1) or solve(*args))
+        hms = concept_attribution_maps(probes[0], bank, counting, range(bank.r),
+                                       method=method, n_noise=5)
+        assert len(hms) == bank.r
+        assert counting.calls["features"] == 1
+        assert len(solves) == 1
+        expected_vjp = 0 if method == "occlusion" else 1
+        assert counting.calls["vjp_features"] == expected_vjp
+
+    def test_occlusion_matches_per_patch_loop_on_strided_rectangle(self, three_concepts):
+        # a 36 x 28 image gives 4-pixel patches at stride 2, so each pixel is
+        # covered by up to four overlapping patches; reference: one
+        # single-row solve per patch, accumulated corner by corner. Single-row
+        # and batched solves agree to rounding in u, and a drop is a
+        # difference of nearly equal coefficients, so the tolerance is
+        # absolute, on the scale of u
+        _, bank, _ = three_concepts
+        model = standard_backbone(input_shape=(36, 28, 1))
+        x = make_synthetic_dataset(model, 1, noise=0.05, seed=12).images
+        patch, stride = 4, 2
+
+        def coefficients(image):
+            return solve_nnls(model.features(image), bank.W, ATTRIBUTION_ADMM).U[0]
+
+        u0 = coefficients(x)
+        heat = np.zeros((bank.r, 36, 28))
+        count = np.zeros((36, 28))
+        for y0 in range(0, 36 - patch + 1, stride):
+            for x0 in range(0, 28 - patch + 1, stride):
+                occluded = x.copy()
+                occluded[0, y0:y0 + patch, x0:x0 + patch, :] = 0.0
+                drop = u0 - coefficients(occluded)
+                heat[:, y0:y0 + patch, x0:x0 + patch] += drop[:, None, None]
+                count[y0:y0 + patch, x0:x0 + patch] += 1.0
+        expected = heat / np.maximum(count, 1.0)
+
+        hms = concept_attribution_maps(x[0], bank, model, range(bank.r),
+                                       method="occlusion", admm=ATTRIBUTION_ADMM)
+        for c, hm in enumerate(hms):
+            np.testing.assert_allclose(hm.values, expected[c], rtol=0,
+                                       atol=1e-14 * np.abs(u0).max())
+
+    @pytest.mark.parametrize("concepts, message", [
+        ([], "no concepts requested"),
+        ([0, 3], "concept index 3 out of range"),
+        ([-1], "concept index -1 out of range"),
+    ])
+    def test_rejects_bad_concept_lists(self, three_concepts, concepts, message):
+        model, bank, probes = three_concepts
+        with pytest.raises(ValueError, match=message):
+            concept_attribution_maps(probes[0], bank, model, concepts)
+
+
 class TestFidelityCurves:
+    @pytest.mark.parametrize("direction", ["deletion", "insertion"])
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    def test_matches_per_step_loop(self, direction, mu):
+        # reference: copy U per step and set the touched columns to mu; the
+        # curve's batched products may regroup BLAS sums, hence rtol 1e-12
+        rng = np.random.default_rng(8)
+        U = rng.uniform(size=(57, 4))
+        W = rng.uniform(size=(6, 4))
+        head = lambda acts: np.tanh(acts).sum(axis=1)
+        importance = [0.2, 0.9, 0.2, 0.5]
+        order = np.argsort(-np.asarray(importance), kind="stable")
+        expected = []
+        for k in range(5):
+            mod = U.copy()
+            mod[:, order[:k] if direction == "deletion" else order[k:]] = mu
+            expected.append(np.mean(head(mod @ W.T)))
+        curve = fidelity_curves(U, W, head, importance, direction=direction, mu=mu)
+        np.testing.assert_allclose(curve.ys, expected, rtol=1e-12)
+
     def test_hand_case_order_one_two(self):
         U = np.array([[2.0, 5.0]])
         W = np.eye(2)

@@ -288,6 +288,11 @@ class TestTcav:
         W = np.array([[-1.0], [0.0]])
         np.testing.assert_array_equal(tcav_importance(grads, W), [0.0])
 
+    def test_zero_rows_rejected(self):
+        # without the check the empty mean warns and returns NaN scores
+        with pytest.raises(ValueError, match="no gradient rows"):
+            tcav_importance(np.zeros((0, 3)), np.eye(3))
+
     def test_orthogonal_ties_break_to_zero(self):
         grads = np.tile([1.0, 0.0], (4, 1))
         W = np.array([[0.0], [1.0]])  # derivative exactly zero
