@@ -20,8 +20,9 @@ from .pipeline import (ConceptBank, CropSpec, FidelityCurve, Heatmap,
                        concept_attribution_map, concept_attribution_maps,
                        extract_crops, fidelity_curves, fit_bank, load_bank,
                        recursive_decompose, save_bank, select_class_set)
-from .sobol import (MaskBatch, SobolEstimate, concept_importance, mask_designs,
-                    perturb, sobol_sequence, tcav_importance, total_sobol_jansen)
+from .sobol import (AffineHead, MaskBatch, SobolEstimate, concept_importance,
+                    mask_designs, perturb, sobol_sequence, tcav_importance,
+                    total_sobol_jansen)
 from .toy import (SyntheticDataset, ToyBackbone, load_backbone,
                   make_synthetic_dataset, pair_backbone, save_backbone,
                   standard_backbone, two_layer_backbone)

@@ -73,13 +73,16 @@ def _load_model(spec_str, seed_override=None):
     return load_backbone(path), seed
 
 
-def _input_images(args, model, seed):
+def _input_images(args, model, seed, count=None):
+    """--images, or the first ``count`` (default all) of the --n-images
+    synthetic images; generation is prefix-stable, so they equal the
+    start of the full set."""
     if args.images is not None:
         return load_npy(Path(args.images))
     if model is None:
         raise ValueError("either --images or a --model able to generate data is required")
-    return make_synthetic_dataset(model, args.n_images, noise=args.noise,
-                                  seed=seed).images
+    return make_synthetic_dataset(model, args.n_images if count is None else count,
+                                  noise=args.noise, seed=seed).images
 
 
 def _crop_spec(args, model, seed):
@@ -138,7 +141,7 @@ def cmd_importance(args):
     model, _ = _load_model(args.model, args.seed)
     if model is None:
         raise ValueError("importance needs --model for head evaluations")
-    estimate = concept_importance(coeffs, bank.W, model.head, args.n_samples,
+    estimate = concept_importance(coeffs, bank.W, model.affine_head, args.n_samples,
                                   mu=args.mu)
 
     if args.gradients is not None:
@@ -166,8 +169,11 @@ def cmd_explain(args):
     model, seed = _load_model(args.model, args.seed)
     if model is None:
         raise ValueError("explain needs --model")
-    images = _input_images(args, model, seed)
     index = args.image_index
+    # checked before generating, since only the first index + 1 are built
+    if args.images is None and not 0 <= index < args.n_images:
+        raise ValueError(f"--image-index {index} out of range")
+    images = _input_images(args, model, seed, count=index + 1)
     if not 0 <= index < len(images):
         raise ValueError(f"--image-index {index} out of range")
     concepts = [args.concept] if args.concept is not None else range(bank.r)
@@ -200,7 +206,7 @@ def cmd_fidelity(args):
         gen = Rng(seed, stream=23).generator()
         importance = gen.permutation(bank.r).astype(np.float64)
 
-    curve = fidelity_curves(coeffs, bank.W, model.head, importance,
+    curve = fidelity_curves(coeffs, bank.W, model.affine_head, importance,
                             direction=args.direction, mu=args.mu,
                             ranking_source=args.ranking)
     parts = ["curves"]

@@ -357,8 +357,9 @@ def fidelity_curves(U, W, head, importance, direction="deletion", mu=0.0,
     Deletion replaces the top-k concepts' coefficients with the baseline;
     insertion keeps only the top-k. The y value at step k is the mean head
     output over the reconstructed activations, evaluated in chunks as the
-    Sobol' masks are (a non-finite output raises DataError); auc integrates
-    y over the fraction of concepts touched.
+    Sobol' masks are, and on the row-mean coefficients alone when ``head``
+    is an ``AffineHead``. A non-finite baseline mu or head output raises
+    DataError. auc integrates y over the fraction of concepts touched.
     """
     U = np.asarray(U, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)

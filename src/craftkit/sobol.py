@@ -254,6 +254,25 @@ def total_sobol_jansen(f, r, n, sequence="sobol_joe_kuo", seed=None):
     return estimate
 
 
+@dataclass(frozen=True)
+class AffineHead:
+    """The head a @ weights + bias, one scalar per activation row.
+
+    Sobol' scoring and fidelity curves recognise this type: the row mean
+    commutes with an affine map, so they push the row-mean coefficient
+    vector through it instead of every row.
+    """
+
+    weights: np.ndarray
+    bias: float
+
+    def __call__(self, a):
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim != 2 or a.shape[1] != len(self.weights):
+            raise ValueError(f"activations must be (batch, {len(self.weights)})")
+        return a @ self.weights + self.bias
+
+
 def concept_importance(U, W, head, n, mu=0.0, sequence="sobol_joe_kuo", seed=None):
     """Class-level concept importance for coefficients U under bank W.
 
@@ -261,7 +280,10 @@ def concept_importance(U, W, head, n, mu=0.0, sequence="sobol_joe_kuo", seed=Non
     perturbed coefficients are re-projected to activation space through W^T
     and pushed through ``head`` (a callable mapping a batch of activation
     rows to a vector of outputs). The estimated index of a concept is the
-    share of the variance of the row-averaged head output it controls.
+    share of the variance of the row-averaged head output it controls. An
+    ``AffineHead`` sees only the row-mean coefficients, one row per mask,
+    which gives the same outputs up to rounding. A non-finite baseline mu
+    raises DataError before any head call.
     """
     U = np.asarray(U, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
@@ -283,8 +305,13 @@ def _mean_head_outputs(U, W, head, masks, mu, chunk=1 << 18):
     it, each mask goes through in row blocks, so the bound holds per row
     block. At least one mask and one row go per chunk. Each mask's mean is
     taken over all its rows at once, so the result does not depend on the
-    chunking.
+    chunking. An ``AffineHead`` commutes with the row mean, so it gets the
+    mean coefficient row alone.
     """
+    if not np.all(np.isfinite(mu)):
+        raise DataError(f"baseline mu must be finite, got {mu!r}")
+    if isinstance(head, AffineHead):
+        U = U.mean(axis=0, keepdims=True)
     n_rows, r = U.shape
     width = max(r, W.shape[0])
     out = np.empty(masks.shape[0])

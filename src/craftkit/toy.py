@@ -23,6 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Rng, as_tensor4
 from .npyio import load_npy, save_npy
+from .sobol import AffineHead
 
 # 2x2 Haar-style stencils in the central 3x3 of a 5x5 frame: vertical edge,
 # horizontal edge, checkerboard; the fourth is a center-surround pattern
@@ -101,12 +102,18 @@ class ToyBackbone:
             return z1
         return np.maximum(z1 @ self.mixing, 0.0)
 
+    @property
+    def affine_head(self):
+        """The head as an ``AffineHead``, which Sobol' scoring and fidelity
+        curves evaluate on the row-mean coefficients."""
+        return AffineHead(self.head_weights, self.head_bias)
+
     def head(self, a):
         """Affine readout of final-layer activations, one scalar per row."""
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[1] != self.n_features:
             raise ValueError(f"activations must be (batch, {self.n_features})")
-        return a @ self.head_weights + self.head_bias
+        return self.affine_head(a)
 
     def predict(self, x):
         """Binary class: 1 where the head output is positive."""

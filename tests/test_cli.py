@@ -194,6 +194,44 @@ class TestExplainFidelityRecurse:
         hm = load_npy(full_run / "heatmaps" / "3_0.npy")
         assert hm.shape == (16, 16)
 
+    def test_explain_generates_only_the_images_it_reads(self, full_run, monkeypatch):
+        import craftkit.cli as cli_module
+        from craftkit.pipeline import concept_attribution_maps, load_bank
+        from craftkit.toy import make_synthetic_dataset, two_layer_backbone
+        sizes = []
+        monkeypatch.setattr(cli_module, "make_synthetic_dataset",
+                            lambda model, n, **kw: sizes.append(n)
+                            or make_synthetic_dataset(model, n, **kw))
+        assert main(["explain", "--model", "toy2:5", "--n-images", "80",
+                     "--image-index", "3", "--out", str(full_run)]) == 0
+        assert sizes == [4]
+        model = two_layer_backbone()
+        image = make_synthetic_dataset(model, 80, noise=0.02, seed=5).images[3]
+        bank = load_bank(full_run / "bank")
+        for hm in concept_attribution_maps(image, bank, model, range(bank.r), seed=5):
+            np.testing.assert_array_equal(
+                load_npy(full_run / "heatmaps" / f"3_{hm.concept_index}.npy"),
+                hm.values)
+
+    @pytest.mark.parametrize("index", ["80", "-1"])
+    def test_explain_image_index_out_of_range_is_usage_error(self, full_run, index):
+        assert main(["explain", "--model", "toy2:5", "--n-images", "80",
+                     "--image-index", index, "--out", str(full_run)]) == 2
+        assert not (full_run / "heatmaps").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mu", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("command", ["importance", "fidelity"])
+    def test_non_finite_baseline_is_data_error(self, full_run, command, mu):
+        # rejected before any head call, so no invalid-value warning escapes
+        # and nothing is written
+        before = sorted(full_run.rglob("*"))
+        records = (full_run / "importance.json").read_bytes()
+        assert main([command, "--model", "toy2:5", f"--mu={mu}",
+                     "--out", str(full_run)]) == 3
+        assert sorted(full_run.rglob("*")) == before
+        assert (full_run / "importance.json").read_bytes() == records
+
     def test_fidelity_two_rankings_two_files(self, full_run):
         assert main(["fidelity", "--model", "toy2:5", "--ranking", "sobol",
                      "--out", str(full_run)]) == 0

@@ -17,6 +17,7 @@ from craftkit.pipeline import (ConceptBank, CropSpec, bilinear_resize,
                                concept_percentile_threshold, extract_crops,
                                fidelity_curves, load_bank, recursive_decompose,
                                save_bank, select_class_set)
+from craftkit.sobol import AffineHead, concept_importance
 from craftkit.toy import (make_synthetic_dataset, pair_backbone, standard_backbone,
                           two_layer_backbone)
 
@@ -579,6 +580,53 @@ class TestFidelityCurves:
                                           importance=rng.permutation(3).astype(float))
             wins += optimal.auc <= random_rank.auc + 1e-12
         assert wins >= 95
+
+
+class TestAffineHeadPath:
+    """An AffineHead is evaluated on the row-mean coefficients; a closure
+    computing the same map goes through every row."""
+
+    @staticmethod
+    def closure(model):
+        return lambda a: a @ model.head_weights + model.head_bias
+
+    def test_importance_matches_general_head(self, fitted_pair):
+        model, _, bank, U, _, _ = fitted_pair
+        for mu in (0.0, 0.3):
+            general = concept_importance(U, bank.W, self.closure(model), 256, mu=mu)
+            affine = concept_importance(U, bank.W, model.affine_head, 256, mu=mu)
+            np.testing.assert_allclose(affine.total_indices, general.total_indices,
+                                       rtol=1e-12)
+            assert affine.degenerate == general.degenerate
+
+    @pytest.mark.parametrize("direction", ["deletion", "insertion"])
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    def test_curves_match_general_head(self, fitted_pair, direction, mu):
+        model, _, bank, U, _, _ = fitted_pair
+        importance = [0.3, 0.7]
+        general = fidelity_curves(U, bank.W, self.closure(model), importance,
+                                  direction=direction, mu=mu)
+        affine = fidelity_curves(U, bank.W, model.affine_head, importance,
+                                 direction=direction, mu=mu)
+        np.testing.assert_allclose(affine.ys, general.ys, rtol=1e-12)
+        np.testing.assert_allclose(affine.auc, general.auc, rtol=1e-12)
+
+    def test_curve_head_sees_one_row_per_step(self):
+        rows = []
+
+        class Counting(AffineHead):
+            def __call__(self, a):
+                rows.append(len(a))
+                return super().__call__(a)
+
+        rng = np.random.default_rng(5)
+        U = rng.uniform(size=(41, 4))
+        W = rng.uniform(size=(6, 4))
+        for direction in ("deletion", "insertion"):
+            rows.clear()
+            fidelity_curves(U, W, Counting(rng.normal(size=6), 0.2),
+                            [0.1, 0.4, 0.3, 0.2], direction=direction)
+            assert sum(rows) == 4 + 1
 
 
 class TestBankPersistence:

@@ -10,8 +10,8 @@ import pytest
 
 from craftkit.errors import DataError, UnsupportedError
 from craftkit.pipeline import fidelity_curves
-from craftkit.sobol import (MaskBatch, ab_design, concept_importance, mask_designs,
-                            perturb, sobol_sequence, tcav_importance,
+from craftkit.sobol import (AffineHead, MaskBatch, ab_design, concept_importance,
+                            mask_designs, perturb, sobol_sequence, tcav_importance,
                             total_sobol_jansen,
                             _first_order_saltelli, _jansen_total)
 
@@ -275,6 +275,60 @@ class TestConceptImportance:
             assert peak < 4 * 8 * chunk
             expected = [np.mean(perturb(U, m) @ W.T @ w) for m in masks]
             np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("score", [
+        lambda U, W, head, mu: concept_importance(U, W, head, 16, mu=mu),
+        lambda U, W, head, mu: fidelity_curves(U, W, head, [1.0, 0.5], mu=mu),
+    ], ids=["concept_importance", "fidelity_curves"])
+    @pytest.mark.parametrize("mu", [np.inf, -np.inf, np.nan])
+    def test_non_finite_baseline_rejected_before_any_head_call(self, score, mu):
+        calls = []
+        head = lambda acts: calls.append(1) or acts[:, 0]
+        with pytest.raises(DataError, match="baseline mu"):
+            score(np.ones((4, 2)), np.eye(2), head, mu)
+        assert not calls
+
+
+class TestAffineHead:
+    def test_matches_closure_at_wide_features(self):
+        # 200 crops at ResNet-50 pooled width; the general path pushes every
+        # row, the affine one only their mean, which agrees up to rounding
+        rng = np.random.default_rng(12)
+        U = rng.uniform(size=(200, 10))
+        W = rng.uniform(size=(2048, 10))
+        w, b = rng.normal(size=2048), 0.4
+        for mu in (0.0, 0.3):
+            general = concept_importance(U, W, lambda a: a @ w + b, 64, mu=mu)
+            affine = concept_importance(U, W, AffineHead(w, b), 64, mu=mu)
+            assert not affine.degenerate
+            np.testing.assert_allclose(affine.total_indices, general.total_indices,
+                                       rtol=1e-12)
+            np.testing.assert_allclose(affine.variance_Y, general.variance_Y,
+                                       rtol=1e-12)
+
+    def test_head_sees_one_row_per_mask(self):
+        rows = []
+
+        class Counting(AffineHead):
+            def __call__(self, a):
+                rows.append(len(a))
+                return super().__call__(a)
+
+        rng = np.random.default_rng(13)
+        U = rng.uniform(size=(37, 3))
+        W = rng.uniform(size=(5, 3))
+        concept_importance(U, W, Counting(rng.normal(size=5), 0.1), 64)
+        assert sum(rows) == 64 * (3 + 2)
+
+    def test_outputs_are_the_affine_map(self):
+        w = np.array([0.5, -1.0, 2.0])
+        a = np.arange(12.0).reshape(4, 3)
+        np.testing.assert_array_equal(AffineHead(w, -0.25)(a), a @ w - 0.25)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 4), (3,), (2, 3, 1)])
+    def test_rejects_activations_of_the_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match=r"activations must be \(batch, 3\)"):
+            AffineHead(np.ones(3), 0.0)(np.ones(shape))
 
 
 class TestTcav:

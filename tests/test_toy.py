@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from craftkit.toy import (load_backbone, make_synthetic_dataset,
+from craftkit.sobol import AffineHead
+from craftkit.toy import (load_backbone, make_synthetic_dataset, pair_backbone,
                           save_backbone, standard_backbone, two_layer_backbone)
 
 
@@ -80,6 +81,25 @@ class TestHead:
         lhs = model.head(a1 + a2)[0]
         rhs = model.head(a1)[0] + model.head(a2)[0] - model.head_bias
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("build", [standard_backbone, pair_backbone,
+                                       two_layer_backbone])
+    def test_head_is_its_affine_head(self, build):
+        # one formula: head, affine_head and predict agree bit for bit with
+        # the affine readout written out
+        model = build()
+        assert isinstance(model.affine_head, AffineHead)
+        images = make_synthetic_dataset(model, 16, noise=0.02, seed=5).images
+        a = model.features(images)
+        expected = a @ model.head_weights + model.head_bias
+        np.testing.assert_array_equal(model.head(a), expected)
+        np.testing.assert_array_equal(model.affine_head(a), expected)
+        np.testing.assert_array_equal(model.predict(images),
+                                      (expected > 0.0).astype(np.int64))
+        np.testing.assert_array_equal(model.head_gradients(images),
+                                      np.tile(model.head_weights, (16, 1)))
+        with pytest.raises(ValueError, match="activations must be"):
+            model.head(np.ones((2, model.n_features + 1)))
 
     def test_prediction_tracks_favored_template(self):
         model = standard_backbone()
