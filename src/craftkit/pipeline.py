@@ -118,9 +118,10 @@ def bilinear_resize(t, out_h, out_w):
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0)[None, :, None, None]
     wx = (xs - x0)[None, None, :, None]
-    top = t[:, y0][:, :, x0] * (1 - wx) + t[:, y0][:, :, x1] * wx
-    bot = t[:, y1][:, :, x0] * (1 - wx) + t[:, y1][:, :, x1] * wx
-    return top * (1 - wy) + bot * wy
+    # along x on the h source rows once, then along y on the output rows;
+    # take (unlike a[:, idx]) returns C order, which the model reads faster
+    rows = t.take(x0, axis=2) * (1 - wx) + t.take(x1, axis=2) * wx
+    return rows.take(y0, axis=1) * (1 - wy) + rows.take(y1, axis=1) * wy
 
 
 def _grid_positions(extent, side, count):
@@ -139,7 +140,7 @@ def extract_crops(images, spec):
     yields a single full-image crop).
     """
     images = as_tensor4(images, "images")
-    n, h, w, c = images.shape
+    n, h, w, _ = images.shape
     side_y = int(round(spec.crop_fraction * h))
     side_x = int(round(spec.crop_fraction * w))
     if side_y < 1 or side_x < 1:
@@ -165,12 +166,12 @@ def extract_crops(images, spec):
                 x0 = int(gen.integers(0, w - side_x + 1))
                 windows.append((i, y0, x0))
 
-    crops = np.empty((len(windows), side_y, side_x, c))
-    provenance = []
-    for row, (i, y0, x0) in enumerate(windows):
-        crops[row] = images[i, y0:y0 + side_y, x0:x0 + side_x, :]
-        provenance.append({"image": i, "y0": y0, "x0": x0,
-                           "h": side_y, "w": side_x})
+    idx, top, left = np.array(windows, dtype=np.intp).reshape(-1, 3).T
+    crops = images[idx[:, None, None],
+                   top[:, None, None] + np.arange(side_y)[:, None],
+                   left[:, None, None] + np.arange(side_x)]
+    provenance = [{"image": i, "y0": y0, "x0": x0, "h": side_y, "w": side_x}
+                  for i, y0, x0 in windows]
     return bilinear_resize(crops, out_h, out_w), provenance
 
 

@@ -8,6 +8,7 @@ shares code with the solvers under test.
 import itertools
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def nnls_enumerate_row(a, W):
@@ -71,3 +72,33 @@ def ishigami(x, a, b):
     """Ishigami on the unit cube (inputs rescaled to [-pi, pi])."""
     z = -np.pi + 2.0 * np.pi * np.asarray(x)
     return float(np.sin(z[0]) + a * np.sin(z[1]) ** 2 + b * z[2] ** 4 * np.sin(z[0]))
+
+
+def correlate_windows(x, templates):
+    """Valid correlation of (b, H, W, c) images with (k, th, tw, c)
+    templates: one einsum over every window, (b, H', W', k)."""
+    th, tw = templates.shape[1:3]
+    windows = sliding_window_view(x, (th, tw), axis=(1, 2))
+    return np.einsum("bhwcij,kijc->bhwk", windows, templates)
+
+
+def bilinear_resize_taps(t, out_h, out_w):
+    """Corner-aligned bilinear resize, one crop and one output pixel at a
+    time, from the four neighbouring source pixels."""
+    b, h, w, c = t.shape
+    ys = np.linspace(0.0, h - 1.0, out_h) if out_h > 1 else np.zeros(1)
+    xs = np.linspace(0.0, w - 1.0, out_w) if out_w > 1 else np.zeros(1)
+    out = np.empty((b, out_h, out_w, c))
+    for n in range(b):
+        for oy, y in enumerate(ys):
+            y0 = int(y)
+            y1 = min(y0 + 1, h - 1)
+            wy = y - y0
+            for ox, x in enumerate(xs):
+                x0 = int(x)
+                x1 = min(x0 + 1, w - 1)
+                wx = x - x0
+                top = t[n, y0, x0] * (1 - wx) + t[n, y0, x1] * wx
+                bot = t[n, y1, x0] * (1 - wx) + t[n, y1, x1] * wx
+                out[n, oy, ox] = top * (1 - wy) + bot * wy
+    return out

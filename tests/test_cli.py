@@ -93,6 +93,33 @@ class TestFit:
         records = json.loads((out / "importance.json").read_text())
         assert len(records) == 2
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("input_shape", [16, 16, 3], "channels"),
+        ("input_shape", [4, 4, 1], "larger than input_shape"),
+        ("input_shape", [16.0, 16, 1], "input_shape must be"),
+        ("templates.npy", np.zeros((4, 25)), "templates must be 4-D"),
+        ("head_weights.npy", np.zeros((1, 3)), "head_weights"),
+        ("mixing.npy", np.ones((3, 2)), "mixing must be"),
+        ("mixing.npy", -np.eye(4, 2), "mixing has negative"),
+    ])
+    def test_inconsistent_saved_model_is_usage_error(self, tmp_path, capsys,
+                                                     name, value, message):
+        from craftkit.toy import save_backbone, two_layer_backbone
+        model_dir = tmp_path / "model"
+        save_backbone(two_layer_backbone(), model_dir)
+        if name == "input_shape":
+            manifest = json.loads((model_dir / "manifest.json").read_text())
+            manifest["input_shape"] = value
+            (model_dir / "manifest.json").write_text(json.dumps(manifest))
+        else:
+            save_npy(value, model_dir / name)
+        out = tmp_path / "run"
+        code = main(["fit", "--model", str(model_dir), "--rank", "2",
+                     "--n-images", "40", "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert run_dir_files(out) == []  # rejected before any image was made
+
     def test_external_images_match_generated_dataset(self, tmp_path):
         from craftkit.toy import make_synthetic_dataset, standard_backbone
         model = standard_backbone()

@@ -20,6 +20,7 @@ from craftkit.pipeline import (ConceptBank, CropSpec, bilinear_resize,
 from craftkit.sobol import AffineHead, concept_importance
 from craftkit.toy import (make_synthetic_dataset, pair_backbone, standard_backbone,
                           two_layer_backbone)
+from oracles import bilinear_resize_taps
 
 FIT_PARAMS = NmfParams(rank=2, outer_iters=80, objective_tol=1e-8)
 ATTRIBUTION_ADMM = AdmmParams(tol_primal=1e-11, tol_dual=1e-11)
@@ -110,6 +111,17 @@ class TestExtractCrops:
         lhs = bilinear_resize(3.0 * t1 + t2, 7, 7)
         rhs = 3.0 * bilinear_resize(t1, 7, 7) + bilinear_resize(t2, 7, 7)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+    @pytest.mark.parametrize("shape, out", [
+        ((40, 8, 8, 1), (16, 16)),
+        ((5, 7, 9, 3), (16, 16)),
+        ((4, 16, 12, 2), (5, 7)),
+        ((3, 1, 1, 1), (4, 3)),
+        ((2, 1, 6, 2), (3, 1)),
+    ])
+    def test_resize_is_byte_equal_to_four_tap_reference(self, shape, out):
+        t = np.random.default_rng(4).normal(size=shape)
+        assert bilinear_resize(t, *out).tobytes() == bilinear_resize_taps(t, *out).tobytes()
 
     def test_resize_corners_align(self):
         rng = np.random.default_rng(3)

@@ -1,11 +1,31 @@
 """Toy backbone: exact correlations, VJPs, and dataset construction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from craftkit.sobol import AffineHead
-from craftkit.toy import (load_backbone, make_synthetic_dataset, pair_backbone,
-                          save_backbone, standard_backbone, two_layer_backbone)
+from craftkit.toy import (ToyBackbone, load_backbone, make_synthetic_dataset,
+                          pair_backbone, save_backbone, standard_backbone,
+                          two_layer_backbone)
+from oracles import correlate_windows
+
+BUILT_IN = {
+    "standard": standard_backbone,
+    "standard_k1": lambda: standard_backbone(k=1),
+    "pair": pair_backbone,
+    "two_layer": two_layer_backbone,
+}
+
+
+def rgb_backbone(mixing=True):
+    """A 36x28x3 model with 3x4 templates: rectangular, multi-channel."""
+    rng = np.random.default_rng(11)
+    return ToyBackbone(templates=rng.normal(size=(3, 3, 4, 3)),
+                       head_weights=rng.normal(size=2 if mixing else 3),
+                       head_bias=0.1, input_shape=(36, 28, 3),
+                       mixing=rng.uniform(size=(3, 2)) if mixing else None)
 
 
 def stamp_image(model, k, y0=5, x0=6):
@@ -170,6 +190,90 @@ class TestVjp:
             expected[h:h + 5, w:w + 5, :] += cot / (hp * wp) * model.templates[0]
         dx = model.vjp_features(x, np.array([[cot]]))
         np.testing.assert_allclose(dx[0], expected, atol=1e-14)
+
+
+def assert_close_relative(actual, reference, rel=1e-13):
+    """Equal within rel times the reference's largest magnitude."""
+    scale = np.abs(reference).max(initial=0.0) or 1.0
+    assert actual.shape == reference.shape
+    np.testing.assert_allclose(actual, reference, rtol=0, atol=rel * scale)
+
+
+class TestBandedCorrelation:
+    """The banded-GEMM correlation against the one-einsum reference."""
+
+    MODELS = {**BUILT_IN, "rgb": rgb_backbone, "rgb_one_layer": lambda: rgb_backbone(False)}
+
+    @pytest.mark.parametrize("batch", [0, 1, 7])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_matches_einsum_reference(self, name, batch):
+        model = self.MODELS[name]()
+        x = np.random.default_rng(batch).normal(size=(batch,) + model.input_shape)
+        ref = correlate_windows(x, model.templates)
+        assert_close_relative(model._correlate(x), ref)
+        assert_close_relative(model.feature_maps(x), np.maximum(ref, 0.0))
+        z1 = np.maximum(ref, 0.0).mean(axis=(1, 2))
+        assert_close_relative(model.features(x, layer=1), z1)
+        if model.mixing is not None:
+            assert_close_relative(model.features(x, layer=2),
+                                  np.maximum(z1 @ model.mixing, 0.0))
+
+    @pytest.mark.parametrize("name", sorted(BUILT_IN))
+    def test_open_gates_match_reference_at_every_stamp_position(self, name):
+        # attribution maps scatter the stencils from the open gates z > 0, so
+        # a rounding residue that opened or closed one would move a map
+        model = BUILT_IN[name]()
+        h, w, _ = model.input_shape
+        th, tw = model.templates.shape[1:3]
+        probes = np.concatenate([stamp_image(model, k, y0, x0)
+                                 for k in range(model.n_templates)
+                                 for y0 in range(h - th + 1)
+                                 for x0 in range(w - tw + 1)])
+        np.testing.assert_array_equal(model._correlate(probes) > 0.0,
+                                      correlate_windows(probes, model.templates) > 0.0)
+
+    @pytest.mark.parametrize("mixing", [False, True])
+    def test_vjp_matches_finite_differences_rgb(self, mixing):
+        model = rgb_backbone(mixing)
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.1, 1.0, size=(2,) + model.input_shape)
+        cot = rng.normal(size=(2, model.n_features))
+        dx = model.vjp_features(x, cot)
+        assert dx.shape == x.shape
+        step = 1e-6
+        for _ in range(12):
+            b = int(rng.integers(0, 2))
+            i, j, c = (int(rng.integers(0, n)) for n in model.input_shape)
+            xp, xm = x.copy(), x.copy()
+            xp[b, i, j, c] += step
+            xm[b, i, j, c] -= step
+            fd = (np.sum(model.features(xp) * cot) -
+                  np.sum(model.features(xm) * cot)) / (2 * step)
+            assert dx[b, i, j, c] == pytest.approx(fd, rel=1e-5, abs=1e-10)
+
+    def test_randomized_model_builds_its_own_bands(self):
+        model = standard_backbone()
+        x = np.random.default_rng(3).normal(size=(2, 16, 16, 1))
+        model.features(x)  # builds and keeps the parent's bands
+        rand = model.randomize_weights(7)
+        assert_close_relative(rand._correlate(x), correlate_windows(x, rand.templates))
+
+
+class TestValidation:
+    @pytest.mark.parametrize("change, field", [
+        (dict(templates=np.zeros((4, 5, 5))), "templates"),
+        (dict(input_shape=(16, 16, 3)), "channels"),
+        (dict(input_shape=(4, 4, 1)), "larger than input_shape"),
+        (dict(input_shape=(16, 16)), "input_shape"),
+        (dict(input_shape=(16.0, 16, 1)), "input_shape"),
+        (dict(head_weights=np.zeros(4)), "head_weights"),  # k, not the mixed width
+        (dict(head_weights=np.zeros((1, 2))), "head_weights"),
+        (dict(mixing=np.ones((3, 2))), "mixing"),
+        (dict(mixing=-np.eye(4, 2)), "mixing has negative"),
+    ])
+    def test_inconsistent_model_rejected(self, change, field):
+        with pytest.raises(ValueError, match=field):
+            replace(two_layer_backbone(), **change)
 
 
 class TestSyntheticDataset:
