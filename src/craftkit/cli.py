@@ -16,6 +16,7 @@ failure (non-convergence still writes the flagged artifact). ``--threads``
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -198,9 +199,10 @@ def cmd_fidelity(args):
             raise DataError("importance.json missing; run the importance command first")
         records = json.loads(importance_path.read_text())
         key = "total_sobol" if args.ranking == "sobol" else "tcav"
-        values = [rec[key] for rec in sorted(records, key=lambda r: r["concept_id"])]
-        if any(v is None for v in values):
-            raise DataError(f"importance.json lacks {key} scores")
+        values = [rec.get(key) for rec in sorted(records, key=lambda r: r["concept_id"])]
+        # json.loads accepts NaN and Infinity, which rank no better than a gap
+        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in values):
+            raise DataError(f"importance.json lacks finite {key} scores")
         importance = np.asarray(values, dtype=np.float64)
     else:
         gen = Rng(seed, stream=23).generator()

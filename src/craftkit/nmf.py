@@ -2,15 +2,14 @@
 
 Both factor updates reuse the ADMM solver (the W step solves the transposed
 problem), each warm-started from the previous outer iteration, which makes
-the objective non-increasing up to solver tolerance. Initialization is
-deterministic by default so that repeated fits are bit-identical.
+the objective non-increasing up to solver tolerance. The start is always
+NNDSVD, which is deterministic, so repeated fits are bit-identical.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Rng
 from .errors import DataError
 from .nnls import AdmmParams, NnlsSolution, kkt_residual, nnls_objective, solve_nnls
 
@@ -19,7 +18,7 @@ from .nnls import AdmmParams, NnlsSolution, kkt_residual, nnls_objective, solve_
 class NmfParams:
     """Factorization knobs.
 
-    init is either "nndsvd" (deterministic, the default) or ("random", seed).
+    Every fit starts from the deterministic NNDSVD factors of init_factors.
     The outer loop stops once the per-iteration decrease falls below
     objective_tol relative to the starting objective, or once the residual
     itself is below objective_tol relative to the data's squared norm.
@@ -28,7 +27,6 @@ class NmfParams:
     rank: int
     outer_iters: int = 200
     admm: AdmmParams = field(default_factory=AdmmParams)
-    init: object = "nndsvd"
     objective_tol: float = 1e-9
 
     def __post_init__(self):
@@ -96,8 +94,8 @@ def _nndsvd(A, r):
     return U0, W0
 
 
-def init_factors(A, r, init="nndsvd"):
-    """Nonnegative starting factors (U0 n x r, W0 p x r) for fit_nmf."""
+def init_factors(A, r):
+    """NNDSVD starting factors (U0 n x r, W0 p x r) for fit_nmf."""
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ValueError("A must be 2-D")
@@ -106,14 +104,7 @@ def init_factors(A, r, init="nndsvd"):
         raise ValueError(f"rank {r} outside 1..min(n, p) = {min(n, p)}")
     if A.size and A.min() < 0:
         raise DataError("A must be elementwise nonnegative")
-
-    if init == "nndsvd":
-        return _nndsvd(A, r)
-    if isinstance(init, tuple) and len(init) == 2 and init[0] == "random":
-        gen = Rng(int(init[1])).generator()
-        scale = np.sqrt(A.mean() / r) if A.size else 0.0
-        return scale * gen.uniform(size=(n, r)), scale * gen.uniform(size=(p, r))
-    raise ValueError(f"unknown init {init!r}")
+    return _nndsvd(A, r)
 
 
 def fit_nmf(A, params):
@@ -132,7 +123,7 @@ def fit_nmf(A, params):
     """
     A = np.asarray(A, dtype=np.float64)
     r = params.rank
-    U, W = init_factors(A, r, params.init)
+    U, W = init_factors(A, r)
     n, p = A.shape
 
     trace = [nnls_objective(A, W, U)]

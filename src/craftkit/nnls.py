@@ -28,41 +28,42 @@ _RELAX = 1.7
 # systems goes through in row blocks of this many floats (128 KiB)
 _POLISH_FLOATS = 1 << 14
 
+# quadratic penalty coupling the smooth and projected iterates, in units of
+# the mean Gram diagonal (see _effective_rho)
+_RHO = 1.0
+
 
 @dataclass(frozen=True)
 class AdmmParams:
-    """Solver knobs.
+    """Solver knobs: an iteration budget and one stopping tolerance.
 
-    rho is the quadratic penalty coupling the smooth and projected iterates;
-    the primal/dual tolerances are infinity-norm stopping thresholds. The
-    linear algebra needs no knobs: the smooth subproblem is one factored
-    r x r solve per system and the polish one batched solve of every row's
-    reduced system, both exact to rounding.
+    tol is the infinity-norm threshold of both the primal and the dual
+    residual, relative to iterate scale, and of the worst KKT violation,
+    relative to gradient scale. The penalty is fixed, _RHO times the mean
+    Gram diagonal. The linear algebra needs no knobs: the smooth subproblem
+    is one factored r x r solve per system and the polish one batched solve
+    of every row's reduced system, both exact to rounding.
     """
 
-    rho: float = 1.0
     max_iters: int = 20000
-    tol_primal: float = 1e-8
-    tol_dual: float = 1e-8
-
-    def effective_rho(self, W):
-        """Penalty actually applied: rho times the mean Gram diagonal.
-
-        Anchoring the penalty to trace(W^T W)/r makes the contraction rate
-        independent of the data scale and of the row count of the coupled
-        factor; it is fixed per solve, never adapted between iterations.
-        """
-        W = np.asarray(W)
-        scale = float(np.einsum("ij,ij->", W, W)) / W.shape[1]
-        return self.rho * max(scale, 1e-12)
+    tol: float = 1e-8
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.tol_primal <= 0 or self.tol_dual <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+
+
+def _effective_rho(W):
+    """Penalty actually applied: _RHO times the mean Gram diagonal.
+
+    Anchoring the penalty to trace(W^T W)/r makes the contraction rate
+    independent of the data scale and of the row count of the coupled
+    factor; it is fixed per solve, never adapted between iterations.
+    """
+    scale = float(np.einsum("ij,ij->", W, W)) / W.shape[1]
+    return _RHO * max(scale, 1e-12)
 
 
 @dataclass(frozen=True)
@@ -116,9 +117,9 @@ def solve_nnls(A, W, params=None, warm=None):
     if r < 1:
         raise ValueError("W must have at least one column")
 
-    rho = params.effective_rho(W)
+    rho = _effective_rho(W)
     G = W.T @ W
-    # eigenvalues of S lie in [rho, rho + trace(G)], so at the default rho its
+    # eigenvalues of S lie in [rho, rho + trace(G)], so at _RHO = 1 its
     # condition number is at most r + 1 and the explicit inverse is accurate
     S_inv = np.linalg.inv(G + rho * np.eye(r))
     AW = A @ W
@@ -138,7 +139,7 @@ def solve_nnls(A, W, params=None, warm=None):
     # solutions count as converged once the worst KKT violation falls below
     # the stopping tolerance at gradient scale; no unit floor here, or
     # tiny-scale problems would accept arbitrary iterates
-    kkt_target = min(params.tol_primal, params.tol_dual) * max(np.abs(AW).max(), 1e-300)
+    kkt_target = params.tol * max(np.abs(AW).max(), 1e-300)
     check_every = 25
     best = None
 
@@ -152,12 +153,12 @@ def solve_nnls(A, W, params=None, warm=None):
         r_dual = rho * np.abs(U_next - U).max()
         V += U_mix - U_next
         U = U_next
-        # standard ADMM stopping: tolerances relative to iterate scale,
-        # floored at the absolute values for unit-scale problems
+        # standard ADMM stopping: the tolerance relative to iterate scale,
+        # floored at its absolute value for unit-scale problems
         scale_primal = max(1.0, np.abs(U_smooth).max(), np.abs(U).max())
         scale_dual = max(1.0, rho * np.abs(V).max())
-        admm_converged = (r_primal <= params.tol_primal * scale_primal
-                          and r_dual <= params.tol_dual * scale_dual)
+        admm_converged = (r_primal <= params.tol * scale_primal
+                          and r_dual <= params.tol * scale_dual)
         if admm_converged or iterations % check_every == 0:
             # ADMM pins the active set long before its iterates are sharp;
             # an exact solve on that support usually finishes the job early

@@ -16,14 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from .core import Rng, as_tensor4
-from .errors import EmptySetError, InsufficientDataError
+from .errors import DataError, EmptySetError, InsufficientDataError
 from .implicit import jacobian_u_wrt_a
 from .nmf import NmfParams, fit_nmf
 from .nnls import AdmmParams, solve_nnls
 from .npyio import load_npy, save_npy
 from .sobol import _evaluate, _mean_head_outputs
 
-_ATTRIBUTION_ADMM = AdmmParams(tol_primal=1e-11, tol_dual=1e-11)
+_ATTRIBUTION_ADMM = AdmmParams(tol=1e-11)
 
 
 @dataclass(frozen=True)
@@ -360,7 +360,8 @@ def fidelity_curves(U, W, head, importance, direction="deletion", mu=0.0,
     output over the reconstructed activations, evaluated in chunks as the
     Sobol' masks are, and on the row-mean coefficients alone when ``head``
     is an ``AffineHead``. A non-finite baseline mu or head output raises
-    DataError. auc integrates y over the fraction of concepts touched.
+    DataError; a non-finite importance score raises ValueError. auc
+    integrates y over the fraction of concepts touched.
     """
     U = np.asarray(U, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
@@ -370,6 +371,8 @@ def fidelity_curves(U, W, head, importance, direction="deletion", mu=0.0,
     r = U.shape[1]
     if importance.size != r:
         raise ValueError("importance length must equal the concept count")
+    if not np.all(np.isfinite(importance)):
+        raise ValueError(f"importance must be finite to rank concepts, got {importance}")
     if direction not in ("deletion", "insertion"):
         raise ValueError(f"unknown direction {direction!r}")
     # top[k, j]: concept j is among the k most important; mask row k is step k
@@ -408,11 +411,23 @@ def save_bank(bank, directory):
 
 
 def load_bank(directory):
+    """Read a bank written by save_bank.
+
+    A meta.json without one of the keys save_bank always writes, or whose
+    rank is not W.npy's column count, raises DataError naming the file.
+    """
     directory = Path(directory)
-    meta = json.loads((directory / "meta.json").read_text())
+    path = directory / "meta.json"
+    meta = json.loads(path.read_text())
+    for key in ("rank", "layer_tag", "objective", "column_norms"):
+        if key not in meta:
+            raise DataError(f"{path} lacks the key {key!r}")
     W = load_npy(directory / "W.npy")
+    rank = meta["rank"]
+    if not isinstance(rank, int) or W.ndim != 2 or W.shape[1] != rank:
+        raise DataError(f"{path} gives rank {rank!r} but W.npy has shape {W.shape}")
     parent = tuple(meta["parent"]) if meta.get("parent") else None
-    return ConceptBank(W=W, layer_tag=meta["layer_tag"], r=int(meta["rank"]),
+    return ConceptBank(W=W, layer_tag=meta["layer_tag"], r=rank,
                        fit_objective=float(meta["objective"]),
                        column_norms=np.asarray(meta["column_norms"]),
                        bank_id=meta.get("bank_id", "bank"), parent=parent,

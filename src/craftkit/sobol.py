@@ -6,6 +6,11 @@ tau(u, m) = u * m + (1 - m) * mu, and scored with the Jansen pick-freeze
 estimator of the total index: the share of output variance a concept is
 responsible for, interactions included.
 
+The pick-freeze A and B blocks are the two halves of one (2r)-dimensional
+Sobol' stream, so the design is deterministic. The head sees two
+evaluation batches: f(A) and f(B) together, then all r AB_i blocks
+together (skipped when the output variance is degenerate).
+
 The Sobol' sequence uses the Joe-Kuo direction numbers (new-joe-kuo-6),
 embedded below for dimensions up to 64, with the zero point skipped.
 """
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rng
 from .errors import DataError, UnsupportedError
 
 _DIRECTIONS = (
@@ -130,53 +134,22 @@ def sobol_sequence(dim, n):
     return state / _SCALE
 
 
-@dataclass(frozen=True)
-class MaskBatch:
-    """One block of perturbation masks plus its role in the pick-freeze design.
+def mask_designs(r, n):
+    """Sobol' A and B mask blocks (n x r each) from one (2r)-dimensional stream.
 
-    design is "A" or "B" for the two independent blocks, or "AB" with
-    ``column`` naming the coordinate imported from B into A.
+    The embedded table covers 2r <= 64 Sobol' dimensions, so at most 32
+    concepts are supported. n and r are checked before any mask is built.
     """
-
-    masks: np.ndarray
-    design: str
-    sequence: str
-    column: int | None = None
-
-    def __post_init__(self):
-        if self.masks.size and (self.masks.min() < 0 or self.masks.max() > 1):
-            raise ValueError("mask entries must lie in [0, 1]")
-
-
-def mask_designs(r, n, sequence="sobol_joe_kuo", seed=None):
-    """A and B mask blocks (n x r each) from one (2r)-dimensional stream.
-
-    sequence "sobol_joe_kuo" is deterministic; "uniform" draws pseudo-random
-    masks from the counter-based generator keyed by seed. The embedded
-    Sobol' table covers 2r <= 64 dimensions, so "sobol_joe_kuo" supports at
-    most 32 concepts.
-    """
-    if sequence == "sobol_joe_kuo":
-        if 2 * r > _MAX_DIM:
-            raise ValueError(
-                f"rank {r} exceeds the {_MAX_DIM // 2}-concept limit of the "
-                f"sobol_joe_kuo design (2r <= {_MAX_DIM} Sobol' dimensions)")
-        block = sobol_sequence(2 * r, n)
-    elif sequence == "uniform":
-        gen = Rng(0 if seed is None else seed).generator()
-        block = gen.uniform(size=(n, 2 * r))
-    else:
-        raise ValueError(f"unknown sequence {sequence!r}")
-    a = MaskBatch(block[:, :r], "A", sequence)
-    b = MaskBatch(block[:, r:], "B", sequence)
-    return a, b
-
-
-def ab_design(a, b, i):
-    """A with column i replaced by B's column i."""
-    masks = a.masks.copy()
-    masks[:, i] = b.masks[:, i]
-    return MaskBatch(masks, "AB", a.sequence, column=i)
+    if n < 2:
+        raise ValueError("need at least 2 samples")
+    if r < 1:
+        raise ValueError("need at least one concept")
+    if 2 * r > _MAX_DIM:
+        raise ValueError(
+            f"rank {r} exceeds the {_MAX_DIM // 2}-concept limit of the "
+            f"Sobol' design (2r <= {_MAX_DIM} Sobol' dimensions)")
+    block = sobol_sequence(2 * r, n)
+    return block[:, :r], block[:, r:]
 
 
 def perturb(u, m, mu=0.0):
@@ -209,33 +182,26 @@ def _evaluate(eval_batch, masks, what):
     return y
 
 
-def _jansen_total(eval_batch, r, n, sequence, seed):
-    """Pick-freeze Jansen estimator over a batched evaluation function."""
-    if n < 2:
-        raise ValueError("need at least 2 samples")
-    if r < 1:
-        raise ValueError("need at least one concept")
-    a, b = mask_designs(r, n, sequence, seed)
-    y_a = _evaluate(eval_batch, a.masks, "f(A)")
-    y_b = _evaluate(eval_batch, b.masks, "f(B)")
-    variance = float(np.var(np.concatenate([y_a, y_b])))
+def _jansen_total(eval_batch, a, b):
+    """Pick-freeze Jansen estimator on the n x r blocks A and B.
+
+    f(A) and f(B) go to eval_batch in one call. Unless their variance is
+    degenerate, a second call evaluates all r blocks AB_i (A with column i
+    taken from B), stacked in order.
+    """
+    n, r = a.shape
+    y = _evaluate(eval_batch, np.concatenate([a, b]), "f(A), f(B)")
+    variance = float(np.var(y))
     if variance < _DEGENERATE_VARIANCE:
-        return SobolEstimate(np.zeros(r), variance, n, True), None
-    totals = np.empty(r)
-    y_abs = []
-    for i in range(r):
-        y_ab = _evaluate(eval_batch, ab_design(a, b, i).masks, f"f(AB({i}))")
-        totals[i] = np.sum((y_a - y_ab) ** 2) / (2.0 * n * variance)
-        y_abs.append(y_ab)
-    return SobolEstimate(totals, variance, n, False), (y_a, y_b, y_abs)
+        return SobolEstimate(np.zeros(r), variance, n, True)
+    ab = np.repeat(a[None], r, axis=0)
+    ab[np.arange(r), :, np.arange(r)] = b.T
+    y_ab = _evaluate(eval_batch, ab.reshape(r * n, r), "f(AB)").reshape(r, n)
+    totals = np.sum((y[:n] - y_ab) ** 2, axis=1) / (2.0 * n * variance)
+    return SobolEstimate(totals, variance, n, False)
 
 
-def _first_order_saltelli(y_a, y_b, y_abs, variance):
-    """First-order indices from the same design; test cross-check only."""
-    return np.array([float(np.mean(y_b * (y_ab - y_a))) / variance for y_ab in y_abs])
-
-
-def total_sobol_jansen(f, r, n, sequence="sobol_joe_kuo", seed=None):
+def total_sobol_jansen(f, r, n):
     """Total Sobol' index of each of the r inputs of f over [0, 1]^r.
 
     Parameters
@@ -245,13 +211,9 @@ def total_sobol_jansen(f, r, n, sequence="sobol_joe_kuo", seed=None):
     r, n : int
         Number of inputs and pick-freeze block size; f is evaluated
         n * (r + 2) times.
-    sequence : "sobol_joe_kuo" or "uniform"
-    seed : int, optional
-        Only used by the "uniform" sequence.
     """
-    estimate, _ = _jansen_total(lambda masks: np.array([float(f(row)) for row in masks]),
-                                r, n, sequence, seed)
-    return estimate
+    return _jansen_total(lambda masks: np.array([float(f(row)) for row in masks]),
+                         *mask_designs(r, n))
 
 
 @dataclass(frozen=True)
@@ -273,7 +235,7 @@ class AffineHead:
         return a @ self.weights + self.bias
 
 
-def concept_importance(U, W, head, n, mu=0.0, sequence="sobol_joe_kuo", seed=None):
+def concept_importance(U, W, head, n, mu=0.0):
     """Class-level concept importance for coefficients U under bank W.
 
     Each mask perturbs every row of U through the inpainting operator; the
@@ -291,9 +253,8 @@ def concept_importance(U, W, head, n, mu=0.0, sequence="sobol_joe_kuo", seed=Non
         raise ValueError("U must be n x r and W must be p x r")
     if U.shape[0] == 0:
         raise ValueError("U has no coefficient rows to score")
-    estimate, _ = _jansen_total(lambda masks: _mean_head_outputs(U, W, head, masks, mu),
-                                U.shape[1], n, sequence, seed)
-    return estimate
+    return _jansen_total(lambda masks: _mean_head_outputs(U, W, head, masks, mu),
+                         *mask_designs(U.shape[1], n))
 
 
 def _mean_head_outputs(U, W, head, masks, mu, chunk=1 << 18):

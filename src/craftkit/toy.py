@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Rng, as_tensor4
+from .errors import DataError
 from .npyio import load_npy, save_npy
 from .sobol import AffineHead
 
@@ -163,10 +164,8 @@ class ToyBackbone:
         return AffineHead(self.head_weights, self.head_bias)
 
     def head(self, a):
-        """Affine readout of final-layer activations, one scalar per row."""
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[1] != self.n_features:
-            raise ValueError(f"activations must be (batch, {self.n_features})")
+        """Affine readout of final-layer activations, one scalar per row;
+        ``affine_head`` checks their shape."""
         return self.affine_head(a)
 
     def predict(self, x):
@@ -379,8 +378,17 @@ def save_backbone(model, directory):
 
 
 def load_backbone(directory):
+    """Read a bundle written by save_backbone.
+
+    A manifest.json without one of the keys save_backbone writes raises
+    DataError naming the file and the key.
+    """
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    for key in ("input_shape", "head_bias", "has_mixing"):
+        if key not in manifest:
+            raise DataError(f"{path} lacks the key {key!r}")
     templates = load_npy(directory / "templates.npy")
     head_weights = load_npy(directory / "head_weights.npy").ravel()
     mixing = load_npy(directory / "mixing.npy") if manifest["has_mixing"] else None

@@ -74,6 +74,23 @@ def ishigami(x, a, b):
     return float(np.sin(z[0]) + a * np.sin(z[1]) ** 2 + b * z[2] ** 4 * np.sin(z[0]))
 
 
+def first_order_saltelli(eval_batch, a, b):
+    """First-order Sobol' indices from the pick-freeze blocks A and B.
+
+    Saltelli's estimator mean(f(B) (f(AB_i) - f(A))) / Var(f), with AB_i
+    the block A whose column i comes from B, built and evaluated one
+    column at a time; Var(f) is taken over f(A) and f(B) together.
+    """
+    y_a, y_b = eval_batch(a), eval_batch(b)
+    variance = np.var(np.concatenate([y_a, y_b]))
+    first = []
+    for i in range(a.shape[1]):
+        ab = a.copy()
+        ab[:, i] = b[:, i]
+        first.append(np.mean(y_b * (eval_batch(ab) - y_a)) / variance)
+    return np.array(first)
+
+
 def correlate_windows(x, templates):
     """Valid correlation of (b, H, W, c) images with (k, th, tw, c)
     templates: one einsum over every window, (b, H', W', k)."""

@@ -28,7 +28,7 @@ from craftkit.toy import make_synthetic_dataset, pair_backbone, two_layer_backbo
 from oracles import (ishigami, ishigami_total_indices, nnls_enumerate,
                      nnls_enumerate_row)
 
-TIGHT = AdmmParams(tol_primal=1e-10, tol_dual=1e-10)
+TIGHT = AdmmParams(tol=1e-10)
 FIT = NmfParams(rank=2, outer_iters=150, objective_tol=1e-6)
 # ranking checks only need the argmax of the importance estimate, so the
 # repeated per-seed fits run at a looser (still deterministic) tolerance

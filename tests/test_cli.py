@@ -120,6 +120,22 @@ class TestFit:
         assert message in capsys.readouterr().err
         assert run_dir_files(out) == []  # rejected before any image was made
 
+    @pytest.mark.parametrize("key", ["head_bias", "input_shape", "has_mixing"])
+    def test_saved_model_missing_manifest_key_is_data_error(self, tmp_path, capsys, key):
+        from craftkit.toy import save_backbone, two_layer_backbone
+        model_dir = tmp_path / "model"
+        save_backbone(two_layer_backbone(), model_dir)
+        manifest = json.loads((model_dir / "manifest.json").read_text())
+        del manifest[key]
+        (model_dir / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "run"
+        code = main(["fit", "--model", str(model_dir), "--rank", "2",
+                     "--n-images", "40", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and repr(key) in err
+        assert run_dir_files(out) == []
+
     def test_external_images_match_generated_dataset(self, tmp_path):
         from craftkit.toy import make_synthetic_dataset, standard_backbone
         model = standard_backbone()
@@ -193,6 +209,23 @@ class TestImportance:
         code = main(["importance", "--model", "toy:3", "--n-samples", "8",
                      "--out", str(out)])
         assert code == 2
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: meta.update(rank=3), "gives rank 3 but W.npy has shape"),
+        (lambda meta: meta.update(rank=None), "gives rank None but W.npy has shape"),
+        (lambda meta: meta.pop("objective"), "lacks the key 'objective'"),
+    ], ids=["rank_mismatch", "null_rank", "missing_objective"])
+    def test_corrupt_bank_sidecar_is_data_error(self, fitted_run, capsys, edit, message):
+        path = fitted_run / "bank" / "meta.json"
+        meta = json.loads(path.read_text())
+        edit(meta)
+        path.write_text(json.dumps(meta))
+        code = main(["importance", "--model", "toy:3", "--n-samples", "64",
+                     "--out", str(fitted_run)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "meta.json" in err and message in err
+        assert not (fitted_run / "importance.json").exists()
 
     def test_corrupt_activations_file_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.npy"
@@ -283,6 +316,18 @@ class TestExplainFidelityRecurse:
         code = main(["fidelity", "--model", "toy2:5", "--mu", "nan",
                      "--out", str(full_run)])
         assert code == 3
+        assert not (full_run / "curves.csv").exists()
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), None])
+    def test_fidelity_non_finite_importance_is_data_error(self, full_run, capsys, score):
+        # json.dumps writes NaN and Infinity, and json.loads reads them back
+        path = full_run / "importance.json"
+        records = json.loads(path.read_text())
+        records[0]["total_sobol"] = score
+        path.write_text(json.dumps(records))
+        code = main(["fidelity", "--model", "toy2:5", "--out", str(full_run)])
+        assert code == 3
+        assert "lacks finite total_sobol scores" in capsys.readouterr().err
         assert not (full_run / "curves.csv").exists()
 
     @pytest.mark.parametrize("argv", [

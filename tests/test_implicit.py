@@ -14,7 +14,7 @@ from craftkit.nnls import AdmmParams, solve_nnls
 
 from oracles import nnls_enumerate, nnls_enumerate_row
 
-TIGHT = AdmmParams(tol_primal=1e-11, tol_dual=1e-11)
+TIGHT = AdmmParams(tol=1e-11)
 
 
 def fd_jacobian(A, W, step=1e-5):

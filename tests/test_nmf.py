@@ -12,7 +12,7 @@ from craftkit.errors import DataError
 from craftkit.nmf import NmfParams, fit_nmf, init_factors, transform
 from craftkit.nnls import AdmmParams, nnls_objective
 
-TIGHT = AdmmParams(tol_primal=1e-10, tol_dual=1e-10)
+TIGHT = AdmmParams(tol=1e-10)
 
 
 class TestInitFactors:
@@ -20,13 +20,6 @@ class TestInitFactors:
         A = np.diag([1.0, 2.0])
         U0, W0 = init_factors(A, 2)
         np.testing.assert_allclose(U0 @ W0.T, A, atol=1e-12)
-
-    def test_random_init_is_deterministic(self):
-        A = np.arange(12, dtype=float).reshape(3, 4)
-        U1, W1 = init_factors(A, 2, init=("random", 42))
-        U2, W2 = init_factors(A, 2, init=("random", 42))
-        np.testing.assert_array_equal(U1, U2)
-        np.testing.assert_array_equal(W1, W2)
 
     def test_zero_matrix_gives_zero_factors(self):
         U0, W0 = init_factors(np.zeros((3, 2)), 2)

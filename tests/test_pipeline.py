@@ -23,7 +23,7 @@ from craftkit.toy import (make_synthetic_dataset, pair_backbone, standard_backbo
 from oracles import bilinear_resize_taps
 
 FIT_PARAMS = NmfParams(rank=2, outer_iters=80, objective_tol=1e-8)
-ATTRIBUTION_ADMM = AdmmParams(tol_primal=1e-11, tol_dual=1e-11)
+ATTRIBUTION_ADMM = AdmmParams(tol=1e-11)
 
 
 @pytest.fixture(scope="module")
@@ -256,8 +256,7 @@ class TestAttributionMaps:
             (t_idx, _, _), = probe.stamps[0]
             absent = 1 - int(concept_of[t_idx])
             acts = model.features(probe.images)
-            sol = solve_nnls(acts, bank.W, AdmmParams(tol_primal=1e-11,
-                                                      tol_dual=1e-11))
+            sol = solve_nnls(acts, bank.W, AdmmParams(tol=1e-11))
             if sol.U[0, absent] < 1e-7 and sol.dual_U[0, absent] > 1e-7:
                 hm = concept_attribution_map(probe.images[0], bank, model, absent)
                 assert not hm.values.any()
@@ -383,8 +382,7 @@ class TestAttributionMaps:
         concept = int(concept_of[probe.stamps[0][0][0]])
 
         acts = model.features(x)
-        sol = solve_nnls(acts, bank.W, AdmmParams(tol_primal=1e-12,
-                                                  tol_dual=1e-12))
+        sol = solve_nnls(acts, bank.W, AdmmParams(tol=1e-12))
         jac = jacobian_u_wrt_a(sol, bank.W)
         cot = np.zeros((1, 2))
         cot[0, concept] = 1.0
@@ -575,6 +573,13 @@ class TestFidelityCurves:
         curve = fidelity_curves(U, W, head, importance=[1.0, 0.5], mu=0.25)
         # deleting everything leaves the baseline reconstruction
         assert curve.ys[-1] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_importance_rejected(self, bad):
+        # argsort would rank a NaN last and draw a curve from it
+        head = lambda acts: acts.sum(axis=1)
+        with pytest.raises(ValueError, match="importance must be finite"):
+            fidelity_curves(np.ones((4, 3)), np.eye(3), head, [bad, 1.0, 0.5])
 
     def test_optimal_ranking_beats_random_usually(self):
         # linear head: the optimal deletion order is by weighted coefficient

@@ -8,14 +8,15 @@ closed-form variance decompositions in oracles.py.
 import numpy as np
 import pytest
 
+from craftkit import sobol
+from craftkit.core import Rng
 from craftkit.errors import DataError, UnsupportedError
 from craftkit.pipeline import fidelity_curves
-from craftkit.sobol import (AffineHead, MaskBatch, ab_design, concept_importance,
-                            mask_designs, perturb, sobol_sequence, tcav_importance,
-                            total_sobol_jansen,
-                            _first_order_saltelli, _jansen_total)
+from craftkit.sobol import (AffineHead, concept_importance, mask_designs, perturb,
+                            sobol_sequence, tcav_importance, total_sobol_jansen,
+                            _jansen_total)
 
-from oracles import ishigami, ishigami_total_indices
+from oracles import first_order_saltelli, ishigami, ishigami_total_indices
 
 
 class TestSobolSequence:
@@ -74,31 +75,42 @@ class TestSobolSequence:
 
 class TestMaskDesigns:
     def test_ab_differs_exactly_in_one_column(self):
-        a, b = mask_designs(4, 64)
-        for i in range(4):
-            ab = ab_design(a, b, i)
-            diff = ab.masks != a.masks
+        # the second batch the estimator evaluates stacks AB_0 .. AB_{r-1}
+        r, n = 4, 64
+        a, b = mask_designs(r, n)
+        batches = []
+
+        def eval_batch(masks):
+            batches.append(masks.copy())
+            return masks @ np.arange(1.0, r + 1)
+
+        _jansen_total(eval_batch, a, b)
+        assert len(batches) == 2
+        np.testing.assert_array_equal(batches[0], np.concatenate([a, b]))
+        blocks = batches[1].reshape(r, n, r)
+        for i in range(r):
+            diff = blocks[i] != a
             assert diff[:, i].any()
+            np.testing.assert_array_equal(blocks[i][:, i], b[:, i])
             other = np.delete(diff, i, axis=1)
             assert not other.any()
 
-    def test_uniform_sequence_is_seeded(self):
-        a1, b1 = mask_designs(3, 32, sequence="uniform", seed=5)
-        a2, b2 = mask_designs(3, 32, sequence="uniform", seed=5)
-        np.testing.assert_array_equal(a1.masks, a2.masks)
-        np.testing.assert_array_equal(b1.masks, b2.masks)
-
     def test_rank_beyond_sobol_table_rejected_up_front(self):
         a, _ = mask_designs(32, 4)
-        assert a.masks.shape == (4, 32)
+        assert a.shape == (4, 32)
         with pytest.raises(ValueError, match="32-concept limit"):
             mask_designs(33, 4)
-        a, _ = mask_designs(33, 4, sequence="uniform", seed=1)
-        assert a.masks.shape == (4, 33)
 
-    def test_masks_validated(self):
-        with pytest.raises(ValueError):
-            MaskBatch(np.array([[1.5]]), "A", "uniform")
+    @pytest.mark.parametrize("r, n, message", [
+        (2, 1, "at least 2 samples"),
+        (0, 8, "at least one concept"),
+    ])
+    def test_sizes_checked_before_any_mask_is_built(self, monkeypatch, r, n, message):
+        calls = []
+        monkeypatch.setattr(sobol, "sobol_sequence", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=message):
+            mask_designs(r, n)
+        assert not calls
 
 
 class TestPerturb:
@@ -152,8 +164,9 @@ class TestJansenEstimator:
         def eval_batch(masks):
             return 2.0 * masks[:, 0] + 0.5 * masks[:, 1] + masks[:, 2]
 
-        est, ys = _jansen_total(eval_batch, 3, n, "sobol_joe_kuo", None)
-        first = _first_order_saltelli(*ys, est.variance_Y)
+        a, b = mask_designs(3, n)
+        est = _jansen_total(eval_batch, a, b)
+        first = first_order_saltelli(eval_batch, a, b)
         np.testing.assert_allclose(est.total_indices, first, atol=2.0 / np.sqrt(n))
 
     def test_total_indices_sum_at_least_one(self):
@@ -192,7 +205,10 @@ class TestJansenEstimator:
         qmc_err = np.abs(total_sobol_jansen(f, 2, 2048).total_indices - truth).max()
         mc_errs = []
         for seed in range(20):
-            est = total_sobol_jansen(f, 2, 2048, sequence="uniform", seed=seed)
+            # pseudo-random A and B blocks, drawn as one n x 2r block
+            block = Rng(seed).generator().uniform(size=(2048, 4))
+            est = _jansen_total(lambda masks: np.array([f(row) for row in masks]),
+                                block[:, :2], block[:, 2:])
             mc_errs.append(np.abs(est.total_indices - truth).max())
         assert qmc_err <= np.mean(mc_errs)
 
@@ -318,7 +334,12 @@ class TestAffineHead:
         U = rng.uniform(size=(37, 3))
         W = rng.uniform(size=(5, 3))
         concept_importance(U, W, Counting(rng.normal(size=5), 0.1), 64)
-        assert sum(rows) == 64 * (3 + 2)
+        # two evaluation calls: f(A) with f(B), then every AB_i block
+        assert rows == [64 * 2, 64 * 3]
+        rows.clear()
+        constant = concept_importance(U, W, Counting(np.zeros(5), 0.1), 64)
+        assert constant.degenerate
+        assert rows == [64 * 2]
 
     def test_outputs_are_the_affine_map(self):
         w = np.array([0.5, -1.0, 2.0])
