@@ -1,10 +1,10 @@
 """Concept extraction from nonnegative activations.
 
-Factorize pooled activations into a nonnegative concept bank by ADMM,
-re-express new inputs by NNLS, differentiate the solution implicitly for
-concept attribution maps, score concepts with total Sobol' indices, refine
-them recursively at earlier layers, and evaluate rankings with
-insertion/deletion fidelity curves.
+Factorize pooled activations into a nonnegative concept bank by
+alternating nonnegative least squares, re-express new inputs by NNLS,
+differentiate the solution implicitly for concept attribution maps, score
+concepts with total Sobol' indices, refine them recursively at earlier
+layers, and evaluate rankings with insertion/deletion fidelity curves.
 """
 
 from .core import Rng, global_average_pool
@@ -13,7 +13,7 @@ from .errors import (CraftError, DataError, DegeneracyError, EmptySetError,
                      UnsupportedError)
 from .implicit import ConceptJacobian, jacobian_u_wrt_a
 from .nmf import FactorizationState, NmfParams, fit_nmf, init_factors, transform
-from .nnls import AdmmParams, NnlsSolution, kkt_residual, nnls_objective, solve_nnls
+from .nnls import NnlsParams, NnlsSolution, kkt_residual, nnls_objective, solve_nnls
 from .npyio import load_npy, save_npy
 from .pipeline import (ConceptBank, CropSpec, FidelityCurve, Heatmap,
                        bilinear_resize, build_concept_bank,

@@ -26,7 +26,7 @@ import numpy as np
 from .core import Rng
 from .errors import CraftError, DataError, NumericalError
 from .nmf import NmfParams, fit_nmf
-from .npyio import load_npy, save_npy
+from .npyio import load_json, load_npy, save_npy
 # concept_attribution_map is unused here but wrapped by perfbench/spans.py
 from .pipeline import (CropSpec, build_concept_bank, concept_attribution_map,
                        concept_attribution_maps, extract_crops, fidelity_curves,
@@ -197,7 +197,11 @@ def cmd_fidelity(args):
         importance_path = out / "importance.json"
         if not importance_path.exists():
             raise DataError("importance.json missing; run the importance command first")
-        records = json.loads(importance_path.read_text())
+        records = load_json(importance_path, list)
+        ids = [rec.get("concept_id") if isinstance(rec, dict) else None for rec in records]
+        if not all(type(i) is int for i in ids) or sorted(ids) != list(range(bank.r)):
+            raise DataError(f"{importance_path} must hold one record per concept "
+                            f"with concept_id 0..{bank.r - 1}, got ids {ids}")
         key = "total_sobol" if args.ranking == "sobol" else "tcav"
         values = [rec.get(key) for rec in sorted(records, key=lambda r: r["concept_id"])]
         # json.loads accepts NaN and Infinity, which rank no better than a gap

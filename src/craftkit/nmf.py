@@ -1,9 +1,11 @@
 """Non-negative matrix factorization A ~ U W^T by alternating NNLS solves.
 
-Both factor updates reuse the ADMM solver (the W step solves the transposed
-problem), each warm-started from the previous outer iteration, which makes
-the objective non-increasing up to solver tolerance. The start is always
-NNDSVD, which is deterministic, so repeated fits are bit-identical.
+Both factor updates reuse the block principal pivoting NNLS solver (the W
+step solves the transposed problem), each warm-started from the support of
+the previous outer iteration, so a solve whose support did not move ends
+after one reduced solve. Each update is exact to rounding, which makes the
+objective non-increasing. The start is always NNDSVD, which is
+deterministic, so repeated fits are bit-identical.
 """
 
 from dataclasses import dataclass, field
@@ -11,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .nnls import AdmmParams, NnlsSolution, kkt_residual, nnls_objective, solve_nnls
+from .nnls import NnlsParams, NnlsSolution, kkt_residual, nnls_objective, solve_nnls
 
 
 @dataclass(frozen=True)
@@ -26,7 +28,7 @@ class NmfParams:
 
     rank: int
     outer_iters: int = 200
-    admm: AdmmParams = field(default_factory=AdmmParams)
+    nnls: NnlsParams = field(default_factory=NnlsParams)
     objective_tol: float = 1e-9
 
     def __post_init__(self):
@@ -102,6 +104,8 @@ def init_factors(A, r):
     n, p = A.shape
     if not 1 <= r <= min(n, p):
         raise ValueError(f"rank {r} outside 1..min(n, p) = {min(n, p)}")
+    if not np.all(np.isfinite(A)):
+        raise DataError("A contains NaN or Inf")
     if A.size and A.min() < 0:
         raise DataError("A must be elementwise nonnegative")
     return _nndsvd(A, r)
@@ -122,27 +126,27 @@ def fit_nmf(A, params):
         objective stalled; the best iterate is still returned.
     """
     A = np.asarray(A, dtype=np.float64)
-    r = params.rank
-    U, W = init_factors(A, r)
-    n, p = A.shape
+    U, W = init_factors(A, params.rank)
+    with np.errstate(over="ignore"):
+        data_scale = 0.5 * float(np.sum(A * A))
+    if not np.isfinite(data_scale):
+        raise DataError("the squared norm of A overflows; rescale A")
 
     trace = [nnls_objective(A, W, U)]
-    zeros_u = np.zeros((n, r))
-    zeros_w = np.zeros((p, r))
-    sol_u = NnlsSolution(U, zeros_u, 0, np.inf, False)
-    sol_w = NnlsSolution(W, zeros_w, 0, np.inf, False)
+    # solve_nnls reads only the support of a warm start
+    sol_u = NnlsSolution(U, np.zeros_like(U), 0, np.inf, False)
+    sol_w = NnlsSolution(W, np.zeros_like(W), 0, np.inf, False)
 
     # two ways to finish early: the decrease stalls relative to the overall
     # objective scale, or the residual itself becomes negligible relative to
     # the data (an essentially exact factorization keeps creeping forever)
     stall = params.objective_tol * max(trace[0], 1e-300)
-    data_scale = 0.5 * float(np.sum(A * A))
     floor = params.objective_tol * data_scale
     converged = False
     for _ in range(params.outer_iters):
-        sol_u = solve_nnls(A, W, params.admm, warm=sol_u)
+        sol_u = solve_nnls(A, W, params.nnls, warm=sol_u)
         U = sol_u.U
-        sol_w = solve_nnls(A.T, U, params.admm, warm=sol_w)
+        sol_w = solve_nnls(A.T, U, params.nnls, warm=sol_w)
         W = sol_w.U
         obj = nnls_objective(A, W, U)
         trace.append(obj)
@@ -164,7 +168,7 @@ def fit_nmf(A, params):
                               kkt_residual=residual, column_norms=norms)
 
 
-def transform(A_new, W, admm=None):
+def transform(A_new, W, nnls=None):
     """Express new rows in a fixed bank: argmin_{u>=0} 0.5*||A_new - u W^T||^2.
 
     Returns the m x r coefficient matrix (row-separable NNLS).
@@ -175,4 +179,4 @@ def transform(A_new, W, admm=None):
         raise ValueError("A_new must be 2-D")
     if A_new.shape[1] != W.shape[0]:
         raise ValueError(f"A_new has {A_new.shape[1]} columns but W has {W.shape[0]} rows")
-    return solve_nnls(A_new, W, admm or AdmmParams()).U
+    return solve_nnls(A_new, W, nnls).U

@@ -1,51 +1,54 @@
-"""Non-negative least squares min_{U>=0} 0.5 * ||A - U W^T||_F^2 by ADMM.
+"""Non-negative least squares min_{U>=0} 0.5 * ||A - U W^T||_F^2 by block
+principal pivoting.
 
-The problem is separable over the rows of A, and every row shares the same
-r x r Gram system, so all rows are iterated together. The splitting keeps a
-smooth iterate, a projected iterate that is exactly nonnegative, and a
-scaled dual whose limit recovers the multipliers of the nonnegativity
-constraints, which downstream implicit differentiation requires. The smooth
-update is one factored r x r solve per system: the regularized Gram matrix
-W^T W + rho*I is fixed for the whole solve, so it is inverted once and every
-iteration is a single matrix product (the factorization caching of Boyd et
-al., "Distributed Optimization and Statistical Learning via ADMM", 2011,
-section 4.2.3). Convergence checks work in Gram form, from W^T W and A W,
-so they never rebuild the n x p residual; the active-set polish solves
-every row's reduced system in one batched call.
+The problem is separable over the rows of A and every row shares the Gram
+matrix G = W^T W, so the solver works in Gram form, from G and A W, and
+never rebuilds the n x p residual. Each row keeps a passive set F: one
+step solves the reduced system G_FF u_F = (A W)_F with u = 0 off F, and
+the gradient y = u G - A W then marks the infeasible coordinates, passive
+ones with u < 0 and clamped ones with y < 0, which swap sides. A row is
+finished when none is left, and its solution is then exact to rounding.
+Every unfinished row is solved in one batched LAPACK call per step. The
+exchange rule is Kim and Park's ("Fast nonnegative matrix factorization:
+an active-set-like method and comparisons", SIAM J. Sci. Comput. 33(6),
+2011): a row swaps all of its infeasible coordinates while their count
+falls, three more times when it does not, and after that only its last
+infeasible index, which bounds cycling. Warm starts reuse the previous
+support U > 0, so an alternating factorization re-pivots only the rows
+whose support moved. The multipliers of U >= 0 are the clipped gradient
+on the clamped set, which downstream implicit differentiation requires.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 
-# fixed over-relaxation factor; any value in (0, 2) converges and ~1.7 is
-# the usual sweet spot, roughly halving the iteration count
-_RELAX = 1.7
-
-# matrix entries per batched polish solve: the n x r x r stack of padded
+# matrix entries per batched reduced solve: the stack of padded r x r
 # systems goes through in row blocks of this many floats (128 KiB)
-_POLISH_FLOATS = 1 << 14
+_SOLVE_FLOATS = 1 << 14
 
-# quadratic penalty coupling the smooth and projected iterates, in units of
-# the mean Gram diagonal (see _effective_rho)
-_RHO = 1.0
+# full exchanges a row may make without reducing its infeasible count
+# before it falls back to single exchanges (Kim and Park's backup rule)
+_BACKUP_TRIES = 3
+
+# ridge added to a numerically singular Gram matrix, relative to its
+# largest eigenvalue, so that every reduced system has a unique solution
+_RIDGE = 1e-12
 
 
 @dataclass(frozen=True)
-class AdmmParams:
-    """Solver knobs: an iteration budget and one stopping tolerance.
+class NnlsParams:
+    """Solver knobs: a pivot budget and one KKT tolerance.
 
-    tol is the infinity-norm threshold of both the primal and the dual
-    residual, relative to iterate scale, and of the worst KKT violation,
-    relative to gradient scale. The penalty is fixed, _RHO times the mean
-    Gram diagonal. The linear algebra needs no knobs: the smooth subproblem
-    is one factored r x r solve per system and the polish one batched solve
-    of every row's reduced system, both exact to rounding.
+    max_iters bounds the pivoting steps of a solve. A solve is converged
+    when its worst KKT violation is at most tol times the gradient scale
+    max |A W|. The pivoting itself needs no tolerance: it stops when every
+    row's support is feasible.
     """
 
-    max_iters: int = 20000
+    max_iters: int = 200
     tol: float = 1e-8
 
     def __post_init__(self):
@@ -55,24 +58,13 @@ class AdmmParams:
             raise ValueError("max_iters must be at least 1")
 
 
-def _effective_rho(W):
-    """Penalty actually applied: _RHO times the mean Gram diagonal.
-
-    Anchoring the penalty to trace(W^T W)/r makes the contraction rate
-    independent of the data scale and of the row count of the coupled
-    factor; it is fixed per solve, never adapted between iterations.
-    """
-    scale = float(np.einsum("ij,ij->", W, W)) / W.shape[1]
-    return _RHO * max(scale, 1e-12)
-
-
 @dataclass(frozen=True)
 class NnlsSolution:
     """Primal/dual output of one NNLS solve.
 
-    U is exactly nonnegative (post-projection); dual_U holds the multipliers
-    of U >= 0. At convergence the two have complementary supports up to the
-    solver tolerance, which kkt_residual reports as a single number.
+    U is exactly nonnegative; dual_U holds the multipliers of U >= 0. At
+    convergence the two have complementary supports up to the solver
+    tolerance, which kkt_residual reports as a single number.
     """
 
     U: np.ndarray
@@ -90,20 +82,23 @@ def solve_nnls(A, W, params=None, warm=None):
     A : ndarray, n x p
         Targets, one problem per row. Must be finite.
     W : ndarray, p x r
-        Fixed dictionary; full column rank is not required because the
-        regularized Gram matrix W^T W + rho*I is always positive definite.
-    params : AdmmParams, optional
+        Fixed dictionary. Full column rank is not required: when W^T W is
+        numerically singular, the pivoting runs on W^T W plus a ridge of
+        1e-12 times its largest eigenvalue, and the KKT residual is still
+        scored against W^T W itself.
+    params : NnlsParams, optional
     warm : NnlsSolution, optional
-        Feasible starting pair (U, dual_U), e.g. the previous outer iterate
-        of an alternating factorization.
+        Starting point whose support U > 0 is the first passive set, e.g.
+        the previous outer iterate of an alternating factorization.
 
     Returns
     -------
     NnlsSolution
-        Non-convergence is reported through the ``converged`` flag on the
-        best iterate, not as an exception.
+        An exhausted pivot budget is reported through the ``converged``
+        flag on the last iterate, not as an exception. A reduced system
+        that LAPACK cannot solve raises NumericalError naming its rows.
     """
-    params = params or AdmmParams()
+    params = params or NnlsParams()
     A = np.asarray(A, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
     if A.ndim != 2 or W.ndim != 2:
@@ -112,110 +107,113 @@ def solve_nnls(A, W, params=None, warm=None):
         raise ValueError(f"A has {A.shape[1]} columns but W has {W.shape[0]} rows")
     if not np.all(np.isfinite(A)):
         raise DataError("A contains NaN or Inf")
+    if not np.all(np.isfinite(W)):
+        raise DataError("W contains NaN or Inf")
     n, _ = A.shape
     r = W.shape[1]
     if r < 1:
         raise ValueError("W must have at least one column")
-
-    rho = _effective_rho(W)
-    G = W.T @ W
-    # eigenvalues of S lie in [rho, rho + trace(G)], so at _RHO = 1 its
-    # condition number is at most r + 1 and the explicit inverse is accurate
-    S_inv = np.linalg.inv(G + rho * np.eye(r))
-    AW = A @ W
-
-    if warm is not None:
-        if warm.U.shape != (n, r) or warm.dual_U.shape != (n, r):
-            raise ValueError("warm start shape mismatch")
-        U = np.maximum(warm.U, 0.0)
-        V = -warm.dual_U / rho
-    else:
-        U = np.zeros((n, r))
-        V = np.zeros((n, r))
+    if warm is not None and warm.U.shape != (n, r):
+        raise ValueError("warm start shape mismatch")
     if n == 0:
-        return NnlsSolution(U=U, dual_U=np.zeros((0, r)), iterations=0,
+        return NnlsSolution(U=np.zeros((0, r)), dual_U=np.zeros((0, r)), iterations=0,
                             kkt_residual=0.0, converged=True)
 
-    # solutions count as converged once the worst KKT violation falls below
-    # the stopping tolerance at gradient scale; no unit floor here, or
-    # tiny-scale problems would accept arbitrary iterates
-    kkt_target = params.tol * max(np.abs(AW).max(), 1e-300)
-    check_every = 25
-    best = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = W.T @ W
+        AW = A @ W
+    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(AW))):
+        raise DataError("W^T W or A W overflows; rescale A and W")
+    G_pivot = _pivot_gram(G)
 
-    converged = False
+    passive = warm.U > 0.0 if warm is not None else np.zeros((n, r), dtype=bool)
+    U = np.zeros((n, r))
+    support = passive.copy()
+    todo = np.arange(n)
+    fewest = np.full(n, r + 1)
+    tries = np.full(n, _BACKUP_TRIES)
     iterations = 0
-    for iterations in range(1, params.max_iters + 1):
-        U_smooth = (AW + rho * (U - V)) @ S_inv
-        U_mix = _RELAX * U_smooth + (1.0 - _RELAX) * U
-        U_next = np.maximum(U_mix + V, 0.0)
-        r_primal = np.abs(U_smooth - U_next).max()
-        r_dual = rho * np.abs(U_next - U).max()
-        V += U_mix - U_next
-        U = U_next
-        # standard ADMM stopping: the tolerance relative to iterate scale,
-        # floored at its absolute value for unit-scale problems
-        scale_primal = max(1.0, np.abs(U_smooth).max(), np.abs(U).max())
-        scale_dual = max(1.0, rho * np.abs(V).max())
-        admm_converged = (r_primal <= params.tol * scale_primal
-                          and r_dual <= params.tol * scale_dual)
-        if admm_converged or iterations % check_every == 0:
-            # ADMM pins the active set long before its iterates are sharp;
-            # an exact solve on that support usually finishes the job early
-            candidate = min(_admm_candidate(AW, G, U, V, rho),
-                            _polish_active_set(AW, G, U), key=lambda c: c[2])
-            if best is None or candidate[2] < best[2]:
-                best = candidate
-            if admm_converged or best[2] <= kkt_target:
-                converged = True
-                break
+    while todo.size and iterations < params.max_iters:
+        iterations += 1
+        free = passive[todo]
+        x = _reduced_solve(AW[todo], G_pivot, free, todo)
+        y = x @ G_pivot - AW[todo]
+        U[todo], support[todo] = x, free
+        infeasible = np.where(free, x < 0.0, y < 0.0)
+        count = infeasible.sum(axis=1)
+        improved = count < fewest
+        full = improved | (tries > 0)
+        fewest = np.minimum(fewest, count)
+        tries = np.where(improved, _BACKUP_TRIES, np.maximum(tries - 1, 0))
+        single = np.flatnonzero(~full)
+        last = r - 1 - np.argmax(infeasible[single, ::-1], axis=1)
+        infeasible[single] = False
+        infeasible[single, last] = True
+        passive[todo] = free ^ infeasible
+        keep = count > 0
+        todo, fewest, tries = todo[keep], fewest[keep], tries[keep]
 
-    if best is None:
-        best = min(_admm_candidate(AW, G, U, V, rho),
-                   _polish_active_set(AW, G, U), key=lambda c: c[2])
-    U, dual_U, residual = best
+    U = np.maximum(U, 0.0)
+    grad = U @ G - AW
+    dual_U = np.where(support, 0.0, np.maximum(grad, 0.0))
+    residual = _kkt_max(grad - dual_U, U, dual_U)
+    # no unit floor on the gradient scale, or tiny-scale problems would
+    # accept arbitrary iterates
+    converged = residual <= params.tol * max(np.abs(AW).max(), 1e-300)
     return NnlsSolution(U=U, dual_U=dual_U, iterations=iterations,
-                        kkt_residual=residual, converged=converged)
+                        kkt_residual=residual, converged=bool(converged))
 
 
-def _admm_candidate(AW, G, U, V, rho):
-    """The projected ADMM iterate with the multipliers its scaled dual implies."""
-    dual = np.maximum(-rho * V, 0.0)
-    return U, dual, _kkt_max(U @ G - AW - dual, U, dual)
+def _pivot_gram(G):
+    """G itself, or G plus a small ridge when G is numerically singular.
 
-
-def _polish_active_set(AW, G, U):
-    """Re-solve the reduced least squares on the support ADMM identified.
-
-    ADMM pins the active set long before its iterates are accurate, so one
-    exact solve of each row's reduced Gram system G_FF u_F = (A W)_F reaches
-    machine precision cheaply. All rows are solved by one batched LAPACK
-    call over r x r systems: the free block of a row's system is G_FF, and
-    each clamped coordinate gets an identity row and column with a zero
-    right-hand side. Rows go through in blocks of _POLISH_FLOATS matrix
-    entries (at least one row), so the stack of systems stays small. The
-    caller keeps the polish only when its KKT residual actually improves,
-    so a misidentified support is harmless; a singular block (a bank with
-    dependent columns) yields an infinite residual for the same reason.
+    G counts as singular when its smallest eigenvalue is at most r * eps
+    times its largest, which covers p < r and zero or duplicate columns of
+    W. Without the ridge, block principal pivoting can cycle there, since
+    the reduced solution on a dependent support is not unique.
     """
-    n, r = U.shape
-    inactive = U > 0.0
-    U_pol = np.zeros_like(U)
+    eigvals = np.linalg.eigvalsh(G)
+    r = G.shape[0]
+    if eigvals[0] > r * np.finfo(np.float64).eps * eigvals[-1]:
+        return G
+    ridge = _RIDGE * eigvals[-1] if eigvals[-1] > 0 else 1.0
+    return G + ridge * np.eye(r)
+
+
+def _reduced_solve(AW, G, free, rows):
+    """Solve every row's reduced Gram system G_FF u_F = (A W)_F, u = 0 off F.
+
+    All rows are solved by one batched LAPACK call over r x r systems: the
+    free block of a row's system is G_FF, and each clamped coordinate gets
+    an identity row and column with a zero right-hand side. Rows go through
+    in blocks of _SOLVE_FLOATS matrix entries (at least one row), so the
+    stack of systems stays small. A singular system or a non-finite
+    solution raises NumericalError naming the rows, by their indices in
+    ``rows``.
+    """
+    n, r = free.shape
+    x = np.zeros((n, r))
     diag = np.arange(r)
-    step = max(1, _POLISH_FLOATS // (r * r))
+    step = max(1, _SOLVE_FLOATS // (r * r))
     for start in range(0, n, step):
-        free = inactive[start:start + step]
-        systems = np.where(free[:, :, None] & free[:, None, :], G, 0.0)
-        systems[:, diag, diag] = np.where(free, np.diag(G), 1.0)
-        rhs = np.where(free, AW[start:start + step], 0.0)
+        block = free[start:start + step]
+        systems = np.where(block[:, :, None] & block[:, None, :], G, 0.0)
+        systems[:, diag, diag] = np.where(block, np.diag(G), 1.0)
+        rhs = np.where(block, AW[start:start + step], 0.0)
         try:
-            sol = np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
+            x[start:start + step] = np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            return U_pol, np.zeros_like(U), np.inf
-        U_pol[start:start + step] = np.maximum(sol, 0.0)
-    grad = U_pol @ G - AW
-    dual_pol = np.where(inactive, 0.0, np.maximum(grad, 0.0))
-    return U_pol, dual_pol, _kkt_max(grad - dual_pol, U_pol, dual_pol)
+            # LAPACK only reports that some system is singular: name the
+            # rank-deficient ones, or the whole block if none looks it
+            singular = np.linalg.matrix_rank(systems) < r
+            x[start + np.flatnonzero(singular | ~singular.any())] = np.nan
+    failed = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if failed.size:
+        raise NumericalError(
+            f"reduced Gram systems at rows {rows[failed][:8].tolist()} have no "
+            f"finite solution: the bank's columns on their supports are linearly "
+            f"dependent, or the data overflow")
+    return x
 
 
 def _kkt_max(stationarity, U, dual_U):
@@ -223,7 +221,7 @@ def _kkt_max(stationarity, U, dual_U):
 
     Inside a solve G = W^T W and A W are at hand, so the block is formed as
     U G - A W - dual_U, an n x r x r product, instead of rebuilding the
-    n x p residual U W^T - A at every convergence check.
+    n x p residual U W^T - A.
     """
     primal = max(0.0, -U.min(initial=0.0))
     dual = max(0.0, -dual_U.min(initial=0.0))

@@ -6,9 +6,13 @@ widened to float64 in memory. Anything else is rejected loudly instead of
 being coerced: wrong magic or a truncated file is a FormatError, a declared
 feature outside this subset (version, dtype, Fortran order, rank) is an
 UnsupportedError, and non-finite or empty payloads are a DataError.
+load_json reads the JSON sidecars written next to them; a sidecar that
+does not parse, or whose top level has the wrong type, is a DataError
+naming the file.
 """
 
 import ast
+import json
 import struct
 
 import numpy as np
@@ -69,6 +73,20 @@ def load_npy(path):
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     return arr
+
+
+def load_json(path, kind):
+    """Parse a JSON sidecar whose top level must be a ``kind`` (dict or list)."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        value = json.loads(raw)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(value, kind):
+        raise DataError(f"{path}: top level is {type(value).__name__}, "
+                        f"expected {kind.__name__}")
+    return value
 
 
 def save_npy(arr, path):

@@ -19,11 +19,11 @@ from .core import Rng, as_tensor4
 from .errors import DataError, EmptySetError, InsufficientDataError
 from .implicit import jacobian_u_wrt_a
 from .nmf import NmfParams, fit_nmf
-from .nnls import AdmmParams, solve_nnls
-from .npyio import load_npy, save_npy
+from .nnls import NnlsParams, solve_nnls
+from .npyio import load_json, load_npy, save_npy
 from .sobol import _evaluate, _mean_head_outputs
 
-_ATTRIBUTION_ADMM = AdmmParams(tol=1e-11)
+_ATTRIBUTION_NNLS = NnlsParams(tol=1e-11)
 
 
 @dataclass(frozen=True)
@@ -268,13 +268,13 @@ def recursive_decompose(bank, U, concept_index, crops, earlier_features, r_sub,
     return sub_bank, state.U, selected
 
 
-def _gradient_heatmaps(x, bank, model, concepts, admm):
+def _gradient_heatmaps(x, bank, model, concepts, nnls):
     """Mean over the images of x of |d u_c / d pixel|, channel-summed, per
     concept c: one features call, one NNLS solve (rows are separable), one
     Jacobian, and one vjp_features call on the stack repeated per concept.
     """
     acts = model.features(x, layer=bank.layer_tag)
-    jac = jacobian_u_wrt_a(solve_nnls(acts, bank.W, admm), bank.W)
+    jac = jacobian_u_wrt_a(solve_nnls(acts, bank.W, nnls), bank.W)
     d_acts = [jac.vjp(np.tile(one_hot, (len(x), 1)))
               for one_hot in np.eye(bank.r)[concepts]]
     dx = model.vjp_features(np.concatenate([x] * len(concepts)),
@@ -283,7 +283,7 @@ def _gradient_heatmaps(x, bank, model, concepts, admm):
 
 
 def concept_attribution_maps(x, bank, model, concepts, method="gradient",
-                             admm=None, seed=0, n_noise=16, noise_scale=0.1):
+                             nnls=None, seed=0, n_noise=16, noise_scale=0.1):
     """Locate each of the given concepts in one image, in one pass.
 
     gradient: implicit differentiation of the coefficient chained with the
@@ -305,32 +305,32 @@ def concept_attribution_maps(x, bank, model, concepts, method="gradient",
     for c in concepts:
         if not 0 <= c < bank.r:
             raise ValueError(f"concept index {c} out of range")
-    admm = admm or _ATTRIBUTION_ADMM
+    nnls = nnls or _ATTRIBUTION_NNLS
 
     if method == "gradient":
-        values = _gradient_heatmaps(x, bank, model, concepts, admm)
+        values = _gradient_heatmaps(x, bank, model, concepts, nnls)
     elif method == "smoothgrad":
         if n_noise < 1:
             raise ValueError(f"n_noise must be at least 1, got {n_noise}")
         sigma = noise_scale * float(x.max() - x.min())
         gen = Rng(seed, stream=17).generator()
         jittered = x + sigma * gen.normal(size=(n_noise,) + x.shape[1:])
-        values = _gradient_heatmaps(jittered, bank, model, concepts, admm)
+        values = _gradient_heatmaps(jittered, bank, model, concepts, nnls)
     elif method == "occlusion":
-        values = _occlusion_heatmaps(x, bank, model, concepts, admm)
+        values = _occlusion_heatmaps(x, bank, model, concepts, nnls)
     else:
         raise ValueError(f"unknown method {method!r}")
     return [Heatmap(v, c, method) for c, v in zip(concepts, values)]
 
 
 def concept_attribution_map(x, bank, model, concept_index, method="gradient",
-                            admm=None, seed=0, n_noise=16, noise_scale=0.1):
+                            nnls=None, seed=0, n_noise=16, noise_scale=0.1):
     """Locate one concept in one image (concept_attribution_maps of one)."""
-    return concept_attribution_maps(x, bank, model, [concept_index], method, admm,
+    return concept_attribution_maps(x, bank, model, [concept_index], method, nnls,
                                     seed, n_noise, noise_scale)[0]
 
 
-def _occlusion_heatmaps(x, bank, model, concepts, admm):
+def _occlusion_heatmaps(x, bank, model, concepts, nnls):
     h, w = x.shape[1:3]
     patch = max(1, round(min(h, w) / 8))
     stride = max(1, patch // 2)
@@ -339,7 +339,7 @@ def _occlusion_heatmaps(x, bank, model, concepts, admm):
     stack = np.repeat(x, len(ys) * len(xs) + 1, axis=0)
     for k, (y0, x0) in enumerate(itertools.product(ys, xs), start=1):
         stack[k, y0:y0 + patch, x0:x0 + patch, :] = 0.0
-    u = solve_nnls(model.features(stack, layer=bank.layer_tag), bank.W, admm).U
+    u = solve_nnls(model.features(stack, layer=bank.layer_tag), bank.W, nnls).U
     drop = (u[0] - u[1:])[:, concepts].T.reshape(len(concepts), len(ys), len(xs))
     heat = np.zeros((len(concepts), h, w))
     count = np.zeros((h, w))
@@ -418,7 +418,7 @@ def load_bank(directory):
     """
     directory = Path(directory)
     path = directory / "meta.json"
-    meta = json.loads(path.read_text())
+    meta = load_json(path, dict)
     for key in ("rank", "layer_tag", "objective", "column_norms"):
         if key not in meta:
             raise DataError(f"{path} lacks the key {key!r}")

@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import Rng, as_tensor4
 from .errors import DataError
-from .npyio import load_npy, save_npy
+from .npyio import load_json, load_npy, save_npy
 from .sobol import AffineHead
 
 # 2x2 Haar-style stencils in the central 3x3 of a 5x5 frame: vertical edge,
@@ -385,7 +385,7 @@ def load_backbone(directory):
     """
     directory = Path(directory)
     path = directory / "manifest.json"
-    manifest = json.loads(path.read_text())
+    manifest = load_json(path, dict)
     for key in ("input_shape", "head_bias", "has_mixing"):
         if key not in manifest:
             raise DataError(f"{path} lacks the key {key!r}")

@@ -18,7 +18,7 @@ from craftkit.core import Rng
 from craftkit.errors import DegeneracyError
 from craftkit.implicit import jacobian_u_wrt_a
 from craftkit.nmf import NmfParams, fit_nmf
-from craftkit.nnls import AdmmParams, nnls_objective, solve_nnls
+from craftkit.nnls import NnlsParams, nnls_objective, solve_nnls
 from craftkit.pipeline import (build_concept_bank, concept_attribution_map,
                                concept_percentile_threshold, fidelity_curves,
                                recursive_decompose)
@@ -28,7 +28,7 @@ from craftkit.toy import make_synthetic_dataset, pair_backbone, two_layer_backbo
 from oracles import (ishigami, ishigami_total_indices, nnls_enumerate,
                      nnls_enumerate_row)
 
-TIGHT = AdmmParams(tol=1e-10)
+TIGHT = NnlsParams(tol=1e-10)
 FIT = NmfParams(rank=2, outer_iters=150, objective_tol=1e-6)
 # ranking checks only need the argmax of the importance estimate, so the
 # repeated per-seed fits run at a looser (still deterministic) tolerance
@@ -59,7 +59,7 @@ def pair_fit(seed, n_images=200, params=None):
 
 
 def test_criterion_1_nnls_oracle_equivalence():
-    with criterion(1, "ADMM NNLS matches exhaustive active-set enumeration", 10):
+    with criterion(1, "NNLS matches exhaustive active-set enumeration", 10):
         rng = np.random.default_rng(1001)
         for _ in range(200):
             n = int(rng.integers(1, 4))
@@ -79,12 +79,12 @@ def test_criterion_2_nmf_fixtures():
         U_true = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         W_true = np.array([[1.0, 0.0], [0.0, 2.0]])
         state = fit_nmf(U_true @ W_true.T,
-                        NmfParams(rank=2, admm=TIGHT, objective_tol=1e-9))
+                        NmfParams(rank=2, nnls=TIGHT, objective_tol=1e-9))
         assert state.objective_trace[-1] < 1e-6
 
         # rank-1 optimum forced by the nonnegative leading singular pair
         state = fit_nmf(np.array([[1.0, 1.0], [1.0, 0.0]]),
-                        NmfParams(rank=1, admm=TIGHT, objective_tol=1e-12))
+                        NmfParams(rank=1, nnls=TIGHT, objective_tol=1e-12))
         target = 0.5 * ((np.sqrt(5.0) - 1.0) / 2.0) ** 2
         assert abs(state.objective_trace[-1] - target) < 1e-3
 

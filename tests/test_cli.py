@@ -136,6 +136,18 @@ class TestFit:
         assert "manifest.json" in err and repr(key) in err
         assert run_dir_files(out) == []
 
+    def test_saved_model_unparseable_manifest_is_data_error(self, tmp_path, capsys):
+        from craftkit.toy import save_backbone, two_layer_backbone
+        model_dir = tmp_path / "model"
+        save_backbone(two_layer_backbone(), model_dir)
+        (model_dir / "manifest.json").write_text('{"head_bias": 0.5,')
+        out = tmp_path / "run"
+        code = main(["fit", "--model", str(model_dir), "--rank", "2",
+                     "--n-images", "40", "--out", str(out)])
+        assert code == 3
+        assert "manifest.json: not valid JSON" in capsys.readouterr().err
+        assert run_dir_files(out) == []
+
     def test_external_images_match_generated_dataset(self, tmp_path):
         from craftkit.toy import make_synthetic_dataset, standard_backbone
         model = standard_backbone()
@@ -220,6 +232,20 @@ class TestImportance:
         meta = json.loads(path.read_text())
         edit(meta)
         path.write_text(json.dumps(meta))
+        code = main(["importance", "--model", "toy:3", "--n-samples", "64",
+                     "--out", str(fitted_run)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "meta.json" in err and message in err
+        assert not (fitted_run / "importance.json").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("{\"rank\": 2,", "not valid JSON"),
+        ("[2]", "top level is list, expected dict"),
+    ], ids=["truncated", "not_an_object"])
+    def test_unparseable_bank_sidecar_is_data_error(self, fitted_run, capsys,
+                                                    text, message):
+        (fitted_run / "bank" / "meta.json").write_text(text)
         code = main(["importance", "--model", "toy:3", "--n-samples", "64",
                      "--out", str(fitted_run)])
         assert code == 3
@@ -328,6 +354,33 @@ class TestExplainFidelityRecurse:
         code = main(["fidelity", "--model", "toy2:5", "--out", str(full_run)])
         assert code == 3
         assert "lacks finite total_sobol scores" in capsys.readouterr().err
+        assert not (full_run / "curves.csv").exists()
+
+    def test_fidelity_unparseable_importance_is_data_error(self, full_run, capsys):
+        (full_run / "importance.json").write_text("[{\"concept_id\": 0")
+        code = main(["fidelity", "--model", "toy2:5", "--out", str(full_run)])
+        assert code == 3
+        assert "importance.json: not valid JSON" in capsys.readouterr().err
+        assert not (full_run / "curves.csv").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda records: records[0].pop("concept_id"),
+        lambda records: records[1].update(concept_id=0),
+        lambda records: records[1].update(concept_id=2),
+        lambda records: records[1].update(concept_id=1.0),
+        lambda records: records[1].update(concept_id=True),
+        lambda records: records.pop(),
+        lambda records: records.append(dict(records[0], concept_id=2)),
+    ], ids=["missing", "duplicate", "out_of_range", "float", "bool", "too_few",
+            "too_many"])
+    def test_fidelity_bad_concept_ids_are_data_error(self, full_run, capsys, edit):
+        path = full_run / "importance.json"
+        records = json.loads(path.read_text())
+        edit(records)
+        path.write_text(json.dumps(records))
+        code = main(["fidelity", "--model", "toy2:5", "--out", str(full_run)])
+        assert code == 3
+        assert "concept_id 0..1" in capsys.readouterr().err
         assert not (full_run / "curves.csv").exists()
 
     @pytest.mark.parametrize("argv", [

@@ -2,7 +2,7 @@
 
 The finite-difference oracle re-solves each perturbed problem with the
 exact enumeration solver from oracles.py, so it shares nothing with either
-the ADMM path or the implicit linear algebra it checks.
+the NNLS solver or the implicit linear algebra it checks.
 """
 
 import numpy as np
@@ -10,11 +10,11 @@ import pytest
 
 from craftkit.errors import DegeneracyError, NumericalError
 from craftkit.implicit import ConceptJacobian, jacobian_u_wrt_a
-from craftkit.nnls import AdmmParams, solve_nnls
+from craftkit.nnls import NnlsParams, solve_nnls
 
 from oracles import nnls_enumerate, nnls_enumerate_row
 
-TIGHT = AdmmParams(tol=1e-11)
+TIGHT = NnlsParams(tol=1e-11)
 
 
 def fd_jacobian(A, W, step=1e-5):

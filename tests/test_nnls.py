@@ -1,15 +1,18 @@
-"""ADMM NNLS against hand-derived cases and the enumeration oracle."""
+"""Block principal pivoting NNLS against hand-derived cases and the
+enumeration oracle."""
+
+import json
 
 import numpy as np
 import pytest
 
-from craftkit.errors import DataError
-from craftkit.nnls import (AdmmParams, NnlsSolution, kkt_residual, nnls_objective,
-                           solve_nnls, _polish_active_set)
+from craftkit.errors import DataError, NumericalError
+from craftkit.nnls import (NnlsParams, NnlsSolution, kkt_residual, nnls_objective,
+                           solve_nnls, _reduced_solve)
 
 from oracles import nnls_dual, nnls_enumerate
 
-TIGHT = AdmmParams(tol=1e-10)
+TIGHT = NnlsParams(tol=1e-10)
 
 
 class TestHandCases:
@@ -84,42 +87,41 @@ class TestAgainstEnumeration:
             np.testing.assert_allclose(sol.dual_U, nnls_dual(A, W, sol.U), atol=1e-7)
 
 
-class TestPolish:
-    def test_batched_polish_matches_per_group_solves(self):
+class TestReducedSolve:
+    def test_batched_solve_matches_per_group_solves(self):
         # 300 rows with random supports cover most of the 2^6 patterns; the
         # reference solves each support group's reduced Gram system apart
         rng = np.random.default_rng(29)
         n, p, r = 300, 20, 6
         W = rng.uniform(size=(p, r))
         A = rng.uniform(size=(n, p)) * rng.uniform(0.1, 10.0, size=(n, 1))
-        U = rng.uniform(size=(n, r)) * (rng.uniform(size=(n, r)) < 0.6)
+        free_sets = rng.uniform(size=(n, r)) < 0.6
         G, AW = W.T @ W, A @ W
-        free_sets = U > 0.0
         assert len({row.tobytes() for row in free_sets}) > 40
         U_ref = np.zeros((n, r))
         for key in {row.tobytes() for row in free_sets}:
             rows = np.flatnonzero([row.tobytes() == key for row in free_sets])
             free = np.flatnonzero(free_sets[rows[0]])
             if free.size:
-                sol = np.linalg.solve(G[np.ix_(free, free)], AW[np.ix_(rows, free)].T).T
-                U_ref[np.ix_(rows, free)] = np.maximum(sol, 0.0)
-        U_pol, dual_pol, residual = _polish_active_set(AW, G, U)
+                U_ref[np.ix_(rows, free)] = np.linalg.solve(
+                    G[np.ix_(free, free)], AW[np.ix_(rows, free)].T).T
+        U_red = _reduced_solve(AW, G, free_sets, np.arange(n))
         # backward-stable solves: error within a small multiple of
         # cond(G) * eps * |u| per row (cond(G_FF) <= cond(G) by interlacing)
         tol = 100 * np.linalg.cond(G) * np.finfo(np.float64).eps
         row_scale = np.abs(U_ref).max(axis=1, keepdims=True)
-        assert np.all(np.abs(U_pol - U_ref) <= tol * row_scale)
-        dual_ref = np.where(free_sets, 0.0, np.maximum((U_ref @ W.T - A) @ W, 0.0))
-        np.testing.assert_allclose(dual_pol, dual_ref, rtol=0,
-                                   atol=tol * np.abs(AW).max())
-        assert residual == pytest.approx(kkt_residual(A, W, U_pol, dual_pol), rel=0,
-                                         abs=1e-12 * np.abs(AW).max())
+        assert np.all(np.abs(U_red - U_ref) <= tol * row_scale)
+        # clamped coordinates are exactly zero, not merely small
+        assert not U_red[~free_sets].any()
 
-    def test_singular_block_gives_infinite_residual(self):
+    def test_singular_block_raises_naming_rows(self):
+        # a singular G never reaches the step inside solve_nnls (it pivots
+        # on a ridged copy), so a failed reduced solve is a hard error
         W = np.array([[1.0, 1.0], [1.0, 1.0]])
-        A = np.array([[1.0, 1.0], [2.0, 0.5]])
-        _, _, residual = _polish_active_set(A @ W, W.T @ W, np.ones((2, 2)))
-        assert residual == np.inf
+        A = np.array([[1.0, 1.0], [2.0, 0.5], [0.0, 3.0]])
+        free = np.array([[True, True], [True, False], [True, True]])
+        with pytest.raises(NumericalError, match=r"rows \[4, 6\]"):
+            _reduced_solve(A @ W, W.T @ W, free, np.array([4, 5, 6]))
 
 
 class TestProperties:
@@ -175,23 +177,27 @@ class TestProperties:
 
     def test_rank_deficient_dictionary(self):
         A = np.array([[1.0, 1.0]])
-        # identical columns make the polish's reduced Gram block singular, so
-        # the ADMM iterate must be kept; a zero column must be just as harmless
+        # identical columns make W^T W singular, so the pivoting runs on a
+        # ridged copy; a zero column must be just as harmless
         for W in (np.array([[1.0, 1.0], [1.0, 1.0]]),
                   np.array([[1.0, 0.0], [1.0, 0.0]])):
             sol = solve_nnls(A, W, TIGHT)
             # reconstruction is what matters; the split between columns is not unique
             np.testing.assert_allclose(sol.U @ W.T, A, atol=1e-7)
-            assert sol.kkt_residual < 1e-8
+            assert sol.kkt_residual < 1e-8 and sol.converged
 
-    def test_warm_start_converges_fast(self):
+    def test_warm_start_from_solution_takes_one_step(self):
         rng = np.random.default_rng(9)
         A = rng.uniform(size=(6, 4))
         W = rng.uniform(size=(4, 3))
         cold = solve_nnls(A, W, TIGHT)
+        assert cold.iterations > 1
+        # the converged support is feasible at once: one reduced solve on
+        # the same support reproduces the solution bit for bit
         warm = solve_nnls(A, W, TIGHT, warm=cold)
-        assert warm.iterations <= cold.iterations / 5
-        np.testing.assert_allclose(warm.U, cold.U, atol=1e-8)
+        assert warm.iterations == 1 and warm.converged
+        np.testing.assert_array_equal(warm.U, cold.U)
+        np.testing.assert_array_equal(warm.dual_U, cold.dual_U)
 
     def test_objective_nonincreasing_along_iterations(self):
         # objective at growing iteration caps, cold-started each time so the
@@ -202,17 +208,28 @@ class TestProperties:
             W = rng.normal(size=(4, 2))
             objs = []
             for cap in (1, 2, 4, 8, 16, 32, 64, 128):
-                sol = solve_nnls(A, W, AdmmParams(max_iters=cap, tol=1e-14))
+                sol = solve_nnls(A, W, NnlsParams(max_iters=cap, tol=1e-14))
                 objs.append(nnls_objective(A, W, sol.U))
             diffs = np.diff(objs)
-            assert np.all(diffs <= AdmmParams().tol + 1e-12)
+            assert np.all(diffs <= NnlsParams().tol + 1e-12)
 
     def test_nonconvergence_is_flagged_not_raised(self):
-        params = AdmmParams(max_iters=2, tol=1e-14)
+        params = NnlsParams(max_iters=2, tol=1e-14)
         rng = np.random.default_rng(1)
         sol = solve_nnls(rng.uniform(size=(3, 3)), rng.uniform(size=(3, 2)), params)
         assert isinstance(sol, NnlsSolution)
         assert not sol.converged
+
+    def test_flags_are_plain_python_scalars(self):
+        # traces and sidecars serialize these with json, which rejects NumPy
+        # scalars such as np.bool_
+        rng = np.random.default_rng(2)
+        for params in (TIGHT, NnlsParams(max_iters=1)):
+            sol = solve_nnls(rng.uniform(size=(4, 3)), rng.uniform(size=(3, 2)), params)
+            assert type(sol.converged) is bool and type(sol.iterations) is int
+            assert type(sol.kkt_residual) is float
+            json.dumps({"converged": sol.converged, "iterations": sol.iterations,
+                        "kkt": sol.kkt_residual})
 
 
 class TestValidation:
@@ -231,4 +248,4 @@ class TestValidation:
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
-            AdmmParams(tol=-1.0)
+            NnlsParams(tol=-1.0)

@@ -10,7 +10,7 @@ from craftkit.core import Rng
 from craftkit.errors import DegeneracyError, EmptySetError, InsufficientDataError
 from craftkit.implicit import jacobian_u_wrt_a
 from craftkit.nmf import NmfParams
-from craftkit.nnls import AdmmParams, solve_nnls
+from craftkit.nnls import NnlsParams, solve_nnls
 from craftkit.pipeline import (ConceptBank, CropSpec, bilinear_resize,
                                build_concept_bank,
                                concept_attribution_map, concept_attribution_maps,
@@ -23,7 +23,7 @@ from craftkit.toy import (make_synthetic_dataset, pair_backbone, standard_backbo
 from oracles import bilinear_resize_taps
 
 FIT_PARAMS = NmfParams(rank=2, outer_iters=80, objective_tol=1e-8)
-ATTRIBUTION_ADMM = AdmmParams(tol=1e-11)
+ATTRIBUTION_NNLS = NnlsParams(tol=1e-11)
 
 
 @pytest.fixture(scope="module")
@@ -256,7 +256,7 @@ class TestAttributionMaps:
             (t_idx, _, _), = probe.stamps[0]
             absent = 1 - int(concept_of[t_idx])
             acts = model.features(probe.images)
-            sol = solve_nnls(acts, bank.W, AdmmParams(tol=1e-11))
+            sol = solve_nnls(acts, bank.W, NnlsParams(tol=1e-11))
             if sol.U[0, absent] < 1e-7 and sol.dual_U[0, absent] > 1e-7:
                 hm = concept_attribution_map(probe.images[0], bank, model, absent)
                 assert not hm.values.any()
@@ -313,7 +313,7 @@ class TestAttributionMaps:
 
         def coefficient(image):
             return solve_nnls(model.features(image), bank.W,
-                              ATTRIBUTION_ADMM).U[0, concept]
+                              ATTRIBUTION_NNLS).U[0, concept]
 
         u0 = coefficient(x)
         heat = np.zeros((h, w))
@@ -327,7 +327,7 @@ class TestAttributionMaps:
         expected = heat / np.maximum(count, 1.0)
 
         hm = concept_attribution_map(x[0], bank, model, concept, method="occlusion",
-                                     admm=ATTRIBUTION_ADMM)
+                                     nnls=ATTRIBUTION_NNLS)
         np.testing.assert_allclose(hm.values, expected, rtol=1e-12)
 
     def test_smoothgrad_matches_per_jitter_gradients(self, fitted_pair):
@@ -345,7 +345,7 @@ class TestAttributionMaps:
         for _ in range(n_noise):
             jittered = x + sigma * gen.normal(size=x.shape)
             acts = model.features(jittered)
-            sol = solve_nnls(acts, bank.W, ATTRIBUTION_ADMM)
+            sol = solve_nnls(acts, bank.W, ATTRIBUTION_NNLS)
             cot = np.zeros((1, bank.r))
             cot[0, concept] = 1.0
             d_act = jacobian_u_wrt_a(sol, bank.W).vjp(cot)
@@ -353,7 +353,7 @@ class TestAttributionMaps:
         expected = acc / n_noise
 
         hm = concept_attribution_map(x[0], bank, model, concept, method="smoothgrad",
-                                     admm=ATTRIBUTION_ADMM, seed=seed,
+                                     nnls=ATTRIBUTION_NNLS, seed=seed,
                                      n_noise=n_noise, noise_scale=noise_scale)
         np.testing.assert_allclose(hm.values, expected, rtol=1e-12)
 
@@ -382,7 +382,7 @@ class TestAttributionMaps:
         concept = int(concept_of[probe.stamps[0][0][0]])
 
         acts = model.features(x)
-        sol = solve_nnls(acts, bank.W, AdmmParams(tol=1e-12))
+        sol = solve_nnls(acts, bank.W, NnlsParams(tol=1e-12))
         jac = jacobian_u_wrt_a(sol, bank.W)
         cot = np.zeros((1, 2))
         cot[0, concept] = 1.0
@@ -482,7 +482,7 @@ class TestAttributionMapsOnePass:
         patch, stride = 4, 2
 
         def coefficients(image):
-            return solve_nnls(model.features(image), bank.W, ATTRIBUTION_ADMM).U[0]
+            return solve_nnls(model.features(image), bank.W, ATTRIBUTION_NNLS).U[0]
 
         u0 = coefficients(x)
         heat = np.zeros((bank.r, 36, 28))
@@ -497,7 +497,7 @@ class TestAttributionMapsOnePass:
         expected = heat / np.maximum(count, 1.0)
 
         hms = concept_attribution_maps(x[0], bank, model, range(bank.r),
-                                       method="occlusion", admm=ATTRIBUTION_ADMM)
+                                       method="occlusion", nnls=ATTRIBUTION_NNLS)
         for c, hm in enumerate(hms):
             np.testing.assert_allclose(hm.values, expected[c], rtol=0,
                                        atol=1e-14 * np.abs(u0).max())
