@@ -7,7 +7,7 @@ concepts with total Sobol' indices, refine them recursively at earlier
 layers, and evaluate rankings with insertion/deletion fidelity curves.
 """
 
-from .core import Rng, global_average_pool
+from .core import Rng
 from .errors import (CraftError, DataError, DegeneracyError, EmptySetError,
                      FormatError, InsufficientDataError, NumericalError,
                      UnsupportedError)

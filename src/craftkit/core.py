@@ -1,4 +1,4 @@
-"""Dense array containers, deterministic RNG, and pooling.
+"""Dense array containers and deterministic RNG.
 
 Matrices are plain 2-D float64 ndarrays and image/feature stacks are 4-D
 float64 ndarrays (batch, height, width, channels). The helpers here
@@ -19,18 +19,6 @@ def as_tensor4(t, name="tensor"):
     if a.ndim != 4:
         raise ValueError(f"{name} must be 4-D, got shape {a.shape}")
     return a
-
-
-def global_average_pool(t):
-    """Average a (batch, height, width, channels) stack over its spatial axes.
-
-    Returns a (batch, channels) matrix whose entry (b, c) is the mean of
-    t[b, :, :, c].
-    """
-    a = as_tensor4(t)
-    if a.shape[1] * a.shape[2] < 1:
-        raise ValueError("spatial extent must be at least 1x1")
-    return a.mean(axis=(1, 2))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ At a solution with strict complementarity the active coordinates are locally
 constant, so the solution map is differentiable and its Jacobian follows
 from the first-order conditions restricted to the free coordinates: for each
 row, dU restricted to the free set I solves G_II dU_I = W_I^T dA, with
-G = W^T W. Rows of dU on clamped coordinates are identically zero.
+G = W^T W. Rows of dU on clamped coordinates are identically zero. These
+are the reduced systems the NNLS solver itself solves at every pivoting
+step, so the Jacobian reuses its batched, padded r x r solve, and checks
+once, at construction, that every block G_II is nonsingular.
 
 Only transform mode is implemented: the bank W stays fixed and only the
 coefficients move. That is the map CRAFT's concept attribution maps chain
@@ -18,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegeneracyError, NumericalError
+from .nnls import _rank_deficient, _reduced_solve
 
 _DENSE_LIMIT = 10**6
 _DEGENERACY_MARGIN = 1e-7
@@ -33,14 +37,15 @@ def _check_strict_complementarity(U, dual_U, margin):
 class ConceptJacobian:
     """Linear operator mapping perturbations dA (n x p) to dU (n x r).
 
-    Row-local: perturbing one row of A only moves the same row of U. Rows
-    are grouped by their free set, and each group's reduced Gram block
-    G_II is factored once at construction, so jvp, vjp and the dense form
-    are one factored solve per group, batched over its rows (the
+    Row-local: perturbing one row of A only moves the same row of U, on
+    that row's free set I, through the reduced Gram system G_II (the
     optimality-condition Jacobian of Blondel et al., "Efficient and Modular
-    Implicit Differentiation", arXiv 2105.15183). A numerically singular
-    block (linearly dependent or zero columns among the free concepts)
-    raises NumericalError naming the row and the concepts. The dense
+    Implicit Differentiation", arXiv 2105.15183). jvp, vjp and the dense
+    form each go through the NNLS solver's own batched reduced solve, one
+    padded r x r system per row; G_II is symmetric, so the adjoint solves
+    the same systems. A numerically singular block (linearly dependent or
+    zero columns among the free concepts) raises NumericalError at
+    construction, naming the first such row and its concepts. The dense
     matrix is not built at construction; ``dense_form`` builds it on first
     read.
     """
@@ -50,30 +55,22 @@ class ConceptJacobian:
         self.inactive = np.asarray(inactive, dtype=bool)
         self.n, self.r = self.inactive.shape
         self.p = self.W.shape[0]
-        gram = self.W.T @ self.W
-        # one (rows, free, G_II^-1) triple per distinct free set
-        self._groups = [(rows, free, _inverse_gram_block(gram, rows, free))
-                        for rows, free in support_groups(self.inactive)]
+        self.gram = self.W.T @ self.W
+        _check_reduced_blocks(self.gram, self.inactive)
 
     def jvp(self, dA):
         """dU for a perturbation dA of the input rows."""
         dA = np.asarray(dA, dtype=np.float64)
         if dA.shape != (self.n, self.p):
             raise ValueError(f"dA must be {(self.n, self.p)}, got {dA.shape}")
-        dU = np.zeros((self.n, self.r))
-        for rows, free, inv in self._groups:
-            dU[np.ix_(rows, free)] = dA[rows] @ self.W[:, free] @ inv
-        return dU
+        return _reduced_solve(dA @ self.W, self.gram, self.inactive, np.arange(self.n))
 
     def vjp(self, cotangent):
         """Adjoint map: cotangent on U (n x r) back to the input (n x p)."""
         Y = np.asarray(cotangent, dtype=np.float64)
         if Y.shape != (self.n, self.r):
             raise ValueError(f"cotangent must be {(self.n, self.r)}, got {Y.shape}")
-        dA = np.zeros((self.n, self.p))
-        for rows, free, inv in self._groups:
-            dA[rows] = Y[np.ix_(rows, free)] @ inv @ self.W[:, free].T
-        return dA
+        return _reduced_solve(Y, self.gram, self.inactive, np.arange(self.n)) @ self.W.T
 
     @cached_property
     def dense_form(self):
@@ -81,49 +78,39 @@ class ConceptJacobian:
 
         None when its n^2 r p entries would number more than 10^6.
         """
-        if self.n**2 * self.r * self.p > _DENSE_LIMIT:
+        n, r, p = self.n, self.r, self.p
+        if n**2 * r * p > _DENSE_LIMIT:
             return None
-        J = np.zeros((self.n, self.r, self.n, self.p))
-        for rows, free, inv in self._groups:
-            # every row of a group shares the block G_II^-1 W_I^T
-            J[rows[:, None], free[None, :], rows[:, None], :] = inv @ self.W[:, free].T
-        return J.reshape(self.n * self.r, self.n * self.p)
+        # row i's diagonal block G_II^-1 W_I^T, one column of W^T at a time
+        blocks = _reduced_solve(np.tile(self.W, (n, 1)), self.gram,
+                                np.repeat(self.inactive, p, axis=0),
+                                np.repeat(np.arange(n), p))
+        J = np.zeros((n, r, n, p))
+        J[np.arange(n), :, np.arange(n), :] = blocks.reshape(n, p, r).transpose(0, 2, 1)
+        return J.reshape(n * r, n * p)
 
 
-def support_groups(mask):
-    """Group the rows of a boolean n x r mask by their pattern.
+def _check_reduced_blocks(gram, free):
+    """Raise NumericalError at the first row whose block G_II is singular.
 
-    Returns one (rows, cols) pair of index arrays per distinct pattern with
-    at least one True entry, in order of first appearance; rows whose
-    pattern is all False are left out.
+    One eigvalsh call covers every distinct free pattern: G masked to a
+    pattern with k free concepts has the eigenvalues of G_II plus r - k
+    zeros, so entry r - k of its sorted eigenvalues is the smallest of
+    G_II. Rows with nothing free have no block.
     """
-    groups = {}
-    for i, row in enumerate(mask):
-        groups.setdefault(row.tobytes(), []).append(i)
-    out = []
-    for rows in groups.values():
-        cols = np.flatnonzero(mask[rows[0]])
-        if cols.size:
-            out.append((np.array(rows), cols))
-    return out
-
-
-def _inverse_gram_block(gram, rows, free):
-    """G_II^-1 for the free set ``free`` shared by ``rows``.
-
-    The k x k block is symmetric positive semidefinite; it counts as
-    singular when its smallest eigenvalue is at most k * eps times its
-    largest (the rank test of numpy.linalg.matrix_rank), because an inverse
-    past that point is rounding noise.
-    """
-    block = gram[np.ix_(free, free)]
-    eigvals, eigvecs = np.linalg.eigh(block)
-    if eigvals[0] <= eigvals[-1] * free.size * np.finfo(np.float64).eps:
+    patterns, first = np.unique(free, axis=0, return_index=True)
+    k = patterns.sum(axis=1)
+    patterns, first, k = patterns[k > 0], first[k > 0], k[k > 0]
+    masked = np.where(patterns[:, :, None] & patterns[:, None, :], gram, 0.0)
+    eigvals = np.linalg.eigvalsh(masked)
+    lowest = eigvals[np.arange(len(k)), gram.shape[0] - k]
+    singular = np.flatnonzero(_rank_deficient(lowest, eigvals[:, -1], k))
+    if singular.size:
+        j = singular[np.argmin(first[singular])]
         raise NumericalError(
-            f"singular reduced Gram block at row {int(rows[0])} on concepts "
-            f"{free.tolist()}: the bank's columns there are linearly dependent "
-            f"(eigenvalues {eigvals[0]:.2e} to {eigvals[-1]:.2e})")
-    return (eigvecs / eigvals) @ eigvecs.T
+            f"singular reduced Gram block at row {int(first[j])} on concepts "
+            f"{np.flatnonzero(patterns[j]).tolist()}: the bank's columns there are "
+            f"linearly dependent (eigenvalues {lowest[j]:.2e} to {eigvals[j, -1]:.2e})")
 
 
 def jacobian_u_wrt_a(solution, W, *, degeneracy_margin=_DEGENERACY_MARGIN,
@@ -135,10 +122,9 @@ def jacobian_u_wrt_a(solution, W, *, degeneracy_margin=_DEGENERACY_MARGIN,
     below kkt_gate, else NumericalError) and strictly complementary: any
     coordinate with both primal and dual below degeneracy_margin raises
     DegeneracyError, because the solution map is not differentiable there.
-    A coordinate is free where its coefficient exceeds its dual. Each
-    reduced Gram block is factored once; a singular block raises
-    NumericalError. The dense matrix is built only if ``dense_form`` is
-    read.
+    A coordinate is free where its coefficient exceeds its dual. A
+    singular reduced Gram block raises NumericalError. The dense matrix is
+    built only if ``dense_form`` is read.
     """
     if solution.kkt_residual >= kkt_gate:
         raise NumericalError(

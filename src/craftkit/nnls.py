@@ -85,7 +85,9 @@ def solve_nnls(A, W, params=None, warm=None):
         Fixed dictionary. Full column rank is not required: when W^T W is
         numerically singular, the pivoting runs on W^T W plus a ridge of
         1e-12 times its largest eigenvalue, and the KKT residual is still
-        scored against W^T W itself.
+        scored against W^T W itself. W^T W must neither overflow nor, on
+        a nonzero column of W, underflow below the smallest normal float;
+        either raises DataError.
     params : NnlsParams, optional
     warm : NnlsSolution, optional
         Starting point whose support U > 0 is the first passive set, e.g.
@@ -124,6 +126,9 @@ def solve_nnls(A, W, params=None, warm=None):
         AW = A @ W
     if not (np.all(np.isfinite(G)) and np.all(np.isfinite(AW))):
         raise DataError("W^T W or A W overflows; rescale A and W")
+    if np.any((np.diag(G) < np.finfo(np.float64).tiny) & np.any(W != 0.0, axis=0)):
+        raise DataError("W^T W underflows to subnormals or zero on a nonzero column "
+                        "of W; rescale A and W")
     G_pivot = _pivot_gram(G)
 
     passive = warm.U > 0.0 if warm is not None else np.zeros((n, r), dtype=bool)
@@ -174,10 +179,18 @@ def _pivot_gram(G):
     """
     eigvals = np.linalg.eigvalsh(G)
     r = G.shape[0]
-    if eigvals[0] > r * np.finfo(np.float64).eps * eigvals[-1]:
+    if not _rank_deficient(eigvals[0], eigvals[-1], r):
         return G
     ridge = _RIDGE * eigvals[-1] if eigvals[-1] > 0 else 1.0
     return G + ridge * np.eye(r)
+
+
+def _rank_deficient(lowest, highest, k):
+    """The rank test of numpy.linalg.matrix_rank for a symmetric positive
+    semidefinite k x k matrix with extreme eigenvalues lowest and highest:
+    numerically singular when lowest <= k * eps * highest. Broadcasts.
+    """
+    return lowest <= k * np.finfo(np.float64).eps * highest
 
 
 def _reduced_solve(AW, G, free, rows):
@@ -193,12 +206,11 @@ def _reduced_solve(AW, G, free, rows):
     """
     n, r = free.shape
     x = np.zeros((n, r))
-    diag = np.arange(r)
+    identity = np.eye(r)
     step = max(1, _SOLVE_FLOATS // (r * r))
     for start in range(0, n, step):
         block = free[start:start + step]
-        systems = np.where(block[:, :, None] & block[:, None, :], G, 0.0)
-        systems[:, diag, diag] = np.where(block, np.diag(G), 1.0)
+        systems = np.where(block[:, :, None] & block[:, None, :], G, identity)
         rhs = np.where(block, AW[start:start + step], 0.0)
         try:
             x[start:start + step] = np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]

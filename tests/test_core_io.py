@@ -1,11 +1,11 @@
-"""NPY round trips, format rejection, pooling, and RNG reproducibility."""
+"""NPY round trips, format rejection, and RNG reproducibility."""
 
 import struct
 
 import numpy as np
 import pytest
 
-from craftkit.core import Rng, global_average_pool
+from craftkit.core import Rng
 from craftkit.errors import DataError, FormatError, UnsupportedError
 from craftkit.npyio import load_npy, save_npy
 
@@ -158,29 +158,6 @@ class TestSaveRoundTrip:
             save_npy(m, path)
             out = load_npy(path)
             assert out.tobytes() == m.tobytes()
-
-
-class TestPooling:
-    def test_mean_of_2x2(self):
-        t = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 2, 2, 1)
-        np.testing.assert_array_equal(global_average_pool(t), [[2.5]])
-
-    def test_constant_map(self):
-        t = np.full((2, 3, 5, 4), 7.0)
-        np.testing.assert_array_equal(global_average_pool(t), np.full((2, 4), 7.0))
-
-    def test_degenerate_1x1(self):
-        t = np.arange(6.0).reshape(2, 1, 1, 3)
-        np.testing.assert_array_equal(global_average_pool(t), t[:, 0, 0, :])
-
-    def test_linearity(self):
-        rng = np.random.default_rng(1)
-        t1 = rng.normal(size=(2, 3, 3, 2))
-        t2 = rng.normal(size=(2, 3, 3, 2))
-        alpha = 2.7
-        lhs = global_average_pool(alpha * t1 + t2)
-        rhs = alpha * global_average_pool(t1) + global_average_pool(t2)
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
 class TestRng:

@@ -171,6 +171,60 @@ class TestTransformJacobian:
         assert jac.dense_form is jac.dense_form
 
 
+def per_row_reference(W, inactive, dA, Y):
+    """jvp, vjp and each row's r x p diagonal block of the dense form, from
+    one np.linalg.solve of G_II per row."""
+    (n, r), p = inactive.shape, W.shape[0]
+    dU, dA_back, blocks = np.zeros((n, r)), np.zeros((n, p)), np.zeros((n, r, p))
+    for i in range(n):
+        free = np.flatnonzero(inactive[i])
+        if free.size == 0:
+            continue
+        M = W[:, free].T @ W[:, free]
+        dU[i, free] = np.linalg.solve(M, W[:, free].T @ dA[i])
+        dA_back[i] = W[:, free] @ np.linalg.solve(M, Y[i, free])
+        blocks[i, free] = np.linalg.solve(M, W[:, free].T)
+    return dU, dA_back, blocks
+
+
+class TestBatchedSolves:
+    # at r = 5 one batched solve block holds 655 rows, so both instances
+    # cross a block boundary: 700 rows for jvp and vjp, 180 x 6 repeated
+    # rows for the dense form (700 rows would exceed its 10^6-entry gate
+    # at any p)
+    @pytest.mark.parametrize("n, p", [(700, 8), (180, 6)])
+    def test_mixed_supports_match_per_row_reference(self, n, p):
+        rng = np.random.default_rng(71)
+        W = rng.normal(size=(p, 5))
+        inactive = rng.uniform(size=(n, 5)) < 0.6
+        inactive[::50] = False  # all-clamped rows
+        jac = ConceptJacobian(W, inactive)
+        dA = rng.normal(size=(n, p))
+        Y = rng.normal(size=(n, 5))
+        dU_ref, dA_ref, blocks = per_row_reference(W, inactive, dA, Y)
+        np.testing.assert_allclose(jac.jvp(dA), dU_ref, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(jac.vjp(Y), dA_ref, rtol=1e-10, atol=1e-12)
+        if n**2 * 5 * p > 10**6:
+            assert jac.dense_form is None
+            return
+        J_ref = np.zeros((n * 5, n * p))
+        for i in range(n):
+            J_ref[i * 5:(i + 1) * 5, i * p:(i + 1) * p] = blocks[i]
+        np.testing.assert_allclose(jac.dense_form, J_ref, rtol=1e-10, atol=1e-12)
+
+    def test_singular_block_named_by_first_row(self):
+        # concepts 0 and 1 are duplicates; rows 0-2 repeat well-posed
+        # patterns, row 3 is the first singular one, and row 5's singular
+        # pattern sorts before row 3's
+        W = np.random.default_rng(72).normal(size=(8, 5))
+        W[:, 1] = W[:, 0]
+        inactive = np.array([[1, 0, 1, 0, 0], [0, 1, 1, 0, 0], [1, 0, 1, 0, 0],
+                             [1, 1, 1, 0, 0], [0, 0, 1, 1, 1], [1, 1, 0, 0, 0]],
+                            dtype=bool)
+        with pytest.raises(NumericalError, match=r"row 3 on concepts \[0, 1, 2\]"):
+            ConceptJacobian(W, inactive)
+
+
 class TestGuards:
     def test_degenerate_point_raises_with_coordinates(self):
         # a = col span boundary: u = 0 with zero multiplier

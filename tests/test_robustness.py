@@ -225,3 +225,14 @@ class TestSpecificErrors:
             solve_nnls(1e160 * A, 1e160 * W)
         with pytest.raises(DataError, match="overflows"):
             fit_nmf(1e160 * A, FIT)
+
+    def test_underflow_past_the_range_is_a_data_error(self):
+        # squares of 1e-160 are subnormal and those of 1e-170 are zero, so
+        # W^T W keeps too few bits to solve with; neither may come back as
+        # a converged solution or a mere convergence flag
+        rng = np.random.default_rng(114)
+        A, W = rng.uniform(size=(5, 4)), rng.uniform(size=(4, 3))
+        with pytest.raises(DataError, match="underflows"):
+            solve_nnls(1e-160 * A, 1e-160 * W)
+        with pytest.raises(DataError, match="underflows"):
+            solve_nnls(A, 1e-170 * W)
