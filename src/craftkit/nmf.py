@@ -8,12 +8,16 @@ objective non-increasing. The start is always NNDSVD, which is
 deterministic, so repeated fits are bit-identical.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
 from .nnls import NnlsParams, NnlsSolution, kkt_residual, nnls_objective, solve_nnls
+
+# below this largest entry, fit_nmf works on A scaled to unit size
+_SMALL_DATA = 2.0 ** -256
 
 
 @dataclass(frozen=True)
@@ -111,8 +115,22 @@ def init_factors(A, r):
     return _nndsvd(A, r)
 
 
+def _unit_scale_shift(A):
+    """The power of two bringing A's largest entry into [0.5, 1) when that
+    entry is below _SMALL_DATA; 0 otherwise, and for empty or non-finite A."""
+    top = float(np.abs(A).max(initial=0.0))
+    return -int(np.frexp(top)[1]) if 0.0 < top < _SMALL_DATA else 0
+
+
 def fit_nmf(A, params):
     """Alternate NNLS solves for U and W until the objective stalls.
+
+    Data whose largest entry is below 2^-256 (about 1e-77) are fitted
+    scaled by the power of two that brings that entry into [0.5, 1), and
+    the factors, multipliers and objectives are scaled back by the same
+    power. There the stall test would otherwise compare objective
+    decreases that are subnormal, and stop at another outer iteration than
+    at unit scale. Other data are fitted as given.
 
     Parameters
     ----------
@@ -126,13 +144,15 @@ def fit_nmf(A, params):
         objective stalled; the best iterate is still returned.
     """
     A = np.asarray(A, dtype=np.float64)
-    U, W = init_factors(A, params.rank)
+    shift = _unit_scale_shift(A)
+    scaled = np.ldexp(A, shift) if shift else A
+    U, W = init_factors(scaled, params.rank)
     with np.errstate(over="ignore"):
-        data_scale = 0.5 * float(np.sum(A * A))
+        data_scale = 0.5 * float(np.sum(scaled * scaled))
     if not np.isfinite(data_scale):
         raise DataError("the squared norm of A overflows; rescale A")
 
-    trace = [nnls_objective(A, W, U)]
+    trace = [nnls_objective(scaled, W, U)]
     # solve_nnls reads only the support of a warm start
     sol_u = NnlsSolution(U, np.zeros_like(U), 0, np.inf, False)
     sol_w = NnlsSolution(W, np.zeros_like(W), 0, np.inf, False)
@@ -144,11 +164,11 @@ def fit_nmf(A, params):
     floor = params.objective_tol * data_scale
     converged = False
     for _ in range(params.outer_iters):
-        sol_u = solve_nnls(A, W, params.nnls, warm=sol_u)
+        sol_u = solve_nnls(scaled, W, params.nnls, warm=sol_u)
         U = sol_u.U
-        sol_w = solve_nnls(A.T, U, params.nnls, warm=sol_w)
+        sol_w = solve_nnls(scaled.T, U, params.nnls, warm=sol_w)
         W = sol_w.U
-        obj = nnls_objective(A, W, U)
+        obj = nnls_objective(scaled, W, U)
         trace.append(obj)
         if abs(trace[-2] - obj) <= stall or obj <= floor:
             converged = sol_u.converged and sol_w.converged
@@ -161,6 +181,12 @@ def fit_nmf(A, params):
     U = U * safe
     dual_U = dual_U / safe
     dual_W = dual_W * safe
+
+    # back to the scale of A: U and its multipliers scale with A,
+    # W's multipliers and the objectives with its square
+    U, dual_U = np.ldexp(U, -shift), np.ldexp(dual_U, -shift)
+    dual_W = np.ldexp(dual_W, -2 * shift)
+    trace = [math.ldexp(obj, -2 * shift) for obj in trace]
 
     residual = max(kkt_residual(A, W, U, dual_U), kkt_residual(A.T, U, W, dual_W))
     return FactorizationState(U=U, W=W, dual_U=dual_U, dual_W=dual_W,

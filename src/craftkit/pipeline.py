@@ -357,11 +357,14 @@ def fidelity_curves(U, W, head, importance, direction="deletion", mu=0.0,
 
     Deletion replaces the top-k concepts' coefficients with the baseline;
     insertion keeps only the top-k. The y value at step k is the mean head
-    output over the reconstructed activations, evaluated in chunks as the
-    Sobol' masks are, and on the row-mean coefficients alone when ``head``
-    is an ``AffineHead``. A non-finite baseline mu or head output raises
-    DataError; a non-finite importance score raises ValueError. auc
-    integrates y over the fraction of concepts touched.
+    output over the reconstructed activations. They are evaluated as the
+    Sobol' masks are: the (step, row) pairs reach ``head`` in step-major
+    blocks through one reused activation buffer, so ``head`` must not keep
+    a reference to its input after it returns; an ``AffineHead`` sees the
+    row-mean coefficients alone. A
+    non-finite baseline mu or head output raises DataError; a non-finite
+    importance score raises ValueError. auc integrates y over the fraction
+    of concepts touched.
     """
     U = np.asarray(U, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)

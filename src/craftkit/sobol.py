@@ -7,9 +7,13 @@ estimator of the total index: the share of output variance a concept is
 responsible for, interactions included.
 
 The pick-freeze A and B blocks are the two halves of one (2r)-dimensional
-Sobol' stream, so the design is deterministic. The head sees two
-evaluation batches: f(A) and f(B) together, then all r AB_i blocks
-together (skipped when the output variance is degenerate).
+Sobol' stream, so the design is deterministic. The masks are evaluated in
+two batches: f(A) and f(B) together, then all r AB_i blocks together
+(skipped when the output variance is degenerate). Within a batch, the
+(mask, row) pairs stream through the head in mask-major blocks of at most
+max(1, chunk // p) activation rows, all written into one reused buffer
+that stays in a 2 MiB L2 cache with W^T, so a head must not keep a
+reference to its input after it returns.
 
 The Sobol' sequence uses the Joe-Kuo direction numbers (new-joe-kuo-6),
 embedded below for dimensions up to 64, with the zero point skipped.
@@ -241,7 +245,8 @@ def concept_importance(U, W, head, n, mu=0.0):
     Each mask perturbs every row of U through the inpainting operator; the
     perturbed coefficients are re-projected to activation space through W^T
     and pushed through ``head`` (a callable mapping a batch of activation
-    rows to a vector of outputs). The estimated index of a concept is the
+    rows to a vector of outputs, and keeping no reference to that batch,
+    whose buffer is reused). The estimated index of a concept is the
     share of the variance of the row-averaged head output it controls. An
     ``AffineHead`` sees only the row-mean coefficients, one row per mask,
     which gives the same outputs up to rounding. A non-finite baseline mu
@@ -257,37 +262,47 @@ def concept_importance(U, W, head, n, mu=0.0):
                          *mask_designs(U.shape[1], n))
 
 
-def _mean_head_outputs(U, W, head, masks, mu, chunk=1 << 18):
-    """Row-averaged head output for every mask, evaluated in chunks.
+def _mean_head_outputs(U, W, head, masks, mu, chunk=1 << 16):
+    """Row-averaged head output for every mask, streamed in cache-sized blocks.
 
-    A chunk of m masks on k rows builds m * k * max(r, p) floats (perturbed
-    coefficients, then activations). Whole masks are batched while that
-    stays near ``chunk``; once a single mask's n_rows * max(r, p) exceeds
-    it, each mask goes through in row blocks, so the bound holds per row
-    block. At least one mask and one row go per chunk. Each mask's mean is
-    taken over all its rows at once, so the result does not depend on the
-    chunking. An ``AffineHead`` commutes with the row mean, so it gets the
-    mean coefficient row alone.
+    The (mask, row) pairs are walked in mask-major order. Each outer step
+    perturbs as many whole masks as keep the coefficients and perturb's
+    temporary (2 * masks * n_rows * r floats) within ``chunk``, and at least
+    one mask. Its pairs then go to ``head`` in blocks of max(1, chunk // p)
+    rows; a block may span masks. Every block's activations are written into
+    one buffer of at most max(chunk, p) floats, allocated once, and read
+    against W^T made contiguous once; the default chunk of 2^16 floats
+    (512 KiB) keeps both in a 2 MiB L2 cache. Besides W^T and the head's own
+    temporaries, memory stays within about 2 * chunk floats, or twice U's
+    size when one mask alone exceeds the chunk. Because the buffer is
+    reused, ``head`` must not keep a reference to its input after it
+    returns; returning a view of it is fine, since each output is copied
+    before the next block is written. Each mask's mean is taken over all its
+    rows at once, so the result does not depend on the blocking, except
+    that BLAS may round a one-row block (a matrix-vector product) in the
+    last bit differently. An ``AffineHead`` commutes with the row mean, so
+    it gets the mean coefficient row alone.
     """
     if not np.all(np.isfinite(mu)):
         raise DataError(f"baseline mu must be finite, got {mu!r}")
     if isinstance(head, AffineHead):
         U = U.mean(axis=0, keepdims=True)
     n_rows, r = U.shape
-    width = max(r, W.shape[0])
+    p = W.shape[0]
+    step = max(1, chunk // max(2 * n_rows * r, 1))
+    block = max(1, chunk // max(p, 1))
+    W_T = np.ascontiguousarray(W.T)
+    buf = np.empty((min(block, step * n_rows), p))
     out = np.empty(masks.shape[0])
-    step = max(1, chunk // max(n_rows * width, 1))
-    row_step = max(1, chunk // width)
     for start in range(0, masks.shape[0], step):
         m = masks[start:start + step]
-        y = np.empty((len(m), n_rows))
-        for lo in range(0, n_rows, row_step):
-            rows = U[lo:lo + row_step]
-            perturbed = perturb(rows[None, :, :], m[:, None, :], mu)
-            acts = perturbed.reshape(-1, r) @ W.T
-            y[:, lo:lo + row_step] = np.asarray(head(acts), dtype=np.float64).reshape(
-                len(m), len(rows))
-        out[start:start + step] = y.mean(axis=1)
+        coeffs = perturb(U[None, :, :], m[:, None, :], mu).reshape(-1, r)
+        y = np.empty(len(coeffs))
+        for lo in range(0, len(coeffs), block):
+            acts = buf[:min(block, len(coeffs) - lo)]
+            np.matmul(coeffs[lo:lo + len(acts)], W_T, out=acts)
+            y[lo:lo + len(acts)] = np.asarray(head(acts), dtype=np.float64).reshape(len(acts))
+        out[start:start + step] = y.reshape(len(m), n_rows).mean(axis=1)
     return out
 
 

@@ -224,6 +224,21 @@ class TestBatchedSolves:
         with pytest.raises(NumericalError, match=r"row 3 on concepts \[0, 1, 2\]"):
             ConceptJacobian(W, inactive)
 
+    def test_singular_block_named_by_first_row_across_pattern_bytes(self):
+        # at r = 10 a free pattern spans two bytes; concepts 8 and 9 (the
+        # second byte) are duplicates. Row 3 shares its first byte with the
+        # well-posed rows 0 and 2 and is the first singular row; row 4's
+        # singular pattern sorts before it
+        W = np.random.default_rng(73).normal(size=(12, 10))
+        W[:, 9] = W[:, 8]
+        free_sets = ([0, 8], [1, 2, 8], [0, 8], [0, 8, 9], [8, 9], [0, 8, 9])
+        inactive = np.zeros((len(free_sets), 10), dtype=bool)
+        for i, free in enumerate(free_sets):
+            inactive[i, free] = True
+        with pytest.raises(NumericalError, match=r"row 3 on concepts \[0, 8, 9\]"):
+            ConceptJacobian(W, inactive)
+        ConceptJacobian(W, inactive[:3])  # the well-posed rows alone pass
+
 
 class TestGuards:
     def test_degenerate_point_raises_with_coordinates(self):

@@ -305,6 +305,86 @@ class TestConceptImportance:
         assert not calls
 
 
+class TestBlockedEvaluator:
+    """_mean_head_outputs streams (mask, row) pairs through the head in
+    blocks of at most max(1, chunk // p) rows, in mask-major order, through
+    one reused activation buffer."""
+
+    # p = 20, 5 rows and 12 masks. Chunk 40 gives 2-row blocks, 60 gives
+    # 3-row blocks over 3 masks an outer step, 140 gives 7-row blocks over 7
+    # masks, so blocks start mid-mask and straddle masks; 10_000 puts all 60
+    # pairs in one call. No block is a single row: BLAS computes that one
+    # as a matrix-vector product, which may round differently
+    CHUNKS = (40, 60, 140, 10_000)
+
+    @staticmethod
+    def counting(head, calls):
+        def counted(acts):
+            calls.append(np.array(acts))
+            return head(acts)
+        return counted
+
+    @staticmethod
+    def problem(seed):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(size=(5, 2)), rng.uniform(size=(20, 2)), rng.uniform(size=(12, 2))
+
+    @pytest.mark.parametrize("chunk", (1,) + CHUNKS)
+    def test_blocks_cover_every_pair_once_in_mask_major_order(self, chunk):
+        from craftkit.sobol import _mean_head_outputs
+        # small integers, 0/1 weights and dyadic masks keep every product
+        # exact, so an activation row identifies its (mask, row) pair
+        rng = np.random.default_rng(21)
+        U = rng.integers(0, 8, size=(5, 2)).astype(float)
+        W = rng.integers(0, 2, size=(20, 2)).astype(float)
+        masks = rng.integers(0, 9, size=(12, 2)) / 8.0
+        calls = []
+        _mean_head_outputs(U, W, self.counting(lambda a: a[:, 0], calls), masks, 0.25,
+                           chunk=chunk)
+        assert max(len(acts) for acts in calls) <= max(1, chunk // 20)
+        expected = np.concatenate([perturb(U, m, 0.25) @ W.T for m in masks])
+        np.testing.assert_array_equal(np.concatenate(calls), expected)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_nonlinear_head_matches_per_mask_reference_bit_for_bit(self, chunk):
+        from craftkit.sobol import _mean_head_outputs
+        U, W, masks = self.problem(22)
+        head = lambda acts: np.tanh(acts).sum(axis=1) + acts[:, 0] * acts[:, 1]
+        calls = []
+        out = _mean_head_outputs(U, W, self.counting(head, calls), masks, 0.3,
+                                 chunk=chunk)
+        expected = [np.mean(head(perturb(U, m, 0.3) @ W.T)) for m in masks]
+        np.testing.assert_array_equal(out, expected)
+        assert max(len(acts) for acts in calls) <= chunk // 20
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_head_may_return_a_view_of_its_input(self, chunk):
+        from craftkit.sobol import _mean_head_outputs
+        U, W, masks = self.problem(23)
+        out = _mean_head_outputs(U, W, lambda a: a[:, 0], masks, 0.3, chunk=chunk)
+        expected = [np.mean((perturb(U, m, 0.3) @ W.T)[:, 0]) for m in masks]
+        np.testing.assert_array_equal(out, expected)
+
+    def test_inputs_share_one_buffer_so_a_head_keeps_copies(self):
+        from craftkit.sobol import _mean_head_outputs
+        U, W, masks = self.problem(24)
+        seen, copies = [], []
+
+        def head(acts):
+            seen.append(acts)
+            copies.append(acts.copy())
+            return acts[:, 0]
+
+        _mean_head_outputs(U, W, head, masks, 0.3, chunk=60)
+        assert len(seen) == 20  # 60 pairs in blocks of 3
+        # every call's input is the same buffer, overwritten by the next
+        # block, so only the copies still hold what the head was given
+        assert all(np.shares_memory(acts, seen[0]) for acts in seen)
+        expected = np.concatenate([perturb(U, m, 0.3) @ W.T for m in masks])
+        np.testing.assert_array_equal(np.concatenate(copies), expected)
+        assert not np.array_equal(seen[0], copies[0])
+
+
 class TestAffineHead:
     def test_matches_closure_at_wide_features(self):
         # 200 crops at ResNet-50 pooled width; the general path pushes every
