@@ -25,13 +25,6 @@ from .nnls import _rank_deficient, _reduced_solve
 
 _DENSE_LIMIT = 10**6
 _DEGENERACY_MARGIN = 1e-7
-_KKT_GATE = 1e-6
-
-
-def _check_strict_complementarity(U, dual_U, margin):
-    bad = np.argwhere((np.abs(U) < margin) & (np.abs(dual_U) < margin))
-    if len(bad):
-        raise DegeneracyError([tuple(ij) for ij in bad], margin)
 
 
 class ConceptJacobian:
@@ -118,22 +111,24 @@ def _check_reduced_blocks(gram, free):
             f"linearly dependent (eigenvalues {lowest[j]:.2e} to {eigvals[j, -1]:.2e})")
 
 
-def jacobian_u_wrt_a(solution, W, *, degeneracy_margin=_DEGENERACY_MARGIN,
-                     kkt_gate=_KKT_GATE):
+def jacobian_u_wrt_a(solution, W):
     """ConceptJacobian of an NNLS solution against the fixed bank W.
 
     ``solution`` is the NnlsSolution of some input rows A; the Jacobian
-    does not read A itself. The solution must be converged (KKT residual
-    below kkt_gate, else NumericalError) and strictly complementary: any
-    coordinate with both primal and dual below degeneracy_margin raises
-    DegeneracyError, because the solution map is not differentiable there.
-    A coordinate is free where its coefficient exceeds its dual. A
-    singular reduced Gram block raises NumericalError. The dense matrix is
-    built only if ``dense_form`` is read.
+    does not read A itself. It accepts exactly the solutions solve_nnls
+    flags converged (else NumericalError), and they must be strictly
+    complementary: any coordinate with both primal and dual below 1e-7
+    raises DegeneracyError, because the solution map is not
+    differentiable there. A coordinate is free where its coefficient
+    exceeds its dual. A singular reduced Gram block raises NumericalError.
+    The dense matrix is built only if ``dense_form`` is read.
     """
-    if solution.kkt_residual >= kkt_gate:
+    if not solution.converged:
         raise NumericalError(
-            f"KKT residual {solution.kkt_residual:.2e} exceeds gate {kkt_gate:g}; "
-            "re-solve tighter before differentiating")
-    _check_strict_complementarity(solution.U, solution.dual_U, degeneracy_margin)
+            f"cannot differentiate an unconverged NNLS solution "
+            f"(KKT residual {solution.kkt_residual:.2e})")
+    bad = np.argwhere((np.abs(solution.U) < _DEGENERACY_MARGIN)
+                      & (np.abs(solution.dual_U) < _DEGENERACY_MARGIN))
+    if len(bad):
+        raise DegeneracyError([tuple(ij) for ij in bad], _DEGENERACY_MARGIN)
     return ConceptJacobian(W, solution.U > solution.dual_U)

@@ -9,12 +9,12 @@ deterministic, so repeated fits are bit-identical.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .nnls import NnlsParams, NnlsSolution, kkt_residual, nnls_objective, solve_nnls
+from .nnls import kkt_residual, nnls_objective, solve_nnls
 
 # below this largest entry, fit_nmf works on A scaled to unit size
 _SMALL_DATA = 2.0 ** -256
@@ -32,7 +32,6 @@ class NmfParams:
 
     rank: int
     outer_iters: int = 200
-    nnls: NnlsParams = field(default_factory=NnlsParams)
     objective_tol: float = 1e-9
 
     def __post_init__(self):
@@ -153,9 +152,6 @@ def fit_nmf(A, params):
         raise DataError("the squared norm of A overflows; rescale A")
 
     trace = [nnls_objective(scaled, W, U)]
-    # solve_nnls reads only the support of a warm start
-    sol_u = NnlsSolution(U, np.zeros_like(U), 0, np.inf, False)
-    sol_w = NnlsSolution(W, np.zeros_like(W), 0, np.inf, False)
 
     # two ways to finish early: the decrease stalls relative to the overall
     # objective scale, or the residual itself becomes negligible relative to
@@ -164,9 +160,9 @@ def fit_nmf(A, params):
     floor = params.objective_tol * data_scale
     converged = False
     for _ in range(params.outer_iters):
-        sol_u = solve_nnls(scaled, W, params.nnls, warm=sol_u)
+        sol_u = solve_nnls(scaled, W, warm=U)
         U = sol_u.U
-        sol_w = solve_nnls(scaled.T, U, params.nnls, warm=sol_w)
+        sol_w = solve_nnls(scaled.T, U, warm=W)
         W = sol_w.U
         obj = nnls_objective(scaled, W, U)
         trace.append(obj)
@@ -194,15 +190,10 @@ def fit_nmf(A, params):
                               kkt_residual=residual, column_norms=norms)
 
 
-def transform(A_new, W, nnls=None):
+def transform(A_new, W):
     """Express new rows in a fixed bank: argmin_{u>=0} 0.5*||A_new - u W^T||^2.
 
-    Returns the m x r coefficient matrix (row-separable NNLS).
+    Returns the m x r coefficient matrix (row-separable NNLS). A_new and W
+    must be 2-D with matching inner sizes, else ValueError.
     """
-    A_new = np.asarray(A_new, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    if A_new.ndim != 2:
-        raise ValueError("A_new must be 2-D")
-    if A_new.shape[1] != W.shape[0]:
-        raise ValueError(f"A_new has {A_new.shape[1]} columns but W has {W.shape[0]} rows")
-    return solve_nnls(A_new, W, nnls).U
+    return solve_nnls(A_new, W).U

@@ -37,25 +37,12 @@ _BACKUP_TRIES = 3
 # largest eigenvalue, so that every reduced system has a unique solution
 _RIDGE = 1e-12
 
+# pivoting steps a solve may take before it returns its last iterate
+_MAX_PIVOTS = 200
 
-@dataclass(frozen=True)
-class NnlsParams:
-    """Solver knobs: a pivot budget and one KKT tolerance.
-
-    max_iters bounds the pivoting steps of a solve. A solve is converged
-    when its worst KKT violation is at most tol times the gradient scale
-    max |A W|. The pivoting itself needs no tolerance: it stops when every
-    row's support is feasible.
-    """
-
-    max_iters: int = 200
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+# a solve is converged when its worst KKT violation is at most this times
+# max |A W|; the pivoting stops on feasibility alone, without a tolerance
+_KKT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -74,7 +61,7 @@ class NnlsSolution:
     converged: bool
 
 
-def solve_nnls(A, W, params=None, warm=None):
+def solve_nnls(A, W, warm=None):
     """Solve min_{U>=0} 0.5 * ||A - U W^T||_F^2 for U (n x r).
 
     Parameters
@@ -88,19 +75,18 @@ def solve_nnls(A, W, params=None, warm=None):
         scored against W^T W itself. W^T W must neither overflow nor, on
         a nonzero column of W, underflow below the smallest normal float;
         either raises DataError.
-    params : NnlsParams, optional
-    warm : NnlsSolution, optional
-        Starting point whose support U > 0 is the first passive set, e.g.
-        the previous outer iterate of an alternating factorization.
+    warm : ndarray, n x r, optional
+        Coefficients whose support warm > 0 is the first passive set, e.g.
+        the previous iterate of an alternating factorization.
 
     Returns
     -------
     NnlsSolution
-        An exhausted pivot budget is reported through the ``converged``
-        flag on the last iterate, not as an exception. A reduced system
-        that LAPACK cannot solve raises NumericalError naming its rows.
+        ``converged`` is True when the KKT residual is at most 1e-8 times
+        max |A W|. After 200 pivoting steps the last iterate is returned
+        with the flag cleared, not an exception. A reduced system that
+        LAPACK cannot solve raises NumericalError naming its rows.
     """
-    params = params or NnlsParams()
     A = np.asarray(A, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
     if A.ndim != 2 or W.ndim != 2:
@@ -115,7 +101,7 @@ def solve_nnls(A, W, params=None, warm=None):
     r = W.shape[1]
     if r < 1:
         raise ValueError("W must have at least one column")
-    if warm is not None and warm.U.shape != (n, r):
+    if warm is not None and np.shape(warm) != (n, r):
         raise ValueError("warm start shape mismatch")
     if n == 0:
         return NnlsSolution(U=np.zeros((0, r)), dual_U=np.zeros((0, r)), iterations=0,
@@ -131,14 +117,14 @@ def solve_nnls(A, W, params=None, warm=None):
                         "of W; rescale A and W")
     G_pivot = _pivot_gram(G)
 
-    passive = warm.U > 0.0 if warm is not None else np.zeros((n, r), dtype=bool)
+    passive = np.asarray(warm) > 0.0 if warm is not None else np.zeros((n, r), dtype=bool)
     U = np.zeros((n, r))
     support = passive.copy()
     todo = np.arange(n)
     fewest = np.full(n, r + 1)
     tries = np.full(n, _BACKUP_TRIES)
     iterations = 0
-    while todo.size and iterations < params.max_iters:
+    while todo.size and iterations < _MAX_PIVOTS:
         iterations += 1
         free = passive[todo]
         x = _reduced_solve(AW[todo], G_pivot, free, todo)
@@ -164,7 +150,7 @@ def solve_nnls(A, W, params=None, warm=None):
     residual = _kkt_max(grad - dual_U, U, dual_U)
     # no unit floor on the gradient scale, or tiny-scale problems would
     # accept arbitrary iterates
-    converged = residual <= params.tol * max(np.abs(AW).max(), 1e-300)
+    converged = residual <= _KKT_TOL * max(np.abs(AW).max(), 1e-300)
     return NnlsSolution(U=U, dual_U=dual_U, iterations=iterations,
                         kkt_residual=residual, converged=bool(converged))
 

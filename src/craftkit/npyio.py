@@ -6,9 +6,10 @@ widened to float64 in memory. Anything else is rejected loudly instead of
 being coerced: wrong magic or a truncated file is a FormatError, a declared
 feature outside this subset (version, dtype, Fortran order, rank) is an
 UnsupportedError, and non-finite or empty payloads are a DataError.
-load_json reads the JSON sidecars written next to them; a sidecar that
-does not parse, or whose top level has the wrong type, is a DataError
-naming the file.
+load_json reads the JSON sidecars written next to them, and load_record
+also the keys and value types of one; a sidecar that does not parse, or
+whose top level, key set or value types are wrong, is a DataError naming
+the file.
 """
 
 import ast
@@ -87,6 +88,25 @@ def load_json(path, kind):
         raise DataError(f"{path}: top level is {type(value).__name__}, "
                         f"expected {kind.__name__}")
     return value
+
+
+def load_record(path, required, optional=None):
+    """Parse a JSON object sidecar whose keys must hold values of given types.
+
+    required and optional map keys to tuples of types as isinstance takes
+    them, except that true and false match bool alone. A missing required
+    key, or a value of another type, raises DataError naming file and key.
+    """
+    record = load_json(path, dict)
+    for key, kinds in {**required, **(optional or {})}.items():
+        value = record.get(key)
+        if key not in record:
+            if key in required:
+                raise DataError(f"{path} lacks the key {key!r}")
+        elif not isinstance(value, kinds) or (type(value) is bool and bool not in kinds):
+            raise DataError(f"{path}: the key {key!r} holds {type(value).__name__} "
+                            f"{value!r}, expected {' or '.join(k.__name__ for k in kinds)}")
+    return record
 
 
 def save_npy(arr, path):

@@ -2,9 +2,10 @@
 and fidelity curves.
 
 A "model" here is anything with the toy backbone's surface: features(x,
-layer=None), head(a), predict(x), vjp_features(x, cotangent, layer=None),
-and an input_shape. Banks store unit-norm nonnegative concept vectors for
-one layer; coefficients live in the rows of U.
+layer=None), predict(x), vjp_features(x, cotangent, layer=None), and an
+input_shape; a head is passed to fidelity_curves on its own, never read
+from the model. Banks store unit-norm nonnegative concept vectors for one
+layer; coefficients live in the rows of U.
 """
 
 import itertools
@@ -19,11 +20,12 @@ from .core import Rng, as_tensor4
 from .errors import DataError, EmptySetError, InsufficientDataError
 from .implicit import jacobian_u_wrt_a
 from .nmf import NmfParams, fit_nmf
-from .nnls import NnlsParams, solve_nnls
-from .npyio import load_json, load_npy, save_npy
+from .nnls import solve_nnls
+from .npyio import load_npy, load_record, save_npy
 from .sobol import _evaluate, _mean_head_outputs
 
-_ATTRIBUTION_NNLS = NnlsParams(tol=1e-11)
+# fewest crops above the refinement threshold that recursive_decompose fits
+_MIN_CROPS = 10
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,12 @@ class ConceptBank:
 
 
 _DIAGNOSTICS = ("converged", "kkt_residual", "outer_iters")
+
+# JSON types of meta.json values (rank and column_norms also against W.npy)
+_META_REQUIRED = {"rank": (object,), "layer_tag": (str,), "objective": (int, float),
+                  "column_norms": (list,)}
+_META_OPTIONAL = {"bank_id": (str,), "parent": (list, type(None)), "converged": (bool,),
+                  "kkt_residual": (int, float), "outer_iters": (int,)}
 
 
 @dataclass(frozen=True)
@@ -238,7 +246,7 @@ def concept_percentile_threshold(values, fraction=0.1):
 
 
 def recursive_decompose(bank, U, concept_index, crops, earlier_features, r_sub,
-                        nmf_params=None, min_crops=10, layer_tag=None):
+                        nmf_params=None, layer_tag=None):
     """Refine one concept into sub-concepts at an earlier layer.
 
     Crops whose coefficient on the concept strictly exceeds the top-decile
@@ -253,10 +261,10 @@ def recursive_decompose(bank, U, concept_index, crops, earlier_features, r_sub,
     coeffs = U[:, concept_index]
     threshold = concept_percentile_threshold(coeffs)
     selected = np.flatnonzero(coeffs > threshold)
-    if selected.size < min_crops:
+    if selected.size < _MIN_CROPS:
         raise InsufficientDataError(
             f"only {selected.size} crops exceed the refinement threshold "
-            f"(need {min_crops})")
+            f"(need {_MIN_CROPS})")
     activations = earlier_features(np.asarray(crops)[selected])
     params = nmf_params or NmfParams(rank=r_sub)
     if params.rank != r_sub:
@@ -268,13 +276,13 @@ def recursive_decompose(bank, U, concept_index, crops, earlier_features, r_sub,
     return sub_bank, state.U, selected
 
 
-def _gradient_heatmaps(x, bank, model, concepts, nnls):
+def _gradient_heatmaps(x, bank, model, concepts):
     """Mean over the images of x of |d u_c / d pixel|, channel-summed, per
     concept c: one features call, one NNLS solve (rows are separable), one
     Jacobian, and one vjp_features call on the stack repeated per concept.
     """
     acts = model.features(x, layer=bank.layer_tag)
-    jac = jacobian_u_wrt_a(solve_nnls(acts, bank.W, nnls), bank.W)
+    jac = jacobian_u_wrt_a(solve_nnls(acts, bank.W), bank.W)
     d_acts = [jac.vjp(np.tile(one_hot, (len(x), 1)))
               for one_hot in np.eye(bank.r)[concepts]]
     dx = model.vjp_features(np.concatenate([x] * len(concepts)),
@@ -283,7 +291,7 @@ def _gradient_heatmaps(x, bank, model, concepts, nnls):
 
 
 def concept_attribution_maps(x, bank, model, concepts, method="gradient",
-                             nnls=None, seed=0, n_noise=16, noise_scale=0.1):
+                             seed=0, n_noise=16, noise_scale=0.1):
     """Locate each of the given concepts in one image, in one pass.
 
     gradient: implicit differentiation of the coefficient chained with the
@@ -305,32 +313,31 @@ def concept_attribution_maps(x, bank, model, concepts, method="gradient",
     for c in concepts:
         if not 0 <= c < bank.r:
             raise ValueError(f"concept index {c} out of range")
-    nnls = nnls or _ATTRIBUTION_NNLS
 
     if method == "gradient":
-        values = _gradient_heatmaps(x, bank, model, concepts, nnls)
+        values = _gradient_heatmaps(x, bank, model, concepts)
     elif method == "smoothgrad":
         if n_noise < 1:
             raise ValueError(f"n_noise must be at least 1, got {n_noise}")
         sigma = noise_scale * float(x.max() - x.min())
         gen = Rng(seed, stream=17).generator()
         jittered = x + sigma * gen.normal(size=(n_noise,) + x.shape[1:])
-        values = _gradient_heatmaps(jittered, bank, model, concepts, nnls)
+        values = _gradient_heatmaps(jittered, bank, model, concepts)
     elif method == "occlusion":
-        values = _occlusion_heatmaps(x, bank, model, concepts, nnls)
+        values = _occlusion_heatmaps(x, bank, model, concepts)
     else:
         raise ValueError(f"unknown method {method!r}")
     return [Heatmap(v, c, method) for c, v in zip(concepts, values)]
 
 
 def concept_attribution_map(x, bank, model, concept_index, method="gradient",
-                            nnls=None, seed=0, n_noise=16, noise_scale=0.1):
+                            seed=0, n_noise=16, noise_scale=0.1):
     """Locate one concept in one image (concept_attribution_maps of one)."""
-    return concept_attribution_maps(x, bank, model, [concept_index], method, nnls,
+    return concept_attribution_maps(x, bank, model, [concept_index], method,
                                     seed, n_noise, noise_scale)[0]
 
 
-def _occlusion_heatmaps(x, bank, model, concepts, nnls):
+def _occlusion_heatmaps(x, bank, model, concepts):
     h, w = x.shape[1:3]
     patch = max(1, round(min(h, w) / 8))
     stride = max(1, patch // 2)
@@ -339,7 +346,7 @@ def _occlusion_heatmaps(x, bank, model, concepts, nnls):
     stack = np.repeat(x, len(ys) * len(xs) + 1, axis=0)
     for k, (y0, x0) in enumerate(itertools.product(ys, xs), start=1):
         stack[k, y0:y0 + patch, x0:x0 + patch, :] = 0.0
-    u = solve_nnls(model.features(stack, layer=bank.layer_tag), bank.W, nnls).U
+    u = solve_nnls(model.features(stack, layer=bank.layer_tag), bank.W).U
     drop = (u[0] - u[1:])[:, concepts].T.reshape(len(concepts), len(ys), len(xs))
     heat = np.zeros((len(concepts), h, w))
     count = np.zeros((h, w))
@@ -416,22 +423,24 @@ def save_bank(bank, directory):
 def load_bank(directory):
     """Read a bank written by save_bank.
 
-    A meta.json without one of the keys save_bank always writes, or whose
-    rank is not W.npy's column count, raises DataError naming the file.
+    A meta.json that lacks a key save_bank always writes, holds a value of
+    another JSON type, or whose rank or column_norms disagree with W.npy's
+    column count raises DataError naming the file.
     """
     directory = Path(directory)
     path = directory / "meta.json"
-    meta = load_json(path, dict)
-    for key in ("rank", "layer_tag", "objective", "column_norms"):
-        if key not in meta:
-            raise DataError(f"{path} lacks the key {key!r}")
+    meta = load_record(path, _META_REQUIRED, _META_OPTIONAL)
     W = load_npy(directory / "W.npy")
     rank = meta["rank"]
     if not isinstance(rank, int) or W.ndim != 2 or W.shape[1] != rank:
         raise DataError(f"{path} gives rank {rank!r} but W.npy has shape {W.shape}")
+    norms = meta["column_norms"]
+    if len(norms) != rank or not all(type(v) in (int, float) for v in norms):
+        raise DataError(f"{path}: the key 'column_norms' holds {norms!r}, "
+                        f"expected {rank} numbers")
     parent = tuple(meta["parent"]) if meta.get("parent") else None
     return ConceptBank(W=W, layer_tag=meta["layer_tag"], r=rank,
                        fit_objective=float(meta["objective"]),
-                       column_norms=np.asarray(meta["column_norms"]),
+                       column_norms=np.asarray(norms, dtype=np.float64),
                        bank_id=meta.get("bank_id", "bank"), parent=parent,
                        **{key: meta[key] for key in _DIAGNOSTICS if key in meta})

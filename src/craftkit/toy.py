@@ -29,8 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Rng, as_tensor4
-from .errors import DataError
-from .npyio import load_json, load_npy, save_npy
+from .npyio import load_npy, load_record, save_npy
 from .sobol import AffineHead
 
 # 2x2 Haar-style stencils in the central 3x3 of a 5x5 frame: vertical edge,
@@ -380,15 +379,14 @@ def save_backbone(model, directory):
 def load_backbone(directory):
     """Read a bundle written by save_backbone.
 
-    A manifest.json without one of the keys save_backbone writes raises
-    DataError naming the file and the key.
+    A manifest.json without one of the keys save_backbone writes, or with
+    a value of another JSON type, raises DataError naming the file and the
+    key.
     """
     directory = Path(directory)
-    path = directory / "manifest.json"
-    manifest = load_json(path, dict)
-    for key in ("input_shape", "head_bias", "has_mixing"):
-        if key not in manifest:
-            raise DataError(f"{path} lacks the key {key!r}")
+    manifest = load_record(directory / "manifest.json",
+                           {"input_shape": (list,), "head_bias": (int, float),
+                            "has_mixing": (bool,)})
     templates = load_npy(directory / "templates.npy")
     head_weights = load_npy(directory / "head_weights.npy").ravel()
     mixing = load_npy(directory / "mixing.npy") if manifest["has_mixing"] else None

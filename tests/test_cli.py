@@ -136,6 +136,27 @@ class TestFit:
         assert "manifest.json" in err and repr(key) in err
         assert run_dir_files(out) == []
 
+    @pytest.mark.parametrize("key, value", [
+        ("head_bias", [1]), ("head_bias", None), ("head_bias", "abc"),
+        ("input_shape", None), ("input_shape", 16), ("has_mixing", "no"),
+    ], ids=["head_bias_list", "head_bias_null", "head_bias_string",
+            "input_shape_null", "input_shape_number", "has_mixing_string"])
+    def test_saved_model_mistyped_manifest_value_is_data_error(self, tmp_path, capsys,
+                                                               key, value):
+        from craftkit.toy import save_backbone, two_layer_backbone
+        model_dir = tmp_path / "model"
+        save_backbone(two_layer_backbone(), model_dir)
+        manifest = json.loads((model_dir / "manifest.json").read_text())
+        manifest[key] = value
+        (model_dir / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "run"
+        code = main(["fit", "--model", str(model_dir), "--rank", "2",
+                     "--n-images", "40", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and f"the key {key!r} holds" in err
+        assert run_dir_files(out) == []
+
     def test_saved_model_unparseable_manifest_is_data_error(self, tmp_path, capsys):
         from craftkit.toy import save_backbone, two_layer_backbone
         model_dir = tmp_path / "model"
@@ -226,7 +247,16 @@ class TestImportance:
         (lambda meta: meta.update(rank=3), "gives rank 3 but W.npy has shape"),
         (lambda meta: meta.update(rank=None), "gives rank None but W.npy has shape"),
         (lambda meta: meta.pop("objective"), "lacks the key 'objective'"),
-    ], ids=["rank_mismatch", "null_rank", "missing_objective"])
+        (lambda meta: meta.update(objective=[1]), "the key 'objective' holds list"),
+        (lambda meta: meta.update(objective="abc"), "the key 'objective' holds str"),
+        (lambda meta: meta.update(layer_tag=1), "the key 'layer_tag' holds int"),
+        (lambda meta: meta.update(column_norms=[1.0]), "the key 'column_norms' holds"),
+        (lambda meta: meta.update(column_norms=[1.0, "x"]),
+         "the key 'column_norms' holds"),
+        (lambda meta: meta.update(parent=5), "the key 'parent' holds int"),
+    ], ids=["rank_mismatch", "null_rank", "missing_objective", "list_objective",
+            "string_objective", "number_layer_tag", "short_column_norms",
+            "string_column_norm", "number_parent"])
     def test_corrupt_bank_sidecar_is_data_error(self, fitted_run, capsys, edit, message):
         path = fitted_run / "bank" / "meta.json"
         meta = json.loads(path.read_text())

@@ -8,11 +8,16 @@ pair of a nonnegative matrix is itself nonnegative, forcing the optimum.
 import numpy as np
 import pytest
 
+from craftkit import nnls
 from craftkit.errors import DataError
 from craftkit.nmf import NmfParams, fit_nmf, init_factors, transform
-from craftkit.nnls import NnlsParams, nnls_objective
+from craftkit.nnls import nnls_objective
 
-TIGHT = NnlsParams(tol=1e-10)
+
+@pytest.fixture(autouse=True)
+def tight(monkeypatch):
+    """Flag NNLS solves converged only at a KKT residual of 1e-10 max |A W|."""
+    monkeypatch.setattr(nnls, "_KKT_TOL", 1e-10)
 
 
 class TestInitFactors:
@@ -55,7 +60,7 @@ class TestFitNmf:
         U_true = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         W_true = np.array([[1.0, 0.0], [0.0, 2.0]])
         A = U_true @ W_true.T
-        state = fit_nmf(A, NmfParams(rank=2, nnls=TIGHT))
+        state = fit_nmf(A, NmfParams(rank=2))
         assert state.objective_trace[-1] < 1e-6
 
     def test_rank_one_equals_truncated_svd(self):
@@ -63,7 +68,7 @@ class TestFitNmf:
         # rank-1 NMF optimum equals the rank-1 SVD; the residual is the
         # second singular value (sqrt(5)-1)/2
         A = np.array([[1.0, 1.0], [1.0, 0.0]])
-        state = fit_nmf(A, NmfParams(rank=1, nnls=TIGHT))
+        state = fit_nmf(A, NmfParams(rank=1))
         expected = 0.5 * ((np.sqrt(5.0) - 1.0) / 2.0) ** 2
         assert state.objective_trace[-1] == pytest.approx(expected, abs=1e-3)
 
@@ -75,7 +80,7 @@ class TestFitNmf:
     def test_trace_starts_at_init_objective_and_never_exceeds_it(self):
         rng = np.random.default_rng(1)
         A = rng.uniform(size=(8, 5))
-        state = fit_nmf(A, NmfParams(rank=3, nnls=TIGHT))
+        state = fit_nmf(A, NmfParams(rank=3))
         trace = np.array(state.objective_trace)
         assert np.all(trace <= trace[0] + 1e-12)
 
@@ -83,7 +88,7 @@ class TestFitNmf:
         rng = np.random.default_rng(2)
         for _ in range(10):
             A = rng.uniform(size=(6, 4))
-            state = fit_nmf(A, NmfParams(rank=2, nnls=TIGHT, outer_iters=60))
+            state = fit_nmf(A, NmfParams(rank=2, outer_iters=60))
             trace = np.array(state.objective_trace)
             slack = 1e-9 * np.maximum(trace[:-1], 1.0)
             assert np.all(np.diff(trace) <= slack)
@@ -91,7 +96,7 @@ class TestFitNmf:
     def test_unit_norm_columns_and_absorbed_scale(self):
         rng = np.random.default_rng(3)
         A = rng.uniform(size=(7, 4))
-        state = fit_nmf(A, NmfParams(rank=2, nnls=TIGHT))
+        state = fit_nmf(A, NmfParams(rank=2))
         norms = np.linalg.norm(state.W, axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
         # normalization must not change the reconstruction
@@ -102,21 +107,21 @@ class TestFitNmf:
         rng = np.random.default_rng(4)
         A = rng.uniform(size=(6, 4))
         alpha = 3.7
-        obj1 = fit_nmf(A, NmfParams(rank=2, nnls=TIGHT)).objective_trace[-1]
-        obj2 = fit_nmf(alpha * A, NmfParams(rank=2, nnls=TIGHT)).objective_trace[-1]
+        obj1 = fit_nmf(A, NmfParams(rank=2)).objective_trace[-1]
+        obj2 = fit_nmf(alpha * A, NmfParams(rank=2)).objective_trace[-1]
         assert obj2 == pytest.approx(alpha**2 * obj1, rel=1e-5, abs=1e-10)
 
     def test_nonnegativity_is_exact(self):
         rng = np.random.default_rng(5)
         A = rng.uniform(size=(6, 4))
-        state = fit_nmf(A, NmfParams(rank=3, nnls=TIGHT))
+        state = fit_nmf(A, NmfParams(rank=3))
         assert state.U.min() >= 0.0 and state.W.min() >= 0.0
         assert state.dual_U.min() >= 0.0 and state.dual_W.min() >= 0.0
 
     def test_joint_kkt_residual_small_at_convergence(self):
         rng = np.random.default_rng(6)
         A = rng.uniform(size=(6, 4))
-        state = fit_nmf(A, NmfParams(rank=2, nnls=TIGHT, outer_iters=500,
+        state = fit_nmf(A, NmfParams(rank=2, outer_iters=500,
                                      objective_tol=1e-13))
         assert state.converged
         assert state.kkt_residual < 1e-6
@@ -127,9 +132,9 @@ class TestTransform:
         U_true = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 1.0]])
         W_true = np.array([[1.0, 0.0], [0.0, 2.0], [0.5, 0.5]])
         A = U_true @ W_true.T
-        state = fit_nmf(A, NmfParams(rank=2, nnls=TIGHT, outer_iters=500,
+        state = fit_nmf(A, NmfParams(rank=2, outer_iters=500,
                                      objective_tol=1e-13))
-        U_again = transform(A, state.W, TIGHT)
+        U_again = transform(A, state.W)
         np.testing.assert_allclose(U_again @ state.W.T, state.U @ state.W.T, atol=1e-6)
 
     def test_zero_row_maps_to_zero(self):
@@ -138,7 +143,7 @@ class TestTransform:
 
     def test_active_set_hand_case(self):
         W = np.array([[1.0, 1.0], [0.0, 1.0]])
-        U = transform(np.array([[0.0, 1.0]]), W, TIGHT)
+        U = transform(np.array([[0.0, 1.0]]), W)
         np.testing.assert_allclose(U, [[0.0, 0.5]], atol=1e-8)
 
     def test_no_rows_give_empty_coefficients(self):

@@ -6,18 +6,23 @@ import json
 import numpy as np
 import pytest
 
+from craftkit import nnls
 from craftkit.errors import DataError, NumericalError
-from craftkit.nnls import (NnlsParams, NnlsSolution, kkt_residual, nnls_objective,
-                           solve_nnls, _reduced_solve)
+from craftkit.nnls import (NnlsSolution, kkt_residual, nnls_objective, solve_nnls,
+                           _reduced_solve)
 
 from oracles import nnls_dual, nnls_enumerate
 
-TIGHT = NnlsParams(tol=1e-10)
+
+@pytest.fixture(autouse=True)
+def tight(monkeypatch):
+    """Flag solves converged only at a KKT residual of 1e-10 max |A W|."""
+    monkeypatch.setattr(nnls, "_KKT_TOL", 1e-10)
 
 
 class TestHandCases:
     def test_identity_fit_is_exact_interior(self):
-        sol = solve_nnls(np.eye(2), np.eye(2), TIGHT)
+        sol = solve_nnls(np.eye(2), np.eye(2))
         np.testing.assert_allclose(sol.U, np.eye(2), atol=1e-9)
         np.testing.assert_allclose(sol.dual_U, 0.0, atol=1e-9)
         assert sol.kkt_residual < 1e-8
@@ -27,7 +32,7 @@ class TestHandCases:
         # (1 - u)^2 + u^2 is minimized at u = 0.5 with objective 0.25
         A = np.array([[1.0, 0.0]])
         W = np.array([[1.0], [1.0]])
-        sol = solve_nnls(A, W, TIGHT)
+        sol = solve_nnls(A, W)
         np.testing.assert_allclose(sol.U, [[0.5]], atol=1e-9)
         assert nnls_objective(A, W, sol.U) == pytest.approx(0.25, abs=1e-9)
 
@@ -36,7 +41,7 @@ class TestHandCases:
         # u = (0, 0.5) with multiplier 0.5 on the clamped coordinate
         A = np.array([[0.0, 1.0]])
         W = np.array([[1.0, 1.0], [0.0, 1.0]])
-        sol = solve_nnls(A, W, TIGHT)
+        sol = solve_nnls(A, W)
         np.testing.assert_allclose(sol.U, [[0.0, 0.5]], atol=1e-8)
         np.testing.assert_allclose(sol.dual_U, [[0.5, 0.0]], atol=1e-8)
         assert sol.kkt_residual < 1e-8
@@ -58,7 +63,7 @@ class TestKktResidual:
     def test_hand_case_after_convergence(self):
         A = np.array([[0.0, 1.0]])
         W = np.array([[1.0, 1.0], [0.0, 1.0]])
-        sol = solve_nnls(A, W, TIGHT)
+        sol = solve_nnls(A, W)
         assert kkt_residual(A, W, sol.U, sol.dual_U) < 1e-8
 
 
@@ -69,7 +74,7 @@ class TestAgainstEnumeration:
             n, p, r = rng.integers(1, 4), rng.integers(1, 5), rng.integers(1, 4)
             A = rng.normal(size=(n, p))
             W = rng.normal(size=(p, r))
-            sol = solve_nnls(A, W, TIGHT)
+            sol = solve_nnls(A, W)
             _, obj_ref = nnls_enumerate(A, W)
             assert nnls_objective(A, W, sol.U) <= obj_ref + 1e-6
             assert sol.kkt_residual < 1e-8
@@ -83,7 +88,7 @@ class TestAgainstEnumeration:
         for _ in range(20):
             A = rng.normal(size=(3, 4))
             W = rng.normal(size=(4, 2))
-            sol = solve_nnls(A, W, TIGHT)
+            sol = solve_nnls(A, W)
             np.testing.assert_allclose(sol.dual_U, nnls_dual(A, W, sol.U), atol=1e-7)
 
 
@@ -132,7 +137,7 @@ class TestProperties:
             W, _ = np.linalg.qr(rng.normal(size=(4, 2)))  # well-conditioned columns
             U_true = rng.uniform(0.5, 2.0, size=(3, 2))
             A = U_true @ W.T
-            sol = solve_nnls(A, W, TIGHT)
+            sol = solve_nnls(A, W)
             if sol.U.min() > 1e-3:
                 hits += 1
                 U_ls = A @ W @ np.linalg.inv(W.T @ W)
@@ -144,8 +149,8 @@ class TestProperties:
         A = rng.uniform(size=(5, 3))
         W = rng.uniform(size=(3, 2))
         perm = np.array([3, 0, 4, 1, 2])
-        sol = solve_nnls(A, W, TIGHT)
-        sol_p = solve_nnls(A[perm], W, TIGHT)
+        sol = solve_nnls(A, W)
+        sol_p = solve_nnls(A[perm], W)
         np.testing.assert_allclose(sol_p.U, sol.U[perm], atol=1e-10)
 
     def test_batch_rows_match_individual_solves(self):
@@ -155,22 +160,22 @@ class TestProperties:
         rng = np.random.default_rng(23)
         A = rng.uniform(size=(50, 4)) * rng.uniform(0.1, 10.0, size=(50, 1))
         W = rng.uniform(size=(4, 3))
-        batch = solve_nnls(A, W, TIGHT)
+        batch = solve_nnls(A, W)
         assert batch.converged
-        target = TIGHT.tol * np.abs(A @ W).max()
+        target = nnls._KKT_TOL * np.abs(A @ W).max()
         assert batch.kkt_residual <= target
         assert len({row.tobytes() for row in batch.U > 0.0}) > 1
         for i in range(len(A)):
-            single = solve_nnls(A[i:i + 1], W, TIGHT)
+            single = solve_nnls(A[i:i + 1], W)
             np.testing.assert_allclose(batch.U[i], single.U[0], rtol=0, atol=1e-10)
 
     def test_extreme_data_scales(self):
         rng = np.random.default_rng(17)
         A = rng.uniform(size=(4, 3))
         W = rng.uniform(size=(3, 2))
-        base = solve_nnls(A, W, TIGHT)
+        base = solve_nnls(A, W)
         for scale in (1e-8, 1e8):
-            sol = solve_nnls(scale * A, scale * W, TIGHT)
+            sol = solve_nnls(scale * A, scale * W)
             assert sol.converged
             # coefficients of the doubly-scaled problem are unchanged
             np.testing.assert_allclose(sol.U, base.U, rtol=1e-6, atol=1e-9)
@@ -181,7 +186,7 @@ class TestProperties:
         # ridged copy; a zero column must be just as harmless
         for W in (np.array([[1.0, 1.0], [1.0, 1.0]]),
                   np.array([[1.0, 0.0], [1.0, 0.0]])):
-            sol = solve_nnls(A, W, TIGHT)
+            sol = solve_nnls(A, W)
             # reconstruction is what matters; the split between columns is not unique
             np.testing.assert_allclose(sol.U @ W.T, A, atol=1e-7)
             assert sol.kkt_residual < 1e-8 and sol.converged
@@ -190,42 +195,47 @@ class TestProperties:
         rng = np.random.default_rng(9)
         A = rng.uniform(size=(6, 4))
         W = rng.uniform(size=(4, 3))
-        cold = solve_nnls(A, W, TIGHT)
+        cold = solve_nnls(A, W)
         assert cold.iterations > 1
         # the converged support is feasible at once: one reduced solve on
         # the same support reproduces the solution bit for bit
-        warm = solve_nnls(A, W, TIGHT, warm=cold)
+        warm = solve_nnls(A, W, warm=cold.U)
         assert warm.iterations == 1 and warm.converged
         np.testing.assert_array_equal(warm.U, cold.U)
         np.testing.assert_array_equal(warm.dual_U, cold.dual_U)
 
-    def test_objective_nonincreasing_along_iterations(self):
+    def test_objective_nonincreasing_along_iterations(self, monkeypatch):
         # objective at growing iteration caps, cold-started each time so the
         # sequence tracks the solver trajectory
+        monkeypatch.setattr(nnls, "_KKT_TOL", 1e-14)
         rng = np.random.default_rng(13)
         for _ in range(5):
             A = rng.normal(size=(3, 4))
             W = rng.normal(size=(4, 2))
             objs = []
             for cap in (1, 2, 4, 8, 16, 32, 64, 128):
-                sol = solve_nnls(A, W, NnlsParams(max_iters=cap, tol=1e-14))
+                monkeypatch.setattr(nnls, "_MAX_PIVOTS", cap)
+                sol = solve_nnls(A, W)
                 objs.append(nnls_objective(A, W, sol.U))
             diffs = np.diff(objs)
-            assert np.all(diffs <= NnlsParams().tol + 1e-12)
+            assert np.all(diffs <= 1e-8 + 1e-12)
 
-    def test_nonconvergence_is_flagged_not_raised(self):
-        params = NnlsParams(max_iters=2, tol=1e-14)
+    def test_nonconvergence_is_flagged_not_raised(self, monkeypatch):
+        monkeypatch.setattr(nnls, "_MAX_PIVOTS", 2)
+        monkeypatch.setattr(nnls, "_KKT_TOL", 1e-14)
         rng = np.random.default_rng(1)
-        sol = solve_nnls(rng.uniform(size=(3, 3)), rng.uniform(size=(3, 2)), params)
+        sol = solve_nnls(rng.uniform(size=(3, 3)), rng.uniform(size=(3, 2)))
         assert isinstance(sol, NnlsSolution)
         assert not sol.converged
 
-    def test_flags_are_plain_python_scalars(self):
+    def test_flags_are_plain_python_scalars(self, monkeypatch):
         # traces and sidecars serialize these with json, which rejects NumPy
         # scalars such as np.bool_
         rng = np.random.default_rng(2)
-        for params in (TIGHT, NnlsParams(max_iters=1)):
-            sol = solve_nnls(rng.uniform(size=(4, 3)), rng.uniform(size=(3, 2)), params)
+        for kkt_tol, max_pivots in ((1e-10, 200), (1e-8, 1)):
+            monkeypatch.setattr(nnls, "_KKT_TOL", kkt_tol)
+            monkeypatch.setattr(nnls, "_MAX_PIVOTS", max_pivots)
+            sol = solve_nnls(rng.uniform(size=(4, 3)), rng.uniform(size=(3, 2)))
             assert type(sol.converged) is bool and type(sol.iterations) is int
             assert type(sol.kkt_residual) is float
             json.dumps({"converged": sol.converged, "iterations": sol.iterations,
@@ -245,7 +255,3 @@ class TestValidation:
     def test_non_finite_input(self):
         with pytest.raises(DataError):
             solve_nnls(np.array([[np.nan, 1.0]]), np.ones((2, 1)))
-
-    def test_bad_params(self):
-        with pytest.raises(ValueError):
-            NnlsParams(tol=-1.0)

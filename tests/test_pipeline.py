@@ -10,7 +10,8 @@ from craftkit.core import Rng
 from craftkit.errors import DegeneracyError, EmptySetError, InsufficientDataError
 from craftkit.implicit import jacobian_u_wrt_a
 from craftkit.nmf import NmfParams
-from craftkit.nnls import NnlsParams, solve_nnls
+from craftkit import nnls
+from craftkit.nnls import solve_nnls
 from craftkit.pipeline import (ConceptBank, CropSpec, bilinear_resize,
                                build_concept_bank,
                                concept_attribution_map, concept_attribution_maps,
@@ -23,7 +24,9 @@ from craftkit.toy import (make_synthetic_dataset, pair_backbone, standard_backbo
 from oracles import bilinear_resize_taps
 
 FIT_PARAMS = NmfParams(rank=2, outer_iters=80, objective_tol=1e-8)
-ATTRIBUTION_NNLS = NnlsParams(tol=1e-11)
+# attribution tests flag their NNLS solves converged, and so differentiable,
+# only at a KKT residual of this times max |A W|
+ATTRIBUTION_KKT_TOL = 1e-11
 
 
 @pytest.fixture(scope="module")
@@ -247,7 +250,8 @@ class TestAttributionMaps:
             hits += m[y0:y0 + 5, x0:x0 + 5].sum() / m.sum() > 0.5
         assert hits >= int(0.9 * total)
 
-    def test_strictly_inactive_concept_gives_zero_map(self, fitted_pair):
+    def test_strictly_inactive_concept_gives_zero_map(self, fitted_pair, monkeypatch):
+        monkeypatch.setattr(nnls, "_KKT_TOL", ATTRIBUTION_KKT_TOL)
         model, _, bank, _, _, concept_of = fitted_pair
         checked = 0
         for seed in range(40):
@@ -256,7 +260,7 @@ class TestAttributionMaps:
             (t_idx, _, _), = probe.stamps[0]
             absent = 1 - int(concept_of[t_idx])
             acts = model.features(probe.images)
-            sol = solve_nnls(acts, bank.W, NnlsParams(tol=1e-11))
+            sol = solve_nnls(acts, bank.W)
             if sol.U[0, absent] < 1e-7 and sol.dual_U[0, absent] > 1e-7:
                 hm = concept_attribution_map(probe.images[0], bank, model, absent)
                 assert not hm.values.any()
@@ -300,7 +304,8 @@ class TestAttributionMaps:
                                       method="smoothgrad", seed=5, n_noise=4)
         np.testing.assert_array_equal(hm1.values, hm2.values)
 
-    def test_occlusion_matches_per_patch_solves(self, fitted_pair):
+    def test_occlusion_matches_per_patch_solves(self, fitted_pair, monkeypatch):
+        monkeypatch.setattr(nnls, "_KKT_TOL", ATTRIBUTION_KKT_TOL)
         # reference: one features call and one single-row solve per patch
         model, _, bank, _, _, concept_of = fitted_pair
         probe = make_synthetic_dataset(model, 1, noise=0.0, seed=2104,
@@ -312,8 +317,7 @@ class TestAttributionMaps:
         stride = max(1, patch // 2)
 
         def coefficient(image):
-            return solve_nnls(model.features(image), bank.W,
-                              ATTRIBUTION_NNLS).U[0, concept]
+            return solve_nnls(model.features(image), bank.W).U[0, concept]
 
         u0 = coefficient(x)
         heat = np.zeros((h, w))
@@ -326,13 +330,13 @@ class TestAttributionMaps:
                 count[y0:y0 + patch, x0:x0 + patch] += 1.0
         expected = heat / np.maximum(count, 1.0)
 
-        hm = concept_attribution_map(x[0], bank, model, concept, method="occlusion",
-                                     nnls=ATTRIBUTION_NNLS)
+        hm = concept_attribution_map(x[0], bank, model, concept, method="occlusion")
         np.testing.assert_allclose(hm.values, expected, rtol=1e-12)
 
-    def test_smoothgrad_matches_per_jitter_gradients(self, fitted_pair):
+    def test_smoothgrad_matches_per_jitter_gradients(self, fitted_pair, monkeypatch):
         # reference: draw each jitter in turn from the same stream and
         # differentiate it on its own
+        monkeypatch.setattr(nnls, "_KKT_TOL", ATTRIBUTION_KKT_TOL)
         model, _, bank, _, _, concept_of = fitted_pair
         probe = make_synthetic_dataset(model, 1, noise=0.05, seed=2050,
                                        max_stamps=1, template_pool=(0, 1))
@@ -345,7 +349,7 @@ class TestAttributionMaps:
         for _ in range(n_noise):
             jittered = x + sigma * gen.normal(size=x.shape)
             acts = model.features(jittered)
-            sol = solve_nnls(acts, bank.W, ATTRIBUTION_NNLS)
+            sol = solve_nnls(acts, bank.W)
             cot = np.zeros((1, bank.r))
             cot[0, concept] = 1.0
             d_act = jacobian_u_wrt_a(sol, bank.W).vjp(cot)
@@ -353,7 +357,7 @@ class TestAttributionMaps:
         expected = acc / n_noise
 
         hm = concept_attribution_map(x[0], bank, model, concept, method="smoothgrad",
-                                     nnls=ATTRIBUTION_NNLS, seed=seed,
+                                     seed=seed,
                                      n_noise=n_noise, noise_scale=noise_scale)
         np.testing.assert_allclose(hm.values, expected, rtol=1e-12)
 
@@ -369,7 +373,8 @@ class TestAttributionMaps:
         with pytest.raises(ValueError):
             concept_attribution_map(np.zeros(model.input_shape), bank, model, 5)
 
-    def test_full_chain_gradient_matches_pixel_finite_differences(self, fitted_pair):
+    def test_full_chain_gradient_matches_pixel_finite_differences(self, fitted_pair,
+                                                                  monkeypatch):
         # end-to-end: d coefficient / d pixel through features, the NNLS
         # solve, and the implicit Jacobian, against finite differences of
         # the exact enumeration re-solve on the perturbed image
@@ -382,7 +387,8 @@ class TestAttributionMaps:
         concept = int(concept_of[probe.stamps[0][0][0]])
 
         acts = model.features(x)
-        sol = solve_nnls(acts, bank.W, NnlsParams(tol=1e-12))
+        monkeypatch.setattr(nnls, "_KKT_TOL", 1e-12)
+        sol = solve_nnls(acts, bank.W)
         jac = jacobian_u_wrt_a(sol, bank.W)
         cot = np.zeros((1, 2))
         cot[0, concept] = 1.0
@@ -469,20 +475,22 @@ class TestAttributionMapsOnePass:
         expected_vjp = 0 if method == "occlusion" else 1
         assert counting.calls["vjp_features"] == expected_vjp
 
-    def test_occlusion_matches_per_patch_loop_on_strided_rectangle(self, three_concepts):
+    def test_occlusion_matches_per_patch_loop_on_strided_rectangle(self, three_concepts,
+                                                                   monkeypatch):
         # a 36 x 28 image gives 4-pixel patches at stride 2, so each pixel is
         # covered by up to four overlapping patches; reference: one
         # single-row solve per patch, accumulated corner by corner. Single-row
         # and batched solves agree to rounding in u, and a drop is a
         # difference of nearly equal coefficients, so the tolerance is
         # absolute, on the scale of u
+        monkeypatch.setattr(nnls, "_KKT_TOL", ATTRIBUTION_KKT_TOL)
         _, bank, _ = three_concepts
         model = standard_backbone(input_shape=(36, 28, 1))
         x = make_synthetic_dataset(model, 1, noise=0.05, seed=12).images
         patch, stride = 4, 2
 
         def coefficients(image):
-            return solve_nnls(model.features(image), bank.W, ATTRIBUTION_NNLS).U[0]
+            return solve_nnls(model.features(image), bank.W).U[0]
 
         u0 = coefficients(x)
         heat = np.zeros((bank.r, 36, 28))
@@ -497,7 +505,7 @@ class TestAttributionMapsOnePass:
         expected = heat / np.maximum(count, 1.0)
 
         hms = concept_attribution_maps(x[0], bank, model, range(bank.r),
-                                       method="occlusion", nnls=ATTRIBUTION_NNLS)
+                                       method="occlusion")
         for c, hm in enumerate(hms):
             np.testing.assert_allclose(hm.values, expected[c], rtol=0,
                                        atol=1e-14 * np.abs(u0).max())

@@ -1,4 +1,5 @@
-"""Seeded robustness properties of solve_nnls, fit_nmf and transform.
+"""Seeded robustness properties of solve_nnls, fit_nmf, transform and the
+concept Jacobian.
 
 Every case either meets the KKT gate or raises a specific CraftError;
 nothing may come back unflagged and wrong, and nothing may raise anything
@@ -11,14 +12,15 @@ load_npy.
 import numpy as np
 import pytest
 
+from craftkit import nnls
 from craftkit.errors import DataError
+from craftkit.implicit import jacobian_u_wrt_a
 from craftkit.nmf import NmfParams, fit_nmf, transform
-from craftkit.nnls import NnlsParams, kkt_residual, solve_nnls
+from craftkit.nnls import kkt_residual, solve_nnls
 from craftkit.npyio import load_npy
 
 from oracles import nnls_dual, nnls_enumerate
 
-PARAMS = NnlsParams()
 SCALES = (1e-150, 1e-100, 1e-50, 1e-8, 1.0, 1e8, 1e50, 1e100, 1e150)
 # a tight fit, so that the factorization's own KKT residual is meaningful
 FIT = NmfParams(rank=2, outer_iters=500, objective_tol=1e-12)
@@ -29,22 +31,22 @@ def gradient_scale(A, W):
     return max(float(np.abs(A @ W).max(initial=0.0)), 1e-300)
 
 
-def assert_nnls_gate(A, W, sol, params=PARAMS):
+def assert_nnls_gate(A, W, sol):
     """The solver's own flag and residual, and an independent recomputation
     of the residual from the n x p reconstruction."""
-    target = params.tol * gradient_scale(A, W)
+    target = nnls._KKT_TOL * gradient_scale(A, W)
     assert sol.converged
     assert sol.kkt_residual <= target
     assert np.all(np.isfinite(sol.U)) and sol.U.min(initial=0.0) >= 0.0
     assert kkt_residual(A, W, sol.U, sol.dual_U) <= 2 * target
 
 
-def assert_transform_gate(A, W, U, params=PARAMS):
+def assert_transform_gate(A, W, U):
     """transform returns U alone; its multipliers are the clipped gradient
     off the support, as solve_nnls reports them."""
     assert np.all(np.isfinite(U)) and U.min(initial=0.0) >= 0.0
     dual = np.where(U > 0.0, 0.0, nnls_dual(A, W, U))
-    assert kkt_residual(A, W, U, dual) <= 2 * params.tol * gradient_scale(A, W)
+    assert kkt_residual(A, W, U, dual) <= 2 * nnls._KKT_TOL * gradient_scale(A, W)
 
 
 def assert_fit_gate(A, state):
@@ -101,6 +103,21 @@ class TestScales:
         np.testing.assert_allclose(state.W, base.W, rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(state.U, scale * base.U, rtol=1e-6,
                                    atol=1e-9 * scale * np.abs(base.U).max())
+
+
+class TestJacobianScales:
+    @pytest.mark.parametrize("scale", [1.0, 1e8, 1e12, 1e50, 1e150])
+    def test_jacobian_accepts_exact_solves_at_every_scale(self, scale):
+        # the Jacobian accepts what the solver flags converged, a residual
+        # relative to max |A W|, so an exact solve stays differentiable at
+        # any data scale; its vjp reads only the bank and the support
+        A, W = planted(115, 12, 7, 3)
+        A -= 0.3  # some coefficients clamp
+        W /= np.linalg.norm(W, axis=0)
+        cotangent = np.random.default_rng(116).normal(size=(12, 3))
+        base = jacobian_u_wrt_a(solve_nnls(A, W), W).vjp(cotangent)
+        jac = jacobian_u_wrt_a(solve_nnls(scale * A, W), W)
+        np.testing.assert_array_equal(jac.vjp(cotangent), base)
 
 
 class TestDegenerateShapes:
