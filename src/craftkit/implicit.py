@@ -24,7 +24,11 @@ from .errors import DegeneracyError, NumericalError
 from .nnls import _rank_deficient, _reduced_solve
 
 _DENSE_LIMIT = 10**6
-_DEGENERACY_MARGIN = 1e-7
+
+# a coordinate is degenerate when its coefficient and its multiplier are
+# both below this times max |A W|, the scale of the solver's convergence
+# test (a hundred times its tolerance), so the margin follows the data
+_DEGENERACY_MARGIN = 1e-6
 
 
 class ConceptJacobian:
@@ -117,18 +121,19 @@ def jacobian_u_wrt_a(solution, W):
     ``solution`` is the NnlsSolution of some input rows A; the Jacobian
     does not read A itself. It accepts exactly the solutions solve_nnls
     flags converged (else NumericalError), and they must be strictly
-    complementary: any coordinate with both primal and dual below 1e-7
-    raises DegeneracyError, because the solution map is not
-    differentiable there. A coordinate is free where its coefficient
-    exceeds its dual. A singular reduced Gram block raises NumericalError.
+    complementary: any coordinate with both primal and dual below 1e-6
+    times the solution's scale, max |A W|, raises DegeneracyError,
+    because the solution map is not differentiable there. A coordinate is
+    free where its coefficient exceeds its dual. A singular reduced Gram
+    block raises NumericalError.
     The dense matrix is built only if ``dense_form`` is read.
     """
     if not solution.converged:
         raise NumericalError(
             f"cannot differentiate an unconverged NNLS solution "
             f"(KKT residual {solution.kkt_residual:.2e})")
-    bad = np.argwhere((np.abs(solution.U) < _DEGENERACY_MARGIN)
-                      & (np.abs(solution.dual_U) < _DEGENERACY_MARGIN))
+    margin = _DEGENERACY_MARGIN * max(solution.scale, 1e-300)
+    bad = np.argwhere((np.abs(solution.U) < margin) & (np.abs(solution.dual_U) < margin))
     if len(bad):
-        raise DegeneracyError([tuple(ij) for ij in bad], _DEGENERACY_MARGIN)
+        raise DegeneracyError([tuple(ij) for ij in bad], margin)
     return ConceptJacobian(W, solution.U > solution.dual_U)

@@ -5,7 +5,10 @@ step solves the transposed problem), each warm-started from the support of
 the previous outer iteration, so a solve whose support did not move ends
 after one reduced solve. Each update is exact to rounding, which makes the
 objective non-increasing. The start is always NNDSVD, which is
-deterministic, so repeated fits are bit-identical.
+deterministic, so repeated fits are bit-identical; it reads the leading
+singular triplets off the smaller Gram matrix of the data, A A^T or A^T A,
+instead of a full SVD. Outside the solves, a fit touches the n x p data
+only through one n x p buffer, reused for every objective evaluation.
 """
 
 import math
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .nnls import kkt_residual, nnls_objective, solve_nnls
+from .nnls import _kkt_max, _rank_deficient, solve_nnls
 
 # below this largest entry, fit_nmf works on A scaled to unit size
 _SMALL_DATA = 2.0 ** -256
@@ -50,7 +53,8 @@ class FactorizationState:
     W columns are unit Euclidean norm with the original scales recorded in
     column_norms and absorbed into U, so banks compare by cosine directly.
     objective_trace starts at the initialization objective and appends one
-    value per outer iteration.
+    value per outer iteration; nnls_steps sums the pivoting steps of every
+    NNLS solve of the fit.
     """
 
     U: np.ndarray
@@ -61,25 +65,34 @@ class FactorizationState:
     converged: bool
     kkt_residual: float
     column_norms: np.ndarray
+    nnls_steps: int
 
 
 def _nndsvd(A, r):
-    """Deterministic SVD-based nonnegative initialization.
+    """Deterministic NNDSVD start (Boutsidis and Gallopoulos, Pattern
+    Recognition 41, 2008) from the r leading singular triplets of A.
 
-    Each singular pair is split into its positive and negative parts and the
-    dominant pair is kept, scaled to preserve the singular value's energy.
-    The leading pair of a nonnegative matrix is nonnegative up to sign, so
-    taking magnitudes there is exact.
+    The triplets come from the eigenvectors of the smaller of A A^T and
+    A^T A; the other singular vectors are A v / sigma. An eigenvalue at or
+    below that Gram matrix's rank threshold counts as sigma = 0, and its
+    columns stay zero. Each singular pair is split into its positive and
+    negative parts and the dominant pair is kept, scaled to preserve the
+    singular value's energy. The leading pair of a nonnegative matrix is
+    nonnegative up to sign, so taking magnitudes there is exact.
     """
     n, p = A.shape
+    wide = n <= p
+    eigvals, vectors = np.linalg.eigh(A @ A.T if wide else A.T @ A)
+    leading = eigvals[::-1][:r]
+    k = int(np.count_nonzero(~_rank_deficient(leading, eigvals[-1], len(eigvals))))
+    sigma = np.sqrt(leading[:k])
+    V = vectors[:, ::-1][:, :k]
+    other = (A.T @ V if wide else A @ V) / sigma
+    P, Q = (V, other) if wide else (other, V)
     U0 = np.zeros((n, r))
     W0 = np.zeros((p, r))
-    P, sigma, Qt = np.linalg.svd(A, full_matrices=False)
-    k = min(r, len(sigma))
     for j in range(k):
-        if sigma[j] <= 0:
-            break
-        x, y = P[:, j], Qt[j, :]
+        x, y = P[:, j], Q[:, j]
         if j == 0:
             xs, ys = np.abs(x), np.abs(y)
             scale = 1.0
@@ -99,30 +112,69 @@ def _nndsvd(A, r):
     return U0, W0
 
 
-def init_factors(A, r):
-    """NNDSVD starting factors (U0 n x r, W0 p x r) for fit_nmf."""
-    A = np.asarray(A, dtype=np.float64)
+def _checked_squared_norm(A, r, out=None):
+    """Check A for a rank-r fit and return ||A||_F^2, its squares formed
+    in out.
+
+    The squared norm is taken first: it is finite only when every entry
+    of A is, so A is scanned for NaN or Inf only when it is not. It is
+    also checked before any Gram matrix of A is formed, so that an
+    overflow raises DataError instead of a warning.
+    """
     if A.ndim != 2:
         raise ValueError("A must be 2-D")
     n, p = A.shape
     if not 1 <= r <= min(n, p):
         raise ValueError(f"rank {r} outside 1..min(n, p) = {min(n, p)}")
-    if not np.all(np.isfinite(A)):
+    with np.errstate(over="ignore"):
+        total = float(np.sum(np.square(A, out=out)))
+    if not np.isfinite(total) and not np.all(np.isfinite(A)):
         raise DataError("A contains NaN or Inf")
-    if A.size and A.min() < 0:
+    if A.min() < 0:
         raise DataError("A must be elementwise nonnegative")
-    return _nndsvd(A, r)
+    if not np.isfinite(total):
+        raise DataError("the squared norm of A overflows; rescale A")
+    return total
+
+
+def init_factors(A, r):
+    """NNDSVD starting factors (U0 n x r, W0 p x r) for fit_nmf.
+
+    Data whose largest entry is below 2^-256 are started at unit scale,
+    as fit_nmf fits them, and both factors are scaled back by the square
+    root of that power of two.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    shift = _unit_scale_shift(A)
+    scaled = np.ldexp(A, shift) if shift else A
+    _checked_squared_norm(scaled, r)
+    U0, W0 = _nndsvd(scaled, r)
+    back = 2.0 ** (-shift / 2)
+    return U0 * back, W0 * back
 
 
 def _unit_scale_shift(A):
-    """The power of two bringing A's largest entry into [0.5, 1) when that
-    entry is below _SMALL_DATA; 0 otherwise, and for empty or non-finite A."""
-    top = float(np.abs(A).max(initial=0.0))
+    """The power of two bringing A's largest magnitude into [0.5, 1) when
+    it is below _SMALL_DATA; 0 otherwise, and for empty or non-finite A."""
+    top = max(float(np.max(A, initial=0.0)), -float(np.min(A, initial=0.0)))
     return -int(np.frexp(top)[1]) if 0.0 < top < _SMALL_DATA else 0
+
+
+def _objective(A, W, U, out):
+    """nnls_objective(A, W, U), bit for bit, formed in the n x p buffer out."""
+    np.matmul(U, W.T, out=out)
+    np.subtract(A, out, out=out)
+    np.square(out, out=out)
+    return 0.5 * float(np.sum(out))
 
 
 def fit_nmf(A, params):
     """Alternate NNLS solves for U and W until the objective stalls.
+
+    Besides the two solves, each outer iteration touches the n x p data
+    only to score the objective, in one buffer allocated per fit, which
+    also holds the squares of the data norm and the final residual for
+    the KKT check.
 
     Data whose largest entry is below 2^-256 (about 1e-77) are fitted
     scaled by the power of two that brings that entry into [0.5, 1), and
@@ -145,13 +197,11 @@ def fit_nmf(A, params):
     A = np.asarray(A, dtype=np.float64)
     shift = _unit_scale_shift(A)
     scaled = np.ldexp(A, shift) if shift else A
-    U, W = init_factors(scaled, params.rank)
-    with np.errstate(over="ignore"):
-        data_scale = 0.5 * float(np.sum(scaled * scaled))
-    if not np.isfinite(data_scale):
-        raise DataError("the squared norm of A overflows; rescale A")
+    buffer = np.empty(A.shape)
+    data_scale = 0.5 * _checked_squared_norm(scaled, params.rank, buffer)
+    U, W = _nndsvd(scaled, params.rank)
 
-    trace = [nnls_objective(scaled, W, U)]
+    trace = [_objective(scaled, W, U, buffer)]
 
     # two ways to finish early: the decrease stalls relative to the overall
     # objective scale, or the residual itself becomes negligible relative to
@@ -159,12 +209,14 @@ def fit_nmf(A, params):
     stall = params.objective_tol * max(trace[0], 1e-300)
     floor = params.objective_tol * data_scale
     converged = False
+    steps = 0
     for _ in range(params.outer_iters):
         sol_u = solve_nnls(scaled, W, warm=U)
         U = sol_u.U
         sol_w = solve_nnls(scaled.T, U, warm=W)
         W = sol_w.U
-        obj = nnls_objective(scaled, W, U)
+        steps += sol_u.iterations + sol_w.iterations
+        obj = _objective(scaled, W, U, buffer)
         trace.append(obj)
         if abs(trace[-2] - obj) <= stall or obj <= floor:
             converged = sol_u.converged and sol_w.converged
@@ -184,10 +236,14 @@ def fit_nmf(A, params):
     dual_W = np.ldexp(dual_W, -2 * shift)
     trace = [math.ldexp(obj, -2 * shift) for obj in trace]
 
-    residual = max(kkt_residual(A, W, U, dual_U), kkt_residual(A.T, U, W, dual_W))
+    # kkt_residual of both solves from the one residual U W^T - A
+    residual = np.subtract(np.matmul(U, W.T, out=buffer), A, out=buffer)
+    kkt = max(_kkt_max(residual @ W - dual_U, U, dual_U),
+              _kkt_max(residual.T @ U - dual_W, W, dual_W))
     return FactorizationState(U=U, W=W, dual_U=dual_U, dual_W=dual_W,
                               objective_trace=tuple(trace), converged=converged,
-                              kkt_residual=residual, column_norms=norms)
+                              kkt_residual=kkt, column_norms=norms,
+                              nnls_steps=steps)
 
 
 def transform(A_new, W):

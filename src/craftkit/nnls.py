@@ -17,6 +17,8 @@ infeasible index, which bounds cycling. Warm starts reuse the previous
 support U > 0, so an alternating factorization re-pivots only the rows
 whose support moved. The multipliers of U >= 0 are the clipped gradient
 on the clamped set, which downstream implicit differentiation requires.
+A itself enters only through A W: a NaN or infinity in A makes A W
+non-finite, so A is scanned for one only when A W is not finite.
 """
 
 from dataclasses import dataclass
@@ -51,7 +53,8 @@ class NnlsSolution:
 
     U is exactly nonnegative; dual_U holds the multipliers of U >= 0. At
     convergence the two have complementary supports up to the solver
-    tolerance, which kkt_residual reports as a single number.
+    tolerance, which kkt_residual reports as a single number. scale is
+    max |A W|, the size the convergence test measures kkt_residual against.
     """
 
     U: np.ndarray
@@ -59,6 +62,7 @@ class NnlsSolution:
     iterations: int
     kkt_residual: float
     converged: bool
+    scale: float
 
 
 def solve_nnls(A, W, warm=None):
@@ -67,7 +71,7 @@ def solve_nnls(A, W, warm=None):
     Parameters
     ----------
     A : ndarray, n x p
-        Targets, one problem per row. Must be finite.
+        Targets, one problem per row. Must be finite (checked through A W).
     W : ndarray, p x r
         Fixed dictionary. Full column rank is not required: when W^T W is
         numerically singular, the pivoting runs on W^T W plus a ridge of
@@ -93,8 +97,6 @@ def solve_nnls(A, W, warm=None):
         raise ValueError("A and W must be 2-D")
     if A.shape[1] != W.shape[0]:
         raise ValueError(f"A has {A.shape[1]} columns but W has {W.shape[0]} rows")
-    if not np.all(np.isfinite(A)):
-        raise DataError("A contains NaN or Inf")
     if not np.all(np.isfinite(W)):
         raise DataError("W contains NaN or Inf")
     n, _ = A.shape
@@ -105,12 +107,15 @@ def solve_nnls(A, W, warm=None):
         raise ValueError("warm start shape mismatch")
     if n == 0:
         return NnlsSolution(U=np.zeros((0, r)), dual_U=np.zeros((0, r)), iterations=0,
-                            kkt_residual=0.0, converged=True)
+                            kkt_residual=0.0, converged=True, scale=0.0)
 
     with np.errstate(over="ignore", invalid="ignore"):
         G = W.T @ W
         AW = A @ W
     if not (np.all(np.isfinite(G)) and np.all(np.isfinite(AW))):
+        # a NaN or infinity in A reaches A W, so A is scanned only here
+        if not np.all(np.isfinite(A)):
+            raise DataError("A contains NaN or Inf")
         raise DataError("W^T W or A W overflows; rescale A and W")
     if np.any((np.diag(G) < np.finfo(np.float64).tiny) & np.any(W != 0.0, axis=0)):
         raise DataError("W^T W underflows to subnormals or zero on a nonzero column "
@@ -150,9 +155,10 @@ def solve_nnls(A, W, warm=None):
     residual = _kkt_max(grad - dual_U, U, dual_U)
     # no unit floor on the gradient scale, or tiny-scale problems would
     # accept arbitrary iterates
-    converged = residual <= _KKT_TOL * max(np.abs(AW).max(), 1e-300)
+    scale = float(np.abs(AW).max())
+    converged = residual <= _KKT_TOL * max(scale, 1e-300)
     return NnlsSolution(U=U, dual_U=dual_U, iterations=iterations,
-                        kkt_residual=residual, converged=bool(converged))
+                        kkt_residual=residual, converged=bool(converged), scale=scale)
 
 
 def _pivot_gram(G):

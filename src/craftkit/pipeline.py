@@ -57,9 +57,9 @@ class CropSpec:
 class ConceptBank:
     """Unit-norm nonnegative concept vectors (columns of W) for one layer.
 
-    converged, kkt_residual and outer_iters are the diagnostics of the fit
-    that produced the bank (see fit_bank); they are None for a bank built
-    by hand.
+    converged, kkt_residual, outer_iters and nnls_steps (the pivoting steps
+    of all its NNLS solves) are the diagnostics of the fit that produced
+    the bank (see fit_bank); they are None for a bank built by hand.
     """
 
     W: np.ndarray
@@ -72,15 +72,17 @@ class ConceptBank:
     converged: bool | None = None
     kkt_residual: float | None = None
     outer_iters: int | None = None
+    nnls_steps: int | None = None
 
 
-_DIAGNOSTICS = ("converged", "kkt_residual", "outer_iters")
+_DIAGNOSTICS = ("converged", "kkt_residual", "outer_iters", "nnls_steps")
 
 # JSON types of meta.json values (rank and column_norms also against W.npy)
 _META_REQUIRED = {"rank": (object,), "layer_tag": (str,), "objective": (int, float),
                   "column_norms": (list,)}
 _META_OPTIONAL = {"bank_id": (str,), "parent": (list, type(None)), "converged": (bool,),
-                  "kkt_residual": (int, float), "outer_iters": (int,)}
+                  "kkt_residual": (int, float), "outer_iters": (int,),
+                  "nnls_steps": (int,)}
 
 
 @dataclass(frozen=True)
@@ -206,7 +208,8 @@ def fit_bank(activations, nmf_params, layer_tag, bank_id="bank", parent=None):
                        column_norms=state.column_norms, bank_id=bank_id,
                        parent=parent, converged=bool(state.converged),
                        kkt_residual=float(state.kkt_residual),
-                       outer_iters=len(state.objective_trace) - 1)
+                       outer_iters=len(state.objective_trace) - 1,
+                       nnls_steps=state.nnls_steps)
     return bank, state
 
 
@@ -400,7 +403,7 @@ def save_bank(bank, directory):
     """Persist a bank as W.npy plus a JSON sidecar (meta.json).
 
     The sidecar records the fit diagnostics (converged, kkt_residual,
-    outer_iters) whenever the bank carries them.
+    outer_iters, nnls_steps) whenever the bank carries them.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

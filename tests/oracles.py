@@ -51,6 +51,37 @@ def nnls_dual(A, W, U):
     return np.maximum((U @ W.T - A) @ W, 0.0)
 
 
+def nndsvd_svd(A, r):
+    """NNDSVD start (Boutsidis and Gallopoulos, 2008) from a full thin SVD.
+
+    Each of the r leading singular pairs with sigma > 0 is split into its
+    positive and negative parts and the pair with the larger product of
+    norms is kept, normalized, and scaled by sqrt(sigma * that product);
+    the leading pair is taken in magnitude with weight sigma. Pairs whose
+    parts are both zero, and those past the last positive sigma, stay zero.
+    """
+    n, p = A.shape
+    U0, W0 = np.zeros((n, r)), np.zeros((p, r))
+    P, sigma, Qt = np.linalg.svd(A, full_matrices=False)
+    for j in range(min(r, len(sigma))):
+        if sigma[j] <= 0:
+            break
+        x, y = P[:, j], Qt[j]
+        if j == 0:
+            U0[:, j] = np.sqrt(sigma[j]) * np.abs(x)
+            W0[:, j] = np.sqrt(sigma[j]) * np.abs(y)
+            continue
+        parts = [(np.maximum(x, 0), np.maximum(y, 0)), (np.maximum(-x, 0), np.maximum(-y, 0))]
+        mass = [np.linalg.norm(a) * np.linalg.norm(b) for a, b in parts]
+        if max(mass) == 0:
+            continue
+        a, b = parts[int(mass[1] > mass[0])]
+        weight = np.sqrt(sigma[j] * max(mass))
+        U0[:, j] = weight * a / np.linalg.norm(a)
+        W0[:, j] = weight * b / np.linalg.norm(b)
+    return U0, W0
+
+
 def ishigami_total_indices(a, b):
     """Closed-form total Sobol indices of the Ishigami function.
 

@@ -27,10 +27,13 @@ class TestFit:
         meta = json.loads((out / "bank" / "meta.json").read_text())
         assert meta["rank"] == 4
         assert set(meta) >= {"rank", "layer_tag", "objective", "column_norms",
-                             "created_by", "converged", "kkt_residual", "outer_iters"}
+                             "created_by", "converged", "kkt_residual", "outer_iters",
+                             "nnls_steps"}
         assert meta["converged"] is True
         assert 0.0 <= meta["kkt_residual"] < np.inf
         assert meta["outer_iters"] >= 1
+        # at least one pivoting step per solve, two solves per outer iteration
+        assert type(meta["nnls_steps"]) is int and meta["nnls_steps"] >= 2 * meta["outer_iters"]
 
     def test_missing_rank_is_usage_error(self, tmp_path):
         code = main(["fit", "--model", "toy:7", "--out", str(tmp_path / "r")])
@@ -254,9 +257,13 @@ class TestImportance:
         (lambda meta: meta.update(column_norms=[1.0, "x"]),
          "the key 'column_norms' holds"),
         (lambda meta: meta.update(parent=5), "the key 'parent' holds int"),
+        (lambda meta: meta.update(nnls_steps="12"), "the key 'nnls_steps' holds str"),
+        (lambda meta: meta.update(nnls_steps=12.5), "the key 'nnls_steps' holds float"),
+        (lambda meta: meta.update(nnls_steps=True), "the key 'nnls_steps' holds bool"),
     ], ids=["rank_mismatch", "null_rank", "missing_objective", "list_objective",
             "string_objective", "number_layer_tag", "short_column_norms",
-            "string_column_norm", "number_parent"])
+            "string_column_norm", "number_parent", "string_nnls_steps",
+            "float_nnls_steps", "bool_nnls_steps"])
     def test_corrupt_bank_sidecar_is_data_error(self, fitted_run, capsys, edit, message):
         path = fitted_run / "bank" / "meta.json"
         meta = json.loads(path.read_text())

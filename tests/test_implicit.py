@@ -260,7 +260,8 @@ class TestGuards:
         from craftkit.nnls import NnlsSolution
         W = np.array([[1.0], [1.0]])
         sloppy = NnlsSolution(U=np.array([[0.1]]), dual_U=np.zeros((1, 1)),
-                              iterations=1, kkt_residual=0.5, converged=False)
+                              iterations=1, kkt_residual=0.5, converged=False,
+                              scale=1.0)
         with pytest.raises(NumericalError):
             jacobian_u_wrt_a(sloppy, W)
 

@@ -1,17 +1,20 @@
 """NMF fixtures with known optima plus objective-level properties.
 
-Factor identity is never asserted (the factorization is not unique); only
-objectives, reconstructions, and the rank-1 case where the leading singular
-pair of a nonnegative matrix is itself nonnegative, forcing the optimum.
+Fitted factor identity is never asserted (the factorization is not
+unique); only objectives, reconstructions, and the rank-1 case where the
+leading singular pair of a nonnegative matrix is itself nonnegative, forcing
+the optimum. The deterministic NNDSVD start is compared with an SVD oracle.
 """
 
 import numpy as np
 import pytest
 
-from craftkit import nnls
+from craftkit import nmf, nnls
 from craftkit.errors import DataError
 from craftkit.nmf import NmfParams, fit_nmf, init_factors, transform
-from craftkit.nnls import nnls_objective
+from craftkit.nnls import kkt_residual, nnls_objective
+
+from oracles import nndsvd_svd
 
 
 @pytest.fixture(autouse=True)
@@ -55,7 +58,90 @@ class TestInitFactors:
             init_factors(np.array([[1.0, -0.1]]), 1)
 
 
+def _rank_deficient_data(n, p, rank, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(size=(n, rank)) @ rng.uniform(size=(rank, p))
+
+
+# (A, r, leading): `leading` singular pairs are above the Gram matrix's rank
+# threshold; the SVD keeps the rest as noise pairs of relative size 1e-8
+INIT_CASES = {
+    "tall": (np.random.default_rng(20).uniform(size=(40, 12)), 4, 4),
+    "wide": (np.random.default_rng(21).uniform(size=(12, 40)), 4, 4),
+    "square": (np.random.default_rng(22).uniform(size=(15, 15)), 5, 5),
+    "rank_deficient_wide": (_rank_deficient_data(30, 20, 3, 23), 5, 3),
+    "rank_deficient_tall": (_rank_deficient_data(50, 8, 2, 24), 4, 2),
+    "zero": (np.zeros((6, 4)), 3, 0),
+}
+INIT_SCALES = (1.0, 1e-70, 1e70, 1e-160, 1e-300)
+
+
+class TestInitFactorsMatchesSvdOracle:
+    # the Gram route and the thin SVD agree to 4.4e-14 of each factor's
+    # largest entry on these cases; the pin leaves a margin of 20
+    RTOL = 1e-12
+
+    @pytest.mark.parametrize("scale", INIT_SCALES, ids=lambda s: f"{s:g}")
+    @pytest.mark.parametrize("case", sorted(INIT_CASES))
+    def test_leading_pairs_match_and_the_rest_stay_zero(self, case, scale):
+        A, r, leading = INIT_CASES[case]
+        A = scale * A
+        U0, W0 = init_factors(A, r)
+        U_ref, W_ref = nndsvd_svd(A, r)
+        for got, ref in ((U0, U_ref), (W0, W_ref)):
+            atol = self.RTOL * np.abs(ref).max(initial=0.0)
+            np.testing.assert_allclose(got[:, :leading], ref[:, :leading], rtol=0, atol=atol)
+            # below the rank threshold sigma counts as 0: the SVD's noise
+            # pairs, at most 1e-7 of the factor, become exact zeros
+            assert not got[:, leading:].any()
+            assert np.abs(ref[:, leading:]).max(initial=0.0) <= 1e-7 * np.abs(ref).max()
+        np.testing.assert_allclose(U0 @ W0.T, U_ref @ W_ref.T, rtol=0,
+                                   atol=self.RTOL * np.abs(A).max(initial=0.0))
+
+    def test_overflowing_square_norm_is_a_data_error_before_any_gram(self):
+        # A A^T would overflow with a RuntimeWarning, which pytest turns
+        # into an error; the squared norm is checked first
+        with pytest.raises(DataError, match="overflows"):
+            init_factors(1e160 * INIT_CASES["wide"][0], 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_is_named(self, bad):
+        A = INIT_CASES["tall"][0].copy()
+        A[3, 2] = bad
+        with pytest.raises(DataError, match="NaN or Inf"):
+            init_factors(A, 2)
+        with pytest.raises(DataError, match="NaN or Inf"):
+            fit_nmf(A, NmfParams(rank=2))
+
+
 class TestFitNmf:
+    def test_trace_and_steps_are_those_of_the_iterates(self, monkeypatch):
+        # the in-place objective reproduces nnls_objective bit for bit, and
+        # nnls_steps sums the pivoting steps of every solve
+        A = np.random.default_rng(25).uniform(size=(9, 6))
+        solutions = []
+
+        def recorded(*args, **kwargs):
+            solutions.append(nnls.solve_nnls(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(nmf, "solve_nnls", recorded)
+        state = fit_nmf(A, NmfParams(rank=3, outer_iters=20))
+        U0, W0 = init_factors(A, 3)
+        expected = [nnls_objective(A, W0, U0)] + [
+            nnls_objective(A, sol_w.U, sol_u.U)
+            for sol_u, sol_w in zip(solutions[::2], solutions[1::2])]
+        assert list(state.objective_trace) == expected
+        assert state.nnls_steps == sum(sol.iterations for sol in solutions)
+        assert type(state.nnls_steps) is int and state.nnls_steps >= len(solutions)
+
+    def test_kkt_residual_is_that_of_both_solves(self):
+        A = np.random.default_rng(26).uniform(size=(9, 6))
+        state = fit_nmf(A, NmfParams(rank=3, outer_iters=20))
+        expected = max(kkt_residual(A, state.W, state.U, state.dual_U),
+                       kkt_residual(A.T, state.U, state.W, state.dual_W))
+        assert state.kkt_residual == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
     def test_exact_factorization_is_found(self):
         U_true = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         W_true = np.array([[1.0, 0.0], [0.0, 2.0]])

@@ -255,3 +255,20 @@ class TestValidation:
     def test_non_finite_input(self):
         with pytest.raises(DataError):
             solve_nnls(np.array([[np.nan, 1.0]]), np.ones((2, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bank", ["full", "zero_column", "zero", "zero_single_column"])
+    def test_non_finite_a_is_named_through_a_w(self, bad, bank):
+        # A is scanned only once A W is non-finite; a zero column of W, or
+        # W = 0, must not hide the bad entry (NaN * 0 and Inf * 0 are NaN)
+        rng = np.random.default_rng(30)
+        A = rng.uniform(size=(5, 4))
+        A[2, 1] = bad
+        W = {"full": rng.uniform(size=(4, 3)),
+             "zero_column": np.column_stack([rng.uniform(size=(4, 2)), np.zeros(4)]),
+             "zero": np.zeros((4, 3)),
+             "zero_single_column": np.zeros((4, 1))}[bank]
+        with pytest.raises(DataError, match="A contains NaN or Inf"):
+            solve_nnls(A, W)
+        with pytest.raises(DataError, match="A contains NaN or Inf"):
+            solve_nnls(A[2:3], W, warm=np.ones((1, W.shape[1])))

@@ -665,13 +665,15 @@ class TestBankPersistence:
         assert loaded.fit_objective == pytest.approx(bank.fit_objective)
         np.testing.assert_allclose(loaded.column_norms, bank.column_norms)
         assert bank.converged is not None and bank.outer_iters >= 1
-        assert (loaded.converged, loaded.kkt_residual, loaded.outer_iters) == (
-            bank.converged, bank.kkt_residual, bank.outer_iters)
+        assert bank.nnls_steps >= 2 * bank.outer_iters
+        assert (loaded.converged, loaded.kkt_residual, loaded.outer_iters,
+                loaded.nnls_steps) == (bank.converged, bank.kkt_residual,
+                                       bank.outer_iters, bank.nnls_steps)
 
     def test_hand_built_bank_saves_without_diagnostics(self, tmp_path):
         bank = ConceptBank(W=np.eye(2), layer_tag="final", r=2, fit_objective=0.0,
                            column_norms=np.ones(2))
         save_bank(bank, tmp_path / "bank")
         meta = json.loads((tmp_path / "bank" / "meta.json").read_text())
-        assert not {"converged", "kkt_residual", "outer_iters"} & set(meta)
+        assert not {"converged", "kkt_residual", "outer_iters", "nnls_steps"} & set(meta)
         assert load_bank(tmp_path / "bank").converged is None

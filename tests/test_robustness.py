@@ -106,11 +106,12 @@ class TestScales:
 
 
 class TestJacobianScales:
-    @pytest.mark.parametrize("scale", [1.0, 1e8, 1e12, 1e50, 1e150])
+    @pytest.mark.parametrize("scale", [1e-150, 1e-50, 1e-6, 1.0, 1e8, 1e12, 1e50, 1e150])
     def test_jacobian_accepts_exact_solves_at_every_scale(self, scale):
         # the Jacobian accepts what the solver flags converged, a residual
-        # relative to max |A W|, so an exact solve stays differentiable at
-        # any data scale; its vjp reads only the bank and the support
+        # relative to max |A W|, and its degeneracy margin is relative to
+        # the same scale, so an exact solve stays differentiable at any
+        # data scale; its vjp reads only the bank and the support
         A, W = planted(115, 12, 7, 3)
         A -= 0.3  # some coefficients clamp
         W /= np.linalg.norm(W, axis=0)
