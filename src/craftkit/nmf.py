@@ -3,8 +3,15 @@
 Both factor updates reuse the block principal pivoting NNLS solver (the W
 step solves the transposed problem), each warm-started from the support of
 the previous outer iteration, so a solve whose support did not move ends
-after one reduced solve. Each update is exact to rounding, which makes the
-objective non-increasing. The start is always NNDSVD, which is
+after one reduced solve. Plain alternation crawls along flat valleys of the
+objective, so each outer iteration first solves for U against an
+extrapolated W, max(0, W + beta (W - W_prev)) (Ang and Gillis,
+"Accelerating nonnegative matrix factorization algorithms using
+extrapolation", Neural Computation 31(2), 2019), then for W against that U.
+The pair is kept when it does not raise the objective, and beta grows;
+otherwise beta shrinks and the iteration takes the plain step from the last
+kept pair instead, whose exact updates cannot raise it, so the objective
+trace is non-increasing. The start is always NNDSVD, which is
 deterministic, so repeated fits are bit-identical; it reads the leading
 singular triplets off the smaller Gram matrix of the data, A A^T or A^T A,
 instead of a full SVD. Outside the solves, a fit touches the n x p data
@@ -22,6 +29,15 @@ from .nnls import _kkt_max, _rank_deficient, solve_nnls
 # below this largest entry, fit_nmf works on A scaled to unit size
 _SMALL_DATA = 2.0 ** -256
 
+# extrapolation of the outer step (Ang and Gillis, Neural Computation
+# 31(2), 2019): the starting weight beta; its growth after a kept step;
+# the growth of its cap, which never exceeds 1; and its shrink after a
+# rejected step, when the cap falls to the rejected weight
+_BETA = 0.5
+_GROW = 1.05
+_GROW_MAX = 1.01
+_SHRINK = 1.5
+
 
 @dataclass(frozen=True)
 class NmfParams:
@@ -31,6 +47,8 @@ class NmfParams:
     The outer loop stops once the per-iteration decrease falls below
     objective_tol relative to the starting objective, or once the residual
     itself is below objective_tol relative to the data's squared norm.
+    outer_iters bounds the kept steps; an iteration whose extrapolated step
+    is rejected runs four NNLS solves instead of two.
     """
 
     rank: int
@@ -52,9 +70,10 @@ class FactorizationState:
 
     W columns are unit Euclidean norm with the original scales recorded in
     column_norms and absorbed into U, so banks compare by cosine directly.
-    objective_trace starts at the initialization objective and appends one
-    value per outer iteration; nnls_steps sums the pivoting steps of every
-    NNLS solve of the fit.
+    objective_trace starts at the initialization objective and appends the
+    objective of the pair each outer iteration keeps; nnls_steps sums the
+    pivoting steps of every NNLS solve of the fit, rejected extrapolated
+    steps included.
     """
 
     U: np.ndarray
@@ -171,10 +190,18 @@ def _objective(A, W, U, out):
 def fit_nmf(A, params):
     """Alternate NNLS solves for U and W until the objective stalls.
 
-    Besides the two solves, each outer iteration touches the n x p data
-    only to score the objective, in one buffer allocated per fit, which
-    also holds the squares of the data norm and the final residual for
-    the KKT check.
+    Each outer iteration solves for U against the extrapolated W of the
+    module docstring, warm-started from the kept U, then for W, warm-started
+    from the kept W. When that pair raises the objective above the last
+    kept one, the two solves are redone from the kept pair without
+    extrapolation. The first iteration has no previous W, so its step is
+    plain. The stall and floor tests compare kept objectives, and the
+    multipliers, the convergence flag and the KKT residual are those of the
+    returned pair's solves.
+
+    Besides the solves, each outer iteration touches the n x p data only to
+    score the objective, in one buffer allocated per fit, which also holds
+    the squares of the data norm and the final residual for the KKT check.
 
     Data whose largest entry is below 2^-256 (about 1e-77) are fitted
     scaled by the power of two that brings that entry into [0.5, 1), and
@@ -210,13 +237,25 @@ def fit_nmf(A, params):
     floor = params.objective_tol * data_scale
     converged = False
     steps = 0
+    W_prev = W
+    beta, beta_max = _BETA, 1.0
     for _ in range(params.outer_iters):
-        sol_u = solve_nnls(scaled, W, warm=U)
-        U = sol_u.U
-        sol_w = solve_nnls(scaled.T, U, warm=W)
-        W = sol_w.U
+        W_hat = np.maximum(W + beta * (W - W_prev), 0.0)
+        sol_u = solve_nnls(scaled, W_hat, warm=U)
+        sol_w = solve_nnls(scaled.T, sol_u.U, warm=W)
         steps += sol_u.iterations + sol_w.iterations
-        obj = _objective(scaled, W, U, buffer)
+        obj = _objective(scaled, sol_w.U, sol_u.U, buffer)
+        if obj <= trace[-1]:
+            beta, beta_max = min(beta_max, _GROW * beta), min(1.0, _GROW_MAX * beta_max)
+        else:
+            # the extrapolated step raised the objective: take the plain
+            # step from the kept pair, and extrapolate less from now on
+            beta, beta_max = beta / _SHRINK, beta
+            sol_u = solve_nnls(scaled, W, warm=U)
+            sol_w = solve_nnls(scaled.T, sol_u.U, warm=W)
+            steps += sol_u.iterations + sol_w.iterations
+            obj = _objective(scaled, sol_w.U, sol_u.U, buffer)
+        W_prev, U, W = W, sol_u.U, sol_w.U
         trace.append(obj)
         if abs(trace[-2] - obj) <= stall or obj <= floor:
             converged = sol_u.converged and sol_w.converged

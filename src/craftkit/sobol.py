@@ -270,7 +270,7 @@ def _mean_head_outputs(U, W, head, masks, mu, chunk=1 << 16):
     temporary (2 * masks * n_rows * r floats) within ``chunk``, and at least
     one mask. Its pairs then go to ``head`` in blocks of max(1, chunk // p)
     rows; a block may span masks. Every block's activations are written into
-    one buffer of at most max(chunk, p) floats, allocated once, and read
+    one buffer of at most max(chunk, 2 * p) floats, allocated once, and read
     against W^T made contiguous once; the default chunk of 2^16 floats
     (512 KiB) keeps both in a 2 MiB L2 cache. Besides W^T and the head's own
     temporaries, memory stays within about 2 * chunk floats, or twice U's
@@ -278,10 +278,10 @@ def _mean_head_outputs(U, W, head, masks, mu, chunk=1 << 16):
     reused, ``head`` must not keep a reference to its input after it
     returns; returning a view of it is fine, since each output is copied
     before the next block is written. Each mask's mean is taken over all its
-    rows at once, so the result does not depend on the blocking, except
-    that BLAS may round a one-row block (a matrix-vector product) in the
-    last bit differently. An ``AffineHead`` commutes with the row mean, so
-    it gets the mean coefficient row alone.
+    rows at once, and a one-row block is multiplied out as two copies of
+    its row (BLAS rounds a matrix-vector product differently in the last
+    bit), so the result does not depend on the blocking. An ``AffineHead``
+    commutes with the row mean, so it gets the mean coefficient row alone.
     """
     if not np.all(np.isfinite(mu)):
         raise DataError(f"baseline mu must be finite, got {mu!r}")
@@ -292,15 +292,20 @@ def _mean_head_outputs(U, W, head, masks, mu, chunk=1 << 16):
     step = max(1, chunk // max(2 * n_rows * r, 1))
     block = max(1, chunk // max(p, 1))
     W_T = np.ascontiguousarray(W.T)
-    buf = np.empty((min(block, step * n_rows), p))
+    buf = np.empty((max(2, min(block, step * n_rows)), p))
     out = np.empty(masks.shape[0])
     for start in range(0, masks.shape[0], step):
         m = masks[start:start + step]
         coeffs = perturb(U[None, :, :], m[:, None, :], mu).reshape(-1, r)
         y = np.empty(len(coeffs))
         for lo in range(0, len(coeffs), block):
-            acts = buf[:min(block, len(coeffs) - lo)]
-            np.matmul(coeffs[lo:lo + len(acts)], W_T, out=acts)
+            rows = coeffs[lo:lo + block]
+            acts = buf[:len(rows)]
+            if len(rows) == 1:
+                # BLAS rounds a one-row (matrix-vector) product differently
+                # in the last bit, so the lone row is multiplied out twice
+                rows = rows[[0, 0]]
+            np.matmul(rows, W_T, out=buf[:len(rows)])
             y[lo:lo + len(acts)] = np.asarray(head(acts), dtype=np.float64).reshape(len(acts))
         out[start:start + step] = y.reshape(len(m), n_rows).mean(axis=1)
     return out

@@ -216,7 +216,6 @@ def test_criterion_7_attribution_localization(monkeypatch):
         concept_of = np.argmax(dirs @ bank.W, axis=1)
 
         localized = 0
-        strict_zero_checked = 0
         for seed in range(100):
             probe = make_synthetic_dataset(model, 1, noise=0.0, seed=7000 + seed,
                                            max_stamps=1, template_pool=(0, 1))
@@ -228,16 +227,25 @@ def test_criterion_7_attribution_localization(monkeypatch):
                 continue
             mass = np.abs(hm.values)
             localized += mass[y0:y0 + 5, x0:x0 + 5].sum() > 0.5 * mass.sum()
+        assert localized >= 90
 
-            absent = 1 - concept
-            acts = model.features(probe.images)
-            sol = solve_nnls(acts, bank.W)
+        # the zero-map branch is exercised on the first five strictly
+        # inactive cases of the probe seeds, extended past the 100 above
+        # up to a cap; about one probe in 130 is one
+        strict_zero_checked = 0
+        for seed in range(1000):
+            probe = make_synthetic_dataset(model, 1, noise=0.0, seed=7000 + seed,
+                                           max_stamps=1, template_pool=(0, 1))
+            (t_idx, _, _), = probe.stamps[0]
+            absent = 1 - int(concept_of[t_idx])
+            sol = solve_nnls(model.features(probe.images), bank.W)
             if sol.U[0, absent] < 1e-7 and sol.dual_U[0, absent] > 1e-7:
                 hm0 = concept_attribution_map(probe.images[0], bank, model, absent)
                 assert not hm0.values.any()
                 strict_zero_checked += 1
-        assert localized >= 90
-        assert strict_zero_checked >= 5  # the zero-map branch was exercised
+                if strict_zero_checked == 5:
+                    break
+        assert strict_zero_checked >= 5
 
 
 def test_criterion_8_recursive_refinement():

@@ -55,6 +55,18 @@ class TestFit:
         assert 0.0 <= meta["kkt_residual"] < np.inf
         assert meta["outer_iters"] >= 1
 
+    def test_fit_converges_on_dense_planted_activations(self, tmp_path):
+        # 300 x 512 with dense rank-10 factors, the CI fixture's dense twin
+        g = np.random.default_rng(0)
+        acts_path = tmp_path / "A.npy"
+        save_npy(g.uniform(size=(300, 10)) @ g.uniform(size=(10, 512)), acts_path)
+        out = tmp_path / "run"
+        assert main(["fit", "--activations", str(acts_path), "--rank", "10",
+                     "--out", str(out)]) == 0
+        meta = json.loads((out / "bank" / "meta.json").read_text())
+        assert meta["converged"] is True
+        assert meta["outer_iters"] < 200
+
     def test_fit_writes_what_build_concept_bank_returns(self, tmp_path):
         from craftkit.nmf import NmfParams
         from craftkit.pipeline import CropSpec, build_concept_bank, save_bank

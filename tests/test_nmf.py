@@ -6,6 +6,8 @@ leading singular pair of a nonnegative matrix is itself nonnegative, forcing
 the optimum. The deterministic NNDSVD start is compared with an SVD oracle.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -116,24 +118,38 @@ class TestInitFactorsMatchesSvdOracle:
 
 class TestFitNmf:
     def test_trace_and_steps_are_those_of_the_iterates(self, monkeypatch):
-        # the in-place objective reproduces nnls_objective bit for bit, and
-        # nnls_steps sums the pivoting steps of every solve
+        # each outer iteration solves for U, then W, from an extrapolated W;
+        # a trial that raises the objective is redone as the plain step from
+        # the accepted pair. The trace holds the accepted pairs' objectives,
+        # bit for bit those of nnls_objective, and nnls_steps sums the
+        # pivoting steps of every solve, rejected trials included
         A = np.random.default_rng(25).uniform(size=(9, 6))
-        solutions = []
+        calls = []
 
-        def recorded(*args, **kwargs):
-            solutions.append(nnls.solve_nnls(*args, **kwargs))
-            return solutions[-1]
+        def recorded(data, W, warm=None):
+            calls.append((W, nnls.solve_nnls(data, W, warm=warm)))
+            return calls[-1][1]
 
         monkeypatch.setattr(nmf, "solve_nnls", recorded)
         state = fit_nmf(A, NmfParams(rank=3, outer_iters=20))
         U0, W0 = init_factors(A, 3)
-        expected = [nnls_objective(A, W0, U0)] + [
-            nnls_objective(A, sol_w.U, sol_u.U)
-            for sol_u, sol_w in zip(solutions[::2], solutions[1::2])]
+        expected = [nnls_objective(A, W0, U0)]
+        W_accepted = W0
+        pairs = iter(zip(calls[::2], calls[1::2]))
+        rejected = 0
+        for (_, sol_u), (_, sol_w) in pairs:
+            obj = nnls_objective(A, sol_w.U, sol_u.U)
+            if obj > expected[-1]:
+                (W_redo, sol_u), (_, sol_w) = next(pairs)
+                np.testing.assert_array_equal(W_redo, W_accepted)
+                obj = nnls_objective(A, sol_w.U, sol_u.U)
+                rejected += 1
+            expected.append(obj)
+            W_accepted = sol_w.U
+        assert rejected >= 1
         assert list(state.objective_trace) == expected
-        assert state.nnls_steps == sum(sol.iterations for sol in solutions)
-        assert type(state.nnls_steps) is int and state.nnls_steps >= len(solutions)
+        assert state.nnls_steps == sum(sol.iterations for _, sol in calls)
+        assert type(state.nnls_steps) is int and state.nnls_steps >= len(calls)
 
     def test_kkt_residual_is_that_of_both_solves(self):
         A = np.random.default_rng(26).uniform(size=(9, 6))
@@ -178,6 +194,45 @@ class TestFitNmf:
             trace = np.array(state.objective_trace)
             slack = 1e-9 * np.maximum(trace[:-1], 1.0)
             assert np.all(np.diff(trace) <= slack)
+
+    def test_trace_monotone_where_extrapolation_is_rejected(self, monkeypatch):
+        # a rejected trial is redone as the plain step from the accepted
+        # pair, so the trace never rises, even by rounding
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return nnls.solve_nnls(*args, **kwargs)
+
+        monkeypatch.setattr(nmf, "solve_nnls", counted)
+        rng = np.random.default_rng(27)
+        for shape, r in (((6, 4), 2), ((9, 6), 3), ((30, 20), 5)) * 3:
+            calls.clear()
+            state = fit_nmf(rng.uniform(size=shape), NmfParams(rank=r, outer_iters=60))
+            trace = np.array(state.objective_trace)
+            # two solves per outer iteration, two more per rejected trial
+            assert len(calls) // 2 > len(trace) - 1
+            assert np.all(np.diff(trace) <= 0.0)
+
+    def test_repeated_fits_are_byte_identical(self):
+        A = np.random.default_rng(28).uniform(size=(40, 30))
+        first, second = (fit_nmf(A, NmfParams(rank=5)) for _ in range(2))
+        for field in dataclasses.fields(first):
+            a, b = getattr(first, field.name), getattr(second, field.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+            else:
+                assert a == b, field.name
+
+    def test_dense_planted_factorization_converges(self):
+        # dense exact factors: plain alternating solves crawl along a flat
+        # valley and run out of 200 outer iterations at objective 23.0
+        g = np.random.default_rng(0)
+        A = g.uniform(size=(300, 10)) @ g.uniform(size=(10, 512))
+        state = fit_nmf(A, NmfParams(rank=10, objective_tol=2e-7))
+        assert state.converged
+        assert len(state.objective_trace) - 1 < 200
+        assert state.objective_trace[-1] < 1e-6 * 0.5 * np.sum(A * A)
 
     def test_unit_norm_columns_and_absorbed_scale(self):
         rng = np.random.default_rng(3)

@@ -253,8 +253,10 @@ class TestAttributionMaps:
     def test_strictly_inactive_concept_gives_zero_map(self, fitted_pair, monkeypatch):
         monkeypatch.setattr(nnls, "_KKT_TOL", ATTRIBUTION_KKT_TOL)
         model, _, bank, _, _, concept_of = fitted_pair
+        # the first three strictly inactive cases among the probe seeds, up
+        # to a cap; about one probe in 130 is one
         checked = 0
-        for seed in range(40):
+        for seed in range(1000):
             probe = make_synthetic_dataset(model, 1, noise=0.0, seed=3000 + seed,
                                            max_stamps=1, template_pool=(0, 1))
             (t_idx, _, _), = probe.stamps[0]
@@ -265,6 +267,8 @@ class TestAttributionMaps:
                 hm = concept_attribution_map(probe.images[0], bank, model, absent)
                 assert not hm.values.any()
                 checked += 1
+                if checked == 3:
+                    break
         assert checked >= 3
 
     def test_translation_covariance(self, fitted_pair):

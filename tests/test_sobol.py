@@ -313,8 +313,7 @@ class TestBlockedEvaluator:
     # p = 20, 5 rows and 12 masks. Chunk 40 gives 2-row blocks, 60 gives
     # 3-row blocks over 3 masks an outer step, 140 gives 7-row blocks over 7
     # masks, so blocks start mid-mask and straddle masks; 10_000 puts all 60
-    # pairs in one call. No block is a single row: BLAS computes that one
-    # as a matrix-vector product, which may round differently
+    # pairs in one call
     CHUNKS = (40, 60, 140, 10_000)
 
     @staticmethod
@@ -364,6 +363,27 @@ class TestBlockedEvaluator:
         out = _mean_head_outputs(U, W, lambda a: a[:, 0], masks, 0.3, chunk=chunk)
         expected = [np.mean((perturb(U, m, 0.3) @ W.T)[:, 0]) for m in masks]
         np.testing.assert_array_equal(out, expected)
+
+    def test_one_row_blocks_round_like_the_others(self):
+        # BLAS sends a one-row product to its matrix-vector routine, which
+        # rounds about half the activations differently in the last bit.
+        # Chunk p gives only one-row blocks, and 2p and 4p leave a one-row
+        # remainder of the 45 (mask, row) pairs
+        from craftkit.sobol import _mean_head_outputs
+        rng = np.random.default_rng(25)
+        U, W = rng.uniform(size=(5, 10)), rng.uniform(size=(2048, 10))
+        masks = rng.uniform(size=(9, 10))
+        head = lambda acts: np.tanh(acts).sum(axis=1)
+        seen = {}
+        for chunk in (1 << 20, 2048, 2 * 2048, 4 * 2048):
+            calls = []
+            out = _mean_head_outputs(U, W, self.counting(head, calls), masks, 0.3,
+                                     chunk=chunk)
+            seen[chunk] = out, np.concatenate(calls)
+        (full, acts), *blocked = seen.values()
+        for out, blocked_acts in blocked:
+            np.testing.assert_array_equal(blocked_acts, acts)
+            np.testing.assert_array_equal(out, full)
 
     def test_inputs_share_one_buffer_so_a_head_keeps_copies(self):
         from craftkit.sobol import _mean_head_outputs
