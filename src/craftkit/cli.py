@@ -15,7 +15,6 @@ failure (non-convergence still writes the flagged artifact). ``--threads``
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -26,7 +25,7 @@ import numpy as np
 from .core import Rng
 from .errors import CraftError, DataError, NumericalError
 from .nmf import NmfParams, fit_nmf
-from .npyio import load_json, load_npy, save_npy
+from .npyio import load_json, load_npy, save_json, save_npy
 # concept_attribution_map is unused here but wrapped by perfbench/spans.py
 from .pipeline import (CropSpec, build_concept_bank, concept_attribution_map,
                        concept_attribution_maps, extract_crops, fidelity_curves,
@@ -92,10 +91,6 @@ def _crop_spec(args, model, seed):
                     resize_to=tuple(model.input_shape[:2]), seed=seed)
 
 
-def _json_dump(payload, path):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def cmd_fit(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -121,7 +116,7 @@ def cmd_fit(args):
                                           nmf_params=nmf_params, layer=args.layer)
         state, activations = ctx["state"], ctx["activations"]
         save_npy(ctx["crops"], out / "crops.npy")
-        _json_dump(ctx["provenance"], out / "provenance.json")
+        save_json(ctx["provenance"], out / "provenance.json")
     save_npy(activations, out / "activations.npy")
 
     save_bank(bank, out / "bank")
@@ -160,7 +155,7 @@ def cmd_importance(args):
             "n_samples": estimate.n_samples,
             "degenerate": bool(estimate.degenerate),
         })
-    _json_dump(records, out / "importance.json")
+    save_json(records, out / "importance.json")
     return _EXIT_OK
 
 
@@ -247,7 +242,7 @@ def cmd_recurse(args):
     sub_dir = out / f"bank_concept{args.concept}"
     save_bank(sub_bank, sub_dir)
     save_npy(u_sub, out / f"coeffs_concept{args.concept}.npy")
-    _json_dump([int(i) for i in selected], out / f"selected_concept{args.concept}.json")
+    save_json([int(i) for i in selected], out / f"selected_concept{args.concept}.json")
     return _EXIT_OK
 
 
@@ -278,7 +273,7 @@ def cmd_sanity(args):
     trained = fit_bank_for(model)
     randomized = fit_bank_for(model.randomize_weights(seed))
     angles = _principal_angles(trained, randomized)
-    _json_dump({
+    save_json({
         "seed": seed,
         "rank": rank,
         "principal_angles_rad": [float(a) for a in angles],

@@ -44,7 +44,3 @@ class Rng:
     def generator(self):
         key = np.array([self.seed, self.stream], dtype=_U64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def split(self, stream):
-        """Same seed, different stream."""
-        return Rng(self.seed, stream)

@@ -70,6 +70,10 @@ class FactorizationState:
 
     W columns are unit Euclidean norm with the original scales recorded in
     column_norms and absorbed into U, so banks compare by cosine directly.
+    dual_U and dual_W are the multipliers of the returned pair: the
+    gradients (U W^T - A) W and (U W^T - A)^T U, zero where the factor is
+    positive and clipped at zero elsewhere. kkt_residual is scored from
+    the same arrays.
     objective_trace starts at the initialization objective and appends the
     objective of the pair each outer iteration keeps; nnls_steps sums the
     pivoting steps of every NNLS solve of the fit, rejected extrapolated
@@ -196,8 +200,10 @@ def fit_nmf(A, params):
     kept one, the two solves are redone from the kept pair without
     extrapolation. The first iteration has no previous W, so its step is
     plain. The stall and floor tests compare kept objectives, and the
-    multipliers, the convergence flag and the KKT residual are those of the
-    returned pair's solves.
+    convergence flag is that of the returned pair's solves. The multipliers
+    and the KKT residual are those of the returned pair itself, read off its
+    residual; after an extrapolated step, the U solve's own multipliers
+    belong to the extrapolated W instead.
 
     Besides the solves, each outer iteration touches the n x p data only to
     score the objective, in one buffer allocated per fit, which also holds
@@ -205,10 +211,10 @@ def fit_nmf(A, params):
 
     Data whose largest entry is below 2^-256 (about 1e-77) are fitted
     scaled by the power of two that brings that entry into [0.5, 1), and
-    the factors, multipliers and objectives are scaled back by the same
-    power. There the stall test would otherwise compare objective
-    decreases that are subnormal, and stop at another outer iteration than
-    at unit scale. Other data are fitted as given.
+    the factors and objectives are scaled back by the same power. There
+    the stall test would otherwise compare objective decreases that are
+    subnormal, and stop at another outer iteration than at unit scale.
+    Other data are fitted as given.
 
     Parameters
     ----------
@@ -265,24 +271,22 @@ def fit_nmf(A, params):
             converged = sol_u.converged and sol_w.converged
             break
 
-    dual_U, dual_W = sol_u.dual_U, sol_w.dual_U
     norms = np.linalg.norm(W, axis=0)
     safe = np.where(norms > 0, norms, 1.0)
     W = W / safe
     U = U * safe
-    dual_U = dual_U / safe
-    dual_W = dual_W * safe
 
-    # back to the scale of A: U and its multipliers scale with A,
-    # W's multipliers and the objectives with its square
-    U, dual_U = np.ldexp(U, -shift), np.ldexp(dual_U, -shift)
-    dual_W = np.ldexp(dual_W, -2 * shift)
+    # back to the scale of A: U scales with A, the objectives with its square
+    U = np.ldexp(U, -shift)
     trace = [math.ldexp(obj, -2 * shift) for obj in trace]
 
-    # kkt_residual of both solves from the one residual U W^T - A
+    # both blocks' multipliers and KKT residual from the one residual U W^T - A
     residual = np.subtract(np.matmul(U, W.T, out=buffer), A, out=buffer)
-    kkt = max(_kkt_max(residual @ W - dual_U, U, dual_U),
-              _kkt_max(residual.T @ U - dual_W, W, dual_W))
+    grad_U, grad_W = residual @ W, residual.T @ U
+    dual_U = np.where(U > 0, 0.0, np.maximum(grad_U, 0.0))
+    dual_W = np.where(W > 0, 0.0, np.maximum(grad_W, 0.0))
+    kkt = max(_kkt_max(grad_U - dual_U, U, dual_U),
+              _kkt_max(grad_W - dual_W, W, dual_W))
     return FactorizationState(U=U, W=W, dual_U=dual_U, dual_W=dual_W,
                               objective_trace=tuple(trace), converged=converged,
                               kkt_residual=kkt, column_norms=norms,

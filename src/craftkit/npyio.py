@@ -6,10 +6,10 @@ widened to float64 in memory. Anything else is rejected loudly instead of
 being coerced: wrong magic or a truncated file is a FormatError, a declared
 feature outside this subset (version, dtype, Fortran order, rank) is an
 UnsupportedError, and non-finite or empty payloads are a DataError.
-load_json reads the JSON sidecars written next to them, and load_record
-also the keys and value types of one; a sidecar that does not parse, or
-whose top level, key set or value types are wrong, is a DataError naming
-the file.
+save_json writes the JSON sidecars kept next to them, load_json reads
+them, and load_record also checks the keys and value types of one; a
+sidecar that does not parse, or whose top level, key set or value types
+are wrong, is a DataError naming the file.
 """
 
 import ast
@@ -88,6 +88,12 @@ def load_json(path, kind):
         raise DataError(f"{path}: top level is {type(value).__name__}, "
                         f"expected {kind.__name__}")
     return value
+
+
+def save_json(value, path):
+    """Write a JSON sidecar: indent 2, sorted keys, trailing newline."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(value, indent=2, sort_keys=True) + "\n")
 
 
 def load_record(path, required, optional=None):

@@ -9,9 +9,8 @@ layer; coefficients live in the rows of U.
 """
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +20,15 @@ from .errors import DataError, EmptySetError, InsufficientDataError
 from .implicit import jacobian_u_wrt_a
 from .nmf import NmfParams, fit_nmf
 from .nnls import solve_nnls
-from .npyio import load_npy, load_record, save_npy
+from .npyio import load_npy, load_record, save_json, save_npy
 from .sobol import _evaluate, _mean_head_outputs
 
 # fewest crops above the refinement threshold that recursive_decompose fits
 _MIN_CROPS = 10
+# the share of crops, by coefficient, that recursive_decompose refines
+_TOP_FRACTION = 0.1
+# smoothgrad's noise deviation, relative to the image's value range
+_NOISE_SCALE = 0.1
 
 
 @dataclass(frozen=True)
@@ -57,14 +60,14 @@ class CropSpec:
 class ConceptBank:
     """Unit-norm nonnegative concept vectors (columns of W) for one layer.
 
-    converged, kkt_residual, outer_iters and nnls_steps (the pivoting steps
-    of all its NNLS solves) are the diagnostics of the fit that produced
-    the bank (see fit_bank); they are None for a bank built by hand.
+    The rank r is W's column count. converged, kkt_residual, outer_iters
+    and nnls_steps (the pivoting steps of all its NNLS solves) are the
+    diagnostics of the fit that produced the bank (see fit_bank); they are
+    None for a bank built by hand.
     """
 
     W: np.ndarray
     layer_tag: str
-    r: int
     fit_objective: float
     column_norms: np.ndarray
     bank_id: str = "bank"
@@ -73,6 +76,10 @@ class ConceptBank:
     kkt_residual: float | None = None
     outer_iters: int | None = None
     nnls_steps: int | None = None
+
+    @property
+    def r(self):
+        return self.W.shape[1]
 
 
 _DIAGNOSTICS = ("converged", "kkt_residual", "outer_iters", "nnls_steps")
@@ -159,29 +166,25 @@ def extract_crops(images, spec):
         raise ValueError("crop larger than image")
     out_h, out_w = spec.resize_to if spec.resize_to is not None else (h, w)
 
-    windows = []
     if spec.mode == "grid":
         per_axis = math.ceil(math.sqrt(spec.crops_per_image))
         ys = _grid_positions(h, side_y, per_axis)
         xs = _grid_positions(w, side_x, per_axis)
-        grid = [(y, x) for y in ys for x in xs][:spec.crops_per_image]
-        for i in range(n):
-            for y0, x0 in grid:
-                windows.append((i, y0, x0))
+        grid = np.array([(y, x) for y in ys for x in xs][:spec.crops_per_image])
+        per_image, corners = len(grid), np.tile(grid, (n, 1))
     else:
+        # row by row, y then x: the draws of one scalar integers call each
         gen = Rng(spec.seed, stream=11).generator()
-        for i in range(n):
-            for _ in range(spec.crops_per_image):
-                y0 = int(gen.integers(0, h - side_y + 1))
-                x0 = int(gen.integers(0, w - side_x + 1))
-                windows.append((i, y0, x0))
-
-    idx, top, left = np.array(windows, dtype=np.intp).reshape(-1, 3).T
+        per_image = spec.crops_per_image
+        corners = gen.integers(0, (h - side_y + 1, w - side_x + 1),
+                               size=(n * per_image, 2))
+    idx = np.repeat(np.arange(n), per_image)
+    top, left = corners.T
     crops = images[idx[:, None, None],
                    top[:, None, None] + np.arange(side_y)[:, None],
                    left[:, None, None] + np.arange(side_x)]
     provenance = [{"image": i, "y0": y0, "x0": x0, "h": side_y, "w": side_x}
-                  for i, y0, x0 in windows]
+                  for i, y0, x0 in zip(idx.tolist(), top.tolist(), left.tolist())]
     return bilinear_resize(crops, out_h, out_w), provenance
 
 
@@ -203,7 +206,7 @@ def fit_bank(activations, nmf_params, layer_tag, bank_id="bank", parent=None):
     (bank, state) with the coefficients in state.U.
     """
     state = fit_nmf(activations, nmf_params)
-    bank = ConceptBank(W=state.W, layer_tag=layer_tag, r=nmf_params.rank,
+    bank = ConceptBank(W=state.W, layer_tag=layer_tag,
                        fit_objective=float(state.objective_trace[-1]),
                        column_norms=state.column_norms, bank_id=bank_id,
                        parent=parent, converged=bool(state.converged),
@@ -214,15 +217,13 @@ def fit_bank(activations, nmf_params, layer_tag, bank_id="bank", parent=None):
 
 
 def build_concept_bank(images, model, target_class, r, spec=None, nmf_params=None,
-                       layer=None, bank_id="bank"):
+                       layer=None):
     """Fit a concept bank on crops of the images the model assigns to a class.
 
     Returns (bank, U, context) where context carries the crops, provenance,
     and activations for persistence and downstream stages.
     """
     spec = spec or CropSpec()
-    if spec.resize_to is None:
-        spec = replace(spec, resize_to=tuple(model.input_shape[:2]))
     idx = select_class_set(model.predict(images), target_class)
     crops, provenance = extract_crops(np.asarray(images)[idx], spec)
     for row in provenance:
@@ -232,18 +233,18 @@ def build_concept_bank(images, model, target_class, r, spec=None, nmf_params=Non
     if params.rank != r:
         raise ValueError("nmf_params.rank disagrees with r")
     tag = layer if isinstance(layer, str) else ("final" if layer is None else f"layer{layer}")
-    bank, state = fit_bank(activations, params, tag, bank_id=bank_id)
+    bank, state = fit_bank(activations, params, tag)
     context = {"crops": crops, "provenance": provenance,
                "activations": activations, "state": state}
     return bank, state.U, context
 
 
-def concept_percentile_threshold(values, fraction=0.1):
-    """Largest value NOT in the top ceil(fraction * n); strict > selects
-    exactly ceil(fraction * n) entries when values are distinct."""
+def concept_percentile_threshold(values):
+    """Largest value NOT in the top decile, the top ceil(0.1 * n); strict >
+    selects exactly ceil(0.1 * n) entries when values are distinct."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     n = values.size
-    keep = math.ceil(fraction * n)
+    keep = math.ceil(_TOP_FRACTION * n)
     order = np.sort(values)
     return float(order[n - keep - 1]) if keep < n else float(order[0]) - 1.0
 
@@ -294,13 +295,14 @@ def _gradient_heatmaps(x, bank, model, concepts):
 
 
 def concept_attribution_maps(x, bank, model, concepts, method="gradient",
-                             seed=0, n_noise=16, noise_scale=0.1):
+                             seed=0, n_noise=16):
     """Locate each of the given concepts in one image, in one pass.
 
     gradient: implicit differentiation of the coefficient chained with the
     model's input gradient, channel-reduced by summed absolute values.
-    smoothgrad: mean of gradient maps over n_noise Gaussian-jittered copies;
-    a degenerate solution on any copy raises DegeneracyError for the pass.
+    smoothgrad: mean of gradient maps over n_noise copies jittered by
+    Gaussian noise of deviation 0.1 times the image's value range; a
+    degenerate solution on any copy raises DegeneracyError for the pass.
     occlusion: coefficient drop from zeroing a sliding patch (forward only).
 
     All concepts share one stack (the image, its jittered copies, or the
@@ -322,7 +324,7 @@ def concept_attribution_maps(x, bank, model, concepts, method="gradient",
     elif method == "smoothgrad":
         if n_noise < 1:
             raise ValueError(f"n_noise must be at least 1, got {n_noise}")
-        sigma = noise_scale * float(x.max() - x.min())
+        sigma = _NOISE_SCALE * float(x.max() - x.min())
         gen = Rng(seed, stream=17).generator()
         jittered = x + sigma * gen.normal(size=(n_noise,) + x.shape[1:])
         values = _gradient_heatmaps(jittered, bank, model, concepts)
@@ -334,10 +336,10 @@ def concept_attribution_maps(x, bank, model, concepts, method="gradient",
 
 
 def concept_attribution_map(x, bank, model, concept_index, method="gradient",
-                            seed=0, n_noise=16, noise_scale=0.1):
+                            seed=0, n_noise=16):
     """Locate one concept in one image (concept_attribution_maps of one)."""
     return concept_attribution_maps(x, bank, model, [concept_index], method,
-                                    seed, n_noise, noise_scale)[0]
+                                    seed, n_noise)[0]
 
 
 def _occlusion_heatmaps(x, bank, model, concepts):
@@ -419,8 +421,7 @@ def save_bank(bank, directory):
     }
     meta.update({key: getattr(bank, key) for key in _DIAGNOSTICS
                  if getattr(bank, key) is not None})
-    (directory / "meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    save_json(meta, directory / "meta.json")
 
 
 def load_bank(directory):
@@ -442,7 +443,7 @@ def load_bank(directory):
         raise DataError(f"{path}: the key 'column_norms' holds {norms!r}, "
                         f"expected {rank} numbers")
     parent = tuple(meta["parent"]) if meta.get("parent") else None
-    return ConceptBank(W=W, layer_tag=meta["layer_tag"], r=rank,
+    return ConceptBank(W=W, layer_tag=meta["layer_tag"],
                        fit_objective=float(meta["objective"]),
                        column_norms=np.asarray(norms, dtype=np.float64),
                        bank_id=meta.get("bank_id", "bank"), parent=parent,

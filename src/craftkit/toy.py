@@ -21,7 +21,6 @@ W / tw times the useful multiply-adds, but they need no copy per window
 and run at BLAS speed.
 """
 
-import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Rng, as_tensor4
-from .npyio import load_npy, load_record, save_npy
+from .npyio import load_npy, load_record, save_json, save_npy
 from .sobol import AffineHead
 
 # 2x2 Haar-style stencils in the central 3x3 of a 5x5 frame: vertical edge,
@@ -39,19 +38,19 @@ _VERT = np.array([[1.0, -1.0], [1.0, -1.0]])
 _HORIZ = np.array([[1.0, 1.0], [-1.0, -1.0]])
 _CHECKER = np.array([[1.0, -1.0], [-1.0, 1.0]])
 _SURROUND = np.array([[-1.0, -1.0, -1.0], [-1.0, 8.0, -1.0], [-1.0, -1.0, -1.0]])
+_FRAME = 5
 
 
-def _frame(block, size=5):
-    t = np.zeros((size, size))
-    y0 = (size - block.shape[0]) // 2
-    x0 = (size - block.shape[1]) // 2
+def _frame(block):
+    t = np.zeros((_FRAME, _FRAME))
+    y0 = (_FRAME - block.shape[0]) // 2
+    x0 = (_FRAME - block.shape[1]) // 2
     t[y0:y0 + block.shape[0], x0:x0 + block.shape[1]] = block
     return t / np.linalg.norm(t)
 
 
-def _standard_stencils(k, size=5):
-    base = [_frame(_VERT, size), _frame(_HORIZ, size), _frame(_CHECKER, size),
-            _frame(_SURROUND, size)]
+def _standard_stencils(k):
+    base = [_frame(_VERT), _frame(_HORIZ), _frame(_CHECKER), _frame(_SURROUND)]
     if not 1 <= k <= len(base):
         raise ValueError(f"k must be 1..{len(base)}")
     stencils = []
@@ -171,10 +170,9 @@ class ToyBackbone:
         """Binary class: 1 where the head output is positive."""
         return (self.head(self.features(x)) > 0.0).astype(np.int64)
 
-    def head_gradients(self, x=None, n=1):
-        """Rows of d head / d activation; constant for an affine head."""
-        count = len(x) if x is not None else n
-        return np.tile(self.head_weights, (count, 1))
+    def head_gradients(self, n):
+        """n rows of d head / d activation; constant for an affine head."""
+        return np.tile(self.head_weights, (n, 1))
 
     def vjp_features(self, x, cotangent, layer=None):
         """Exact gradient of <features(x, layer), cotangent> w.r.t. x."""
@@ -219,18 +217,13 @@ class ToyBackbone:
             return 2
         raise ValueError(f"model has no layer {layer!r}")
 
-    def template_directions(self, transform=None):
-        """Unit feature vectors of clean single-stamp probe images.
+    def template_directions(self):
+        """Unit layer-1 feature vectors of clean single-stamp probe images.
 
         These are the ground-truth concept directions tests compare banks
-        against. ``transform`` optionally maps the probe image batch before
-        feature extraction (e.g. the crop-and-resize a pipeline applies),
-        so the oracle matches what a bank actually sees.
+        against.
         """
-        probes = _centred_probes(self)
-        if transform is not None:
-            probes = transform(probes)
-        acts = self.features(probes, layer=1)
+        acts = self.features(_centred_probes(self), layer=1)
         norms = np.linalg.norm(acts, axis=1, keepdims=True)
         return acts / np.where(norms > 0, norms, 1.0)
 
@@ -261,20 +254,20 @@ def _calibrate_head(model, target):
     return np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), acts.T @ target)
 
 
-def standard_backbone(k=4, input_shape=(16, 16, 1), template_size=5, favored=0):
-    """The default single-layer model: k orthonormal stencils, affine head
-    calibrated so the head is positive exactly when the favored template is
+def standard_backbone(k=4, input_shape=(16, 16, 1)):
+    """The default single-layer model: k orthonormal 5x5 stencils, affine
+    head calibrated so the head is positive exactly when template 0 is
     present in a clean image.
     """
-    stencils = _standard_stencils(k, template_size)[..., None]
+    stencils = _standard_stencils(k)[..., None]
     model = ToyBackbone(templates=stencils, head_weights=np.zeros(k),
                         head_bias=-0.5, input_shape=tuple(input_shape))
     target = np.zeros(k)
-    target[favored] = 1.0
+    target[0] = 1.0
     return replace(model, head_weights=_calibrate_head(model, target))
 
 
-def pair_backbone(input_shape=(16, 16, 1), template_size=5):
+def pair_backbone():
     """Two-template model whose class contains BOTH template types.
 
     Head responses to clean single stamps are calibrated to ~(1.0, 0.45)
@@ -283,13 +276,13 @@ def pair_backbone(input_shape=(16, 16, 1), template_size=5):
     end-to-end concept-recovery checks use: one class, two concepts of
     unequal importance.
     """
-    stencils = _standard_stencils(2, template_size)[..., None]
+    stencils = _standard_stencils(2)[..., None]
     model = ToyBackbone(templates=stencils, head_weights=np.zeros(2),
-                        head_bias=-0.25, input_shape=tuple(input_shape))
+                        head_bias=-0.25, input_shape=(16, 16, 1))
     return replace(model, head_weights=_calibrate_head(model, [1.0, 0.45]))
 
 
-def two_layer_backbone(input_shape=(16, 16, 1), template_size=5):
+def two_layer_backbone():
     """Four primitives mixed pairwise into two composite features.
 
     Composite 0 blends primitives 0 and 1, composite 1 blends primitives 2
@@ -297,10 +290,10 @@ def two_layer_backbone(input_shape=(16, 16, 1), template_size=5):
     merges two earlier-layer directions. Head calibration mirrors
     pair_backbone: both composites positive, composite 0 favored.
     """
-    stencils = _standard_stencils(4, template_size)[..., None]
+    stencils = _standard_stencils(4)[..., None]
     mixing = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     model = ToyBackbone(templates=stencils, head_weights=np.zeros(2),
-                        head_bias=-0.25, input_shape=tuple(input_shape),
+                        head_bias=-0.25, input_shape=(16, 16, 1),
                         mixing=mixing)
     return replace(model, head_weights=_calibrate_head(model, [1.0, 1.0, 0.45, 0.45]))
 
@@ -310,7 +303,8 @@ class SyntheticDataset:
     """Images with labels and exact stamp provenance.
 
     stamps[i] lists (template index, y0, x0) for every stamp in image i;
-    labels flag the presence of the head-favored template.
+    labels flag the presence of template 0, the one standard_backbone's
+    head detects.
     """
 
     images: np.ndarray
@@ -318,8 +312,7 @@ class SyntheticDataset:
     stamps: tuple
 
 
-def make_synthetic_dataset(model, n, noise, seed, max_stamps=3, template_pool=None,
-                           favored=0):
+def make_synthetic_dataset(model, n, noise, seed, max_stamps=3, template_pool=None):
     """Compose n images by stamping templates at non-overlapping positions.
 
     Each image places between 1 and max_stamps distinct templates drawn
@@ -354,7 +347,7 @@ def make_synthetic_dataset(model, n, noise, seed, max_stamps=3, template_pool=No
                 raise RuntimeError("could not place stamps without overlap")
             images[i, y0:y0 + th, x0:x0 + tw, :] += model.templates[t_idx]
             placed.append((int(t_idx), y0, x0))
-        labels[i] = int(any(t == favored for t, _, _ in placed))
+        labels[i] = int(any(t == 0 for t, _, _ in placed))
         stamps.append(tuple(placed))
     return SyntheticDataset(images=images, labels=labels, stamps=tuple(stamps))
 
@@ -372,8 +365,7 @@ def save_backbone(model, directory):
     }
     if model.mixing is not None:
         save_npy(model.mixing, directory / "mixing.npy")
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    save_json(manifest, directory / "manifest.json")
 
 
 def load_backbone(directory):

@@ -251,7 +251,7 @@ class TestImportance:
         from craftkit.pipeline import ConceptBank, save_bank
         out = tmp_path / "run"
         W = np.abs(np.random.default_rng(0).normal(size=(4, 33)))
-        save_bank(ConceptBank(W=W, layer_tag="final", r=33, fit_objective=0.0,
+        save_bank(ConceptBank(W=W, layer_tag="final", fit_objective=0.0,
                               column_norms=np.ones(33)), out / "bank")
         save_npy(np.ones((5, 33)), out / "coeffs.npy")
         code = main(["importance", "--model", "toy:3", "--n-samples", "8",

@@ -171,9 +171,6 @@ class TestRng:
         b = Rng(7, 1).generator().uniform(size=100)
         assert not np.array_equal(a, b)
 
-    def test_split(self):
-        assert Rng(7).split(5) == Rng(7, 5)
-
     def test_range_validation(self):
         with pytest.raises(ValueError):
             Rng(-1)

@@ -158,6 +158,29 @@ class TestFitNmf:
                        kkt_residual(A.T, state.U, state.W, state.dual_W))
         assert state.kkt_residual == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
+    def test_multipliers_are_those_of_the_returned_pair(self, monkeypatch):
+        # the last kept step solved for U against an extrapolated W, yet the
+        # multipliers are the returned pair's gradients, zero on the support
+        # and clipped at zero off it
+        A = np.random.default_rng(29).uniform(size=(30, 20))
+        calls = []
+
+        def recorded(data, W, warm=None):
+            calls.append((W, nnls.solve_nnls(data, W, warm=warm)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(nmf, "solve_nnls", recorded)
+        state = fit_nmf(A, NmfParams(rank=5, outer_iters=60))
+        last_u_against = calls[-2][0]
+        assert not any(np.array_equal(last_u_against, sol.U) for _, sol in calls[1::2])
+        residual = state.U @ state.W.T - A
+        for factor, grad, dual in ((state.U, residual @ state.W, state.dual_U),
+                                   (state.W, residual.T @ state.U, state.dual_W)):
+            assert (factor > 0).any() and (factor == 0).any()
+            expected = np.where(factor > 0, 0.0, np.maximum(grad, 0.0))
+            np.testing.assert_allclose(dual, expected, rtol=1e-12,
+                                       atol=1e-14 * np.abs(grad).max())
+
     def test_exact_factorization_is_found(self):
         U_true = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         W_true = np.array([[1.0, 0.0], [0.0, 2.0]])

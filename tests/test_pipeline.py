@@ -68,6 +68,25 @@ class TestExtractCrops:
         _, prov2 = extract_crops(images, spec)
         assert prov1 == prov2
 
+    @pytest.mark.parametrize("shape, fraction", [((3, 10, 10, 2), 0.4),
+                                                 ((2, 8, 12, 1), 0.5),
+                                                 ((2, 4, 12, 1), 0.9)])
+    def test_random_windows_follow_sequential_draws(self, shape, fraction):
+        # reference: crop by crop, one scalar draw for y and then one for x;
+        # at fraction 0.9 the 4-pixel axis leaves a single position
+        images = np.random.default_rng(2).normal(size=shape)
+        spec = CropSpec(mode="random", crop_fraction=fraction, crops_per_image=7,
+                        seed=4)
+        _, prov = extract_crops(images, spec)
+        n, h, w, _ = shape
+        side_y, side_x = round(fraction * h), round(fraction * w)
+        gen = Rng(4, stream=11).generator()
+        expected = [(i, int(gen.integers(0, h - side_y + 1)),
+                     int(gen.integers(0, w - side_x + 1)))
+                    for i in range(n) for _ in range(7)]
+        assert [(p["image"], p["y0"], p["x0"]) for p in prov] == expected
+        assert all(type(v) is int for p in prov for v in p.values())
+
     def test_provenance_recuts_bit_exactly(self):
         rng = np.random.default_rng(0)
         images = rng.normal(size=(3, 10, 10, 2))
@@ -197,7 +216,7 @@ class TestPercentileSelection:
         model = two_layer_backbone()
         bank_W = np.eye(2)
         from craftkit.pipeline import ConceptBank
-        bank = ConceptBank(W=bank_W, layer_tag="final", r=2, fit_objective=0.0,
+        bank = ConceptBank(W=bank_W, layer_tag="final", fit_objective=0.0,
                            column_norms=np.ones(2))
         U = np.ones((40, 2))
         crops = np.zeros((40, 16, 16, 1))
@@ -346,8 +365,8 @@ class TestAttributionMaps:
                                        max_stamps=1, template_pool=(0, 1))
         x = probe.images
         concept = int(concept_of[probe.stamps[0][0][0]])
-        seed, n_noise, noise_scale = 5, 6, 0.1
-        sigma = noise_scale * float(x.max() - x.min())
+        seed, n_noise = 5, 6
+        sigma = 0.1 * float(x.max() - x.min())
         gen = Rng(seed, stream=17).generator()
         acc = np.zeros(x.shape[1:3])
         for _ in range(n_noise):
@@ -361,8 +380,7 @@ class TestAttributionMaps:
         expected = acc / n_noise
 
         hm = concept_attribution_map(x[0], bank, model, concept, method="smoothgrad",
-                                     seed=seed,
-                                     n_noise=n_noise, noise_scale=noise_scale)
+                                     seed=seed, n_noise=n_noise)
         np.testing.assert_allclose(hm.values, expected, rtol=1e-12)
 
     @pytest.mark.parametrize("n_noise", [0, -3])
@@ -418,7 +436,7 @@ def three_concepts():
     model = standard_backbone()
     W = np.random.default_rng(3).uniform(0.1, 1.0, size=(4, 3))
     W /= np.linalg.norm(W, axis=0)
-    bank = ConceptBank(W=W, layer_tag="final", r=3, fit_objective=0.0,
+    bank = ConceptBank(W=W, layer_tag="final", fit_objective=0.0,
                        column_norms=np.ones(3))
     probes = make_synthetic_dataset(model, 4, noise=0.05, seed=11).images
     return model, bank, probes
@@ -675,7 +693,7 @@ class TestBankPersistence:
                                        bank.outer_iters, bank.nnls_steps)
 
     def test_hand_built_bank_saves_without_diagnostics(self, tmp_path):
-        bank = ConceptBank(W=np.eye(2), layer_tag="final", r=2, fit_objective=0.0,
+        bank = ConceptBank(W=np.eye(2), layer_tag="final", fit_objective=0.0,
                            column_norms=np.ones(2))
         save_bank(bank, tmp_path / "bank")
         meta = json.loads((tmp_path / "bank" / "meta.json").read_text())
