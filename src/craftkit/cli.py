@@ -10,8 +10,15 @@ writes curve CSVs; ``recurse`` adds a sub-bank directory; ``sanity``
 compares banks from trained and weight-randomized models. Every bank
 directory is written by ``save_bank``, fit diagnostics included. Exit
 codes: 0 success, 2 usage or argument error, 3 data error, 4 numerical
-failure (non-convergence still writes the flagged artifact). ``--threads``
-(fallback CRAFT_KIT_THREADS) is validated but has no effect.
+failure (non-convergence still writes the flagged artifact). Each command
+takes the flags it reads and the run flags ``--model --seed --images
+--n-images --noise --threads --out``, shared so that one base argv drives
+the whole chain; ``importance``, ``fidelity`` and ``recurse`` ignore the
+image flags ``--images --n-images --noise``, and ``importance`` and
+``recurse`` ignore ``--seed``. Any other flag, a missing required flag
+(``--model`` on every command but ``fit``) or a bad choice exits 2
+through argparse before any file is read. ``--threads`` (fallback
+CRAFT_KIT_THREADS) is validated but has no effect.
 """
 
 import argparse
@@ -79,8 +86,6 @@ def _input_images(args, model, seed, count=None):
     start of the full set."""
     if args.images is not None:
         return load_npy(Path(args.images))
-    if model is None:
-        raise ValueError("either --images or a --model able to generate data is required")
     return make_synthetic_dataset(model, args.n_images if count is None else count,
                                   noise=args.noise, seed=seed).images
 
@@ -132,11 +137,7 @@ def cmd_importance(args):
     out = Path(args.out)
     bank = load_bank(out / "bank")
     coeffs = load_npy(out / "coeffs.npy")
-    if args.n_samples < 2:
-        raise ValueError("--n-samples must be at least 2")
-    model, _ = _load_model(args.model, args.seed)
-    if model is None:
-        raise ValueError("importance needs --model for head evaluations")
+    model, _ = _load_model(args.model)
     estimate = concept_importance(coeffs, bank.W, model.affine_head, args.n_samples,
                                   mu=args.mu)
 
@@ -163,8 +164,6 @@ def cmd_explain(args):
     out = Path(args.out)
     bank = load_bank(out / "bank")
     model, seed = _load_model(args.model, args.seed)
-    if model is None:
-        raise ValueError("explain needs --model")
     index = args.image_index
     # checked before generating, since only the first index + 1 are built
     if args.images is None and not 0 <= index < args.n_images:
@@ -185,8 +184,6 @@ def cmd_fidelity(args):
     bank = load_bank(out / "bank")
     coeffs = load_npy(out / "coeffs.npy")
     model, seed = _load_model(args.model, args.seed)
-    if model is None:
-        raise ValueError("fidelity needs --model for head evaluations")
 
     if args.ranking in ("sobol", "tcav"):
         importance_path = out / "importance.json"
@@ -227,16 +224,11 @@ def cmd_recurse(args):
     bank = load_bank(out / "bank")
     coeffs = load_npy(out / "coeffs.npy")
     crops = load_npy(out / "crops.npy")
-    model, _ = _load_model(args.model, args.seed)
-    if model is None:
-        raise ValueError("recurse needs --model")
-    if args.concept is None:
-        raise ValueError("--concept is required for recurse")
-    r_sub = 2 if args.rank_sub is None else args.rank_sub
+    model, _ = _load_model(args.model)
     sub_bank, u_sub, selected = recursive_decompose(
         bank, coeffs, args.concept, crops,
-        lambda batch: model.features(batch, layer=1), r_sub,
-        nmf_params=NmfParams(rank=r_sub, outer_iters=args.outer_iters,
+        lambda batch: model.features(batch, layer=1), args.rank_sub,
+        nmf_params=NmfParams(rank=args.rank_sub, outer_iters=args.outer_iters,
                              objective_tol=1e-4),
         layer_tag="layer1")
     sub_dir = out / f"bank_concept{args.concept}"
@@ -257,11 +249,8 @@ def cmd_sanity(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model, seed = _load_model(args.model, args.seed)
-    if model is None:
-        raise ValueError("sanity needs --model")
     images = _input_images(args, model, seed)
-    rank = 2 if args.rank is None else args.rank
-    nmf_params = NmfParams(rank=rank, outer_iters=args.outer_iters,
+    nmf_params = NmfParams(rank=args.rank, outer_iters=args.outer_iters,
                            objective_tol=1e-4)
     # the comparison covers every image, not only the class set
     crops, _ = extract_crops(images, _crop_spec(args, model, seed))
@@ -275,7 +264,7 @@ def cmd_sanity(args):
     angles = _principal_angles(trained, randomized)
     save_json({
         "seed": seed,
-        "rank": rank,
+        "rank": args.rank,
         "principal_angles_rad": [float(a) for a in angles],
         "max_angle_rad": float(angles.max()),
     }, out / "sanity.json")
@@ -288,54 +277,61 @@ def build_parser():
         description="Concept extraction, importance, attribution, and fidelity "
                     "over a run-directory file contract.")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, fn, about in (
+            ("fit", cmd_fit, "fit a concept bank on class crops or a matrix"),
+            ("importance", cmd_importance, "score concepts with total Sobol' indices"),
+            ("explain", cmd_explain, "write concept attribution heatmaps"),
+            ("fidelity", cmd_fidelity, "deletion/insertion curve for a ranking"),
+            ("recurse", cmd_recurse, "refine one concept at an earlier layer"),
+            ("sanity", cmd_sanity, "compare banks from trained vs randomized weights")):
+        commands[name] = sub.add_parser(name, help=about, description=about)
+        commands[name].set_defaults(func=fn)
 
-    def common(p):
-        p.add_argument("--model", help="toy:<seed>, toy2:<seed>, or a model directory")
-        p.add_argument("--activations", help="precomputed activations NPY (n x p)")
-        p.add_argument("--images", help="image stack NPY (n, H, W, C)")
-        p.add_argument("--class", dest="target_class", type=int, default=1,
-                       help="model-predicted class that defines the fit set")
-        p.add_argument("--rank", type=int, help="number of concepts")
-        p.add_argument("--n-samples", type=int, default=1024,
-                       help="pick-freeze block size for importance")
-        p.add_argument("--seed", type=int, help="seed for data generation and masks")
-        p.add_argument("--crop-fraction", type=float, default=0.5)
-        p.add_argument("--crops-per-image", type=int, default=8)
-        p.add_argument("--crop-mode", choices=("grid", "random"), default="grid")
-        p.add_argument("--mu", type=float, default=0.0,
-                       help="baseline value for concept removal")
-        p.add_argument("--ranking", choices=("sobol", "tcav", "random"),
-                       default="sobol")
-        p.add_argument("--method", choices=("gradient", "smoothgrad", "occlusion"),
-                       default="gradient")
-        p.add_argument("--threads", default=None,
-                       help="validated, no effect (default: CRAFT_KIT_THREADS or 1)")
-        p.add_argument("--out", required=True, help="run directory")
-        p.add_argument("--n-images", type=int, default=200,
-                       help="synthetic dataset size when generating data")
-        p.add_argument("--noise", type=float, default=0.02,
-                       help="synthetic dataset noise amplitude")
-        p.add_argument("--layer", help="feature layer tag (default: final)")
-        p.add_argument("--concept", type=int, help="concept index")
-        p.add_argument("--rank-sub", type=int, help="sub-bank rank for recurse")
-        p.add_argument("--image-index", type=int, default=0)
-        p.add_argument("--direction", choices=("deletion", "insertion"),
-                       default="deletion")
-        p.add_argument("--gradients", help="head-gradient NPY (n x p) for TCAV")
-        p.add_argument("--outer-iters", type=int, default=200)
+    def flag(names, *option, **kwargs):
+        for name in names.split():
+            commands[name].add_argument(*option, **kwargs)
 
-    commands = [
-        ("fit", cmd_fit, "fit a concept bank on class crops or a matrix"),
-        ("importance", cmd_importance, "score concepts with total Sobol' indices"),
-        ("explain", cmd_explain, "write concept attribution heatmaps"),
-        ("fidelity", cmd_fidelity, "deletion/insertion curve for a ranking"),
-        ("recurse", cmd_recurse, "refine one concept at an earlier layer"),
-        ("sanity", cmd_sanity, "compare banks from trained vs randomized weights"),
-    ]
-    for name, fn, about in commands:
-        p = sub.add_parser(name, help=about, description=about)
-        common(p)
-        p.set_defaults(func=fn)
+    run = " ".join(commands)
+    model_help = "toy:<seed>, toy2:<seed>, or a model directory"
+    flag("fit", "--model", help=model_help)
+    flag("importance explain fidelity recurse sanity", "--model", required=True,
+         help=model_help)
+    flag(run, "--seed", type=int, help="seed for data generation and masks")
+    flag(run, "--images", help="image stack NPY (n, H, W, C)")
+    flag(run, "--n-images", type=int, default=200,
+         help="synthetic dataset size when generating data")
+    flag(run, "--noise", type=float, default=0.02,
+         help="synthetic dataset noise amplitude")
+    flag(run, "--threads", default=None,
+         help="validated, no effect (default: CRAFT_KIT_THREADS or 1)")
+    flag(run, "--out", required=True, help="run directory")
+
+    flag("fit", "--activations", help="precomputed activations NPY (n x p)")
+    flag("fit", "--class", dest="target_class", type=int, default=1,
+         help="model-predicted class that defines the fit set")
+    flag("fit", "--rank", type=int, help="number of concepts")
+    flag("sanity", "--rank", type=int, default=2, help="number of concepts")
+    flag("fit sanity", "--crop-fraction", type=float, default=0.5)
+    flag("fit sanity", "--crops-per-image", type=int, default=8)
+    flag("fit sanity", "--crop-mode", choices=("grid", "random"), default="grid")
+    flag("fit sanity", "--layer", help="feature layer tag (default: final)")
+    flag("fit sanity recurse", "--outer-iters", type=int, default=200)
+    flag("recurse", "--concept", type=int, required=True, help="concept index")
+    flag("recurse", "--rank-sub", type=int, default=2, help="sub-bank rank")
+    flag("importance", "--n-samples", type=int, default=1024,
+         help="pick-freeze block size")
+    flag("importance", "--gradients", help="head-gradient NPY (n x p) for TCAV")
+    flag("importance fidelity", "--mu", type=float, default=0.0,
+         help="baseline value for concept removal")
+    flag("fidelity", "--ranking", choices=("sobol", "tcav", "random"),
+         default="sobol")
+    flag("fidelity", "--direction", choices=("deletion", "insertion"),
+         default="deletion")
+    flag("explain", "--image-index", type=int, default=0)
+    flag("explain", "--method", choices=("gradient", "smoothgrad", "occlusion"),
+         default="gradient")
+    flag("explain", "--concept", type=int, help="concept index (default: all)")
     return parser
 
 

@@ -318,10 +318,12 @@ def make_synthetic_dataset(model, n, noise, seed, max_stamps=3, template_pool=No
     Each image places between 1 and max_stamps distinct templates drawn
     from template_pool (default: all of them) uniformly at random, then
     adds uniform noise in [0, noise). Identical seeds give bit-identical
-    datasets.
+    datasets. A negative, NaN or infinite noise raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if not 0 <= noise < np.inf:
+        raise ValueError(f"noise must be finite and non-negative, got {noise!r}")
     h, w, c = model.input_shape
     th, tw = model.templates.shape[1:3]
     pool = list(range(model.n_templates)) if template_pool is None else list(template_pool)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from craftkit.cli import main
+from craftkit.cli import build_parser, main
 from craftkit.npyio import load_npy, save_npy
 
 
@@ -38,6 +38,14 @@ class TestFit:
     def test_missing_rank_is_usage_error(self, tmp_path):
         code = main(["fit", "--model", "toy:7", "--out", str(tmp_path / "r")])
         assert code == 2
+
+    @pytest.mark.parametrize("noise", ["-0.5", "nan", "inf"])
+    def test_bad_noise_is_usage_error(self, tmp_path, noise):
+        out = tmp_path / "run"
+        code = main(["fit", "--model", "toy:7", "--rank", "2", "--n-images", "20",
+                     f"--noise={noise}", "--out", str(out)])
+        assert code == 2
+        assert not (out / "bank").exists()
 
     def test_fit_from_activations_fixture(self, tmp_path):
         U_true = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -540,3 +548,50 @@ class TestDeterminism:
         code = main(["fit", "--model", "toy:3", "--rank", "2", "--threads", "0",
                      "--out", str(tmp_path / "run")])
         assert code == 2
+
+
+class TestFlagContract:
+    """Each command parses only the flags it reads, plus the run flags."""
+
+    @pytest.mark.parametrize("argv", [
+        ["importance", "--rank", "2"],
+        ["fidelity", "--n-samples", "8"],
+        ["explain", "--rank", "2"],
+        ["recurse", "--concept", "0", "--mu", "0.3"],
+        ["sanity", "--ranking", "sobol"],
+        ["fit", "--rank", "2", "--direction", "insertion"],
+    ], ids=lambda argv: argv[0])
+    def test_flag_the_command_ignores_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        assert main(["fit", "--model", "toy:3", "--rank", "2", "--n-images", "40",
+                     "--out", str(out)]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--model", "toy:3", "--n-images", "40", "--out", str(out)])
+        assert exc.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("command", ["fit", "importance", "explain", "fidelity",
+                                         "recurse", "sanity"])
+    def test_chain_base_argv_parses_on_every_command(self, command):
+        # the benchmark chain's shared argv, plus the --seed that CI passes
+        # to every command and the --threads the chain passes to explain
+        base = ["--model", "toy2:7", "--n-images", "60", "--out", "run",
+                "--seed", "7", "--threads", "2"]
+        own = ["--concept", "0"] if command == "recurse" else []
+        args = build_parser().parse_args([command] + own + base)
+        assert (args.command, args.model, args.n_images, args.out, args.seed,
+                args.threads) == (command, "toy2:7", 60, "run", 7, "2")
+
+    @pytest.mark.parametrize("argv", [
+        ["importance"], ["explain"], ["fidelity"], ["recurse", "--concept", "0"],
+        ["sanity"],
+    ], ids=lambda argv: argv[0])
+    def test_missing_model_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "7", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--model" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,7 +1,10 @@
-"""The README's library sketch runs as written."""
+"""The README's library sketch runs as written, and its CLI example parses."""
 
 import re
+import shlex
 from pathlib import Path
+
+from craftkit.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -12,3 +15,13 @@ def test_library_sketch_runs():
     namespace = {}
     exec(compile(blocks[0], str(README), "exec"), namespace)
     assert [hm.concept_index for hm in namespace["heats"]] == list(range(namespace["bank"].r))
+
+
+def test_cli_example_parses():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    commands = [shlex.split(line) for block in blocks for line in block.splitlines()
+                if line.startswith("craftkit ")]
+    assert len(commands) == 7
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])

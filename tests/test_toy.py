@@ -316,6 +316,11 @@ class TestSyntheticDataset:
         used = {t for placed in data.stamps for t, _, _ in placed}
         assert used <= {0, 1}
 
+    @pytest.mark.parametrize("noise", [-0.5, np.nan, np.inf])
+    def test_bad_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise"):
+            make_synthetic_dataset(standard_backbone(), 4, noise=noise, seed=0)
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
