@@ -3,22 +3,25 @@
 A thin layer over ``pipeline``: each command parses its arguments, calls
 the library, and reads or writes run-directory files. Commands populate an
 output directory incrementally: ``fit`` writes crops, activations, the
-bank, and coefficients (``build_concept_bank`` on images, ``fit_bank`` on
-``--activations``); ``importance`` adds importance.json; ``explain`` fills
-heatmaps/ in one attribution pass over all requested concepts; ``fidelity``
-writes curve CSVs; ``recurse`` adds a sub-bank directory; ``sanity``
-compares banks from trained and weight-randomized models. Every bank
-directory is written by ``save_bank``, fit diagnostics included. Exit
+bank, and coefficients (``build_concept_bank`` on ``--model``, ``fit_bank``
+on ``--activations``); ``importance`` adds importance.json; ``explain``
+fills heatmaps/ in one attribution pass over all requested concepts;
+``fidelity`` writes curve CSVs; ``recurse`` adds a sub-bank directory;
+``sanity`` compares banks from trained and weight-randomized models. Every
+bank directory is written by ``save_bank``, fit diagnostics included. Exit
 codes: 0 success, 2 usage or argument error, 3 data error, 4 numerical
-failure (non-convergence still writes the flagged artifact). Each command
-takes the flags it reads and the run flags ``--model --seed --images
---n-images --noise --threads --out``, shared so that one base argv drives
-the whole chain; ``importance``, ``fidelity`` and ``recurse`` ignore the
-image flags ``--images --n-images --noise``, and ``importance`` and
-``recurse`` ignore ``--seed``. Any other flag, a missing required flag
-(``--model`` on every command but ``fit``) or a bad choice exits 2
-through argparse before any file is read. ``--threads`` (fallback
-CRAFT_KIT_THREADS) is validated but has no effect.
+failure (``fit``, ``recurse`` and ``sanity`` exit 4 after writing their
+artifacts when a fit did not converge, flagged ``"converged": false``).
+Each command takes the flags it reads and the run flags ``--model --seed
+--images --n-images --noise --threads --out``, shared so that one base argv
+drives the whole chain; ``importance``, ``fidelity`` and ``recurse`` ignore
+the image flags ``--images --n-images --noise``, and ``importance`` and
+``recurse`` ignore ``--seed``. ``fit`` takes exactly one of ``--model``
+and ``--activations``, and with ``--activations`` ignores ``--seed``, the
+image flags, ``--class`` and the crop flags. Any other flag, a missing
+required flag or a bad choice exits 2 through argparse before any file is
+read. ``--threads`` (fallback CRAFT_KIT_THREADS) is validated but has no
+effect.
 """
 
 import argparse
@@ -46,6 +49,11 @@ _EXIT_USAGE = 2
 _EXIT_DATA = 3
 _EXIT_NUMERICAL = 4
 
+# outer-loop objective tolerances: image-mode banks are statistical, while
+# external activation matrices are commonly exact fixtures, fit much tighter
+_IMAGE_TOL = 1e-4
+_MATRIX_TOL = 2e-7
+
 
 def _resolve_threads(value):
     if value is None:
@@ -64,8 +72,6 @@ def _load_model(spec_str, seed_override=None):
     layer), or a directory produced by save_backbone. Returns (model,
     seed): --seed when given, else the toy model's seed, else 0."""
     seed = 0 if seed_override is None else seed_override
-    if spec_str is None:
-        return None, seed
     if spec_str.startswith("toy:") or spec_str.startswith("toy2:"):
         scheme, _, seed_text = spec_str.partition(":")
         try:
@@ -96,41 +102,42 @@ def _crop_spec(args, model, seed):
                     resize_to=tuple(model.input_shape[:2]), seed=seed)
 
 
+def _fit_exit(command, converged):
+    """0, or 4 with a note when a fit whose artifacts are written did not converge."""
+    if converged:
+        return _EXIT_OK
+    print(f"{command}: not converged within the outer budget; artifacts flagged",
+          file=sys.stderr)
+    return _EXIT_NUMERICAL
+
+
 def cmd_fit(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    model, seed = _load_model(args.model, args.seed)
     rank = args.rank
     if rank is None:
         raise ValueError("--rank is required for fit")
-    # externally supplied activation matrices are commonly exact fixtures,
-    # so they are fit much tighter than statistical image-mode banks
-    tol = 2e-7 if args.activations is not None else 1e-4
+    tol = _IMAGE_TOL if args.activations is None else _MATRIX_TOL
     nmf_params = NmfParams(rank=rank, outer_iters=args.outer_iters,
                            objective_tol=tol)
 
     if args.activations is not None:
         activations = load_npy(Path(args.activations))
-        bank, state = fit_bank(activations, nmf_params, args.layer or "external")
+        bank, U = fit_bank(activations, nmf_params, args.layer or "external")
     else:
-        if model is None:
-            raise ValueError("fit needs --activations or --model")
+        model, seed = _load_model(args.model, args.seed)
         images = _input_images(args, model, seed)
-        bank, _, ctx = build_concept_bank(images, model, args.target_class, rank,
+        bank, U, ctx = build_concept_bank(images, model, args.target_class, rank,
                                           spec=_crop_spec(args, model, seed),
                                           nmf_params=nmf_params, layer=args.layer)
-        state, activations = ctx["state"], ctx["activations"]
+        activations = ctx["activations"]
         save_npy(ctx["crops"], out / "crops.npy")
         save_json(ctx["provenance"], out / "provenance.json")
     save_npy(activations, out / "activations.npy")
 
     save_bank(bank, out / "bank")
-    save_npy(state.U, out / "coeffs.npy")
-    if not state.converged:
-        print("fit: not converged within the outer budget; artifacts flagged",
-              file=sys.stderr)
-        return _EXIT_NUMERICAL
-    return _EXIT_OK
+    save_npy(U, out / "coeffs.npy")
+    return _fit_exit("fit", bank.converged)
 
 
 def cmd_importance(args):
@@ -205,8 +212,7 @@ def cmd_fidelity(args):
         importance = gen.permutation(bank.r).astype(np.float64)
 
     curve = fidelity_curves(coeffs, bank.W, model.affine_head, importance,
-                            direction=args.direction, mu=args.mu,
-                            ranking_source=args.ranking)
+                            direction=args.direction, mu=args.mu)
     parts = ["curves"]
     if args.ranking != "sobol":
         parts.append(args.ranking)
@@ -226,16 +232,13 @@ def cmd_recurse(args):
     crops = load_npy(out / "crops.npy")
     model, _ = _load_model(args.model)
     sub_bank, u_sub, selected = recursive_decompose(
-        bank, coeffs, args.concept, crops,
-        lambda batch: model.features(batch, layer=1), args.rank_sub,
-        nmf_params=NmfParams(rank=args.rank_sub, outer_iters=args.outer_iters,
-                             objective_tol=1e-4),
-        layer_tag="layer1")
-    sub_dir = out / f"bank_concept{args.concept}"
-    save_bank(sub_bank, sub_dir)
+        bank, coeffs, args.concept, crops, model, 1,
+        NmfParams(rank=args.rank_sub, outer_iters=args.outer_iters,
+                  objective_tol=_IMAGE_TOL))
+    save_bank(sub_bank, out / f"bank_concept{args.concept}")
     save_npy(u_sub, out / f"coeffs_concept{args.concept}.npy")
     save_json([int(i) for i in selected], out / f"selected_concept{args.concept}.json")
-    return _EXIT_OK
+    return _fit_exit("recurse", sub_bank.converged)
 
 
 def _principal_angles(W1, W2):
@@ -251,24 +254,21 @@ def cmd_sanity(args):
     model, seed = _load_model(args.model, args.seed)
     images = _input_images(args, model, seed)
     nmf_params = NmfParams(rank=args.rank, outer_iters=args.outer_iters,
-                           objective_tol=1e-4)
+                           objective_tol=_IMAGE_TOL)
     # the comparison covers every image, not only the class set
     crops, _ = extract_crops(images, _crop_spec(args, model, seed))
-
-    def fit_bank_for(m):
-        state = fit_nmf(m.features(crops, layer=args.layer), nmf_params)
-        return state.W
-
-    trained = fit_bank_for(model)
-    randomized = fit_bank_for(model.randomize_weights(seed))
-    angles = _principal_angles(trained, randomized)
+    trained, randomized = [fit_nmf(m.features(crops, layer=args.layer), nmf_params)
+                           for m in (model, model.randomize_weights(seed))]
+    angles = _principal_angles(trained.W, randomized.W)
+    converged = bool(trained.converged and randomized.converged)
     save_json({
         "seed": seed,
         "rank": args.rank,
         "principal_angles_rad": [float(a) for a in angles],
         "max_angle_rad": float(angles.max()),
+        "converged": converged,
     }, out / "sanity.json")
-    return _EXIT_OK
+    return _fit_exit("sanity", converged)
 
 
 def build_parser():
@@ -294,7 +294,9 @@ def build_parser():
 
     run = " ".join(commands)
     model_help = "toy:<seed>, toy2:<seed>, or a model directory"
-    flag("fit", "--model", help=model_help)
+    source = commands["fit"].add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", help=model_help)
+    source.add_argument("--activations", help="precomputed activations NPY (n x p)")
     flag("importance explain fidelity recurse sanity", "--model", required=True,
          help=model_help)
     flag(run, "--seed", type=int, help="seed for data generation and masks")
@@ -307,7 +309,6 @@ def build_parser():
          help="validated, no effect (default: CRAFT_KIT_THREADS or 1)")
     flag(run, "--out", required=True, help="run directory")
 
-    flag("fit", "--activations", help="precomputed activations NPY (n x p)")
     flag("fit", "--class", dest="target_class", type=int, default=1,
          help="model-predicted class that defines the fit set")
     flag("fit", "--rank", type=int, help="number of concepts")

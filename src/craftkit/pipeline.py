@@ -110,8 +110,6 @@ class FidelityCurve:
     xs: np.ndarray
     ys: np.ndarray
     auc: float
-    ranking_source: str
-    direction: str
 
     def __post_init__(self):
         if self.xs[0] != 0.0 or self.xs[-1] != 1.0 or np.any(np.diff(self.xs) <= 0):
@@ -197,13 +195,19 @@ def select_class_set(predictions, target_class):
     return idx
 
 
+def _layer_tag(layer):
+    """A bank's layer tag: "final" for None, "layer<k>" for k, a string as is."""
+    return layer if isinstance(layer, str) else ("final" if layer is None else f"layer{layer}")
+
+
 def fit_bank(activations, nmf_params, layer_tag, bank_id="bank", parent=None):
     """Factorize an activation matrix (n x p) into a concept bank.
 
     The entry point for activations computed elsewhere; build_concept_bank
     and recursive_decompose call it after encoding their crops. The bank
-    carries the fit's diagnostics, so save_bank records them. Returns
-    (bank, state) with the coefficients in state.U.
+    carries the fit's diagnostics (bank.converged among them), so save_bank
+    records them. Returns (bank, U) with one coefficient row per activation
+    row.
     """
     state = fit_nmf(activations, nmf_params)
     bank = ConceptBank(W=state.W, layer_tag=layer_tag,
@@ -213,7 +217,7 @@ def fit_bank(activations, nmf_params, layer_tag, bank_id="bank", parent=None):
                        kkt_residual=float(state.kkt_residual),
                        outer_iters=len(state.objective_trace) - 1,
                        nnls_steps=state.nnls_steps)
-    return bank, state
+    return bank, state.U
 
 
 def build_concept_bank(images, model, target_class, r, spec=None, nmf_params=None,
@@ -232,11 +236,9 @@ def build_concept_bank(images, model, target_class, r, spec=None, nmf_params=Non
     params = nmf_params or NmfParams(rank=r)
     if params.rank != r:
         raise ValueError("nmf_params.rank disagrees with r")
-    tag = layer if isinstance(layer, str) else ("final" if layer is None else f"layer{layer}")
-    bank, state = fit_bank(activations, params, tag)
-    context = {"crops": crops, "provenance": provenance,
-               "activations": activations, "state": state}
-    return bank, state.U, context
+    bank, U = fit_bank(activations, params, _layer_tag(layer))
+    context = {"crops": crops, "provenance": provenance, "activations": activations}
+    return bank, U, context
 
 
 def concept_percentile_threshold(values):
@@ -249,14 +251,13 @@ def concept_percentile_threshold(values):
     return float(order[n - keep - 1]) if keep < n else float(order[0]) - 1.0
 
 
-def recursive_decompose(bank, U, concept_index, crops, earlier_features, r_sub,
-                        nmf_params=None, layer_tag=None):
+def recursive_decompose(bank, U, concept_index, crops, model, layer, nmf_params):
     """Refine one concept into sub-concepts at an earlier layer.
 
     Crops whose coefficient on the concept strictly exceeds the top-decile
-    threshold are re-encoded with earlier_features and factorized again.
-    layer_tag names the layer earlier_features reads, so the sub-bank can
-    drive attribution maps; it defaults to a descriptive placeholder.
+    threshold are re-encoded with model.features(crops, layer=layer) and
+    factorized again. The sub-bank is tagged from the same layer value, as
+    build_concept_bank tags its bank, so it can drive attribution maps.
     Returns (sub_bank, U_sub, selected_indices).
     """
     U = np.asarray(U)
@@ -269,15 +270,11 @@ def recursive_decompose(bank, U, concept_index, crops, earlier_features, r_sub,
         raise InsufficientDataError(
             f"only {selected.size} crops exceed the refinement threshold "
             f"(need {_MIN_CROPS})")
-    activations = earlier_features(np.asarray(crops)[selected])
-    params = nmf_params or NmfParams(rank=r_sub)
-    if params.rank != r_sub:
-        raise ValueError("nmf_params.rank disagrees with r_sub")
-    sub_bank, state = fit_bank(activations, params,
-                               layer_tag or f"{bank.layer_tag}.earlier",
+    activations = model.features(np.asarray(crops)[selected], layer=layer)
+    sub_bank, U_sub = fit_bank(activations, nmf_params, _layer_tag(layer),
                                bank_id=f"{bank.bank_id}/concept{concept_index}",
                                parent=(bank.bank_id, concept_index))
-    return sub_bank, state.U, selected
+    return sub_bank, U_sub, selected
 
 
 def _gradient_heatmaps(x, bank, model, concepts):
@@ -363,8 +360,7 @@ def _occlusion_heatmaps(x, bank, model, concepts):
     return heat / np.maximum(count, 1.0)
 
 
-def fidelity_curves(U, W, head, importance, direction="deletion", mu=0.0,
-                    ranking_source="sobol"):
+def fidelity_curves(U, W, head, importance, direction="deletion", mu=0.0):
     """Deletion or insertion curve over concepts ranked by importance.
 
     Deletion replaces the top-k concepts' coefficients with the baseline;
@@ -397,8 +393,7 @@ def fidelity_curves(U, W, head, importance, direction="deletion", mu=0.0,
     ys = _evaluate(lambda m: _mean_head_outputs(U, W, head, m, mu), masks,
                    f"{direction} curve")
     xs = np.arange(r + 1) / r
-    return FidelityCurve(xs=xs, ys=ys, auc=float(np.trapezoid(ys, xs)),
-                         ranking_source=ranking_source, direction=direction)
+    return FidelityCurve(xs=xs, ys=ys, auc=float(np.trapezoid(ys, xs)))
 
 
 def save_bank(bank, directory):

@@ -196,10 +196,9 @@ def test_criterion_6_fidelity_ordering():
             assert tcav[0] == tcav[1] == 1.0  # sign-only score is uninformative
 
             del_sobol = fidelity_curves(U, W, head, est.total_indices)
-            del_tcav = fidelity_curves(U, W, head, tcav, ranking_source="tcav")
+            del_tcav = fidelity_curves(U, W, head, tcav)
             random_rank = gen.permutation(3).astype(float)
-            del_rand = fidelity_curves(U, W, head, random_rank,
-                                       ranking_source="random")
+            del_rand = fidelity_curves(U, W, head, random_rank)
             sobol_aucs.append(del_sobol.auc)
             tcav_aucs.append(del_tcav.auc)
             beat_random += del_sobol.auc <= del_rand.auc + 1e-12
@@ -257,8 +256,7 @@ def test_criterion_8_recursive_refinement():
                                           r=2, nmf_params=FIT)
         comp0_concept = int(np.argmax(bank.W[0]))
         sub_bank, _, _ = recursive_decompose(
-            bank, U, comp0_concept, ctx["crops"],
-            lambda crops: model.features(crops, layer=1), 2, nmf_params=FIT)
+            bank, U, comp0_concept, ctx["crops"], model, 1, FIT)
         dirs = model.template_directions()[:2]
         cosines = dirs @ sub_bank.W
         best = max(min(cosines[0, p[0]], cosines[1, p[1]])

@@ -470,6 +470,15 @@ class TestExplainFidelityRecurse:
         assert 0.0 <= meta["kkt_residual"] < np.inf
         assert meta["outer_iters"] >= 1
 
+    def test_recurse_unconverged_exits_4_and_flags_sub_bank(self, full_run, capsys):
+        code = main(["recurse", "--model", "toy2:5", "--concept", "0",
+                     "--rank-sub", "2", "--outer-iters", "1", "--out", str(full_run)])
+        assert code == 4
+        assert "recurse: not converged" in capsys.readouterr().err
+        meta = json.loads((full_run / "bank_concept0" / "meta.json").read_text())
+        assert meta["converged"] is False
+        assert (full_run / "coeffs_concept0.npy").exists()
+
     def test_recurse_all_equal_coefficients_exit_3(self, tmp_path):
         out = tmp_path / "run"
         assert main(["fit", "--model", "toy:3", "--rank", "2", "--n-images",
@@ -491,6 +500,17 @@ class TestSanity:
         assert len(angles) == 2
         assert all(0.0 <= a <= np.pi / 2 + 1e-12 for a in angles)
         assert report["max_angle_rad"] > 0.0
+
+
+    @pytest.mark.parametrize("outer_iters, code, converged", [
+        ("200", 0, True), ("1", 4, False)])
+    def test_report_records_convergence(self, tmp_path, capsys, outer_iters, code,
+                                        converged):
+        out = tmp_path / "run"
+        assert main(["sanity", "--model", "toy:7", "--rank", "2", "--n-images", "40",
+                     "--outer-iters", outer_iters, "--out", str(out)]) == code
+        assert json.loads((out / "sanity.json").read_text())["converged"] is converged
+        assert ("sanity: not converged" in capsys.readouterr().err) is not converged
 
 
 class TestDeterminism:
@@ -594,4 +614,14 @@ class TestFlagContract:
             main(argv + ["--seed", "7", "--out", str(out)])
         assert exc.value.code == 2
         assert "--model" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", [["--model", "toy2:7", "--activations", "A.npy"],
+                                        []], ids=["both", "neither"])
+    def test_fit_takes_exactly_one_source(self, tmp_path, capsys, source):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--rank", "2"] + source + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert "--activations" in capsys.readouterr().err
         assert not out.exists()

@@ -221,8 +221,7 @@ class TestPercentileSelection:
         U = np.ones((40, 2))
         crops = np.zeros((40, 16, 16, 1))
         with pytest.raises(InsufficientDataError):
-            recursive_decompose(bank, U, 0, crops,
-                                lambda c: model.features(c, layer=1), 2)
+            recursive_decompose(bank, U, 0, crops, model, 1, NmfParams(rank=2))
 
 
 class TestRecursiveDecompose:
@@ -233,9 +232,7 @@ class TestRecursiveDecompose:
                                           r=2, nmf_params=FIT_PARAMS)
         comp0_concept = int(np.argmax(bank.W[0]))
         sub_bank, U_sub, selected = recursive_decompose(
-            bank, U, comp0_concept, ctx["crops"],
-            lambda crops: model.features(crops, layer=1), 2,
-            nmf_params=FIT_PARAMS, layer_tag="layer1")
+            bank, U, comp0_concept, ctx["crops"], model, 1, FIT_PARAMS)
         assert selected.size >= 10
         assert sub_bank.parent == (bank.bank_id, comp0_concept)
         dirs = model.template_directions()[:2]  # primitives 0 and 1
@@ -249,6 +246,22 @@ class TestRecursiveDecompose:
         sub_concept = int(np.argmax(cosines[probe.stamps[0][0][0]]))
         hm = concept_attribution_map(probe.images[0], sub_bank, model, sub_concept)
         assert hm.values.shape == (16, 16)
+
+    @pytest.mark.parametrize("layer, tag", [(1, "layer1"), ("layer1", "layer1"),
+                                            (2, "layer2"), (None, "final")])
+    def test_sub_bank_is_tagged_from_the_layer_it_encodes(self, layer, tag):
+        model = two_layer_backbone()
+        data = make_synthetic_dataset(model, 60, noise=0.02, seed=0, max_stamps=1)
+        bank, U, ctx = build_concept_bank(data.images, model, target_class=1,
+                                          r=2, nmf_params=FIT_PARAMS)
+        sub_bank, _, selected = recursive_decompose(
+            bank, U, 0, ctx["crops"], model, layer, FIT_PARAMS)
+        assert sub_bank.layer_tag == tag
+        width = model.features(ctx["crops"][:1], layer=layer).shape[1]
+        assert sub_bank.W.shape == (width, 2)
+        # the tag alone resolves the layer again, through features and VJP
+        hm = concept_attribution_map(ctx["crops"][selected[0]], sub_bank, model, 0)
+        assert hm.values.shape == (16, 16) and np.abs(hm.values).sum() > 0.0
 
 
 class TestAttributionMaps:
