@@ -148,10 +148,9 @@ def cmd_importance(args):
     estimate = concept_importance(coeffs, bank.W, model.affine_head, args.n_samples,
                                   mu=args.mu)
 
-    if args.gradients is not None:
-        grads = load_npy(Path(args.gradients))
-    else:
-        grads = model.head_gradients(n=coeffs.shape[0])
+    # an affine head's gradient is its weight row, the same for every crop
+    grads = (model.head_weights[None] if args.gradients is None
+             else load_npy(Path(args.gradients)))
     tcav = tcav_importance(grads, bank.W)
 
     records = []
@@ -160,7 +159,7 @@ def cmd_importance(args):
             "concept_id": i,
             "total_sobol": float(estimate.total_indices[i]),
             "tcav": float(tcav[i]),
-            "n_samples": estimate.n_samples,
+            "n_samples": args.n_samples,
             "degenerate": bool(estimate.degenerate),
         })
     save_json(records, out / "importance.json")

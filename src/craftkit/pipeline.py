@@ -21,7 +21,7 @@ from .implicit import jacobian_u_wrt_a
 from .nmf import NmfParams, fit_nmf
 from .nnls import solve_nnls
 from .npyio import load_npy, load_record, save_json, save_npy
-from .sobol import _evaluate, _mean_head_outputs
+from .sobol import _coefficients, _evaluate, _mean_head_outputs
 
 # fewest crops above the refinement threshold that recursive_decompose fits
 _MIN_CROPS = 10
@@ -258,9 +258,11 @@ def recursive_decompose(bank, U, concept_index, crops, model, layer, nmf_params)
     threshold are re-encoded with model.features(crops, layer=layer) and
     factorized again. The sub-bank is tagged from the same layer value, as
     build_concept_bank tags its bank, so it can drive attribution maps.
-    Returns (sub_bank, U_sub, selected_indices).
+    U must be n x bank.r. Returns (sub_bank, U_sub, selected_indices).
     """
     U = np.asarray(U)
+    if U.ndim != 2 or U.shape[1] != bank.r:
+        raise ValueError(f"U must be n x {bank.r}, one column per concept; got {U.shape}")
     if not 0 <= concept_index < bank.r:
         raise ValueError(f"concept index {concept_index} out of range")
     coeffs = U[:, concept_index]
@@ -369,16 +371,13 @@ def fidelity_curves(U, W, head, importance, direction="deletion", mu=0.0):
     Sobol' masks are: the (step, row) pairs reach ``head`` in step-major
     blocks through one reused activation buffer, so ``head`` must not keep
     a reference to its input after it returns; an ``AffineHead`` sees the
-    row-mean coefficients alone. A
-    non-finite baseline mu or head output raises DataError; a non-finite
-    importance score raises ValueError. auc integrates y over the fraction
+    row-mean coefficients alone. U not n x r (n >= 1) for W p x r, or a
+    non-finite importance score, raises ValueError; a non-finite baseline
+    mu or head output raises DataError. auc integrates y over the fraction
     of concepts touched.
     """
-    U = np.asarray(U, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
+    U, W = _coefficients(U, W)
     importance = np.asarray(importance, dtype=np.float64).reshape(-1)
-    if U.shape[0] == 0:
-        raise ValueError("U has no coefficient rows to draw a curve from")
     r = U.shape[1]
     if importance.size != r:
         raise ValueError("importance length must equal the concept count")

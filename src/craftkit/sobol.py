@@ -8,12 +8,13 @@ responsible for, interactions included.
 
 The pick-freeze A and B blocks are the two halves of one (2r)-dimensional
 Sobol' stream, so the design is deterministic. The masks are evaluated in
-two batches: f(A) and f(B) together, then all r AB_i blocks together
-(skipped when the output variance is degenerate). Within a batch, the
-(mask, row) pairs stream through the head in mask-major blocks of at most
-max(1, chunk // p) activation rows, all written into one reused buffer
-that stays in a 2 MiB L2 cache with W^T, so a head must not keep a
-reference to its input after it returns.
+two batches: f(A) and f(B) together, then all r AB_i blocks together,
+skipped when f(A) and f(B) are equal up to rounding (spread within 64 eps
+of their largest magnitude, a cut as free of the head's scale as the
+estimator's ratio). Within a batch, the (mask, row) pairs stream through
+the head in mask-major blocks of at most max(1, chunk // p) activation
+rows, all written into one reused buffer that stays in a 2 MiB L2 cache
+with W^T, so a head must not keep a reference to its input after it returns.
 
 The Sobol' sequence uses the Joe-Kuo direction numbers (new-joe-kuo-6),
 embedded below for dimensions up to 64, with the zero point skipped.
@@ -94,7 +95,6 @@ _DIRECTIONS = (
 _MAX_DIM = len(_DIRECTIONS) + 1
 _BITS = 32
 _SCALE = float(2**_BITS)
-_DEGENERATE_VARIANCE = 1e-12
 
 
 def _direction_integers(dim, n_bits):
@@ -167,13 +167,12 @@ def perturb(u, m, mu=0.0):
 class SobolEstimate:
     """Estimated total indices with the variance they were normalized by.
 
-    degenerate means the output variance fell below the noise floor, in
-    which case all indices are reported as zero.
+    degenerate means f(A) and f(B) were equal up to rounding, in which case
+    all indices are reported as zero; the block size n is the caller's.
     """
 
     total_indices: np.ndarray
     variance_Y: float
-    n_samples: int
     degenerate: bool
 
 
@@ -189,20 +188,20 @@ def _evaluate(eval_batch, masks, what):
 def _jansen_total(eval_batch, a, b):
     """Pick-freeze Jansen estimator on the n x r blocks A and B.
 
-    f(A) and f(B) go to eval_batch in one call. Unless their variance is
-    degenerate, a second call evaluates all r blocks AB_i (A with column i
+    f(A) and f(B) go to eval_batch in one call. Unless they are equal up to
+    rounding, a second call evaluates all r blocks AB_i (A with column i
     taken from B), stacked in order.
     """
     n, r = a.shape
     y = _evaluate(eval_batch, np.concatenate([a, b]), "f(A), f(B)")
     variance = float(np.var(y))
-    if variance < _DEGENERATE_VARIANCE:
-        return SobolEstimate(np.zeros(r), variance, n, True)
+    if np.ptp(y) <= 64 * np.finfo(np.float64).eps * np.max(np.abs(y)):
+        return SobolEstimate(np.zeros(r), variance, True)
     ab = np.repeat(a[None], r, axis=0)
     ab[np.arange(r), :, np.arange(r)] = b.T
     y_ab = _evaluate(eval_batch, ab.reshape(r * n, r), "f(AB)").reshape(r, n)
     totals = np.sum((y[:n] - y_ab) ** 2, axis=1) / (2.0 * n * variance)
-    return SobolEstimate(totals, variance, n, False)
+    return SobolEstimate(totals, variance, False)
 
 
 def total_sobol_jansen(f, r, n):
@@ -239,6 +238,18 @@ class AffineHead:
         return a @ self.weights + self.bias
 
 
+def _coefficients(U, W):
+    """U (n x r, n >= 1) and W (p x r) as float64, else ValueError: the
+    input check of concept_importance and pipeline.fidelity_curves."""
+    U = np.asarray(U, dtype=np.float64)
+    W = np.asarray(W, dtype=np.float64)
+    if U.ndim != 2 or W.ndim != 2 or U.shape[1] != W.shape[1]:
+        raise ValueError("U must be n x r and W must be p x r")
+    if U.shape[0] == 0:
+        raise ValueError("U has no coefficient rows to score")
+    return U, W
+
+
 def concept_importance(U, W, head, n, mu=0.0):
     """Class-level concept importance for coefficients U under bank W.
 
@@ -249,15 +260,10 @@ def concept_importance(U, W, head, n, mu=0.0):
     whose buffer is reused). The estimated index of a concept is the
     share of the variance of the row-averaged head output it controls. An
     ``AffineHead`` sees only the row-mean coefficients, one row per mask,
-    which gives the same outputs up to rounding. A non-finite baseline mu
-    raises DataError before any head call.
+    which gives the same outputs up to rounding. U not n x r (n >= 1) for
+    W p x r raises ValueError, a non-finite mu DataError, before any head call.
     """
-    U = np.asarray(U, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    if U.ndim != 2 or W.ndim != 2 or U.shape[1] != W.shape[1]:
-        raise ValueError("U must be n x r and W must be p x r")
-    if U.shape[0] == 0:
-        raise ValueError("U has no coefficient rows to score")
+    U, W = _coefficients(U, W)
     return _jansen_total(lambda masks: _mean_head_outputs(U, W, head, masks, mu),
                          *mask_designs(U.shape[1], n))
 

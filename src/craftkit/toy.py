@@ -170,10 +170,6 @@ class ToyBackbone:
         """Binary class: 1 where the head output is positive."""
         return (self.head(self.features(x)) > 0.0).astype(np.int64)
 
-    def head_gradients(self, n):
-        """n rows of d head / d activation; constant for an affine head."""
-        return np.tile(self.head_weights, (n, 1))
-
     def vjp_features(self, x, cotangent, layer=None):
         """Exact gradient of <features(x, layer), cotangent> w.r.t. x."""
         x = self._check_input(x)

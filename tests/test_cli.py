@@ -245,6 +245,19 @@ class TestImportance:
         records = json.loads((fitted_run / "importance.json").read_text())
         assert all(rec["tcav"] is not None for rec in records)
 
+    def test_tcav_equals_per_row_tcav_of_the_head_gradients(self, fitted_run):
+        # an affine head's gradient is its weight row for every crop
+        from craftkit.pipeline import load_bank
+        from craftkit.sobol import tcav_importance
+        from craftkit.toy import standard_backbone
+        assert main(["importance", "--model", "toy:3", "--n-samples", "64",
+                     "--out", str(fitted_run)]) == 0
+        records = json.loads((fitted_run / "importance.json").read_text())
+        n = len(load_npy(fitted_run / "coeffs.npy"))
+        per_row = tcav_importance(np.tile(standard_backbone().head_weights, (n, 1)),
+                                  load_bank(fitted_run / "bank").W)
+        assert [rec["tcav"] for rec in records] == per_row.tolist()
+
     def test_zero_coefficients_are_degenerate(self, fitted_run):
         coeffs = load_npy(fitted_run / "coeffs.npy")
         save_npy(np.zeros_like(coeffs), fitted_run / "coeffs.npy")
@@ -478,6 +491,21 @@ class TestExplainFidelityRecurse:
         meta = json.loads((full_run / "bank_concept0" / "meta.json").read_text())
         assert meta["converged"] is False
         assert (full_run / "coeffs_concept0.npy").exists()
+
+    @pytest.mark.parametrize("reshape", [
+        lambda U: U[:, :1],
+        lambda U: U[:, 0],
+        lambda U: np.hstack([U, U]),
+    ], ids=["one_column", "one_dimensional", "four_columns"])
+    def test_recurse_coefficients_of_another_width_are_usage_error(self, full_run,
+                                                                   capsys, reshape):
+        # unchecked, a narrower U fails on the index or refines the wrong columns
+        save_npy(reshape(load_npy(full_run / "coeffs.npy")), full_run / "coeffs.npy")
+        code = main(["recurse", "--model", "toy2:5", "--concept", "0",
+                     "--rank-sub", "2", "--out", str(full_run)])
+        assert code == 2
+        assert "U must be n x 2" in capsys.readouterr().err
+        assert not list(full_run.glob("bank_concept*"))
 
     def test_recurse_all_equal_coefficients_exit_3(self, tmp_path):
         out = tmp_path / "run"

@@ -129,7 +129,6 @@ class TestJansenEstimator:
         est = total_sobol_jansen(lambda m: 3.0 * m[0] + m[1], 2, 2048)
         np.testing.assert_allclose(est.total_indices, [0.9, 0.1], atol=0.02)
         assert not est.degenerate
-        assert est.n_samples == 2048
 
     def test_constant_function_is_degenerate(self):
         est = total_sobol_jansen(lambda m: 4.25, 3, 256)
@@ -242,14 +241,24 @@ class TestConceptImportance:
         assert zero_mu.total_indices[1] < 0.01
         assert with_mu.total_indices[1] > 0.2
 
-    @pytest.mark.parametrize("score", [
-        lambda U, W, head: concept_importance(U, W, head, 16),
-        lambda U, W, head: fidelity_curves(U, W, head, importance=[1.0, 0.5]),
-    ], ids=["concept_importance", "fidelity_curves"])
-    def test_zero_rows_rejected_up_front(self, score):
-        # without the check the empty row mean warns and then yields NaN
-        with pytest.raises(ValueError, match="no coefficient rows"):
-            score(np.zeros((0, 2)), np.eye(2), lambda acts: acts[:, 0])
+    @pytest.mark.parametrize("score, U, message", [
+        (score, U, message)
+        for U, message in [(np.zeros((0, 2)), "no coefficient rows"),
+                           (np.ones(2), "U must be n x r"),
+                           (np.ones((3, 1)), "U must be n x r"),
+                           (np.ones((3, 3)), "U must be n x r")]
+        for score in (lambda U, W, head: concept_importance(U, W, head, 16),
+                      lambda U, W, head: fidelity_curves(U, W, head,
+                                                         importance=[1.0, 0.5]))
+    ], ids=[name + case for case in ("", "_1d", "_narrow", "_wide")
+            for name in ("concept_importance", "fidelity_curves")])
+    def test_zero_rows_rejected_up_front(self, score, U, message):
+        # both scorers share one check; without it an empty row mean warns
+        # and yields NaN, and a 1-D U fails on its missing column axis
+        calls = []
+        with pytest.raises(ValueError, match=message):
+            score(U, np.eye(2), lambda acts: calls.append(acts) or acts[:, 0])
+        assert not calls
 
     def test_single_concept_gets_full_index(self):
         est = total_sobol_jansen(lambda m: 2.0 * m[0] + 1.0, 1, 512)
@@ -440,6 +449,34 @@ class TestAffineHead:
         constant = concept_importance(U, W, Counting(np.zeros(5), 0.1), 64)
         assert constant.degenerate
         assert rows == [64 * 2]
+
+    @staticmethod
+    def _scaled(c, bias=0.0, u_scale=1.0):
+        rng = np.random.default_rng(20)
+        U = rng.uniform(size=(40, 3)) * u_scale
+        W = rng.uniform(size=(6, 3))
+        return concept_importance(U, W, AffineHead(c * rng.normal(size=6), bias), 256)
+
+    @pytest.mark.parametrize("c", [1e-6, 1e6])
+    def test_indices_do_not_depend_on_the_head_scale(self, c):
+        # at 1e-6 the output variance is about 1e-14, so no fixed variance
+        # floor tells it from rounding noise; the outputs' own scale does
+        unit, scaled = self._scaled(1.0), self._scaled(c)
+        assert not scaled.degenerate
+        np.testing.assert_allclose(scaled.total_indices, unit.total_indices,
+                                   rtol=0, atol=1e-12)
+
+    def test_power_of_two_scale_is_bit_identical(self):
+        unit, scaled = self._scaled(1.0), self._scaled(2.0**-40)
+        assert not scaled.degenerate
+        np.testing.assert_array_equal(scaled.total_indices, unit.total_indices)
+
+    def test_spread_within_rounding_of_a_large_bias_is_degenerate(self):
+        # the outputs differ by a few ulps of 1e12 and carry no signal,
+        # though their variance is about 1e-7
+        est = self._scaled(1e-4, bias=1e12, u_scale=30.0)
+        assert est.degenerate
+        np.testing.assert_array_equal(est.total_indices, 0.0)
 
     def test_outputs_are_the_affine_map(self):
         w = np.array([0.5, -1.0, 2.0])

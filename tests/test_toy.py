@@ -116,8 +116,6 @@ class TestHead:
         np.testing.assert_array_equal(model.affine_head(a), expected)
         np.testing.assert_array_equal(model.predict(images),
                                       (expected > 0.0).astype(np.int64))
-        np.testing.assert_array_equal(model.head_gradients(len(images)),
-                                      np.tile(model.head_weights, (16, 1)))
         with pytest.raises(ValueError, match="activations must be"):
             model.head(np.ones((2, model.n_features + 1)))
 
