@@ -39,7 +39,8 @@ from .npyio import load_json, load_npy, save_json, save_npy
 # concept_attribution_map is unused here but wrapped by perfbench/spans.py
 from .pipeline import (CropSpec, build_concept_bank, concept_attribution_map,
                        concept_attribution_maps, extract_crops, fidelity_curves,
-                       fit_bank, load_bank, recursive_decompose, save_bank)
+                       fit_bank, load_bank, recursive_decompose, save_bank,
+                       save_provenance)
 from .sobol import concept_importance, tcav_importance
 from .toy import (load_backbone, make_synthetic_dataset, standard_backbone,
                   two_layer_backbone)
@@ -132,7 +133,7 @@ def cmd_fit(args):
                                           nmf_params=nmf_params, layer=args.layer)
         activations = ctx["activations"]
         save_npy(ctx["crops"], out / "crops.npy")
-        save_json(ctx["provenance"], out / "provenance.json")
+        save_provenance(ctx["provenance"], out / "provenance.json")
     save_npy(activations, out / "activations.npy")
 
     save_bank(bank, out / "bank")

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import DataError, FormatError, UnsupportedError
 
 _MAGIC = b"\x93NUMPY"
-_HEADER_ALIGN = 64
 _DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
 _RANKS = (1, 2, 4)
 
@@ -118,7 +117,11 @@ def load_record(path, required, optional=None):
 def save_npy(arr, path):
     """Write a matrix or 4-D tensor as NPY v1.0, float64, C order.
 
-    Round trip through load_npy reproduces the float64 data bit-exactly.
+    1-D input is saved as a single-row matrix. An array of another rank is
+    a ValueError, and an empty or non-finite one a DataError, so every file
+    written here loads again through load_npy. The header and payload are
+    numpy's own v1.0 writer's (np.lib.format.write_array), and a round trip
+    reproduces the float64 data bit-exactly.
     """
     a = np.asarray(arr, dtype=np.float64)
     if a.ndim == 1:
@@ -129,17 +132,6 @@ def save_npy(arr, path):
         raise DataError("empty arrays are not supported")
     if not np.all(np.isfinite(a)):
         raise DataError("payload contains NaN or Inf")
-
-    header = "{'descr': '<f8', 'fortran_order': False, 'shape': %s, }" % (
-        str(tuple(int(d) for d in a.shape)),
-    )
-    unpadded = len(_MAGIC) + 2 + 2 + len(header) + 1
-    pad = (-unpadded) % _HEADER_ALIGN
-    header = header + " " * pad + "\n"
-
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(b"\x01\x00")
-        fh.write(struct.pack("<H", len(header)))
-        fh.write(header.encode("latin1"))
-        fh.write(np.ascontiguousarray(a).tobytes())
+        np.lib.format.write_array(fh, np.ascontiguousarray(a), version=(1, 0),
+                                  allow_pickle=False)

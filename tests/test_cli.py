@@ -507,11 +507,27 @@ class TestExplainFidelityRecurse:
         assert "U must be n x 2" in capsys.readouterr().err
         assert not list(full_run.glob("bank_concept*"))
 
+    @pytest.mark.parametrize("resize", [
+        lambda U: U[:len(U) // 2],
+        lambda U: np.vstack([U, U[:len(U) // 4]]),
+    ], ids=["half_the_rows", "extra_rows"])
+    def test_recurse_coefficients_of_another_length_are_usage_error(self, full_run,
+                                                                    capsys, resize):
+        # unchecked, fewer rows refine the wrong crops and more rows index
+        # past the last crop (an uncaught IndexError)
+        U = load_npy(full_run / "coeffs.npy")
+        save_npy(resize(U), full_run / "coeffs.npy")
+        code = main(["recurse", "--model", "toy2:5", "--concept", "0",
+                     "--rank-sub", "2", "--out", str(full_run)])
+        assert code == 2
+        assert f"there are {len(U)} crops" in capsys.readouterr().err
+        assert not list(full_run.glob("bank_concept*"))
+
     def test_recurse_all_equal_coefficients_exit_3(self, tmp_path):
         out = tmp_path / "run"
         assert main(["fit", "--model", "toy:3", "--rank", "2", "--n-images",
                      "40", "--out", str(out)]) == 0
-        save_npy(np.ones((40, 2)), out / "coeffs.npy")
+        save_npy(np.ones_like(load_npy(out / "coeffs.npy")), out / "coeffs.npy")
         code = main(["recurse", "--model", "toy:3", "--concept", "0",
                      "--rank-sub", "2", "--out", str(out)])
         assert code == 3

@@ -113,6 +113,14 @@ class TestSaveRoundTrip:
         save_npy(t, path)
         np.testing.assert_array_equal(load_npy(path), t)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (3200, 2), (1, 2048),
+                                       (7, 16, 16, 1), (2, 3, 4, 5)])
+    def test_bytes_are_a_hand_built_v1_header_and_payload(self, tmp_path, shape):
+        a = np.random.default_rng(1).normal(size=shape)
+        save_npy(a, tmp_path / "ours.npy")
+        write_raw_npy(tmp_path / "ref.npy", "<f8", False, shape, a.tobytes())
+        assert (tmp_path / "ours.npy").read_bytes() == (tmp_path / "ref.npy").read_bytes()
+
     def test_numpy_can_read_our_files(self, tmp_path):
         path = tmp_path / "compat.npy"
         m = np.array([[1.5, -2.0], [0.0, 1e-300]])

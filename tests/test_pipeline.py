@@ -17,7 +17,7 @@ from craftkit.pipeline import (ConceptBank, CropSpec, bilinear_resize,
                                concept_attribution_map, concept_attribution_maps,
                                concept_percentile_threshold, extract_crops,
                                fidelity_curves, load_bank, recursive_decompose,
-                               save_bank, select_class_set)
+                               save_bank, save_provenance, select_class_set)
 from craftkit.sobol import AffineHead, concept_importance
 from craftkit.toy import (make_synthetic_dataset, pair_backbone, standard_backbone,
                           two_layer_backbone)
@@ -262,6 +262,19 @@ class TestRecursiveDecompose:
         # the tag alone resolves the layer again, through features and VJP
         hm = concept_attribution_map(ctx["crops"][selected[0]], sub_bank, model, 0)
         assert hm.values.shape == (16, 16) and np.abs(hm.values).sum() > 0.0
+
+    @pytest.mark.parametrize("rows", [100, 300], ids=["fewer", "more"])
+    def test_coefficient_rows_must_match_the_crops(self, rows):
+        # unchecked, fewer rows refine the wrong crops and more rows index
+        # past the last crop
+        model = CountingModel(two_layer_backbone())
+        bank = ConceptBank(W=np.eye(2), layer_tag="final", fit_objective=0.0,
+                           column_norms=np.ones(2))
+        U = np.random.default_rng(0).uniform(size=(rows, 2))
+        with pytest.raises(ValueError, match=f"U has {rows} rows but there are 200 crops"):
+            recursive_decompose(bank, U, 0, np.zeros((200, 16, 16, 1)), model, 1,
+                                NmfParams(rank=2))
+        assert model.calls["features"] == 0
 
 
 class TestAttributionMaps:
@@ -712,3 +725,25 @@ class TestBankPersistence:
         meta = json.loads((tmp_path / "bank" / "meta.json").read_text())
         assert not {"converged", "kkt_residual", "outer_iters", "nnls_steps"} & set(meta)
         assert load_bank(tmp_path / "bank").converged is None
+
+
+def _provenance(shape, **spec):
+    return extract_crops(np.zeros(shape), CropSpec(**spec))[1]
+
+
+class TestSaveProvenance:
+    @pytest.mark.parametrize("rows", [
+        _provenance((3, 16, 16, 1)),
+        _provenance((3, 16, 16, 1), mode="random", seed=4),
+        _provenance((2, 8, 12, 1), crops_per_image=4),
+        _provenance((1, 4, 4, 1), crop_fraction=1.0),
+        [dict(row, image=image) for row, image in zip(
+            _provenance((3, 16, 16, 1), crops_per_image=1), (10_000, 123_456, 9_876_543))],
+        [],
+    ], ids=["grid", "random", "rectangular", "one_crop", "wide_image_indices", "empty"])
+    def test_bytes_are_those_of_sorted_indented_json(self, tmp_path, rows):
+        path = tmp_path / "provenance.json"
+        save_provenance(rows, path)
+        assert path.read_bytes() == (json.dumps(rows, indent=2, sort_keys=True)
+                                     + "\n").encode()
+        assert json.loads(path.read_text()) == rows
