@@ -20,8 +20,9 @@ the image flags ``--images --n-images --noise``, and ``importance`` and
 and ``--activations``, and with ``--activations`` ignores ``--seed``, the
 image flags, ``--class`` and the crop flags. Any other flag, a missing
 required flag or a bad choice exits 2 through argparse before any file is
-read. ``--threads`` (fallback CRAFT_KIT_THREADS) is validated but has no
-effect.
+read, and ``fit`` and ``sanity`` create ``--out`` only once their input is
+accepted, so a rejected run writes nothing. ``--threads`` (fallback
+CRAFT_KIT_THREADS) is validated but has no effect.
 """
 
 import argparse
@@ -114,24 +115,24 @@ def _fit_exit(command, converged):
 
 def cmd_fit(args):
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rank = args.rank
-    if rank is None:
-        raise ValueError("--rank is required for fit")
     tol = _IMAGE_TOL if args.activations is None else _MATRIX_TOL
-    nmf_params = NmfParams(rank=rank, outer_iters=args.outer_iters,
+    nmf_params = NmfParams(rank=args.rank, outer_iters=args.outer_iters,
                            objective_tol=tol)
 
+    ctx = None
     if args.activations is not None:
         activations = load_npy(Path(args.activations))
         bank, U = fit_bank(activations, nmf_params, args.layer or "external")
     else:
         model, seed = _load_model(args.model, args.seed)
         images = _input_images(args, model, seed)
-        bank, U, ctx = build_concept_bank(images, model, args.target_class, rank,
+        bank, U, ctx = build_concept_bank(images, model, args.target_class, args.rank,
                                           spec=_crop_spec(args, model, seed),
                                           nmf_params=nmf_params, layer=args.layer)
         activations = ctx["activations"]
+    # created only once the input is accepted, so a rejected fit writes nothing
+    out.mkdir(parents=True, exist_ok=True)
+    if ctx is not None:
         save_npy(ctx["crops"], out / "crops.npy")
         save_provenance(ctx["provenance"], out / "provenance.json")
     save_npy(activations, out / "activations.npy")
@@ -204,7 +205,7 @@ def cmd_fidelity(args):
         key = "total_sobol" if args.ranking == "sobol" else "tcav"
         values = [rec.get(key) for rec in sorted(records, key=lambda r: r["concept_id"])]
         # json.loads accepts NaN and Infinity, which rank no better than a gap
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in values):
+        if not all(type(v) in (int, float) and math.isfinite(v) for v in values):
             raise DataError(f"importance.json lacks finite {key} scores")
         importance = np.asarray(values, dtype=np.float64)
     else:
@@ -250,7 +251,6 @@ def _principal_angles(W1, W2):
 
 def cmd_sanity(args):
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model, seed = _load_model(args.model, args.seed)
     images = _input_images(args, model, seed)
     nmf_params = NmfParams(rank=args.rank, outer_iters=args.outer_iters,
@@ -261,6 +261,7 @@ def cmd_sanity(args):
                            for m in (model, model.randomize_weights(seed))]
     angles = _principal_angles(trained.W, randomized.W)
     converged = bool(trained.converged and randomized.converged)
+    out.mkdir(parents=True, exist_ok=True)
     save_json({
         "seed": seed,
         "rank": args.rank,
@@ -311,7 +312,7 @@ def build_parser():
 
     flag("fit", "--class", dest="target_class", type=int, default=1,
          help="model-predicted class that defines the fit set")
-    flag("fit", "--rank", type=int, help="number of concepts")
+    flag("fit", "--rank", type=int, required=True, help="number of concepts")
     flag("sanity", "--rank", type=int, default=2, help="number of concepts")
     flag("fit sanity", "--crop-fraction", type=float, default=0.5)
     flag("fit sanity", "--crops-per-image", type=int, default=8)

@@ -11,7 +11,7 @@ class CraftError(Exception):
 
 
 class FormatError(CraftError):
-    """File structure is malformed (bad magic, truncated header or payload)."""
+    """File structure is malformed (bad magic, malformed header, wrong payload length)."""
 
 
 class UnsupportedError(CraftError):

@@ -3,9 +3,10 @@
 Supported payloads are little-endian float32/float64 in C order, with 1-D,
 2-D, or 4-D shapes; 1-D data loads as a single-row matrix and everything is
 widened to float64 in memory. Anything else is rejected loudly instead of
-being coerced: wrong magic or a truncated file is a FormatError, a declared
-feature outside this subset (version, dtype, Fortran order, rank) is an
-UnsupportedError, and non-finite or empty payloads are a DataError.
+being coerced: wrong magic, a malformed header or a payload of the wrong
+length is a FormatError, a declared feature outside this subset (version,
+dtype, Fortran order, rank) is an UnsupportedError, and non-finite or empty
+payloads are a DataError.
 save_json writes the JSON sidecars kept next to them, load_json reads
 them, and load_record also checks the keys and value types of one; a
 sidecar that does not parse, or whose top level, key set or value types
@@ -14,65 +15,60 @@ are wrong, is a DataError naming the file.
 
 import ast
 import json
-import struct
+import math
 
 import numpy as np
 
 from .errors import DataError, FormatError, UnsupportedError
 
 _MAGIC = b"\x93NUMPY"
-_DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
+_DTYPES = ("<f4", "<f8")
 _RANKS = (1, 2, 4)
 
 
 def load_npy(path):
-    """Load an NPY v1.0 file as a float64 matrix or 4-D tensor."""
+    """Load an NPY v1.0 file as a float64 matrix or 4-D tensor.
+
+    The file is read whole in one call, so pipes load like regular files,
+    and the payload is widened straight out of the read buffer.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < 10 or buf[:6] != _MAGIC:
         raise FormatError(f"{path}: not an NPY file (bad magic)")
-    major, minor = buf[6], buf[7]
-    if (major, minor) != (1, 0):
-        raise UnsupportedError(f"{path}: NPY version {major}.{minor}, only 1.0 supported")
-    (header_len,) = struct.unpack_from("<H", buf, 8)
-    data_start = 10 + header_len
-    if len(buf) < data_start:
-        raise FormatError(f"{path}: truncated header")
+    if buf[6:8] != b"\x01\x00":
+        raise UnsupportedError(f"{path}: NPY version {buf[6]}.{buf[7]}, only 1.0 supported")
+    data_start = 10 + int.from_bytes(buf[8:10], "little")
     try:
         header = ast.literal_eval(buf[10:data_start].decode("latin1"))
-    except (ValueError, SyntaxError, MemoryError, RecursionError) as exc:
-        raise FormatError(f"{path}: unparseable header") from exc
-    if not isinstance(header, dict) or {"descr", "fortran_order", "shape"} - set(header):
-        raise FormatError(f"{path}: header missing required keys")
+        descr, fortran_order, shape = (header[k] for k in ("descr", "fortran_order", "shape"))
+    except (ValueError, TypeError, KeyError, SyntaxError, MemoryError,
+            RecursionError) as exc:
+        raise FormatError(f"{path}: malformed header") from exc
 
-    descr = header["descr"]
     if descr not in _DTYPES:
         raise UnsupportedError(f"{path}: dtype {descr!r}, only <f4/<f8 supported")
-    if header["fortran_order"] is True:
+    if fortran_order is True:
         raise UnsupportedError(f"{path}: Fortran-order payloads are not supported")
-    if header["fortran_order"] is not False:
+    if fortran_order is not False:
         raise FormatError(f"{path}: malformed fortran_order flag")
-    shape = header["shape"]
-    if not (isinstance(shape, tuple) and all(isinstance(d, int) and d >= 0 for d in shape)):
+    if not (isinstance(shape, tuple) and all(type(d) is int and d >= 0 for d in shape)):
         raise FormatError(f"{path}: malformed shape {shape!r}")
     if len(shape) not in _RANKS:
         raise UnsupportedError(f"{path}: rank-{len(shape)} array, only 1/2/4-D supported")
 
-    dtype = _DTYPES[descr]
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 0
+    dtype = np.dtype(descr)
+    count = math.prod(shape)
     if count == 0:
         raise DataError(f"{path}: empty arrays are not supported")
-    expected = count * dtype.itemsize
-    payload = buf[data_start:]
-    if len(payload) != expected:
-        raise FormatError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
+    expected = data_start + count * dtype.itemsize
+    if len(buf) != expected:
+        raise FormatError(f"{path}: file is {len(buf)} bytes, expected {expected}")
 
-    arr = np.frombuffer(payload, dtype=dtype).reshape(shape).astype(np.float64)
+    arr = np.frombuffer(buf, dtype, count, offset=data_start).astype(np.float64)
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{path}: payload contains NaN or Inf")
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    return arr
+    return arr.reshape((1, -1) if len(shape) == 1 else shape)
 
 
 def load_json(path, kind):

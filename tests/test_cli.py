@@ -36,8 +36,37 @@ class TestFit:
         assert type(meta["nnls_steps"]) is int and meta["nnls_steps"] >= 2 * meta["outer_iters"]
 
     def test_missing_rank_is_usage_error(self, tmp_path):
-        code = main(["fit", "--model", "toy:7", "--out", str(tmp_path / "r")])
-        assert code == 2
+        out = tmp_path / "r"
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--model", "toy:7", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["fit", "--model", "toy:7", "--rank", "0"], 2),
+        (["fit", "--model", "toy:7", "--rank", "2", "--crop-fraction", "2"], 2),
+        (["fit", "--model", "toy:7", "--rank", "2", "--crops-per-image", "0"], 2),
+        (["fit", "--activations", "missing.npy", "--rank", "2"], 3),
+        (["sanity", "--model", "toy:7", "--rank", "0"], 2),
+    ], ids=["fit_rank_0", "crop_fraction_2", "crops_per_image_0", "missing_activations",
+            "sanity_rank_0"])
+    def test_rejected_run_writes_nothing(self, tmp_path, monkeypatch, argv, code):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "run"
+        assert main(argv + ["--n-images", "20", "--out", str(out)]) == code
+        assert not out.exists()
+
+    def test_crafted_activations_header_is_data_error(self, tmp_path, capsys):
+        # a bool dimension, which escaped the reader as a TypeError (exit 1)
+        header = b"{'descr': '<f8', 'fortran_order': False, 'shape': (True,), }"
+        acts_path = tmp_path / "A.npy"
+        acts_path.write_bytes(b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little")
+                              + header + bytes(8))
+        out = tmp_path / "run"
+        assert main(["fit", "--activations", str(acts_path), "--rank", "1",
+                     "--out", str(out)]) == 3
+        assert "malformed shape" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("noise", ["-0.5", "nan", "inf"])
     def test_bad_noise_is_usage_error(self, tmp_path, noise):
@@ -414,9 +443,10 @@ class TestExplainFidelityRecurse:
         assert code == 3
         assert not (full_run / "curves.csv").exists()
 
-    @pytest.mark.parametrize("score", [float("nan"), float("inf"), None])
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), None, True])
     def test_fidelity_non_finite_importance_is_data_error(self, full_run, capsys, score):
-        # json.dumps writes NaN and Infinity, and json.loads reads them back
+        # json.dumps writes NaN and Infinity, and json.loads reads them back;
+        # true is an int to isinstance and would rank as a score of 1.0
         path = full_run / "importance.json"
         records = json.loads(path.read_text())
         records[0]["total_sobol"] = score
@@ -640,10 +670,11 @@ class TestFlagContract:
                                          "recurse", "sanity"])
     def test_chain_base_argv_parses_on_every_command(self, command):
         # the benchmark chain's shared argv, plus the --seed that CI passes
-        # to every command and the --threads the chain passes to explain
+        # to every command and the --threads the chain passes to explain;
+        # fit and recurse add the flag each of them requires
         base = ["--model", "toy2:7", "--n-images", "60", "--out", "run",
                 "--seed", "7", "--threads", "2"]
-        own = ["--concept", "0"] if command == "recurse" else []
+        own = {"fit": ["--rank", "2"], "recurse": ["--concept", "0"]}.get(command, [])
         args = build_parser().parse_args([command] + own + base)
         assert (args.command, args.model, args.n_images, args.out, args.seed,
                 args.threads) == (command, "toy2:7", 60, "run", 7, "2")

@@ -1,10 +1,15 @@
 """NPY round trips, format rejection, and RNG reproducibility."""
 
 import struct
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import craftkit
 from craftkit.core import Rng
 from craftkit.errors import DataError, FormatError, UnsupportedError
 from craftkit.npyio import load_npy, save_npy
@@ -95,6 +100,60 @@ class TestLoad:
         write_raw_npy(path, "<f8", False, (1, 1, 1), np.zeros(1).tobytes())
         with pytest.raises(UnsupportedError):
             load_npy(path)
+
+    @pytest.mark.parametrize("header, error", [
+        ("{'descr': [1], 'fortran_order': False, 'shape': (1,), }", UnsupportedError),
+        ("{[]: 1}", FormatError),
+        ("[1, 2]", FormatError),
+        ("{'descr': '<f8', 'fortran_order': False}", FormatError),
+        ("{'descr': '<f8', 'fortran_order': False, 'shape': (True,), }", FormatError),
+        ("{'descr': '<f8', 'fortran_order': False, 'shape': (%d,), }" % 10**30,
+         FormatError),
+        ("{'descr': '<f8', 'fortran_order': False, 'shape': (%d, 4), }" % 2**62,
+         FormatError),
+    ], ids=["list_descr", "unhashable_key", "not_a_dict", "no_shape", "bool_dim",
+            "31_digit_dim", "count_past_int64"])
+    def test_crafted_header_raises_its_error_class(self, tmp_path, header, error):
+        path = tmp_path / "h.npy"
+        raw = header.encode("latin1")
+        path.write_bytes(b"\x93NUMPY\x01\x00" + len(raw).to_bytes(2, "little")
+                         + raw + np.zeros(1).tobytes())
+        with pytest.raises(error):
+            load_npy(path)
+
+    def test_trailing_payload_byte_rejected(self, tmp_path):
+        path = tmp_path / "t.npy"
+        write_raw_npy(path, "<f8", False, (2,), np.zeros(2).tobytes() + b"\x00")
+        with pytest.raises(FormatError):
+            load_npy(path)
+
+    def test_streamed_input_loads(self, tmp_path):
+        # a pipe cannot seek, so the reader must not either
+        path = tmp_path / "s.npy"
+        m = np.arange(6.0).reshape(2, 3)
+        save_npy(m, path)
+        src = str(Path(craftkit.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+             "from craftkit.npyio import load_npy; "
+             "sys.stdout.write(load_npy('/dev/stdin').tobytes().hex())", src],
+            input=path.read_bytes(), capture_output=True, check=True)
+        assert bytes.fromhex(result.stdout.decode()) == m.tobytes()
+
+    def test_peak_memory_is_the_read_plus_the_result(self, tmp_path):
+        # the read bytes and the float64 result, with no copy of the payload
+        # in between (3.13 payloads when the payload was sliced out first)
+        path = tmp_path / "big.npy"
+        m = np.random.default_rng(2).normal(size=(1000, 1024))
+        save_npy(m, path)
+        tracemalloc.start()
+        try:
+            out = load_npy(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * m.nbytes
+        assert out.tobytes() == m.tobytes()
 
 
 class TestSaveRoundTrip:
