@@ -13,21 +13,20 @@ codes: 0 success, 2 usage or argument error, 3 data error, 4 numerical
 failure (``fit``, ``recurse`` and ``sanity`` exit 4 after writing their
 artifacts when a fit did not converge, flagged ``"converged": false``).
 Each command takes the flags it reads and the run flags ``--model --seed
---images --n-images --noise --threads --out``, shared so that one base argv
-drives the whole chain; ``importance``, ``fidelity`` and ``recurse`` ignore
-the image flags ``--images --n-images --noise``, and ``importance`` and
-``recurse`` ignore ``--seed``. ``fit`` takes exactly one of ``--model``
-and ``--activations``, and with ``--activations`` ignores ``--seed``, the
-image flags, ``--class`` and the crop flags. Any other flag, a missing
+--images --n-images --noise --out``, shared so that one base argv drives
+the whole chain; ``importance``, ``fidelity`` and ``recurse`` ignore the
+image flags ``--images --n-images --noise``, and ``importance`` and
+``recurse`` ignore ``--seed``. ``fit`` takes exactly one of ``--model`` and
+``--activations``, which replaces the image route: it ignores ``--seed
+--n-images --noise`` and exits 2 on ``--images``, ``--class`` or a crop
+flag. ``explain --threads`` has no effect. Any other flag, a missing
 required flag or a bad choice exits 2 through argparse before any file is
-read, and ``fit`` and ``sanity`` create ``--out`` only once their input is
-accepted, so a rejected run writes nothing. ``--threads`` (fallback
-CRAFT_KIT_THREADS) is validated but has no effect.
+read; ``fit``, ``explain`` and ``sanity`` write only once their input is
+accepted, so a rejected run writes nothing.
 """
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -56,17 +55,10 @@ _EXIT_NUMERICAL = 4
 _IMAGE_TOL = 1e-4
 _MATRIX_TOL = 2e-7
 
-
-def _resolve_threads(value):
-    if value is None:
-        value = os.environ.get("CRAFT_KIT_THREADS", "1")
-    try:
-        threads = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"--threads must be an integer, got {value!r}")
-    if threads < 1:
-        raise ValueError("--threads must be at least 1")
-    return threads
+# fit's image-route flags by argparse dest; --activations rejects them
+_IMAGE_ROUTE = {"images": "--images", "target_class": "--class",
+                "crop_mode": "--crop-mode", "crop_fraction": "--crop-fraction",
+                "crops_per_image": "--crops-per-image"}
 
 
 def _load_model(spec_str, seed_override=None):
@@ -99,9 +91,11 @@ def _input_images(args, model, seed, count=None):
 
 
 def _crop_spec(args, model, seed):
-    return CropSpec(mode=args.crop_mode, crop_fraction=args.crop_fraction,
-                    crops_per_image=args.crops_per_image,
-                    resize_to=tuple(model.input_shape[:2]), seed=seed)
+    """CropSpec from the crop flags given; its own defaults fill the rest."""
+    given = {"mode": args.crop_mode, "crop_fraction": args.crop_fraction,
+             "crops_per_image": args.crops_per_image}
+    return CropSpec(resize_to=tuple(model.input_shape[:2]), seed=seed,
+                    **{field: v for field, v in given.items() if v is not None})
 
 
 def _fit_exit(command, converged):
@@ -121,12 +115,17 @@ def cmd_fit(args):
 
     ctx = None
     if args.activations is not None:
+        given = [name for dest, name in _IMAGE_ROUTE.items()
+                 if getattr(args, dest) is not None]
+        if given:
+            raise ValueError(f"--activations replaces the image route; drop {' '.join(given)}")
         activations = load_npy(Path(args.activations))
         bank, U = fit_bank(activations, nmf_params, args.layer or "external")
     else:
         model, seed = _load_model(args.model, args.seed)
         images = _input_images(args, model, seed)
-        bank, U, ctx = build_concept_bank(images, model, args.target_class, args.rank,
+        target_class = 1 if args.target_class is None else args.target_class
+        bank, U, ctx = build_concept_bank(images, model, target_class, args.rank,
                                           spec=_crop_spec(args, model, seed),
                                           nmf_params=nmf_params, layer=args.layer)
         activations = ctx["activations"]
@@ -180,9 +179,11 @@ def cmd_explain(args):
     if not 0 <= index < len(images):
         raise ValueError(f"--image-index {index} out of range")
     concepts = [args.concept] if args.concept is not None else range(bank.r)
+    heatmaps = concept_attribution_maps(images[index], bank, model, concepts,
+                                        method=args.method, seed=seed)
+    # created only once the maps exist, so a rejected explain writes nothing
     (out / "heatmaps").mkdir(exist_ok=True)
-    for hm in concept_attribution_maps(images[index], bank, model, concepts,
-                                       method=args.method, seed=seed):
+    for hm in heatmaps:
         save_npy(hm.values, out / "heatmaps" / f"{index}_{hm.concept_index}.npy")
     return _EXIT_OK
 
@@ -306,17 +307,15 @@ def build_parser():
          help="synthetic dataset size when generating data")
     flag(run, "--noise", type=float, default=0.02,
          help="synthetic dataset noise amplitude")
-    flag(run, "--threads", default=None,
-         help="validated, no effect (default: CRAFT_KIT_THREADS or 1)")
     flag(run, "--out", required=True, help="run directory")
 
-    flag("fit", "--class", dest="target_class", type=int, default=1,
-         help="model-predicted class that defines the fit set")
+    flag("fit", "--class", dest="target_class", type=int,
+         help="model-predicted class that defines the fit set (default: 1)")
     flag("fit", "--rank", type=int, required=True, help="number of concepts")
     flag("sanity", "--rank", type=int, default=2, help="number of concepts")
-    flag("fit sanity", "--crop-fraction", type=float, default=0.5)
-    flag("fit sanity", "--crops-per-image", type=int, default=8)
-    flag("fit sanity", "--crop-mode", choices=("grid", "random"), default="grid")
+    flag("fit sanity", "--crop-fraction", type=float)
+    flag("fit sanity", "--crops-per-image", type=int)
+    flag("fit sanity", "--crop-mode", choices=("grid", "random"))
     flag("fit sanity", "--layer", help="feature layer tag (default: final)")
     flag("fit sanity recurse", "--outer-iters", type=int, default=200)
     flag("recurse", "--concept", type=int, required=True, help="concept index")
@@ -334,6 +333,7 @@ def build_parser():
     flag("explain", "--method", choices=("gradient", "smoothgrad", "occlusion"),
          default="gradient")
     flag("explain", "--concept", type=int, help="concept index (default: all)")
+    flag("explain", "--threads", type=int, help="no effect")
     return parser
 
 
@@ -341,7 +341,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.threads = _resolve_threads(args.threads)
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -144,8 +144,8 @@ def mask_designs(r, n):
     The embedded table covers 2r <= 64 Sobol' dimensions, so at most 32
     concepts are supported. n and r are checked before any mask is built.
     """
-    if n < 2:
-        raise ValueError("need at least 2 samples")
+    if not 2 <= n < 2**_BITS:
+        raise ValueError(f"need at least 2 samples and at most {2**_BITS - 1}")
     if r < 1:
         raise ValueError("need at least one concept")
     if 2 * r > _MAX_DIM:

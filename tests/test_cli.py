@@ -48,8 +48,17 @@ class TestFit:
         (["fit", "--model", "toy:7", "--rank", "2", "--crops-per-image", "0"], 2),
         (["fit", "--activations", "missing.npy", "--rank", "2"], 3),
         (["sanity", "--model", "toy:7", "--rank", "0"], 2),
+        # --activations replaces the image route, so its flags are rejected
+        # before the matrix is read (the missing file would exit 3)
+        (["fit", "--activations", "missing.npy", "--rank", "2", "--images", "I.npy"], 2),
+        (["fit", "--activations", "missing.npy", "--rank", "2", "--class", "0"], 2),
+        (["fit", "--activations", "missing.npy", "--rank", "2", "--crop-mode", "random"], 2),
+        (["fit", "--activations", "missing.npy", "--rank", "2", "--crop-fraction", "0.9"], 2),
+        (["fit", "--activations", "missing.npy", "--rank", "2", "--crops-per-image", "4"], 2),
     ], ids=["fit_rank_0", "crop_fraction_2", "crops_per_image_0", "missing_activations",
-            "sanity_rank_0"])
+            "sanity_rank_0", "activations_images", "activations_class",
+            "activations_crop_mode", "activations_crop_fraction",
+            "activations_crops_per_image"])
     def test_rejected_run_writes_nothing(self, tmp_path, monkeypatch, argv, code):
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "run"
@@ -264,6 +273,14 @@ class TestImportance:
                      "--out", str(fitted_run)])
         assert code == 2
 
+    def test_samples_beyond_sobol_points_are_usage_error(self, fitted_run, capsys):
+        # checked before any mask is built, so nothing is allocated
+        code = main(["importance", "--model", "toy:3", "--n-samples", str(2**32),
+                     "--out", str(fitted_run)])
+        assert code == 2
+        assert "at most 4294967295" in capsys.readouterr().err
+        assert not (fitted_run / "importance.json").exists()
+
     def test_external_gradients_feed_tcav(self, fitted_run, tmp_path):
         grads = np.tile([1.0, -1.0, 0.5, 0.0], (5, 1))
         grads_path = tmp_path / "g.npy"
@@ -398,10 +415,21 @@ class TestExplainFidelityRecurse:
                 load_npy(full_run / "heatmaps" / f"3_{hm.concept_index}.npy"),
                 hm.values)
 
-    @pytest.mark.parametrize("index", ["80", "-1"])
-    def test_explain_image_index_out_of_range_is_usage_error(self, full_run, index):
-        assert main(["explain", "--model", "toy2:5", "--n-images", "80",
-                     "--image-index", index, "--out", str(full_run)]) == 2
+    @pytest.mark.parametrize("flags, external", [
+        (["--image-index", "80"], False),
+        (["--image-index", "-1"], False),
+        (["--concept", "5"], False),
+        ([], True),
+    ], ids=["80", "-1", "concept_5", "external_layer"])
+    def test_explain_image_index_out_of_range_is_usage_error(self, full_run, flags,
+                                                             external):
+        if external:
+            # a bank fitted from activations is tagged "external", a layer
+            # toy2 lacks
+            assert main(["fit", "--activations", str(full_run / "activations.npy"),
+                         "--rank", "2", "--out", str(full_run)]) == 0
+        assert main(["explain", "--model", "toy2:5", "--n-images", "80"] + flags
+                    + ["--out", str(full_run)]) == 2
         assert not (full_run / "heatmaps").exists()
 
     @pytest.mark.filterwarnings("error")
@@ -616,8 +644,8 @@ class TestDeterminism:
         for path, blob in before.items():
             assert after[path] == blob, path
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CRAFT_KIT_THREADS", "2")
+    def test_threads_environment_variable_is_not_read(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CRAFT_KIT_THREADS", "abc")
         out = tmp_path / "run"
         assert main(["fit", "--model", "toy:3", "--rank", "2", "--n-images",
                      "40", "--out", str(out)]) == 0
@@ -638,11 +666,6 @@ class TestDeterminism:
             b = (outs[1] / "heatmaps" / name).read_bytes()
             assert a == b
 
-    def test_bad_threads_value(self, tmp_path):
-        code = main(["fit", "--model", "toy:3", "--rank", "2", "--threads", "0",
-                     "--out", str(tmp_path / "run")])
-        assert code == 2
-
 
 class TestFlagContract:
     """Each command parses only the flags it reads, plus the run flags."""
@@ -654,6 +677,10 @@ class TestFlagContract:
         ["recurse", "--concept", "0", "--mu", "0.3"],
         ["sanity", "--ranking", "sobol"],
         ["fit", "--rank", "2", "--direction", "insertion"],
+        # only explain takes --threads, which has no effect there either
+        *(pytest.param(argv + ["--threads", "2"], id=f"{argv[0]}_threads")
+          for argv in (["fit", "--rank", "2"], ["importance"], ["fidelity"],
+                       ["recurse", "--concept", "0"], ["sanity"])),
     ], ids=lambda argv: argv[0])
     def test_flag_the_command_ignores_is_usage_error(self, tmp_path, capsys, argv):
         out = tmp_path / "run"
@@ -670,14 +697,16 @@ class TestFlagContract:
                                          "recurse", "sanity"])
     def test_chain_base_argv_parses_on_every_command(self, command):
         # the benchmark chain's shared argv, plus the --seed that CI passes
-        # to every command and the --threads the chain passes to explain;
-        # fit and recurse add the flag each of them requires
+        # to every command; fit and recurse add the flag each of them
+        # requires, and explain the --threads the chain passes to it alone
         base = ["--model", "toy2:7", "--n-images", "60", "--out", "run",
-                "--seed", "7", "--threads", "2"]
-        own = {"fit": ["--rank", "2"], "recurse": ["--concept", "0"]}.get(command, [])
+                "--seed", "7"]
+        own = {"fit": ["--rank", "2"], "recurse": ["--concept", "0"],
+               "explain": ["--threads", "2"]}.get(command, [])
         args = build_parser().parse_args([command] + own + base)
-        assert (args.command, args.model, args.n_images, args.out, args.seed,
-                args.threads) == (command, "toy2:7", 60, "run", 7, "2")
+        assert (args.command, args.model, args.n_images, args.out,
+                args.seed) == (command, "toy2:7", 60, "run", 7)
+        assert getattr(args, "threads", None) == (2 if command == "explain" else None)
 
     @pytest.mark.parametrize("argv", [
         ["importance"], ["explain"], ["fidelity"], ["recurse", "--concept", "0"],

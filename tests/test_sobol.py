@@ -104,6 +104,7 @@ class TestMaskDesigns:
     @pytest.mark.parametrize("r, n, message", [
         (2, 1, "at least 2 samples"),
         (0, 8, "at least one concept"),
+        (2, 2**32, "at most 4294967295"),
     ])
     def test_sizes_checked_before_any_mask_is_built(self, monkeypatch, r, n, message):
         calls = []
