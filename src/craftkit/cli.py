@@ -126,8 +126,8 @@ def cmd_fit(args):
         images = _input_images(args, model, seed)
         target_class = 1 if args.target_class is None else args.target_class
         bank, U, ctx = build_concept_bank(images, model, target_class, args.rank,
-                                          spec=_crop_spec(args, model, seed),
-                                          nmf_params=nmf_params, layer=args.layer)
+                                          _crop_spec(args, model, seed), nmf_params,
+                                          layer=args.layer or "final")
         activations = ctx["activations"]
     # created only once the input is accepted, so a rejected fit writes nothing
     out.mkdir(parents=True, exist_ok=True)
@@ -234,7 +234,7 @@ def cmd_recurse(args):
     crops = load_npy(out / "crops.npy")
     model, _ = _load_model(args.model)
     sub_bank, u_sub, selected = recursive_decompose(
-        bank, coeffs, args.concept, crops, model, 1,
+        bank, coeffs, args.concept, crops, model, "layer1",
         NmfParams(rank=args.rank_sub, outer_iters=args.outer_iters,
                   objective_tol=_IMAGE_TOL))
     save_bank(sub_bank, out / f"bank_concept{args.concept}")

@@ -1,11 +1,11 @@
 """End-to-end concept extraction: crops, banks, refinement, attribution,
 and fidelity curves.
 
-A "model" here is anything with the toy backbone's surface: features(x,
-layer=None), predict(x), vjp_features(x, cotangent, layer=None), and an
-input_shape; a head is passed to fidelity_curves on its own, never read
-from the model. Banks store unit-norm nonnegative concept vectors for one
-layer; coefficients live in the rows of U.
+A "model" here is anything with features(x, layer=None), predict(x) and
+vjp_features(x, cotangent, layer=None); a head is passed to fidelity_curves
+on its own, never read from the model. A bank stores unit-norm nonnegative
+concept vectors and the layer value they were fit at, which goes back to
+the model unchanged; coefficients live in the rows of U.
 """
 
 import itertools
@@ -60,14 +60,15 @@ class CropSpec:
 class ConceptBank:
     """Unit-norm nonnegative concept vectors (columns of W) for one layer.
 
-    The rank r is W's column count. converged, kkt_residual, outer_iters
-    and nnls_steps (the pivoting steps of all its NNLS solves) are the
-    diagnostics of the fit that produced the bank (see fit_bank); they are
-    None for a bank built by hand.
+    layer_tag is the layer value the bank was fit at (a string, an int or
+    None), as the model's features take it. The rank r is W's column count.
+    converged, kkt_residual, outer_iters and nnls_steps (the pivoting steps
+    of all its NNLS solves) are the diagnostics of the fit that produced the
+    bank (see fit_bank); they are None for a bank built by hand.
     """
 
     W: np.ndarray
-    layer_tag: str
+    layer_tag: str | int | None
     fit_objective: float
     column_norms: np.ndarray
     bank_id: str = "bank"
@@ -85,8 +86,8 @@ class ConceptBank:
 _DIAGNOSTICS = ("converged", "kkt_residual", "outer_iters", "nnls_steps")
 
 # JSON types of meta.json values (rank and column_norms also against W.npy)
-_META_REQUIRED = {"rank": (object,), "layer_tag": (str,), "objective": (int, float),
-                  "column_norms": (list,)}
+_META_REQUIRED = {"rank": (object,), "layer_tag": (str, int, type(None)),
+                  "objective": (int, float), "column_norms": (list,)}
 _META_OPTIONAL = {"bank_id": (str,), "parent": (list, type(None)), "converged": (bool,),
                   "kkt_residual": (int, float), "outer_iters": (int,),
                   "nnls_steps": (int,)}
@@ -195,22 +196,17 @@ def select_class_set(predictions, target_class):
     return idx
 
 
-def _layer_tag(layer):
-    """A bank's layer tag: "final" for None, "layer<k>" for k, a string as is."""
-    return layer if isinstance(layer, str) else ("final" if layer is None else f"layer{layer}")
-
-
-def fit_bank(activations, nmf_params, layer_tag, bank_id="bank", parent=None):
+def fit_bank(activations, nmf_params, layer, bank_id="bank", parent=None):
     """Factorize an activation matrix (n x p) into a concept bank.
 
     The entry point for activations computed elsewhere; build_concept_bank
     and recursive_decompose call it after encoding their crops. The bank
-    carries the fit's diagnostics (bank.converged among them), so save_bank
-    records them. Returns (bank, U) with one coefficient row per activation
-    row.
+    keeps layer as its layer_tag and carries the fit's diagnostics
+    (bank.converged among them), so save_bank records them. Returns
+    (bank, U) with one coefficient row per activation row.
     """
     state = fit_nmf(activations, nmf_params)
-    bank = ConceptBank(W=state.W, layer_tag=layer_tag,
+    bank = ConceptBank(W=state.W, layer_tag=layer,
                        fit_objective=float(state.objective_trace[-1]),
                        column_norms=state.column_norms, bank_id=bank_id,
                        parent=parent, converged=bool(state.converged),
@@ -224,8 +220,8 @@ def build_concept_bank(images, model, target_class, r, spec=None, nmf_params=Non
                        layer=None):
     """Fit a concept bank on crops of the images the model assigns to a class.
 
-    Returns (bank, U, context) where context carries the crops, provenance,
-    and activations for persistence and downstream stages.
+    Returns (bank, U, context); the bank's layer_tag is layer, unchanged, and
+    context carries the crops, provenance and activations for later stages.
     """
     spec = spec or CropSpec()
     idx = select_class_set(model.predict(images), target_class)
@@ -236,7 +232,7 @@ def build_concept_bank(images, model, target_class, r, spec=None, nmf_params=Non
     params = nmf_params or NmfParams(rank=r)
     if params.rank != r:
         raise ValueError("nmf_params.rank disagrees with r")
-    bank, U = fit_bank(activations, params, _layer_tag(layer))
+    bank, U = fit_bank(activations, params, layer)
     context = {"crops": crops, "provenance": provenance, "activations": activations}
     return bank, U, context
 
@@ -256,8 +252,8 @@ def recursive_decompose(bank, U, concept_index, crops, model, layer, nmf_params)
 
     Crops whose coefficient on the concept strictly exceeds the top-decile
     threshold are re-encoded with model.features(crops, layer=layer) and
-    factorized again. The sub-bank is tagged from the same layer value, as
-    build_concept_bank tags its bank, so it can drive attribution maps.
+    factorized again. The sub-bank keeps layer as its layer_tag, as
+    build_concept_bank's bank does, so it can drive attribution maps.
     U must be n x bank.r, one row per crop. Returns (sub_bank, U_sub,
     selected_indices).
     """
@@ -277,7 +273,7 @@ def recursive_decompose(bank, U, concept_index, crops, model, layer, nmf_params)
             f"only {selected.size} crops exceed the refinement threshold "
             f"(need {_MIN_CROPS})")
     activations = model.features(np.asarray(crops)[selected], layer=layer)
-    sub_bank, U_sub = fit_bank(activations, nmf_params, _layer_tag(layer),
+    sub_bank, U_sub = fit_bank(activations, nmf_params, layer,
                                bank_id=f"{bank.bank_id}/concept{concept_index}",
                                parent=(bank.bank_id, concept_index))
     return sub_bank, U_sub, selected

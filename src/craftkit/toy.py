@@ -235,19 +235,22 @@ def _centred_probes(model):
     return probes
 
 
-def _calibrate_head(model, target):
-    """Head weights fitting probe_activations @ w ~ target.
+def _calibrated(k, target, bias, input_shape=(16, 16, 1), mixing=None):
+    """A model on the first k standard stencils, its head fitted to target.
 
-    target[k] is the desired head response (before bias) to a clean image
-    stamped with template k. Ridge regularization keeps the weights sane
+    target[j] is the desired head response (before bias) to a clean image
+    stamped with template j. Ridge regularization keeps the weights sane
     when probe activations are nearly collinear (the template responses
     overlap substantially).
     """
+    model = ToyBackbone(templates=_standard_stencils(k)[..., None],
+                        head_weights=np.zeros(k if mixing is None else mixing.shape[1]),
+                        head_bias=bias, input_shape=tuple(input_shape), mixing=mixing)
     acts = model.features(_centred_probes(model))
-    target = np.asarray(target, dtype=np.float64)
     gram = acts.T @ acts
     ridge = 1e-3 * np.trace(gram) / gram.shape[0]
-    return np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), acts.T @ target)
+    return replace(model, head_weights=np.linalg.solve(
+        gram + ridge * np.eye(len(gram)), acts.T @ np.asarray(target, dtype=np.float64)))
 
 
 def standard_backbone(k=4, input_shape=(16, 16, 1)):
@@ -255,12 +258,7 @@ def standard_backbone(k=4, input_shape=(16, 16, 1)):
     head calibrated so the head is positive exactly when template 0 is
     present in a clean image.
     """
-    stencils = _standard_stencils(k)[..., None]
-    model = ToyBackbone(templates=stencils, head_weights=np.zeros(k),
-                        head_bias=-0.5, input_shape=tuple(input_shape))
-    target = np.zeros(k)
-    target[0] = 1.0
-    return replace(model, head_weights=_calibrate_head(model, target))
+    return _calibrated(k, [1.0] + [0.0] * (k - 1), -0.5, input_shape)
 
 
 def pair_backbone():
@@ -272,10 +270,7 @@ def pair_backbone():
     end-to-end concept-recovery checks use: one class, two concepts of
     unequal importance.
     """
-    stencils = _standard_stencils(2)[..., None]
-    model = ToyBackbone(templates=stencils, head_weights=np.zeros(2),
-                        head_bias=-0.25, input_shape=(16, 16, 1))
-    return replace(model, head_weights=_calibrate_head(model, [1.0, 0.45]))
+    return _calibrated(2, [1.0, 0.45], -0.25)
 
 
 def two_layer_backbone():
@@ -286,12 +281,8 @@ def two_layer_backbone():
     merges two earlier-layer directions. Head calibration mirrors
     pair_backbone: both composites positive, composite 0 favored.
     """
-    stencils = _standard_stencils(4)[..., None]
     mixing = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    model = ToyBackbone(templates=stencils, head_weights=np.zeros(2),
-                        head_bias=-0.25, input_shape=(16, 16, 1),
-                        mixing=mixing)
-    return replace(model, head_weights=_calibrate_head(model, [1.0, 1.0, 0.45, 0.45]))
+    return _calibrated(4, [1.0, 1.0, 0.45, 0.45], -0.25, mixing=mixing)
 
 
 @dataclass(frozen=True)

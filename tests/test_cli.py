@@ -55,14 +55,22 @@ class TestFit:
         (["fit", "--activations", "missing.npy", "--rank", "2", "--crop-mode", "random"], 2),
         (["fit", "--activations", "missing.npy", "--rank", "2", "--crop-fraction", "0.9"], 2),
         (["fit", "--activations", "missing.npy", "--rank", "2", "--crops-per-image", "4"], 2),
+        # 12 x 12 images for the 16 x 16 toy, and no images at all
+        (["fit", "--model", "toy:7", "--rank", "2", "--images", "small.npy"], 2),
+        (["fit", "--model", "toy:7", "--rank", "2", "--n-images", "0"], 2),
+        (["fit", "--model", "toy:abc", "--rank", "2"], 2),
     ], ids=["fit_rank_0", "crop_fraction_2", "crops_per_image_0", "missing_activations",
             "sanity_rank_0", "activations_images", "activations_class",
             "activations_crop_mode", "activations_crop_fraction",
-            "activations_crops_per_image"])
+            "activations_crops_per_image", "images_of_another_size", "n_images_0",
+            "bad_toy_seed"])
     def test_rejected_run_writes_nothing(self, tmp_path, monkeypatch, argv, code):
         monkeypatch.chdir(tmp_path)
+        save_npy(np.zeros((3, 12, 12, 1)), tmp_path / "small.npy")
         out = tmp_path / "run"
-        assert main(argv + ["--n-images", "20", "--out", str(out)]) == code
+        # a --n-images in argv comes later, so it overrides the default 20 here
+        assert main(argv[:1] + ["--n-images", "20"] + argv[1:]
+                    + ["--out", str(out)]) == code
         assert not out.exists()
 
     def test_crafted_activations_header_is_data_error(self, tmp_path, capsys):
@@ -125,7 +133,8 @@ class TestFit:
         bank, U, ctx = build_concept_bank(
             images, model, 1, 2,
             spec=CropSpec(resize_to=tuple(model.input_shape[:2]), seed=5),
-            nmf_params=NmfParams(rank=2, outer_iters=200, objective_tol=1e-4))
+            nmf_params=NmfParams(rank=2, outer_iters=200, objective_tol=1e-4),
+            layer="final")
         ref = tmp_path / "library"
         save_bank(bank, ref / "bank")
         save_npy(U, ref / "coeffs.npy")
@@ -291,6 +300,16 @@ class TestImportance:
         records = json.loads((fitted_run / "importance.json").read_text())
         assert all(rec["tcav"] is not None for rec in records)
 
+    def test_gradients_of_another_width_are_usage_error(self, fitted_run, tmp_path,
+                                                        capsys):
+        grads_path = tmp_path / "g.npy"
+        save_npy(np.ones((5, 3)), grads_path)  # the bank has 4 features
+        code = main(["importance", "--model", "toy:3", "--n-samples", "64",
+                     "--gradients", str(grads_path), "--out", str(fitted_run)])
+        assert code == 2
+        assert "grads_A must be n x p" in capsys.readouterr().err
+        assert not (fitted_run / "importance.json").exists()
+
     def test_tcav_equals_per_row_tcav_of_the_head_gradients(self, fitted_run):
         # an affine head's gradient is its weight row for every crop
         from craftkit.pipeline import load_bank
@@ -331,7 +350,7 @@ class TestImportance:
         (lambda meta: meta.pop("objective"), "lacks the key 'objective'"),
         (lambda meta: meta.update(objective=[1]), "the key 'objective' holds list"),
         (lambda meta: meta.update(objective="abc"), "the key 'objective' holds str"),
-        (lambda meta: meta.update(layer_tag=1), "the key 'layer_tag' holds int"),
+        (lambda meta: meta.update(layer_tag=1.5), "the key 'layer_tag' holds float"),
         (lambda meta: meta.update(column_norms=[1.0]), "the key 'column_norms' holds"),
         (lambda meta: meta.update(column_norms=[1.0, "x"]),
          "the key 'column_norms' holds"),
@@ -340,7 +359,7 @@ class TestImportance:
         (lambda meta: meta.update(nnls_steps=12.5), "the key 'nnls_steps' holds float"),
         (lambda meta: meta.update(nnls_steps=True), "the key 'nnls_steps' holds bool"),
     ], ids=["rank_mismatch", "null_rank", "missing_objective", "list_objective",
-            "string_objective", "number_layer_tag", "short_column_norms",
+            "string_objective", "float_layer_tag", "short_column_norms",
             "string_column_norm", "number_parent", "string_nnls_steps",
             "float_nnls_steps", "bool_nnls_steps"])
     def test_corrupt_bank_sidecar_is_data_error(self, fitted_run, capsys, edit, message):
@@ -375,6 +394,22 @@ class TestImportance:
         code = main(["fit", "--activations", str(bad), "--rank", "2",
                      "--out", str(tmp_path / "run")])
         assert code == 3
+
+
+def _fit_external(run):
+    # a bank fitted from activations is tagged "external", a layer toy2 lacks
+    assert main(["fit", "--activations", str(run / "activations.npy"),
+                 "--rank", "2", "--out", str(run)]) == 0
+
+
+def _three_images(run):
+    save_npy(load_npy(run / "crops.npy")[:3], run / "three.npy")
+
+
+def _equal_columns(run):
+    W = load_npy(run / "bank" / "W.npy")
+    W[:, 1] = W[:, 0]
+    save_npy(W, run / "bank" / "W.npy")
 
 
 class TestExplainFidelityRecurse:
@@ -415,21 +450,23 @@ class TestExplainFidelityRecurse:
                 load_npy(full_run / "heatmaps" / f"3_{hm.concept_index}.npy"),
                 hm.values)
 
-    @pytest.mark.parametrize("flags, external", [
-        (["--image-index", "80"], False),
-        (["--image-index", "-1"], False),
-        (["--concept", "5"], False),
-        ([], True),
-    ], ids=["80", "-1", "concept_5", "external_layer"])
-    def test_explain_image_index_out_of_range_is_usage_error(self, full_run, flags,
-                                                             external):
-        if external:
-            # a bank fitted from activations is tagged "external", a layer
-            # toy2 lacks
-            assert main(["fit", "--activations", str(full_run / "activations.npy"),
-                         "--rank", "2", "--out", str(full_run)]) == 0
+    @pytest.mark.parametrize("flags, prepare, code", [
+        (["--image-index", "80"], None, 2),
+        (["--image-index", "-1"], None, 2),
+        (["--concept", "5"], None, 2),
+        ([], _fit_external, 2),
+        (["--images", "three.npy", "--image-index", "3"], _three_images, 2),
+        # a singular bank fails the NNLS solve: the numerical error exit
+        ([], _equal_columns, 4),
+    ], ids=["80", "-1", "concept_5", "external_layer", "past_the_given_images",
+            "equal_bank_columns"])
+    def test_rejected_explain_writes_no_heatmaps(self, full_run, monkeypatch, flags,
+                                                 prepare, code):
+        monkeypatch.chdir(full_run)
+        if prepare is not None:
+            prepare(full_run)
         assert main(["explain", "--model", "toy2:5", "--n-images", "80"] + flags
-                    + ["--out", str(full_run)]) == 2
+                    + ["--out", str(full_run)]) == code
         assert not (full_run / "heatmaps").exists()
 
     @pytest.mark.filterwarnings("error")
@@ -514,10 +551,13 @@ class TestExplainFidelityRecurse:
     @pytest.mark.parametrize("argv", [
         ["sanity", "--rank", "0"],
         ["recurse", "--concept", "0", "--rank-sub", "0"],
-    ], ids=["sanity", "recurse"])
-    def test_zero_rank_is_usage_error(self, full_run, argv):
+        ["recurse", "--concept", "5", "--rank-sub", "2"],
+    ], ids=["sanity", "recurse", "recurse_concept_5"])
+    def test_out_of_range_argument_is_usage_error(self, full_run, argv):
+        before = {p: p.read_bytes() for p in full_run.rglob("*") if p.is_file()}
         assert main(argv + ["--model", "toy2:5", "--n-images", "80",
                             "--out", str(full_run)]) == 2
+        assert {p: p.read_bytes() for p in full_run.rglob("*") if p.is_file()} == before
 
     def test_fidelity_without_importance_is_data_error(self, tmp_path):
         out = tmp_path / "run"

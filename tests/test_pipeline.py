@@ -247,16 +247,16 @@ class TestRecursiveDecompose:
         hm = concept_attribution_map(probe.images[0], sub_bank, model, sub_concept)
         assert hm.values.shape == (16, 16)
 
-    @pytest.mark.parametrize("layer, tag", [(1, "layer1"), ("layer1", "layer1"),
-                                            (2, "layer2"), (None, "final")])
-    def test_sub_bank_is_tagged_from_the_layer_it_encodes(self, layer, tag):
+    @pytest.mark.parametrize("layer", [1, "layer1", 2, None])
+    def test_sub_bank_is_tagged_from_the_layer_it_encodes(self, layer):
         model = two_layer_backbone()
         data = make_synthetic_dataset(model, 60, noise=0.02, seed=0, max_stamps=1)
         bank, U, ctx = build_concept_bank(data.images, model, target_class=1,
                                           r=2, nmf_params=FIT_PARAMS)
         sub_bank, _, selected = recursive_decompose(
             bank, U, 0, ctx["crops"], model, layer, FIT_PARAMS)
-        assert sub_bank.layer_tag == tag
+        # the layer value itself, of its own type
+        assert type(sub_bank.layer_tag) is type(layer) and sub_bank.layer_tag == layer
         width = model.features(ctx["crops"][:1], layer=layer).shape[1]
         assert sub_bank.W.shape == (width, 2)
         # the tag alone resolves the layer again, through features and VJP
@@ -485,6 +485,57 @@ class CountingModel:
     def vjp_features(self, x, cotangent, layer=None):
         self.calls["vjp_features"] += 1
         return self.model.vjp_features(x, cotangent, layer=layer)
+
+
+class IntLayerModel:
+    """two_layer_backbone behind the README's model contract alone: features,
+    vjp_features and predict, no input_shape and no head. Its layers are
+    None (the final one) and the int 1; any other value is rejected."""
+
+    def __init__(self):
+        self.toy = two_layer_backbone()
+
+    @staticmethod
+    def _layer(layer):
+        if layer is not None and type(layer) is not int:
+            raise ValueError(f"unknown layer {layer!r}")
+        return layer
+
+    def features(self, x, layer=None):
+        return self.toy.features(x, layer=self._layer(layer))
+
+    def vjp_features(self, x, cotangent, layer=None):
+        return self.toy.vjp_features(x, cotangent, layer=self._layer(layer))
+
+    def predict(self, x):
+        return self.toy.predict(x)
+
+
+def test_a_model_on_the_readme_contract_runs_every_stage(tmp_path):
+    # each bank hands the model back the layer value it was fit at, so a
+    # model that names its layers None and 1 needs no other spelling
+    model = IntLayerModel()
+    head = model.toy.affine_head
+    data = make_synthetic_dataset(model.toy, 240, noise=0.02, seed=0, max_stamps=1)
+    bank, U, ctx = build_concept_bank(data.images, model, target_class=1, r=2,
+                                      nmf_params=FIT_PARAMS)
+    importance = concept_importance(U, bank.W, head, 256).total_indices
+    for method in ("gradient", "smoothgrad", "occlusion"):
+        hms = concept_attribution_maps(ctx["crops"][0], bank, model, range(bank.r),
+                                       method=method)
+        assert [hm.values.shape for hm in hms] == [(16, 16)] * bank.r
+    assert bank.layer_tag is None
+    sub_bank, _, selected = recursive_decompose(
+        bank, U, int(np.argmax(bank.W[0])), ctx["crops"], model, 1, FIT_PARAMS)
+    save_bank(sub_bank, tmp_path / "sub")
+    loaded = load_bank(tmp_path / "sub")
+    assert type(loaded.layer_tag) is int and loaded.layer_tag == 1
+    for method in ("gradient", "smoothgrad", "occlusion"):
+        hms = concept_attribution_maps(ctx["crops"][selected[0]], loaded, model,
+                                       range(loaded.r), method=method)
+        assert all(np.abs(hm.values).sum() > 0.0 for hm in hms)
+    curve = fidelity_curves(U, bank.W, head, importance)
+    assert curve.ys[0] > curve.ys[-1]
 
 
 class TestAttributionMapsOnePass:
