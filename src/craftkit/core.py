@@ -11,6 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 _U64 = np.uint64
+# floats per block of the image route (512 KiB, inside a 2 MiB L2 cache):
+# extract_crops writes about this many crop floats at a time, and
+# ToyBackbone.features about this many correlation-map floats
+_BLOCK_FLOATS = 1 << 16
 
 
 def as_tensor4(t, name="tensor"):

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Rng, as_tensor4
+from .core import _BLOCK_FLOATS, Rng, as_tensor4
 from .errors import DataError, EmptySetError, InsufficientDataError
 from .implicit import jacobian_u_wrt_a
 from .nmf import NmfParams, fit_nmf
@@ -54,6 +55,13 @@ class CropSpec:
             raise ValueError("crop_fraction must be in (0, 1]")
         if self.crops_per_image < 1:
             raise ValueError("crops_per_image must be at least 1")
+        size = self.resize_to
+        if size is not None and not (
+                isinstance(size, (tuple, list)) and len(size) == 2 and all(
+                    isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n > 0
+                    for n in size)):
+            raise ValueError("resize_to must be two positive integers (height, width), "
+                             f"got {size!r}")
 
 
 @dataclass(frozen=True)
@@ -123,9 +131,19 @@ def bilinear_resize(t, out_h, out_w):
     Equal input and output sizes reproduce the input exactly.
     """
     t = as_tensor4(t)
-    b, h, w, c = t.shape
+    out = np.empty((len(t), out_h, out_w, t.shape[3]))
+    _resize_into(t, out)
+    return out
+
+
+def _resize_into(t, out):
+    """Write the (b, h, w, c) stack t, bilinearly resized to out's height
+    and width, into out, which holds b images of c channels."""
+    _, h, w, _ = t.shape
+    out_h, out_w = out.shape[1:3]
     if (h, w) == (out_h, out_w):
-        return t.copy()
+        out[...] = t
+        return
     ys = np.linspace(0.0, h - 1.0, out_h) if out_h > 1 else np.zeros(1)
     xs = np.linspace(0.0, w - 1.0, out_w) if out_w > 1 else np.zeros(1)
     y0 = np.floor(ys).astype(int)
@@ -137,7 +155,8 @@ def bilinear_resize(t, out_h, out_w):
     # along x on the h source rows once, then along y on the output rows;
     # take (unlike a[:, idx]) returns C order, which the model reads faster
     rows = t.take(x0, axis=2) * (1 - wx) + t.take(x1, axis=2) * wx
-    return rows.take(y0, axis=1) * (1 - wy) + rows.take(y1, axis=1) * wy
+    np.multiply(rows.take(y0, axis=1), 1 - wy, out=out)
+    out += rows.take(y1, axis=1) * wy
 
 
 def _grid_positions(extent, side, count):
@@ -153,10 +172,14 @@ def extract_crops(images, spec):
     Returns (crops, provenance); provenance rows are dicts with the source
     image index and the window geometry, exact enough to re-cut the crop
     bit-for-bit. Grid mode dedupes coincident windows (e.g. fraction 1.0
-    yields a single full-image crop).
+    yields a single full-image crop). The windows are read through a view
+    of the images and resized in blocks of about 2^16 output floats
+    straight into the returned array, so besides it memory stays near one
+    block; each crop is resized on its own, so the bytes do not depend on
+    the blocking.
     """
     images = as_tensor4(images, "images")
-    n, h, w, _ = images.shape
+    n, h, w, c = images.shape
     side_y = int(round(spec.crop_fraction * h))
     side_x = int(round(spec.crop_fraction * w))
     if side_y < 1 or side_x < 1:
@@ -179,12 +202,16 @@ def extract_crops(images, spec):
                                size=(n * per_image, 2))
     idx = np.repeat(np.arange(n), per_image)
     top, left = corners.T
-    crops = images[idx[:, None, None],
-                   top[:, None, None] + np.arange(side_y)[:, None],
-                   left[:, None, None] + np.arange(side_x)]
+    # (n, positions y, positions x, side_y, side_x, c), a view of the images
+    windows = np.moveaxis(sliding_window_view(images, (side_y, side_x), axis=(1, 2)), 3, -1)
+    crops = np.empty((len(idx), out_h, out_w, c))
+    block = max(1, _BLOCK_FLOATS // max(out_h * out_w * c, 1))
+    for start in range(0, len(idx), block):
+        cut = slice(start, start + block)
+        _resize_into(windows[idx[cut], top[cut], left[cut]], crops[cut])
     provenance = [{"image": i, "y0": y0, "x0": x0, "h": side_y, "w": side_x}
                   for i, y0, x0 in zip(idx.tolist(), top.tolist(), left.tolist())]
-    return bilinear_resize(crops, out_h, out_w), provenance
+    return crops, provenance
 
 
 def select_class_set(predictions, target_class):

@@ -18,7 +18,11 @@ template row i: the image rows h + i, flattened to W c columns, times a
 banded (W c) x (W' k) matrix that holds row i of every template at each
 of the W' output columns. The band is mostly zeros, so the products do
 W / tw times the useful multiply-adds, but they need no copy per window
-and run at BLAS speed.
+and run at BLAS speed. features runs them per block of images, about
+2^16 correlation floats (512 KiB) at a time, and writes each block's
+pooled rows into one output array, so its memory stays near one block
+at any batch size; every image is computed on its own, so the result
+does not depend on the blocking.
 """
 
 from dataclasses import dataclass, replace
@@ -27,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Rng, as_tensor4
+from .core import _BLOCK_FLOATS, Rng, as_tensor4
 from .npyio import load_npy, load_record, save_json, save_npy
 from .sobol import AffineHead
 
@@ -147,10 +151,19 @@ class ToyBackbone:
         """Pooled nonnegative activations at the requested layer.
 
         layer 1 is the template layer; layer 2 (or None for the final
-        layer) adds the mixing stage when present.
+        layer) adds the mixing stage when present. Images go through in
+        blocks (see the module docstring); the result does not depend on
+        the blocking.
         """
-        z1 = self.feature_maps(x).mean(axis=(1, 2))
+        x = self._check_input(x)
         layer = self._resolve_layer(layer)
+        k, th, tw, _ = self.templates.shape
+        per_image = (x.shape[1] - th + 1) * (x.shape[2] - tw + 1) * k
+        block = max(1, _BLOCK_FLOATS // max(per_image, 1))
+        z1 = np.empty((len(x), k))
+        for start in range(0, len(x), block):
+            z = self._correlate(x[start:start + block])
+            z1[start:start + block] = np.maximum(z, 0.0, out=z).mean(axis=(1, 2))
         if layer == 1:
             return z1
         return np.maximum(z1 @ self.mixing, 0.0)
@@ -305,7 +318,9 @@ def make_synthetic_dataset(model, n, noise, seed, max_stamps=3, template_pool=No
     Each image places between 1 and max_stamps distinct templates drawn
     from template_pool (default: all of them) uniformly at random, then
     adds uniform noise in [0, noise). Identical seeds give bit-identical
-    datasets. A negative, NaN or infinite noise raises ValueError.
+    datasets. A negative, NaN or infinite noise, or a template_pool that is
+    empty, repeats an index or holds one outside 0..k-1 for the model's k
+    templates, raises ValueError before the first draw.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -314,6 +329,11 @@ def make_synthetic_dataset(model, n, noise, seed, max_stamps=3, template_pool=No
     h, w, c = model.input_shape
     th, tw = model.templates.shape[1:3]
     pool = list(range(model.n_templates)) if template_pool is None else list(template_pool)
+    indices = all(isinstance(t, (int, np.integer)) and not isinstance(t, bool)
+                  and 0 <= t < model.n_templates for t in pool)
+    if not pool or not indices or len(set(pool)) != len(pool):
+        raise ValueError("template_pool must hold distinct template indices in "
+                         f"0..{model.n_templates - 1}, got {template_pool!r}")
     max_stamps = max(1, min(max_stamps, len(pool)))
     gen = Rng(seed).generator()
 

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from craftkit.core import Rng
+from craftkit.core import _BLOCK_FLOATS, Rng
 from craftkit.errors import DegeneracyError, EmptySetError, InsufficientDataError
 from craftkit.implicit import jacobian_u_wrt_a
 from craftkit.nmf import NmfParams
@@ -152,6 +152,68 @@ class TestExtractCrops:
         for (yy, xx), (oy, ox) in [((0, 0), (0, 0)), ((0, -1), (0, -1)),
                                    ((-1, 0), (-1, 0)), ((-1, -1), (-1, -1))]:
             assert out[0, oy, ox, 0] == pytest.approx(t[0, yy, xx, 0])
+
+
+def _cut_and_resize(images, provenance, out_h, out_w):
+    """The crops of the provenance rows, cut one by one from the images and
+    resized by the four-tap reference."""
+    windows = np.stack([images[p["image"], p["y0"]:p["y0"] + p["h"],
+                               p["x0"]:p["x0"] + p["w"]] for p in provenance])
+    return bilinear_resize_taps(windows, out_h, out_w)
+
+
+class TestStreamedCrops:
+    """extract_crops resizes crop blocks of about 2^16 floats straight into
+    its output, byte for byte as cutting and resizing every crop alone."""
+
+    @pytest.mark.parametrize("shape, spec", [
+        # 48 crops of 40 x 40: a block of 40 and a partial one of 8
+        ((6, 16, 16, 1), dict(mode="grid", crops_per_image=8, resize_to=(40, 40))),
+        ((6, 16, 16, 1), dict(mode="random", crops_per_image=13, seed=2)),
+        ((4, 12, 10, 1), dict(mode="grid", crop_fraction=1.0)),
+        ((4, 12, 10, 1), dict(mode="grid", crop_fraction=1.0, resize_to=(20, 15))),
+        # 50 crops of 32 x 32 x 3: two blocks of 21 and a partial one of 8
+        ((5, 16, 16, 3), dict(mode="random", crops_per_image=10, crop_fraction=0.4,
+                              resize_to=(32, 32), seed=7)),
+        ((3, 9, 14, 3), dict(mode="grid", crops_per_image=9, resize_to=(7, 5))),
+    ], ids=["grid", "random", "fraction_one", "fraction_one_resized",
+            "rgb_partial_last_block", "rgb_shrunk"])
+    def test_byte_equal_to_cutting_and_resizing_each_crop(self, shape, spec):
+        images = np.random.default_rng(6).normal(size=shape)
+        spec = CropSpec(**spec)
+        crops, prov = extract_crops(images, spec)
+        out_h, out_w = spec.resize_to or shape[1:3]
+        assert crops.shape == (len(prov), out_h, out_w, shape[3])
+        assert crops.tobytes() == _cut_and_resize(images, prov, out_h, out_w).tobytes()
+
+    def test_peak_memory_bounded_by_block_on_3200_crops(self):
+        # the whole-stack gather and resize held six crop-sized temporaries:
+        # about 25 MB besides the 6.6 MB of crops
+        import tracemalloc
+        model = two_layer_backbone()
+        images = make_synthetic_dataset(model, 400, noise=0.02, seed=1).images
+        spec = CropSpec(resize_to=model.input_shape[:2], seed=1)
+        tracemalloc.start()
+        try:
+            crops, prov = extract_crops(images, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert crops.shape == (3200, 16, 16, 1)
+        assert peak < crops.nbytes + 4 * 8 * _BLOCK_FLOATS, peak
+
+    @pytest.mark.parametrize("size", [(0, 16), (16, -3), (16,), (16, 16, 1),
+                                      (16.0, 16), 16, (True, 16), "ab"],
+                             ids=["zero_height", "negative_width", "one_value",
+                                  "three_values", "float", "scalar", "bool", "string"])
+    def test_bad_resize_to_rejected(self, size):
+        with pytest.raises(ValueError, match="resize_to"):
+            CropSpec(resize_to=size)
+
+    @pytest.mark.parametrize("size", [(16, 16), [4, 6], (np.int64(3), 1)])
+    def test_positive_integer_sizes_accepted(self, size):
+        crops, _ = extract_crops(np.ones((1, 8, 8, 1)), CropSpec(resize_to=size))
+        assert crops.shape[1:3] == tuple(size)
 
 
 class TestSelectClassSet:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from craftkit.core import _BLOCK_FLOATS
 from craftkit.sobol import AffineHead
 from craftkit.toy import (ToyBackbone, load_backbone, make_synthetic_dataset,
                           pair_backbone, save_backbone, standard_backbone,
@@ -257,6 +258,51 @@ class TestBandedCorrelation:
         assert_close_relative(rand._correlate(x), correlate_windows(x, rand.templates))
 
 
+def block_size(model):
+    """Images per block of features: 2^16 // (H' W' k)."""
+    h, w, _ = model.input_shape
+    k, th, tw, _ = model.templates.shape
+    return _BLOCK_FLOATS // ((h - th + 1) * (w - tw + 1) * k)
+
+
+class TestBlockedFeatures:
+    """features pools per image block, bit for bit as the whole stack would."""
+
+    @pytest.mark.parametrize("size", ["0", "1", "block-1", "block", "block+1",
+                                      "3block+7"])
+    @pytest.mark.parametrize("make", [pair_backbone, two_layer_backbone],
+                             ids=["pair", "two_layer"])
+    def test_equals_pooling_the_whole_stack(self, make, size):
+        model = make()
+        block = block_size(model)
+        batch = {"0": 0, "1": 1, "block-1": block - 1, "block": block,
+                 "block+1": block + 1, "3block+7": 3 * block + 7}[size]
+        x = np.random.default_rng(batch).uniform(size=(batch,) + model.input_shape)
+        z1 = np.maximum(model._correlate(x), 0).mean(axis=(1, 2))
+        assert model.features(x, layer=1).tobytes() == z1.tobytes()
+        final = z1 if model.mixing is None else np.maximum(z1 @ model.mixing, 0.0)
+        out = model.features(x)
+        assert out.shape == (batch, model.n_features)
+        assert out.tobytes() == final.tobytes()
+
+    def test_peak_memory_bounded_by_block_on_3200_crops(self):
+        # pooling the whole stack held its (3200, 12, 12, 4) maps, their
+        # BLAS temporaries and a ReLU copy: about 29 MB
+        import tracemalloc
+        model = two_layer_backbone()
+        x = np.random.default_rng(0).uniform(size=(3200,) + model.input_shape)
+        model.features(x[:1])  # builds the cached bands outside the trace
+        for layer in (1, 2):
+            tracemalloc.start()
+            try:
+                out = model.features(x, layer=layer)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3200 * 4 * 8 + 4 * 8 * _BLOCK_FLOATS, (layer, peak)
+            assert out.shape == (3200, 4 if layer == 1 else 2)
+
+
 class TestValidation:
     @pytest.mark.parametrize("change, field", [
         (dict(templates=np.zeros((4, 5, 5))), "templates"),
@@ -313,6 +359,23 @@ class TestSyntheticDataset:
                                       max_stamps=1, template_pool=(0, 1))
         used = {t for placed in data.stamps for t, _, _ in placed}
         assert used <= {0, 1}
+
+    @pytest.mark.parametrize("pool", [(-1,), (0, 5), [], (0, 1, 0), (0.0,), (True,)],
+                             ids=["negative", "past_the_templates", "empty",
+                                  "duplicate", "float", "bool"])
+    def test_bad_template_pool_rejected(self, pool):
+        with pytest.raises(ValueError, match="template_pool"):
+            make_synthetic_dataset(pair_backbone(), 4, noise=0.0, seed=0,
+                                   template_pool=pool)
+
+    def test_full_pool_keeps_the_default_draws(self):
+        model = standard_backbone()
+        default = make_synthetic_dataset(model, 16, noise=0.05, seed=9)
+        for pool in (range(4), [0, 1, 2, 3], np.arange(4)):
+            given = make_synthetic_dataset(model, 16, noise=0.05, seed=9,
+                                           template_pool=pool)
+            assert given.images.tobytes() == default.images.tobytes()
+            assert given.stamps == default.stamps
 
     @pytest.mark.parametrize("noise", [-0.5, np.nan, np.inf])
     def test_bad_noise_rejected(self, noise):
