@@ -13,7 +13,8 @@ import numpy as np
 _U64 = np.uint64
 # floats per block of the image route (512 KiB, inside a 2 MiB L2 cache):
 # extract_crops writes about this many crop floats at a time, and
-# ToyBackbone.features about this many correlation-map floats
+# ToyBackbone.features half as many correlation-map floats plus their
+# rectified copy
 _BLOCK_FLOATS = 1 << 16
 
 

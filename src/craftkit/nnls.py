@@ -8,12 +8,13 @@ step solves the reduced system G_FF u_F = (A W)_F with u = 0 off F, and
 the gradient y = u G - A W then marks the infeasible coordinates, passive
 ones with u < 0 and clamped ones with y < 0, which swap sides. A row is
 finished when none is left, and its solution is then exact to rounding.
-Every unfinished row is solved in one batched LAPACK call per step. The
-exchange rule is Kim and Park's ("Fast nonnegative matrix factorization:
-an active-set-like method and comparisons", SIAM J. Sci. Comput. 33(6),
-2011): a row swaps all of its infeasible coordinates while their count
-falls, three more times when it does not, and after that only its last
-infeasible index, which bounds cycling. Warm starts reuse the previous
+Every unfinished row with a nonempty passive set is solved in one
+batched LAPACK call per step. The exchange rule is Kim and Park's ("Fast
+nonnegative matrix factorization: an active-set-like method and
+comparisons", SIAM J. Sci. Comput. 33(6), 2011): a row swaps all of its
+infeasible coordinates while their count falls, three more times when
+it does not, and after that only its last infeasible index, which
+bounds cycling. Warm starts reuse the previous
 support U > 0, so an alternating factorization re-pivots only the rows
 whose support moved. The multipliers of U >= 0 are the clipped gradient
 on the clamped set, which downstream implicit differentiation requires.
@@ -131,9 +132,9 @@ def solve_nnls(A, W, warm=None):
     iterations = 0
     while todo.size and iterations < _MAX_PIVOTS:
         iterations += 1
-        free = passive[todo]
-        x = _reduced_solve(AW[todo], G_pivot, free, todo)
-        y = x @ G_pivot - AW[todo]
+        free, AW_todo = passive[todo], AW[todo]
+        x = _reduced_solve(AW_todo, G_pivot, free, todo)
+        y = x @ G_pivot - AW_todo
         U[todo], support[todo] = x, free
         infeasible = np.where(free, x < 0.0, y < 0.0)
         count = infeasible.sum(axis=1)
@@ -141,13 +142,15 @@ def solve_nnls(A, W, warm=None):
         full = improved | (tries > 0)
         fewest = np.minimum(fewest, count)
         tries = np.where(improved, _BACKUP_TRIES, np.maximum(tries - 1, 0))
-        single = np.flatnonzero(~full)
-        last = r - 1 - np.argmax(infeasible[single, ::-1], axis=1)
-        infeasible[single] = False
-        infeasible[single, last] = True
+        if not full.all():
+            single = np.flatnonzero(~full)
+            last = r - 1 - np.argmax(infeasible[single, ::-1], axis=1)
+            infeasible[single] = False
+            infeasible[single, last] = True
         passive[todo] = free ^ infeasible
         keep = count > 0
-        todo, fewest, tries = todo[keep], fewest[keep], tries[keep]
+        if not keep.all():
+            todo, fewest, tries = todo[keep], fewest[keep], tries[keep]
 
     U = np.maximum(U, 0.0)
     grad = U @ G - AW
@@ -190,29 +193,33 @@ def _reduced_solve(AW, G, free, rows):
 
     All rows are solved by one batched LAPACK call over r x r systems: the
     free block of a row's system is G_FF, and each clamped coordinate gets
-    an identity row and column with a zero right-hand side. Rows go through
-    in blocks of _SOLVE_FLOATS matrix entries (at least one row), so the
-    stack of systems stays small. A singular system or a non-finite
-    solution raises NumericalError naming the rows, by their indices in
-    ``rows``.
+    an identity row and column with a zero right-hand side. A row whose
+    free set is empty has u = 0 exactly, which is what that system would
+    return, so it gets no system at all; every row of a cold start's first
+    pivoting step is one. The other rows go through in blocks of
+    _SOLVE_FLOATS matrix entries (at least one row), so the stack of
+    systems stays small. A singular system or a non-finite solution raises
+    NumericalError naming the rows, by their indices in ``rows``.
     """
     n, r = free.shape
     x = np.zeros((n, r))
     identity = np.eye(r)
+    busy = np.flatnonzero(free.any(axis=1))
     step = max(1, _SOLVE_FLOATS // (r * r))
-    for start in range(0, n, step):
-        block = free[start:start + step]
+    for start in range(0, busy.size, step):
+        at = busy[start:start + step]
+        block = free[at]
         systems = np.where(block[:, :, None] & block[:, None, :], G, identity)
-        rhs = np.where(block, AW[start:start + step], 0.0)
+        rhs = np.where(block, AW[at], 0.0)
         try:
-            x[start:start + step] = np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
+            x[at] = np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             # LAPACK only reports that some system is singular: name the
             # rank-deficient ones, or the whole block if none looks it
             singular = np.linalg.matrix_rank(systems) < r
-            x[start + np.flatnonzero(singular | ~singular.any())] = np.nan
-    failed = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    if failed.size:
+            x[at[singular | ~singular.any()]] = np.nan
+    if not np.isfinite(x).all():
+        failed = np.flatnonzero(~np.isfinite(x).all(axis=1))
         raise NumericalError(
             f"reduced Gram systems at rows {rows[failed][:8].tolist()} have no "
             f"finite solution: the bank's columns on their supports are linearly "

@@ -128,9 +128,13 @@ class FidelityCurve:
 def bilinear_resize(t, out_h, out_w):
     """Resize a (b, h, w, c) stack with corner-aligned bilinear sampling.
 
-    Equal input and output sizes reproduce the input exactly.
+    Equal input and output sizes reproduce the input exactly. An output
+    size below 1 raises ValueError naming out_h or out_w.
     """
     t = as_tensor4(t)
+    for name, size in (("out_h", out_h), ("out_w", out_w)):
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
     out = np.empty((len(t), out_h, out_w, t.shape[3]))
     _resize_into(t, out)
     return out
@@ -373,10 +377,13 @@ def _occlusion_heatmaps(x, bank, model, concepts):
     patch = max(1, round(min(h, w) / 8))
     stride = max(1, patch // 2)
     ys, xs = range(0, h - patch + 1, stride), range(0, w - patch + 1, stride)
+    # in_y[j, i] (in_x[j, i]): pixel row (column) i lies in the j-th patch row (column)
+    in_y, in_x = np.arange(h) - np.array(ys)[:, None], np.arange(w) - np.array(xs)[:, None]
+    in_y, in_x = (in_y >= 0) & (in_y < patch), (in_x >= 0) & (in_x < patch)
     # row 0 is the clean image, row k the copy with patch k - 1 zeroed
-    stack = np.repeat(x, len(ys) * len(xs) + 1, axis=0)
-    for k, (y0, x0) in enumerate(itertools.product(ys, xs), start=1):
-        stack[k, y0:y0 + patch, x0:x0 + patch, :] = 0.0
+    hidden = np.zeros((len(ys) * len(xs) + 1, h, w, 1), dtype=bool)
+    hidden[1:, :, :, 0] = (in_y[:, None, :, None] & in_x[None, :, None, :]).reshape(-1, h, w)
+    stack = np.where(hidden, 0.0, x)
     u = solve_nnls(model.features(stack, layer=bank.layer_tag), bank.W).U
     drop = (u[0] - u[1:])[:, concepts].T.reshape(len(concepts), len(ys), len(xs))
     heat = np.zeros((len(concepts), h, w))

@@ -127,6 +127,94 @@ class TestReducedSolve:
         free = np.array([[True, True], [True, False], [True, True]])
         with pytest.raises(NumericalError, match=r"rows \[4, 6\]"):
             _reduced_solve(A @ W, W.T @ W, free, np.array([4, 5, 6]))
+        # a row with nothing free between them is skipped, not named
+        free[1] = False
+        with pytest.raises(NumericalError, match=r"rows \[4, 6\]"):
+            _reduced_solve(A @ W, W.T @ W, free, np.array([4, 5, 6]))
+
+    def test_empty_free_sets_are_exact_zeros_without_lapack(self, monkeypatch):
+        W = np.random.default_rng(1).uniform(size=(5, 3))
+        AW = np.random.default_rng(2).uniform(size=(4, 5)) @ W
+
+        def no_lapack(*args):
+            raise AssertionError("LAPACK called for rows with nothing free")
+
+        monkeypatch.setattr(np.linalg, "solve", no_lapack)
+        x = _reduced_solve(AW, W.T @ W, np.zeros((4, 3), dtype=bool), np.arange(4))
+        assert x.tobytes() == np.zeros((4, 3)).tobytes()
+
+
+def every_pass_pivoting(A, W):
+    """solve_nnls's block principal pivoting with no pass left out: the
+    backup-rule pass, the compaction of the unfinished rows and a LAPACK
+    solve of every row's padded system, empty free sets included, run on
+    every step. Shares only the ridge and the residual with the solver.
+    Returns (U, dual_U, iterations, kkt_residual)."""
+    G, AW = W.T @ W, A @ W
+    G_pivot = nnls._pivot_gram(G)
+    n, r = AW.shape
+    passive = np.zeros((n, r), dtype=bool)
+    U, support = np.zeros((n, r)), passive.copy()
+    todo, fewest, tries = np.arange(n), np.full(n, r + 1), np.full(n, nnls._BACKUP_TRIES)
+    iterations = 0
+    while todo.size and iterations < nnls._MAX_PIVOTS:
+        iterations += 1
+        free = passive[todo]
+        systems = np.where(free[:, :, None] & free[:, None, :], G_pivot, np.eye(r))
+        x = np.linalg.solve(systems, np.where(free, AW[todo], 0.0)[:, :, None])[:, :, 0]
+        y = x @ G_pivot - AW[todo]
+        U[todo], support[todo] = x, free
+        infeasible = np.where(free, x < 0.0, y < 0.0)
+        count = infeasible.sum(axis=1)
+        improved = count < fewest
+        full = improved | (tries > 0)
+        fewest = np.minimum(fewest, count)
+        tries = np.where(improved, nnls._BACKUP_TRIES, np.maximum(tries - 1, 0))
+        single = np.flatnonzero(~full)
+        last = r - 1 - np.argmax(infeasible[single, ::-1], axis=1)
+        infeasible[single] = False
+        infeasible[single, last] = True
+        passive[todo] = free ^ infeasible
+        keep = count > 0
+        todo, fewest, tries = todo[keep], fewest[keep], tries[keep]
+    U = np.maximum(U, 0.0)
+    grad = U @ G - AW
+    dual_U = np.where(support, 0.0, np.maximum(grad, 0.0))
+    return U, dual_U, iterations, nnls._kkt_max(grad - dual_U, U, dual_U)
+
+
+def pivoting_problem(name):
+    """cold_start: 50 rows at r = 5; single_exchange: four rows on badly
+    scaled columns (cond(W^T W) about 8e9), one of which runs out of full
+    exchanges at step 6."""
+    if name == "cold_start":
+        rng = np.random.default_rng(0)
+        W = rng.uniform(size=(20, 5))
+        return rng.uniform(size=(50, 20)), W
+    rng = np.random.default_rng(84)
+    W = rng.normal(size=(6, 6)) * 10.0 ** rng.uniform(-3, 3, size=6)
+    return rng.normal(size=(4, 6)), W
+
+
+class TestLeanPivoting:
+    """The pivot loop skips the passes that do nothing on a step, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["cold_start", "single_exchange"])
+    def test_equals_the_every_pass_loop(self, name):
+        A, W = pivoting_problem(name)
+        sol = solve_nnls(A, W)
+        U, dual_U, iterations, residual = every_pass_pivoting(A, W)
+        assert sol.U.tobytes() == U.tobytes()
+        assert sol.dual_U.tobytes() == dual_U.tobytes()
+        assert sol.iterations == iterations
+        assert sol.kkt_residual == residual
+        assert sol.converged
+
+    def test_single_exchange_problem_needs_the_backup_rule(self, monkeypatch):
+        # with the backup rule out of reach the full exchanges cycle
+        A, W = pivoting_problem("single_exchange")
+        monkeypatch.setattr(nnls, "_BACKUP_TRIES", nnls._MAX_PIVOTS)
+        assert not solve_nnls(A, W).converged
 
 
 class TestProperties:

@@ -1,7 +1,9 @@
 """Crop geometry, bank building, refinement, attribution, and fidelity."""
 
+import itertools
 import json
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,6 +146,12 @@ class TestExtractCrops:
     def test_resize_is_byte_equal_to_four_tap_reference(self, shape, out):
         t = np.random.default_rng(4).normal(size=shape)
         assert bilinear_resize(t, *out).tobytes() == bilinear_resize_taps(t, *out).tobytes()
+
+    @pytest.mark.parametrize("out, name", [((0, 16), "out_h"), ((16, 0), "out_w"),
+                                           ((-3, 4), "out_h"), ((4, -1), "out_w")])
+    def test_resize_rejects_sizes_below_one(self, out, name):
+        with pytest.raises(ValueError, match=name):
+            bilinear_resize(np.ones((2, 4, 4, 1)), *out)
 
     def test_resize_corners_align(self):
         rng = np.random.default_rng(3)
@@ -670,6 +678,37 @@ class TestAttributionMapsOnePass:
         for c, hm in enumerate(hms):
             np.testing.assert_allclose(hm.values, expected[c], rtol=0,
                                        atol=1e-14 * np.abs(u0).max())
+
+    @pytest.mark.parametrize("input_shape", [(16, 16, 1), (36, 28, 1), (16, 16, 3)])
+    def test_occlusion_equals_the_per_patch_loop_stack(self, three_concepts, input_shape):
+        # the maps of the stack built by zeroing each patch of a copy in
+        # turn, the same features call and NNLS solve, byte for byte
+        _, bank, _ = three_concepts
+        base = standard_backbone(input_shape=input_shape[:2] + (1,))
+        model = replace(base, templates=np.repeat(base.templates, input_shape[2], axis=-1),
+                        input_shape=input_shape)
+        x = make_synthetic_dataset(model, 1, noise=0.05, seed=12).images
+        h, w = input_shape[:2]
+        patch = max(1, round(min(h, w) / 8))
+        stride = max(1, patch // 2)
+        corners = list(itertools.product(range(0, h - patch + 1, stride),
+                                         range(0, w - patch + 1, stride)))
+        reference = np.repeat(x, len(corners) + 1, axis=0)
+        for k, (y0, x0) in enumerate(corners, start=1):
+            reference[k, y0:y0 + patch, x0:x0 + patch, :] = 0.0
+
+        class ReferenceStack:
+            """The model, fed the loop's stack after checking it got the same."""
+
+            def features(self, stack, layer=None):
+                assert stack.tobytes() == reference.tobytes()
+                return model.features(reference, layer=layer)
+
+        maps = concept_attribution_maps(x, bank, model, range(bank.r), method="occlusion")
+        expected = concept_attribution_maps(x, bank, ReferenceStack(), range(bank.r),
+                                            method="occlusion")
+        for hm, ref in zip(maps, expected):
+            assert hm.values.tobytes() == ref.values.tobytes()
 
     @pytest.mark.parametrize("concepts, message", [
         ([], "no concepts requested"),

@@ -259,10 +259,15 @@ class TestBandedCorrelation:
 
 
 def block_size(model):
-    """Images per block of features: 2^16 // (H' W' k)."""
+    """Images per block of features: 2^16 // (2 H' W' k)."""
     h, w, _ = model.input_shape
     k, th, tw, _ = model.templates.shape
-    return _BLOCK_FLOATS // ((h - th + 1) * (w - tw + 1) * k)
+    return _BLOCK_FLOATS // (2 * (h - th + 1) * (w - tw + 1) * k)
+
+
+def mean_pool(model, x):
+    """Layer-1 features as the two-axis mean of the rectified maps."""
+    return np.maximum(model._correlate(x), 0).mean(axis=(1, 2))
 
 
 class TestBlockedFeatures:
@@ -270,20 +275,36 @@ class TestBlockedFeatures:
 
     @pytest.mark.parametrize("size", ["0", "1", "block-1", "block", "block+1",
                                       "3block+7"])
-    @pytest.mark.parametrize("make", [pair_backbone, two_layer_backbone],
-                             ids=["pair", "two_layer"])
+    @pytest.mark.parametrize("make", [pair_backbone, two_layer_backbone,
+                                      lambda: standard_backbone(k=1), rgb_backbone],
+                             ids=["pair", "two_layer", "standard_k1", "rgb"])
     def test_equals_pooling_the_whole_stack(self, make, size):
+        # k = 1 pools along the contiguous positions, k >= 2 positions-major
         model = make()
         block = block_size(model)
         batch = {"0": 0, "1": 1, "block-1": block - 1, "block": block,
                  "block+1": block + 1, "3block+7": 3 * block + 7}[size]
         x = np.random.default_rng(batch).uniform(size=(batch,) + model.input_shape)
-        z1 = np.maximum(model._correlate(x), 0).mean(axis=(1, 2))
+        z1 = mean_pool(model, x)
         assert model.features(x, layer=1).tobytes() == z1.tobytes()
         final = z1 if model.mixing is None else np.maximum(z1 @ model.mixing, 0.0)
         out = model.features(x)
         assert out.shape == (batch, model.n_features)
         assert out.tobytes() == final.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize("make", [two_layer_backbone, rgb_backbone],
+                             ids=["two_layer", "rgb"])
+    def test_layer2_vjp_gates_on_the_mean_pool(self, make, batch):
+        # the pooled z1 only sets the layer-2 gate, which turns a layer-2
+        # cotangent into the layer-1 one below
+        model = make()
+        rng = np.random.default_rng(batch)
+        x = rng.uniform(size=(batch,) + model.input_shape)
+        cot = rng.normal(size=(batch, model.n_features))
+        gate = (mean_pool(model, x) @ model.mixing) > 0.0
+        expected = model.vjp_features(x, (cot * gate) @ model.mixing.T, layer=1)
+        assert model.vjp_features(x, cot, layer=2).tobytes() == expected.tobytes()
 
     def test_peak_memory_bounded_by_block_on_3200_crops(self):
         # pooling the whole stack held its (3200, 12, 12, 4) maps, their
@@ -376,6 +397,19 @@ class TestSyntheticDataset:
                                            template_pool=pool)
             assert given.images.tobytes() == default.images.tobytes()
             assert given.stamps == default.stamps
+
+    @pytest.mark.parametrize("max_stamps", [0, -2])
+    def test_max_stamps_below_one_rejected(self, max_stamps):
+        with pytest.raises(ValueError, match="max_stamps"):
+            make_synthetic_dataset(standard_backbone(), 4, noise=0.0, seed=0,
+                                   max_stamps=max_stamps)
+
+    def test_max_stamps_past_the_pool_draws_as_the_pool_size(self):
+        model = standard_backbone()
+        given = make_synthetic_dataset(model, 16, noise=0.05, seed=9, max_stamps=10)
+        clamped = make_synthetic_dataset(model, 16, noise=0.05, seed=9, max_stamps=4)
+        assert given.images.tobytes() == clamped.images.tobytes()
+        assert given.stamps == clamped.stamps
 
     @pytest.mark.parametrize("noise", [-0.5, np.nan, np.inf])
     def test_bad_noise_rejected(self, noise):
