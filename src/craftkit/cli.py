@@ -2,9 +2,10 @@
 
 A thin layer over ``pipeline``: each command parses its arguments, calls
 the library, and reads or writes run-directory files. Commands populate an
-output directory incrementally: ``fit`` writes crops, activations, the
-bank, and coefficients (``build_concept_bank`` on ``--model``, ``fit_bank``
-on ``--activations``); ``importance`` adds importance.json; ``explain``
+output directory incrementally: ``fit`` writes the bank and coefficients,
+and on ``--model`` also the crops, their provenance and their activations
+(``build_concept_bank``); on ``--activations`` it runs ``fit_bank`` and
+writes no copy of its input; ``importance`` adds importance.json; ``explain``
 fills heatmaps/ in one attribution pass over all requested concepts;
 ``fidelity`` writes curve CSVs; ``recurse`` adds a sub-bank directory;
 ``sanity`` compares banks from trained and weight-randomized models. Every
@@ -119,8 +120,8 @@ def cmd_fit(args):
                  if getattr(args, dest) is not None]
         if given:
             raise ValueError(f"--activations replaces the image route; drop {' '.join(given)}")
-        activations = load_npy(Path(args.activations))
-        bank, U = fit_bank(activations, nmf_params, args.layer or "external")
+        bank, U = fit_bank(load_npy(Path(args.activations)), nmf_params,
+                           args.layer or "external")
     else:
         model, seed = _load_model(args.model, args.seed)
         images = _input_images(args, model, seed)
@@ -128,13 +129,12 @@ def cmd_fit(args):
         bank, U, ctx = build_concept_bank(images, model, target_class, args.rank,
                                           _crop_spec(args, model, seed), nmf_params,
                                           layer=args.layer or "final")
-        activations = ctx["activations"]
     # created only once the input is accepted, so a rejected fit writes nothing
     out.mkdir(parents=True, exist_ok=True)
     if ctx is not None:
         save_npy(ctx["crops"], out / "crops.npy")
         save_provenance(ctx["provenance"], out / "provenance.json")
-    save_npy(activations, out / "activations.npy")
+        save_npy(ctx["activations"], out / "activations.npy")
 
     save_bank(bank, out / "bank")
     save_npy(U, out / "coeffs.npy")

@@ -43,7 +43,11 @@ class Rng:
     def __post_init__(self):
         for field_name in ("seed", "stream"):
             v = getattr(self, field_name)
-            if not 0 <= int(v) < 2**64:
+            # int() would draw 1.5, True and '1' as the stream of 1
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{field_name} must be an integer, got "
+                                 f"{type(v).__name__} {v!r}")
+            if not 0 <= v < 2**64:
                 raise ValueError(f"{field_name} must be a 64-bit unsigned integer")
 
     def generator(self):

@@ -7,7 +7,10 @@ row, dU restricted to the free set I solves G_II dU_I = W_I^T dA, with
 G = W^T W. Rows of dU on clamped coordinates are identically zero. These
 are the reduced systems the NNLS solver itself solves at every pivoting
 step, so the Jacobian reuses its batched, padded r x r solve, and checks
-once, at construction, that every block G_II is nonsingular.
+once, at construction, that every block G_II is nonsingular. That check
+is one eigvalsh of G itself: by Cauchy interlacing a principal block has
+its eigenvalues between G's extreme ones, so when G passes the rank test
+every block does too. Only a rank-deficient G is checked block by block.
 
 Only transform mode is implemented: the bank W stays fixed and only the
 coefficients move. That is the map CRAFT's concept attribution maps chain
@@ -90,14 +93,24 @@ class ConceptJacobian:
 def _check_reduced_blocks(gram, free):
     """Raise NumericalError at the first row whose block G_II is singular.
 
-    One eigvalsh call covers every distinct free pattern: G masked to a
-    pattern with k free concepts has the eigenvalues of G_II plus r - k
-    zeros, so entry r - k of its sorted eigenvalues is the smallest of
-    G_II. Rows with nothing free have no block. The distinct patterns are
-    found by a 1-D unique over each row's packed bits read as one
-    fixed-width byte string, which keeps np.unique(free, axis=0)'s first
-    indices at a fraction of its cost.
+    The whole Gram matrix is tested first. By Cauchy interlacing a
+    principal k x k block G_II of the r x r matrix G has
+    lambda_min(G_II) >= lambda_min(G) and lambda_max(G_II) <= lambda_max(G),
+    and k <= r, so when G passes the rank test (lambda_min > r * eps *
+    lambda_max) every block passes it too, and no row is checked.
+
+    Only a rank-deficient G gets the per-pattern check. One eigvalsh call
+    covers every distinct free pattern: G masked to a pattern with k free
+    concepts has the eigenvalues of G_II plus r - k zeros, so entry r - k
+    of its sorted eigenvalues is the smallest of G_II. Rows with nothing
+    free have no block. The distinct patterns are found by a 1-D unique
+    over each row's packed bits read as one fixed-width byte string, which
+    keeps np.unique(free, axis=0)'s first indices at a fraction of its
+    cost.
     """
+    eigvals = np.linalg.eigvalsh(gram)
+    if not _rank_deficient(eigvals[0], eigvals[-1], gram.shape[0]):
+        return
     packed = np.packbits(free, axis=1)
     _, first = np.unique(packed.view(f"S{packed.shape[1]}").ravel(), return_index=True)
     patterns = free[first]
@@ -133,7 +146,7 @@ def jacobian_u_wrt_a(solution, W):
             f"cannot differentiate an unconverged NNLS solution "
             f"(KKT residual {solution.kkt_residual:.2e})")
     margin = _DEGENERACY_MARGIN * max(solution.scale, 1e-300)
-    bad = np.argwhere((np.abs(solution.U) < margin) & (np.abs(solution.dual_U) < margin))
-    if len(bad):
-        raise DegeneracyError([tuple(ij) for ij in bad], margin)
+    degenerate = (np.abs(solution.U) < margin) & (np.abs(solution.dual_U) < margin)
+    if degenerate.any():
+        raise DegeneracyError([tuple(ij) for ij in np.argwhere(degenerate)], margin)
     return ConceptJacobian(W, solution.U > solution.dual_U)

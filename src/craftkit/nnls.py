@@ -9,7 +9,13 @@ the gradient y = u G - A W then marks the infeasible coordinates, passive
 ones with u < 0 and clamped ones with y < 0, which swap sides. A row is
 finished when none is left, and its solution is then exact to rounding.
 Every unfinished row with a nonempty passive set is solved in one
-batched LAPACK call per step. The exchange rule is Kim and Park's ("Fast
+batched LAPACK call per step. A cold start takes its first step in
+closed form: at u = 0 the gradient is -A W, so the passive sets become
+A W > 0, and a row with no such coordinate finishes at u = 0; the step is
+counted like any other. The loop then carries only the unfinished rows,
+their passive sets, A W rows and exchange counters in compact arrays, and
+writes a row's coefficients and support once, when it finishes or when
+the step budget runs out. The exchange rule is Kim and Park's ("Fast
 nonnegative matrix factorization: an active-set-like method and
 comparisons", SIAM J. Sci. Comput. 33(6), 2011): a row swaps all of its
 infeasible coordinates while their count falls, three more times when
@@ -98,7 +104,7 @@ def solve_nnls(A, W, warm=None):
         raise ValueError("A and W must be 2-D")
     if A.shape[1] != W.shape[0]:
         raise ValueError(f"A has {A.shape[1]} columns but W has {W.shape[0]} rows")
-    if not np.all(np.isfinite(W)):
+    if not np.isfinite(W).all():
         raise DataError("W contains NaN or Inf")
     n, _ = A.shape
     r = W.shape[1]
@@ -113,31 +119,52 @@ def solve_nnls(A, W, warm=None):
     with np.errstate(over="ignore", invalid="ignore"):
         G = W.T @ W
         AW = A @ W
-    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(AW))):
+    if not (np.isfinite(G).all() and np.isfinite(AW).all()):
         # a NaN or infinity in A reaches A W, so A is scanned only here
         if not np.all(np.isfinite(A)):
             raise DataError("A contains NaN or Inf")
         raise DataError("W^T W or A W overflows; rescale A and W")
-    if np.any((np.diag(G) < np.finfo(np.float64).tiny) & np.any(W != 0.0, axis=0)):
+    low = G.diagonal() < np.finfo(np.float64).tiny
+    if low.any() and (low & (W != 0.0).any(axis=0)).any():
         raise DataError("W^T W underflows to subnormals or zero on a nonzero column "
                         "of W; rescale A and W")
     G_pivot = _pivot_gram(G)
 
-    passive = np.asarray(warm) > 0.0 if warm is not None else np.zeros((n, r), dtype=bool)
     U = np.zeros((n, r))
-    support = passive.copy()
-    todo = np.arange(n)
-    fewest = np.full(n, r + 1)
-    tries = np.full(n, _BACKUP_TRIES)
-    iterations = 0
-    while todo.size and iterations < _MAX_PIVOTS:
+    support = np.zeros((n, r), dtype=bool)
+    if warm is None:
+        # the first pivoting step in closed form: at u = 0 the gradient is
+        # -A W, so every coordinate with A W > 0 turns passive, and a row
+        # with none finishes at U = 0
+        passive = AW > 0.0
+        fewest = passive.sum(axis=1)
+        rows = fewest.nonzero()[0]
+        if rows.size < n:
+            passive, fewest = passive[rows], fewest[rows]
+        iterations = 1
+    else:
+        passive = np.asarray(warm) > 0.0
+        fewest = np.full(n, r + 1)
+        rows = np.arange(n)
+        iterations = 0
+    AW_rows = AW[rows] if rows.size < n else AW
+    tries = np.full(rows.size, _BACKUP_TRIES)
+    while rows.size and iterations < _MAX_PIVOTS:
         iterations += 1
-        free, AW_todo = passive[todo], AW[todo]
-        x = _reduced_solve(AW_todo, G_pivot, free, todo)
-        y = x @ G_pivot - AW_todo
-        U[todo], support[todo] = x, free
-        infeasible = np.where(free, x < 0.0, y < 0.0)
+        x = _reduced_solve(AW_rows, G_pivot, passive, rows)
+        infeasible = np.where(passive, x < 0.0, x @ G_pivot - AW_rows < 0.0)
         count = infeasible.sum(axis=1)
+        # finished rows, or every row once the budget is spent, keep this
+        # iterate; the others go on in compacted arrays
+        settled = count == 0 if iterations < _MAX_PIVOTS else np.ones(rows.size, dtype=bool)
+        if settled.all():
+            U[rows], support[rows] = x, passive
+            break
+        if settled.any():
+            U[rows[settled]], support[rows[settled]] = x[settled], passive[settled]
+            keep = ~settled
+            rows, passive, infeasible = rows[keep], passive[keep], infeasible[keep]
+            count, fewest, tries, AW_rows = count[keep], fewest[keep], tries[keep], AW_rows[keep]
         improved = count < fewest
         full = improved | (tries > 0)
         fewest = np.minimum(fewest, count)
@@ -147,15 +174,15 @@ def solve_nnls(A, W, warm=None):
             last = r - 1 - np.argmax(infeasible[single, ::-1], axis=1)
             infeasible[single] = False
             infeasible[single, last] = True
-        passive[todo] = free ^ infeasible
-        keep = count > 0
-        if not keep.all():
-            todo, fewest, tries = todo[keep], fewest[keep], tries[keep]
+        passive = passive ^ infeasible
 
     U = np.maximum(U, 0.0)
     grad = U @ G - AW
     dual_U = np.where(support, 0.0, np.maximum(grad, 0.0))
-    residual = _kkt_max(grad - dual_U, U, dual_U)
+    # U >= 0 and dual_U >= 0 by construction, and off its support a row of U
+    # is exactly zero, so of the four KKT blocks only stationarity can be
+    # nonzero: _kkt_max's other three would read 0
+    residual = float(np.abs(grad - dual_U).max())
     # no unit floor on the gradient scale, or tiny-scale problems would
     # accept arbitrary iterates
     scale = float(np.abs(AW).max())
@@ -195,19 +222,21 @@ def _reduced_solve(AW, G, free, rows):
     free block of a row's system is G_FF, and each clamped coordinate gets
     an identity row and column with a zero right-hand side. A row whose
     free set is empty has u = 0 exactly, which is what that system would
-    return, so it gets no system at all; every row of a cold start's first
-    pivoting step is one. The other rows go through in blocks of
-    _SOLVE_FLOATS matrix entries (at least one row), so the stack of
-    systems stays small. A singular system or a non-finite solution raises
-    NumericalError naming the rows, by their indices in ``rows``.
+    return, so it gets no system at all. The other rows go through in
+    blocks of _SOLVE_FLOATS matrix entries (at least one row), so the
+    stack of systems stays small. A singular system or a non-finite
+    solution raises NumericalError naming the rows, by their indices in
+    ``rows``.
     """
     n, r = free.shape
     x = np.zeros((n, r))
     identity = np.eye(r)
-    busy = np.flatnonzero(free.any(axis=1))
+    busy = free.any(axis=1).nonzero()[0]
     step = max(1, _SOLVE_FLOATS // (r * r))
-    for start in range(0, busy.size, step):
-        at = busy[start:start + step]
+    # most calls solve every row in one block, through views, not gathers
+    blocks = ([slice(None)] if busy.size == n <= step else
+              [busy[start:start + step] for start in range(0, busy.size, step)])
+    for at in blocks:
         block = free[at]
         systems = np.where(block[:, :, None] & block[:, None, :], G, identity)
         rhs = np.where(block, AW[at], 0.0)
@@ -217,7 +246,7 @@ def _reduced_solve(AW, G, free, rows):
             # LAPACK only reports that some system is singular: name the
             # rank-deficient ones, or the whole block if none looks it
             singular = np.linalg.matrix_rank(systems) < r
-            x[at[singular | ~singular.any()]] = np.nan
+            x[np.arange(n)[at][singular | ~singular.any()]] = np.nan
     if not np.isfinite(x).all():
         failed = np.flatnonzero(~np.isfinite(x).all(axis=1))
         raise NumericalError(

@@ -16,6 +16,8 @@ are wrong, is a DataError naming the file.
 import ast
 import json
 import math
+import os
+import stat
 
 import numpy as np
 
@@ -29,44 +31,61 @@ _RANKS = (1, 2, 4)
 def load_npy(path):
     """Load an NPY v1.0 file as a float64 matrix or 4-D tensor.
 
-    The file is read whole in one call, so pipes load like regular files,
-    and the payload is widened straight out of the read buffer.
+    The header is parsed and the payload size it declares is checked
+    against the file before anything sized from the header is allocated.
+    A regular file's payload is then read straight into the returned
+    array, so a float64 file is held once and a float32 file gets one
+    widening copy. A pipe cannot report its size, so its payload is read
+    whole, checked, and then copied into the array.
     """
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < 10 or buf[:6] != _MAGIC:
-        raise FormatError(f"{path}: not an NPY file (bad magic)")
-    if buf[6:8] != b"\x01\x00":
-        raise UnsupportedError(f"{path}: NPY version {buf[6]}.{buf[7]}, only 1.0 supported")
-    data_start = 10 + int.from_bytes(buf[8:10], "little")
-    try:
-        header = ast.literal_eval(buf[10:data_start].decode("latin1"))
-        descr, fortran_order, shape = (header[k] for k in ("descr", "fortran_order", "shape"))
-    except (ValueError, TypeError, KeyError, SyntaxError, MemoryError,
-            RecursionError) as exc:
-        raise FormatError(f"{path}: malformed header") from exc
+        prefix = fh.read(10)
+        if len(prefix) < 10 or prefix[:6] != _MAGIC:
+            raise FormatError(f"{path}: not an NPY file (bad magic)")
+        if prefix[6:8] != b"\x01\x00":
+            raise UnsupportedError(f"{path}: NPY version {prefix[6]}.{prefix[7]}, "
+                                   f"only 1.0 supported")
+        data_start = 10 + int.from_bytes(prefix[8:10], "little")
+        text = fh.read(data_start - 10)
+        try:
+            header = ast.literal_eval(text.decode("latin1"))
+            descr, fortran_order, shape = (header[k] for k in ("descr", "fortran_order", "shape"))
+        except (ValueError, TypeError, KeyError, SyntaxError, MemoryError,
+                RecursionError) as exc:
+            raise FormatError(f"{path}: malformed header") from exc
 
-    if descr not in _DTYPES:
-        raise UnsupportedError(f"{path}: dtype {descr!r}, only <f4/<f8 supported")
-    if fortran_order is True:
-        raise UnsupportedError(f"{path}: Fortran-order payloads are not supported")
-    if fortran_order is not False:
-        raise FormatError(f"{path}: malformed fortran_order flag")
-    if not (isinstance(shape, tuple) and all(type(d) is int and d >= 0 for d in shape)):
-        raise FormatError(f"{path}: malformed shape {shape!r}")
-    if len(shape) not in _RANKS:
-        raise UnsupportedError(f"{path}: rank-{len(shape)} array, only 1/2/4-D supported")
+        if descr not in _DTYPES:
+            raise UnsupportedError(f"{path}: dtype {descr!r}, only <f4/<f8 supported")
+        if fortran_order is True:
+            raise UnsupportedError(f"{path}: Fortran-order payloads are not supported")
+        if fortran_order is not False:
+            raise FormatError(f"{path}: malformed fortran_order flag")
+        if not (isinstance(shape, tuple) and all(type(d) is int and d >= 0 for d in shape)):
+            raise FormatError(f"{path}: malformed shape {shape!r}")
+        if len(shape) not in _RANKS:
+            raise UnsupportedError(f"{path}: rank-{len(shape)} array, only 1/2/4-D supported")
 
-    dtype = np.dtype(descr)
-    count = math.prod(shape)
-    if count == 0:
-        raise DataError(f"{path}: empty arrays are not supported")
-    expected = data_start + count * dtype.itemsize
-    if len(buf) != expected:
-        raise FormatError(f"{path}: file is {len(buf)} bytes, expected {expected}")
+        dtype = np.dtype(descr)
+        count = math.prod(shape)
+        if count == 0:
+            raise DataError(f"{path}: empty arrays are not supported")
+        expected = data_start + count * dtype.itemsize
+        info = os.fstat(fh.fileno())
+        # a pipe cannot report its size, so its payload is read first
+        raw = None if stat.S_ISREG(info.st_mode) else fh.read()
+        size = info.st_size if raw is None else 10 + len(text) + len(raw)
+        if size != expected:
+            raise FormatError(f"{path}: file is {size} bytes, expected {expected}")
+        if raw is None:
+            payload = np.empty(count, dtype)
+            if fh.readinto(payload.data.cast("B")) != payload.nbytes:
+                raise FormatError(f"{path}: file shrank while it was read")
+        else:
+            payload = np.frombuffer(raw, dtype).astype(np.float64)
 
-    arr = np.frombuffer(buf, dtype, count, offset=data_start).astype(np.float64)
-    if not np.all(np.isfinite(arr)):
+    arr = payload.astype(np.float64, copy=False)
+    # min and max propagate NaN and reach any infinity without allocating
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise DataError(f"{path}: payload contains NaN or Inf")
     return arr.reshape((1, -1) if len(shape) == 1 else shape)
 

@@ -103,6 +103,8 @@ class TestFit:
         code = main(["fit", "--activations", str(acts_path), "--rank", "2",
                      "--out", str(out)])
         assert code == 0
+        # no copy of the input matrix: the bank and its coefficients only
+        assert run_dir_files(out) == ["bank/W.npy", "bank/meta.json", "coeffs.npy"]
         meta = json.loads((out / "bank" / "meta.json").read_text())
         assert meta["objective"] < 1e-6
         assert meta["converged"] is True

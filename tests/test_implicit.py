@@ -246,6 +246,70 @@ class TestBatchedSolves:
         ConceptJacobian(W, inactive[:3])  # the well-posed rows alone pass
 
 
+def per_pattern_check(gram, free):
+    """The reduced-block check with no shortcut: every distinct free
+    pattern's masked Gram matrix through eigvalsh and the rank test.
+    Returns the NumericalError message of the first singular row, or None."""
+    r = gram.shape[0]
+    patterns, first = np.unique(free, axis=0, return_index=True)
+    k = patterns.sum(axis=1)
+    patterns, first, k = patterns[k > 0], first[k > 0], k[k > 0]
+    eigvals = np.linalg.eigvalsh(np.where(patterns[:, :, None] & patterns[:, None, :],
+                                          gram, 0.0))
+    lowest = eigvals[np.arange(len(k)), r - k]
+    singular = np.flatnonzero(lowest <= k * np.finfo(np.float64).eps * eigvals[:, -1])
+    if not singular.size:
+        return None
+    j = singular[np.argmin(first[singular])]
+    return (f"singular reduced Gram block at row {int(first[j])} on concepts "
+            f"{np.flatnonzero(patterns[j]).tolist()}: the bank's columns there are "
+            f"linearly dependent (eigenvalues {lowest[j]:.2e} to {eigvals[j, -1]:.2e})")
+
+
+def conditioned_bank(seed, cond, p=9, r=6):
+    """A p x r bank whose Gram matrix has condition number cond, with
+    log-spaced singular values between random orthonormal bases."""
+    rng = np.random.default_rng(seed)
+    left = np.linalg.qr(rng.normal(size=(p, r)))[0]
+    right = np.linalg.qr(rng.normal(size=(r, r)))[0]
+    return left * np.logspace(0.0, -0.5 * np.log10(cond), r) @ right.T
+
+
+def all_free_patterns(r):
+    """One row per nonempty free set of r concepts, and one with none."""
+    return (np.arange(2**r)[:, None] >> np.arange(r) & 1).astype(bool)
+
+
+def check_message(W, free):
+    try:
+        ConceptJacobian(W, free)
+    except NumericalError as err:
+        return str(err)
+    return None
+
+
+class TestInterlacingShortcut:
+    """A Gram matrix that passes the rank test lets every block pass."""
+
+    @pytest.mark.parametrize("cond", [1e2, 1e6, 1e10, 1e12, 1e13, 1e14, 3e14, 1e15])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_decisions_as_the_per_pattern_check(self, seed, cond):
+        W = conditioned_bank(seed, cond)
+        free = all_free_patterns(W.shape[1])
+        assert check_message(W, free) == per_pattern_check(W.T @ W, free)
+
+    def test_equal_columns_raise_naming_row_and_concepts(self):
+        # row 3 is the first to free both copies of column 0
+        W = np.random.default_rng(74).uniform(size=(7, 4))
+        W[:, 2] = W[:, 0]
+        free = np.array([[1, 1, 0, 1], [0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 1, 0],
+                         [1, 1, 1, 1]], dtype=bool)
+        message = check_message(W, free)
+        assert message is not None and "row 3 on concepts [0, 2]" in message
+        assert message == per_pattern_check(W.T @ W, free)
+        assert check_message(W, free[:3]) is None  # no row frees both copies
+
+
 class TestGuards:
     def test_degenerate_point_raises_with_coordinates(self):
         # a = col span boundary: u = 0 with zero multiplier

@@ -217,6 +217,70 @@ class TestLeanPivoting:
         assert not solve_nnls(A, W).converged
 
 
+def cold_start_problem(name):
+    """random_<seed>: 40 rows of normal data at r = 5, so some coordinates
+    start with A W <= 0; rank_deficient: a repeated column, so the solve
+    pivots on the ridged Gram matrix; nonpositive_rows: rows whose A W is
+    zero or negative everywhere, which finish at the first step."""
+    if name.startswith("random_"):
+        rng = np.random.default_rng(int(name.split("_")[1]))
+        return rng.normal(size=(40, 12)), rng.uniform(size=(12, 5))
+    rng = np.random.default_rng(41)
+    W = rng.uniform(size=(10, 4))
+    if name == "rank_deficient":
+        W[:, 3] = W[:, 1]
+        return rng.normal(size=(30, 10)), W
+    A = rng.normal(size=(30, 10))
+    A[::3] = -rng.uniform(size=(10, 10))
+    A[1] = 0.0
+    return A, W
+
+
+def assert_same_solution(a, b):
+    assert a.U.tobytes() == b.U.tobytes()
+    assert a.dual_U.tobytes() == b.dual_U.tobytes()
+    assert (a.iterations, a.kkt_residual, a.converged, a.scale) == \
+        (b.iterations, b.kkt_residual, b.converged, b.scale)
+
+
+class TestColdStart:
+    """A cold start's closed-form first step is the pivoting step it replaces."""
+
+    @pytest.mark.parametrize("name", ["random_0", "random_1", "random_2", "random_3",
+                                      "rank_deficient", "nonpositive_rows"])
+    def test_equals_a_warm_start_from_zeros(self, name):
+        A, W = cold_start_problem(name)
+        if name == "rank_deficient":
+            assert not np.array_equal(nnls._pivot_gram(W.T @ W), W.T @ W)
+        cold = solve_nnls(A, W)
+        assert_same_solution(cold, solve_nnls(A, W, warm=np.zeros((len(A), W.shape[1]))))
+        assert cold.converged
+
+    @pytest.mark.parametrize("budget", [1, 2, 4])
+    def test_equals_a_warm_start_from_zeros_at_the_step_budget(self, monkeypatch, budget):
+        # the single-exchange problem needs more than four steps; at the
+        # budget every unfinished row keeps its last iterate, as in the
+        # every-pass loop
+        A, W = pivoting_problem("single_exchange")
+        monkeypatch.setattr(nnls, "_MAX_PIVOTS", budget)
+        cold = solve_nnls(A, W)
+        assert_same_solution(cold, solve_nnls(A, W, warm=np.zeros_like(A)))
+        U, dual_U, iterations, residual = every_pass_pivoting(A, W)
+        assert (cold.U.tobytes(), cold.dual_U.tobytes()) == (U.tobytes(), dual_U.tobytes())
+        assert cold.iterations == iterations == budget and cold.kkt_residual == residual
+        assert not cold.converged
+
+    def test_rows_with_nothing_positive_finish_at_zero(self):
+        A, W = cold_start_problem("nonpositive_rows")
+        zero_rows = np.r_[1, 0:len(A):3]
+        assert not (A[zero_rows] @ W > 0.0).any()
+        sol = solve_nnls(A, W)
+        assert sol.U[zero_rows].tobytes() == np.zeros((len(zero_rows), 4)).tobytes()
+        assert sol.U[2].any()
+        # with every row finished by the closed-form step, it is the only one
+        assert solve_nnls(A[zero_rows], W).iterations == 1
+
+
 class TestProperties:
     def test_interior_solution_equals_unconstrained(self):
         rng = np.random.default_rng(3)
