@@ -270,9 +270,12 @@ def build_concept_bank(images, model, target_class, r, spec=None, nmf_params=Non
 
 def concept_percentile_threshold(values):
     """Largest value NOT in the top decile, the top ceil(0.1 * n); strict >
-    selects exactly ceil(0.1 * n) entries when values are distinct."""
+    selects exactly ceil(0.1 * n) entries when values are distinct. No
+    values at all raise ValueError."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     n = values.size
+    if n == 0:
+        raise ValueError("no values to threshold: the top decile of nothing is undefined")
     keep = math.ceil(_TOP_FRACTION * n)
     order = np.sort(values)
     return float(order[n - keep - 1]) if keep < n else float(order[0]) - 1.0
@@ -285,8 +288,8 @@ def recursive_decompose(bank, U, concept_index, crops, model, layer, nmf_params)
     threshold are re-encoded with model.features(crops, layer=layer) and
     factorized again. The sub-bank keeps layer as its layer_tag, as
     build_concept_bank's bank does, so it can drive attribution maps.
-    U must be n x bank.r, one row per crop. Returns (sub_bank, U_sub,
-    selected_indices).
+    U must be n x bank.r, one row per crop; no crops at all raise
+    InsufficientDataError. Returns (sub_bank, U_sub, selected_indices).
     """
     U = np.asarray(U)
     if U.ndim != 2 or U.shape[1] != bank.r:
@@ -296,6 +299,8 @@ def recursive_decompose(bank, U, concept_index, crops, model, layer, nmf_params)
                          "one coefficient row per crop is needed")
     if not 0 <= concept_index < bank.r:
         raise ValueError(f"concept index {concept_index} out of range")
+    if len(U) == 0:
+        raise InsufficientDataError(f"there are no crops to refine (need {_MIN_CROPS})")
     coeffs = U[:, concept_index]
     threshold = concept_percentile_threshold(coeffs)
     selected = np.flatnonzero(coeffs > threshold)

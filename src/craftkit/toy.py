@@ -13,12 +13,15 @@ ReLU subgradient at exactly zero is taken to be zero, so a clean zero
 background contributes nothing; additive noise opens gates everywhere and
 deliberately degrades gradient locality.
 
-The correlation and its exact VJP are th dense matrix products, one per
-template row i: the image rows h + i, flattened to W c columns, times a
-banded (W c) x (W' k) matrix that holds row i of every template at each
-of the W' output columns. The band is mostly zeros, so the products do
-W / tw times the useful multiply-adds, but they need no copy per window
-and run at BLAS speed. features runs them per block of images, about
+The correlation and its exact VJP are dense matrix products, one per
+live template row i, a row some template is nonzero on: the image rows
+h + i, flattened to W c columns, times a banded (W c) x (W' k) matrix that
+holds row i of every template at each of the W' output columns. A row no
+template touches has an all-zero band, whose product adds exactly +0.0,
+so it is skipped; the standard stencils fill 2 or 3 of their 5 frame
+rows. The band is mostly zeros, so the products do W / tw times the
+useful multiply-adds, but they need no copy per window and run at BLAS
+speed. features runs them per block of images, about
 2^15 correlation floats (256 KiB) at a time, and writes each block's
 pooled rows into one output array, so its memory stays near one block
 at any batch size; every image is computed on its own, so the result
@@ -84,7 +87,8 @@ class ToyBackbone:
     template response, layer 2 is ReLU(layer1 @ mixing), and the head reads
     the final layer. Feature outputs are nonnegative by construction.
     Construction raises ValueError, naming the field, when the templates,
-    input shape, mixing and head do not fit together.
+    input shape, mixing and head do not fit together, or when one of them
+    holds NaN or infinity.
     """
 
     templates: np.ndarray
@@ -118,6 +122,10 @@ class ToyBackbone:
         if np.shape(self.head_weights) != (self.n_features,):
             raise ValueError(f"head_weights must have shape ({self.n_features},), "
                              f"got {np.shape(self.head_weights)}")
+        for name in ("templates", "head_weights", "head_bias", "mixing"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} has NaN or infinite entries")
 
     @property
     def n_templates(self):
@@ -128,10 +136,12 @@ class ToyBackbone:
         return self.mixing.shape[1] if self.mixing is not None else self.n_templates
 
     @cached_property
-    def _bands(self):
-        """(th, W c, W' k) banded matrices: band i maps a flattened image row
-        to template row i's contribution at every output column,
-        band[i][(w + j, c), (w, k)] = templates[k, i, j, c]."""
+    def _live_bands(self):
+        """(i, band i) for every template row i some template is nonzero on,
+        in row order; the other rows' bands are all zero. Band i is the
+        (W c, W' k) matrix that maps a flattened image row to template row
+        i's contribution at every output column,
+        band[(w + j, c), (w, k)] = templates[k, i, j, c]."""
         k, th, tw, c = self.templates.shape
         w = self.input_shape[1]
         wp = w - tw + 1
@@ -139,18 +149,22 @@ class ToyBackbone:
         cols = np.arange(wp)
         for j in range(tw):
             bands[:, cols + j, :, cols, :] = self.templates[:, :, j, :].transpose(1, 2, 0)
-        return bands.reshape(th, w * c, wp * k)
+        bands = bands.reshape(th, w * c, wp * k)
+        return [(int(i), bands[i]) for i in np.flatnonzero(self.templates.any(axis=(0, 2, 3)))]
 
     def _correlate(self, x):
         """Valid correlation with every template, (b, H', W', k)."""
         b, h, w, c = x.shape
         k, th, tw, _ = self.templates.shape
-        hp = h - th + 1
+        hp, wp = h - th + 1, w - tw + 1
+        if not self._live_bands:
+            return np.zeros((b, hp, wp, k))
         rows = x.reshape(b, h, w * c)
-        z = rows[:, :hp] @ self._bands[0]
-        for i in range(1, th):
-            z += rows[:, i:i + hp] @ self._bands[i]
-        return z.reshape(b, hp, w - tw + 1, k)
+        (first, band), *rest = self._live_bands
+        z = rows[:, first:first + hp] @ band
+        for i, band in rest:
+            z += rows[:, i:i + hp] @ band
+        return z.reshape(b, hp, wp, k)
 
     def feature_maps(self, x):
         """Pre-pooling ReLU correlation maps, (b, H', W', k)."""
@@ -207,7 +221,7 @@ class ToyBackbone:
         gates = (z1_maps > 0.0).astype(np.float64)
         weights = (gates * (cot[:, None, None, :] / (hp * wp))).reshape(b, hp, wp * k)
         dx = np.zeros((b, x.shape[1], x.shape[2] * x.shape[3]))
-        for i, band in enumerate(self._bands):
+        for i, band in self._live_bands:
             dx[:, i:i + hp] += weights @ band.T
         return dx.reshape(x.shape)
 

@@ -150,3 +150,43 @@ def bilinear_resize_taps(t, out_h, out_w):
                 bot = t[n, y1, x0] * (1 - wx) + t[n, y1, x1] * wx
                 out[n, oy, ox] = top * (1 - wy) + bot * wy
     return out
+
+
+def template_bands(templates, width):
+    """(th, W c, W' k) band matrices of every template row, all-zero rows
+    included, filled one output column at a time:
+    band[i][(w + j) c + ch, w k + t] = templates[t, i, j, ch]."""
+    k, th, tw, c = templates.shape
+    wp = width - tw + 1
+    bands = np.zeros((th, width, c, wp, k))
+    for i in range(th):
+        for j in range(tw):
+            for w in range(wp):
+                bands[i, w + j, :, w, :] = templates[:, i, j, :].T
+    return bands.reshape(th, width * c, wp * k)
+
+
+def correlate_all_bands(x, templates):
+    """Banded valid correlation of (b, H, W, c) images, one matrix product
+    per template row and zero rows included, (b, H', W', k)."""
+    b, h, w, c = x.shape
+    k, th, tw, _ = templates.shape
+    hp = h - th + 1
+    bands = template_bands(templates, w)
+    rows = x.reshape(b, h, w * c)
+    z = rows[:, :hp] @ bands[0]
+    for i in range(1, th):
+        z += rows[:, i:i + hp] @ bands[i]
+    return z.reshape(b, hp, w - tw + 1, k)
+
+
+def scatter_all_bands(weights, templates, shape):
+    """Transpose of correlate_all_bands: (b, H', W' k) weights on the
+    correlation maps scattered back to images of shape (b, H, W, c), one
+    matrix product per template row and zero rows included."""
+    b, h, w, c = shape
+    hp = weights.shape[1]
+    dx = np.zeros((b, h, w * c))
+    for i, band in enumerate(template_bands(templates, w)):
+        dx[:, i:i + hp] += weights @ band.T
+    return dx.reshape(shape)

@@ -173,15 +173,16 @@ class TestFit:
         ("head_weights.npy", np.zeros((1, 3)), "head_weights"),
         ("mixing.npy", np.ones((3, 2)), "mixing must be"),
         ("mixing.npy", -np.eye(4, 2), "mixing has negative"),
+        ("head_bias", float("nan"), "head_bias has NaN or infinite entries"),
     ])
     def test_inconsistent_saved_model_is_usage_error(self, tmp_path, capsys,
                                                      name, value, message):
         from craftkit.toy import save_backbone, two_layer_backbone
         model_dir = tmp_path / "model"
         save_backbone(two_layer_backbone(), model_dir)
-        if name == "input_shape":
+        if not name.endswith(".npy"):
             manifest = json.loads((model_dir / "manifest.json").read_text())
-            manifest["input_shape"] = value
+            manifest[name] = value
             (model_dir / "manifest.json").write_text(json.dumps(manifest))
         else:
             save_npy(value, model_dir / name)

@@ -282,6 +282,18 @@ class TestPercentileSelection:
             selected = np.count_nonzero(values > threshold)
             assert selected == int(np.ceil(0.1 * n))
 
+    @pytest.mark.parametrize("values", [[], np.empty((0, 3))], ids=["list", "no_rows"])
+    def test_no_values_rejected(self, values):
+        with pytest.raises(ValueError, match="no values to threshold"):
+            concept_percentile_threshold(values)
+
+    def test_no_crops_is_insufficient_data(self):
+        bank = ConceptBank(W=np.eye(2), layer_tag="final", fit_objective=0.0,
+                           column_norms=np.ones(2))
+        with pytest.raises(InsufficientDataError, match="no crops to refine"):
+            recursive_decompose(bank, np.empty((0, 2)), 0, np.empty((0, 16, 16, 1)),
+                                two_layer_backbone(), 1, NmfParams(rank=2))
+
     def test_all_equal_selects_nothing(self):
         model = two_layer_backbone()
         bank_W = np.eye(2)

@@ -1,5 +1,6 @@
 """Toy backbone: exact correlations, VJPs, and dataset construction."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from craftkit.sobol import AffineHead
 from craftkit.toy import (ToyBackbone, load_backbone, make_synthetic_dataset,
                           pair_backbone, save_backbone, standard_backbone,
                           two_layer_backbone)
-from oracles import correlate_windows
+from oracles import correlate_all_bands, correlate_windows, scatter_all_bands
 
 BUILT_IN = {
     "standard": standard_backbone,
@@ -324,6 +325,81 @@ class TestBlockedFeatures:
             assert out.shape == (3200, 4 if layer == 1 else 2)
 
 
+
+def rows_0_and_2_backbone():
+    """two_layer_backbone's head and mixing on noise templates that are
+    nonzero on frame rows 0 and 2 only, so the live rows are not contiguous."""
+    model = two_layer_backbone().randomize_weights(5)
+    templates = model.templates.copy()
+    templates[:, [1, 3, 4]] = 0.0
+    return replace(model, templates=templates)
+
+
+def every_row_features(model, x, layer):
+    """features with every template row multiplied, zero rows included."""
+    z1 = np.maximum(correlate_all_bands(x, model.templates), 0.0).mean(axis=(1, 2))
+    return z1 if layer == 1 else np.maximum(z1 @ model.mixing, 0.0)
+
+
+def every_row_vjp(model, x, cot, layer):
+    """vjp_features with every template row multiplied, zero rows included."""
+    z = correlate_all_bands(x, model.templates)
+    b, hp, wp, k = z.shape
+    if layer == 2:
+        gate = (np.maximum(z, 0.0).mean(axis=(1, 2)) @ model.mixing) > 0.0
+        cot = (cot * gate) @ model.mixing.T
+    gates = (z > 0.0).astype(np.float64)
+    weights = (gates * (cot[:, None, None, :] / (hp * wp))).reshape(b, hp, wp * k)
+    return scatter_all_bands(weights, model.templates, x.shape)
+
+
+class TestLiveBands:
+    """Only the template rows some template is nonzero on are multiplied,
+    bit for bit as the products over every row."""
+
+    MODELS = {**BUILT_IN, "rgb": rgb_backbone, "rgb_one_layer": lambda: rgb_backbone(False),
+              "randomized": lambda: standard_backbone().randomize_weights(3),
+              "rows_0_and_2": rows_0_and_2_backbone,
+              "zero": lambda: replace(two_layer_backbone(), templates=np.zeros((4, 5, 5, 1)))}
+
+    @pytest.mark.parametrize("name, rows", [
+        ("pair", [1, 2]), ("two_layer", [1, 2, 3]), ("standard_k1", [1, 2]),
+        ("rgb", [0, 1, 2]), ("randomized", [0, 1, 2, 3, 4]), ("rows_0_and_2", [0, 2]),
+        ("zero", []),
+    ])
+    def test_live_rows(self, name, rows):
+        assert [i for i, _ in self.MODELS[name]()._live_bands] == rows
+
+    @pytest.mark.parametrize("size", ["0", "1", "block-1", "block", "block+1"])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_equals_every_row_reference(self, name, size):
+        model = self.MODELS[name]()
+        block = block_size(model)
+        batch = {"0": 0, "1": 1, "block-1": block - 1, "block": block,
+                 "block+1": block + 1}[size]
+        rng = np.random.default_rng(batch)
+        x = rng.normal(size=(batch,) + model.input_shape)
+        maps = np.maximum(correlate_all_bands(x, model.templates), 0.0)
+        assert model.feature_maps(x).tobytes() == maps.tobytes()
+        for layer in (1, 2) if model.mixing is not None else (1,):
+            assert (model.features(x, layer=layer).tobytes()
+                    == every_row_features(model, x, layer).tobytes())
+            cot = rng.normal(size=(batch, model.n_templates if layer == 1
+                                   else model.n_features))
+            assert (model.vjp_features(x, cot, layer=layer).tobytes()
+                    == every_row_vjp(model, x, cot, layer).tobytes())
+
+    def test_zero_templates_give_exact_zeros(self):
+        model = self.MODELS["zero"]()
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(3,) + model.input_shape)
+        assert model.feature_maps(x).tobytes() == np.zeros((3, 12, 12, 4)).tobytes()
+        for layer, width in ((1, 4), (2, 2)):
+            assert model.features(x, layer=layer).tobytes() == np.zeros((3, width)).tobytes()
+            dx = model.vjp_features(x, rng.normal(size=(3, width)), layer=layer)
+            assert dx.tobytes() == np.zeros(x.shape).tobytes()
+
+
 class TestValidation:
     @pytest.mark.parametrize("change, field", [
         (dict(templates=np.zeros((4, 5, 5))), "templates"),
@@ -338,6 +414,19 @@ class TestValidation:
     ])
     def test_inconsistent_model_rejected(self, change, field):
         with pytest.raises(ValueError, match=field):
+            replace(two_layer_backbone(), **change)
+
+    @pytest.mark.parametrize("change, field", [
+        (dict(templates=two_layer_backbone().templates * np.nan), "templates"),
+        (dict(head_weights=np.array([1.0, np.inf])), "head_weights"),
+        (dict(head_bias=np.nan), "head_bias"),
+        (dict(head_bias=-np.inf), "head_bias"),
+        (dict(mixing=np.array([[np.inf, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])),
+         "mixing"),
+    ], ids=["templates_nan", "head_weights_inf", "head_bias_nan", "head_bias_minus_inf",
+            "mixing_inf"])
+    def test_non_finite_model_rejected(self, change, field):
+        with pytest.raises(ValueError, match=f"{field} has NaN or infinite entries"):
             replace(two_layer_backbone(), **change)
 
 
@@ -428,6 +517,17 @@ class TestPersistence:
         assert loaded.input_shape == model.input_shape
         x = stamp_image(model, 1)
         np.testing.assert_array_equal(loaded.features(x), model.features(x))
+
+    def test_non_finite_head_bias_rejected_on_load(self, tmp_path):
+        # load_npy already rejects a non-finite array; the manifest's bias
+        # reaches the model's own check
+        save_backbone(two_layer_backbone(), tmp_path / "model")
+        manifest = tmp_path / "model" / "manifest.json"
+        record = json.loads(manifest.read_text())
+        record["head_bias"] = float("nan")
+        manifest.write_text(json.dumps(record))  # writes the bias as NaN
+        with pytest.raises(ValueError, match="head_bias has NaN or infinite entries"):
+            load_backbone(tmp_path / "model")
 
     def test_randomize_weights_changes_features(self):
         model = standard_backbone()
