@@ -45,6 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import _BLOCK_FLOATS, Rng, as_tensor4
+from .errors import DataError
 from .npyio import load_npy, load_record, save_json, save_npy
 from .sobol import AffineHead
 
@@ -88,7 +89,9 @@ class ToyBackbone:
     the final layer. Feature outputs are nonnegative by construction.
     Construction raises ValueError, naming the field, when the templates,
     input shape, mixing and head do not fit together, or when one of them
-    holds NaN or infinity.
+    holds NaN or infinity. features, feature_maps and vjp_features raise
+    DataError, naming the images, on an image stack holding NaN or
+    infinity.
     """
 
     templates: np.ndarray
@@ -237,6 +240,13 @@ class ToyBackbone:
         if x.shape[1:] != tuple(self.input_shape):
             raise ValueError(f"input shape {x.shape[1:]} does not match "
                              f"model input {tuple(self.input_shape)}")
+        # a contiguous stack takes one BLAS pass: its sum of squares is
+        # finite unless an entry is NaN or infinite, or it overflows. min and
+        # max (they propagate NaN) decide the rest; unlike vdot, they copy
+        # no strided view
+        if not (x.flags.c_contiguous and np.isfinite(np.vdot(x, x))) and not (
+                np.isfinite(x.min()) and np.isfinite(x.max())):
+            raise DataError("images contain NaN or Inf")
         return x
 
     def _resolve_layer(self, layer):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from craftkit import cli
 from craftkit.cli import build_parser, main
 from craftkit.npyio import load_npy, save_npy
 
@@ -772,3 +773,85 @@ class TestFlagContract:
         assert exc.value.code == 2
         assert "--activations" in capsys.readouterr().err
         assert not out.exists()
+
+
+def chain(model, out):
+    """The benchmark chain's commands on a smaller dataset."""
+    base = ["--model", model, "--n-images", "40", "--out", str(out)]
+    return [["fit", "--rank", "2"] + base,
+            ["importance", "--n-samples", "64"] + base,
+            ["fidelity", "--ranking", "sobol"] + base,
+            ["fidelity", "--ranking", "random"] + base,
+            ["explain"] + base,
+            ["recurse", "--concept", "0", "--rank-sub", "2"] + base]
+
+
+class TestInProcessReuse:
+    """main keeps one parser for the process."""
+
+    def test_chains_in_one_process_match_fresh_commands(self, tmp_path, monkeypatch):
+        specs = ["toy2:1", "toy:3", "toy2:1"]
+        for i, spec in enumerate(specs):
+            for argv in chain(spec, tmp_path / f"shared{i}"):
+                assert main(argv) == 0
+        # the reference: a new parser on every command
+        monkeypatch.setattr(cli, "_main_parser", build_parser)
+        for i, spec in enumerate(specs):
+            for argv in chain(spec, tmp_path / f"fresh{i}"):
+                assert main(argv) == 0
+        for i in range(len(specs)):
+            shared, fresh = tmp_path / f"shared{i}", tmp_path / f"fresh{i}"
+            assert run_dir_files(shared) == run_dir_files(fresh)
+            for rel in run_dir_files(shared):
+                assert (shared / rel).read_bytes() == (fresh / rel).read_bytes(), (i, rel)
+
+    def test_flags_do_not_carry_over_between_calls(self, tmp_path):
+        from craftkit.pipeline import concept_attribution_maps, load_bank
+        from craftkit.toy import make_synthetic_dataset, two_layer_backbone
+        out = tmp_path / "run"
+        base = ["--model", "toy2:5", "--n-images", "40", "--out", str(out)]
+        assert main(["fit", "--rank", "2"] + base) == 0
+        assert main(["importance", "--n-samples", "64"] + base) == 0
+        assert main(["explain", "--method", "occlusion"] + base) == 0
+        occlusion = [load_npy(out / "heatmaps" / f"0_{c}.npy") for c in range(2)]
+        assert main(["explain"] + base) == 0
+        model = two_layer_backbone()
+        image = make_synthetic_dataset(model, 1, noise=0.02, seed=5).images[0]
+        bank = load_bank(out / "bank")
+        for hm in concept_attribution_maps(image, bank, model, range(bank.r), seed=5):
+            written = load_npy(out / "heatmaps" / f"0_{hm.concept_index}.npy")
+            np.testing.assert_array_equal(written, hm.values)
+            assert not np.array_equal(written, occlusion[hm.concept_index])
+
+        assert main(["fidelity", "--direction", "insertion"] + base) == 0
+        assert main(["fidelity"] + base) == 0
+        assert sorted(p.name for p in out.glob("curves*.csv")) == [
+            "curves.csv", "curves_insertion.csv"]
+        deletion = (out / "curves.csv").read_bytes()
+        args = build_parser().parse_args(["fidelity"] + base)
+        assert args.direction == "deletion"
+        assert args.func(args) == 0
+        assert (out / "curves.csv").read_bytes() == deletion
+
+    def test_one_parser_for_main_and_a_new_one_per_build(self):
+        assert cli._main_parser() is cli._main_parser()
+        assert build_parser() is not build_parser()
+        assert build_parser() is not cli._main_parser()
+
+    def test_toy_models_are_built_on_every_call(self):
+        model, seed = cli._load_model("toy2:1")
+        again, other_seed = cli._load_model("toy2:9")
+        assert model is not again and (seed, other_seed) == (1, 9)
+        np.testing.assert_array_equal(model.head_weights, again.head_weights)
+        assert model.templates.flags.writeable
+
+    def test_saved_model_directory_is_read_on_every_call(self, tmp_path):
+        from craftkit.toy import save_backbone, standard_backbone, two_layer_backbone
+        path = tmp_path / "model"
+        save_backbone(two_layer_backbone(), path)
+        first, _ = cli._load_model(str(path))
+        assert first.mixing is not None
+        save_backbone(standard_backbone(), path)
+        second, _ = cli._load_model(str(path))
+        assert second.mixing is None
+        np.testing.assert_array_equal(second.head_weights, standard_backbone().head_weights)

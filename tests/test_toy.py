@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from craftkit.core import _BLOCK_FLOATS
+from craftkit.errors import DataError
 from craftkit.sobol import AffineHead
 from craftkit.toy import (ToyBackbone, load_backbone, make_synthetic_dataset,
                           pair_backbone, save_backbone, standard_backbone,
@@ -313,16 +314,21 @@ class TestBlockedFeatures:
         import tracemalloc
         model = two_layer_backbone()
         x = np.random.default_rng(0).uniform(size=(3200,) + model.input_shape)
+        # a transposed stack: a strided view that the non-finite check must
+        # not copy whole (vdot would copy it twice, about 13 MB)
+        strided = np.random.default_rng(1).uniform(size=x.shape).transpose(0, 2, 1, 3)
+        assert not strided.flags.c_contiguous
         model.features(x[:1])  # builds the cached bands outside the trace
-        for layer in (1, 2):
-            tracemalloc.start()
-            try:
-                out = model.features(x, layer=layer)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 3200 * 4 * 8 + 4 * 8 * _BLOCK_FLOATS, (layer, peak)
-            assert out.shape == (3200, 4 if layer == 1 else 2)
+        for stack in (x, strided):
+            for layer in (1, 2):
+                tracemalloc.start()
+                try:
+                    out = model.features(stack, layer=layer)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 3200 * 4 * 8 + 4 * 8 * _BLOCK_FLOATS, (layer, peak)
+                assert out.shape == (3200, 4 if layer == 1 else 2)
 
 
 
@@ -428,6 +434,33 @@ class TestValidation:
     def test_non_finite_model_rejected(self, change, field):
         with pytest.raises(ValueError, match=f"{field} has NaN or infinite entries"):
             replace(two_layer_backbone(), **change)
+
+    @pytest.mark.parametrize("method", ["features", "feature_maps", "vjp_features"])
+    @pytest.mark.parametrize("position, value", [((0, 3), np.nan), ((5, 5), np.inf)],
+                             ids=["nan_at_0_3", "inf_at_5_5"])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_non_finite_images_are_data_error(self, method, position, value, layout):
+        # a NaN in image row 0, which no pair_backbone template row reads,
+        # gave finite features [[0, 0]] before the check
+        model = pair_backbone()
+        x = np.zeros((1, 16, 16, 1))
+        x[0, position[0], position[1], 0] = value
+        if layout == "strided":  # the same image, stored transposed
+            x = np.ascontiguousarray(x.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+        args = (x, np.ones((1, 2))) if method == "vjp_features" else (x,)
+        with pytest.raises(DataError, match="images contain NaN or Inf"):
+            getattr(model, method)(*args)
+
+    def test_huge_finite_images_pass_the_check(self):
+        # their sum of squares overflows; min and max show every entry
+        # finite. Scaling by a power of two commutes with every rounding.
+        model = pair_backbone()
+        x = make_synthetic_dataset(model, 2, noise=0.02, seed=0).images
+        np.testing.assert_array_equal(model.features(x * 2.0**600),
+                                      model.features(x) * 2.0**600)
+
+    def test_empty_image_stack_passes_the_check(self):
+        assert pair_backbone().features(np.zeros((0, 16, 16, 1))).shape == (0, 2)
 
 
 class TestSyntheticDataset:
