@@ -105,9 +105,11 @@ def load_json(path, kind):
 
 
 def save_json(value, path):
-    """Write a JSON sidecar: indent 2, sorted keys, trailing newline."""
+    """Write a JSON sidecar: indent 2, sorted keys, trailing newline. The
+    text is encoded first, so a value JSON cannot encode leaves no file."""
+    text = json.dumps(value, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        fh.write(json.dumps(value, indent=2, sort_keys=True) + "\n")
+        fh.write(text)
 
 
 def load_record(path, required, optional=None):
@@ -145,7 +147,8 @@ def save_npy(arr, path):
         raise ValueError(f"only 2-D or 4-D arrays can be saved, got shape {a.shape}")
     if a.size == 0:
         raise DataError("empty arrays are not supported")
-    if not np.all(np.isfinite(a)):
+    # min and max propagate NaN and reach any infinity without allocating
+    if not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise DataError("payload contains NaN or Inf")
     with open(path, "wb") as fh:
         np.lib.format.write_array(fh, np.ascontiguousarray(a), version=(1, 0),

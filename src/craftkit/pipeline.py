@@ -8,7 +8,6 @@ concept vectors and the layer value they were fit at, which goes back to
 the model unchanged; coefficients live in the rows of U.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +29,8 @@ _MIN_CROPS = 10
 _TOP_FRACTION = 0.1
 # smoothgrad's noise deviation, relative to the image's value range
 _NOISE_SCALE = 0.1
+# one extract_crops provenance row: the source image and the window
+_PROVENANCE = np.dtype([(name, np.int64) for name in ("image", "y0", "x0", "h", "w")])
 
 
 @dataclass(frozen=True)
@@ -173,14 +174,14 @@ def _grid_positions(extent, side, count):
 def extract_crops(images, spec):
     """Cut windows out of every image and resize them for the model.
 
-    Returns (crops, provenance); provenance rows are dicts with the source
-    image index and the window geometry, exact enough to re-cut the crop
-    bit-for-bit. Grid mode dedupes coincident windows (e.g. fraction 1.0
-    yields a single full-image crop). The windows are read through a view
-    of the images and resized in blocks of about 2^16 output floats
-    straight into the returned array, so besides it memory stays near one
-    block; each crop is resized on its own, so the bytes do not depend on
-    the blocking.
+    Returns (crops, provenance); provenance is a structured array, one row
+    per crop, of int64 fields image (the source image index), y0, x0, h and
+    w, exact enough to re-cut the crop bit-for-bit. Grid mode dedupes
+    coincident windows (e.g. fraction 1.0 yields a single full-image crop).
+    The windows are read through a view of the images and resized in blocks
+    of about 2^16 output floats straight into the returned array, so
+    besides it memory stays near one block; each crop is resized on its
+    own, so the bytes do not depend on the blocking.
     """
     images = as_tensor4(images, "images")
     n, h, w, c = images.shape
@@ -213,8 +214,9 @@ def extract_crops(images, spec):
     for start in range(0, len(idx), block):
         cut = slice(start, start + block)
         _resize_into(windows[idx[cut], top[cut], left[cut]], crops[cut])
-    provenance = [{"image": i, "y0": y0, "x0": x0, "h": side_y, "w": side_x}
-                  for i, y0, x0 in zip(idx.tolist(), top.tolist(), left.tolist())]
+    provenance = np.empty(len(idx), _PROVENANCE)
+    provenance["image"], provenance["y0"], provenance["x0"] = idx, top, left
+    provenance["h"], provenance["w"] = side_y, side_x
     return crops, provenance
 
 
@@ -257,8 +259,7 @@ def build_concept_bank(images, model, target_class, r, spec=None, nmf_params=Non
     spec = spec or CropSpec()
     idx = select_class_set(model.predict(images), target_class)
     crops, provenance = extract_crops(np.asarray(images)[idx], spec)
-    for row in provenance:
-        row["image"] = int(idx[row["image"]])
+    provenance["image"] = idx[provenance["image"]]
     activations = model.features(crops, layer=layer)
     params = nmf_params or NmfParams(rank=r)
     if params.rank != r:
@@ -391,13 +392,9 @@ def _occlusion_heatmaps(x, bank, model, concepts):
     stack = np.where(hidden, 0.0, x)
     u = solve_nnls(model.features(stack, layer=bank.layer_tag), bank.W).U
     drop = (u[0] - u[1:])[:, concepts].T.reshape(len(concepts), len(ys), len(xs))
-    heat = np.zeros((len(concepts), h, w))
-    count = np.zeros((h, w))
-    # descending offsets within the patch add each pixel's patches in corner order
-    for dy, dx in itertools.product(reversed(range(patch)), repeat=2):
-        window = np.s_[dy:dy + ys[-1] + 1:stride, dx:dx + xs[-1] + 1:stride]
-        heat[:, window[0], window[1]] += drop
-        count[window] += 1.0
+    # a pixel's heat and count sum the drops and the number of its patches
+    heat = in_y.T.astype(np.float64) @ drop @ in_x.astype(np.float64)
+    count = np.outer(in_y.sum(axis=0), in_x.sum(axis=0)).astype(np.float64)
     return heat / np.maximum(count, 1.0)
 
 
@@ -408,9 +405,8 @@ def fidelity_curves(U, W, head, importance, direction="deletion", mu=0.0):
     insertion keeps only the top-k. The y value at step k is the mean head
     output over the reconstructed activations. They are evaluated as the
     Sobol' masks are: the (step, row) pairs reach ``head`` in step-major
-    blocks through one reused activation buffer, so ``head`` must not keep
-    a reference to its input after it returns; an ``AffineHead`` sees the
-    row-mean coefficients alone. U not n x r (n >= 1) for W p x r, or a
+    blocks of activation rows; an ``AffineHead`` sees the row-mean
+    coefficients alone. U not n x r (n >= 1) for W p x r, or a
     non-finite importance score, raises ValueError; a non-finite baseline
     mu or head output raises DataError. auc integrates y over the fraction
     of concepts touched.
@@ -434,37 +430,41 @@ def fidelity_curves(U, W, head, importance, direction="deletion", mu=0.0):
     return FidelityCurve(xs=xs, ys=ys, auc=float(np.trapezoid(ys, xs)))
 
 
-# one extract_crops record as json.dumps(rows, indent=2, sort_keys=True) lays it out
+# one provenance row as json.dumps lays out its dict at indent 2, keys sorted
+_SORTED_FIELDS = ["h", "image", "w", "x0", "y0"]
 _PROVENANCE_ROW = ('  {\n    "h": %d,\n    "image": %d,\n    "w": %d,\n'
                    '    "x0": %d,\n    "y0": %d\n  }')
 
 
 def save_provenance(rows, path):
-    """Write extract_crops' provenance rows to path as save_json would.
+    """Write extract_crops' provenance as save_json would one dict per row.
 
-    The bytes equal json.dumps(rows, indent=2, sort_keys=True) + "\n". With
-    indent set, json runs its pure-Python encoder, which on a few thousand
-    rows costs more than the bank's NMF fit; one template per row writes
-    the same text about ten times faster.
+    With indent set, json runs its pure-Python encoder, which on a few
+    thousand rows costs more than the bank's NMF fit; one template per row
+    writes the same text about ten times faster.
     """
-    body = ",\n".join(_PROVENANCE_ROW % (row["h"], row["image"], row["w"],
-                                          row["x0"], row["y0"]) for row in rows)
+    body = ",\n".join(_PROVENANCE_ROW % row for row in rows[_SORTED_FIELDS].tolist())
     with open(path, "w") as fh:
-        fh.write(f"[\n{body}\n]\n" if rows else "[]\n")
+        fh.write(f"[\n{body}\n]\n" if len(rows) else "[]\n")
 
 
 def save_bank(bank, directory):
     """Persist a bank as W.npy plus a JSON sidecar (meta.json).
 
     The sidecar records the fit diagnostics (converged, kkt_residual,
-    outer_iters, nnls_steps) whenever the bank carries them.
+    outer_iters, nnls_steps) whenever the bank carries them. A NumPy integer
+    layer_tag is written as the equal int; a tag load_bank would reject (not
+    a str, a non-bool int or None) raises ValueError before anything is written.
     """
+    tag = int(bank.layer_tag) if isinstance(bank.layer_tag, np.integer) else bank.layer_tag
+    if tag is not None and (isinstance(tag, bool) or not isinstance(tag, (str, int))):
+        raise ValueError(f"layer_tag must be a str, an int or None, got {tag!r}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_npy(bank.W, directory / "W.npy")
     meta = {
         "rank": bank.r,
-        "layer_tag": bank.layer_tag,
+        "layer_tag": tag,
         "objective": bank.fit_objective,
         "column_norms": [float(v) for v in bank.column_norms],
         "created_by": "craftkit 0.1.0",

@@ -13,8 +13,7 @@ skipped when f(A) and f(B) are equal up to rounding (spread within 64 eps
 of their largest magnitude, a cut as free of the head's scale as the
 estimator's ratio). Within a batch, the (mask, row) pairs stream through
 the head in mask-major blocks of at most max(1, chunk // p) activation
-rows, all written into one reused buffer that stays in a 2 MiB L2 cache
-with W^T, so a head must not keep a reference to its input after it returns.
+rows, each block a new array that fits a 2 MiB L2 cache with W^T.
 
 The Sobol' sequence uses the Joe-Kuo direction numbers (new-joe-kuo-6),
 embedded below for dimensions up to 64, with the zero point skipped.
@@ -256,8 +255,7 @@ def concept_importance(U, W, head, n, mu=0.0):
     Each mask perturbs every row of U through the inpainting operator; the
     perturbed coefficients are re-projected to activation space through W^T
     and pushed through ``head`` (a callable mapping a batch of activation
-    rows to a vector of outputs, and keeping no reference to that batch,
-    whose buffer is reused). The estimated index of a concept is the
+    rows to a vector of outputs). The estimated index of a concept is the
     share of the variance of the row-averaged head output it controls. An
     ``AffineHead`` sees only the row-mean coefficients, one row per mask,
     which gives the same outputs up to rounding. U not n x r (n >= 1) for
@@ -275,30 +273,25 @@ def _mean_head_outputs(U, W, head, masks, mu, chunk=1 << 16):
     perturbs as many whole masks as keep the coefficients and perturb's
     temporary (2 * masks * n_rows * r floats) within ``chunk``, and at least
     one mask. Its pairs then go to ``head`` in blocks of max(1, chunk // p)
-    rows; a block may span masks. Every block's activations are written into
-    one buffer of at most max(chunk, 2 * p) floats, allocated once, and read
-    against W^T made contiguous once; the default chunk of 2^16 floats
-    (512 KiB) keeps both in a 2 MiB L2 cache. Besides W^T and the head's own
-    temporaries, memory stays within about 2 * chunk floats, or twice U's
-    size when one mask alone exceeds the chunk. Because the buffer is
-    reused, ``head`` must not keep a reference to its input after it
-    returns; returning a view of it is fine, since each output is copied
-    before the next block is written. Each mask's mean is taken over all its
-    rows at once, and a one-row block is multiplied out as two copies of
-    its row (BLAS rounds a matrix-vector product differently in the last
-    bit), so the result does not depend on the blocking. An ``AffineHead``
-    commutes with the row mean, so it gets the mean coefficient row alone.
+    rows; a block may span masks. Each block's activations are a new array,
+    its rows times W^T made contiguous once; the default chunk of 2^16
+    floats (512 KiB) keeps a block and W^T in a 2 MiB L2 cache. Besides W^T
+    and the head's own temporaries, memory stays within about 2 * chunk
+    floats, or twice U's size when one mask alone exceeds the chunk. Each
+    mask's mean is taken over all its rows at once, and a one-row block is
+    multiplied out as two copies of its row (BLAS rounds a matrix-vector
+    product differently in the last bit), so the result does not depend on
+    the blocking. An ``AffineHead`` commutes with the row mean, so it gets
+    the mean coefficient row alone.
     """
     if not np.all(np.isfinite(mu)):
         raise DataError(f"baseline mu must be finite, got {mu!r}")
     if isinstance(head, AffineHead):
         U = U.mean(axis=0, keepdims=True)
     n_rows, r = U.shape
-    p = W.shape[0]
     step = max(1, chunk // max(2 * n_rows * r, 1))
-    block = max(1, chunk // max(p, 1))
+    block = max(1, chunk // max(W.shape[0], 1))
     W_T = np.ascontiguousarray(W.T)
-    buf = np.empty((max(2, min(block, step * n_rows)), p))
     out = np.empty(masks.shape[0])
     for start in range(0, masks.shape[0], step):
         m = masks[start:start + step]
@@ -306,12 +299,9 @@ def _mean_head_outputs(U, W, head, masks, mu, chunk=1 << 16):
         y = np.empty(len(coeffs))
         for lo in range(0, len(coeffs), block):
             rows = coeffs[lo:lo + block]
-            acts = buf[:len(rows)]
-            if len(rows) == 1:
-                # BLAS rounds a one-row (matrix-vector) product differently
-                # in the last bit, so the lone row is multiplied out twice
-                rows = rows[[0, 0]]
-            np.matmul(rows, W_T, out=buf[:len(rows)])
+            # BLAS rounds a one-row (matrix-vector) product differently
+            # in the last bit, so the lone row is multiplied out twice
+            acts = ((rows if len(rows) > 1 else rows[[0, 0]]) @ W_T)[:len(rows)]
             y[lo:lo + len(acts)] = np.asarray(head(acts), dtype=np.float64).reshape(len(acts))
         out[start:start + step] = y.reshape(len(m), n_rows).mean(axis=1)
     return out
@@ -322,7 +312,8 @@ def tcav_importance(grads_A, W):
 
     The fraction of gradient rows whose projection on the concept vector is
     strictly positive; a sign-only baseline for comparison with the
-    variance-based indices.
+    variance-based indices. Shapes that do not match, or no gradient rows,
+    raise ValueError; NaN or infinity in grads_A or W raises DataError.
     """
     grads_A = np.asarray(grads_A, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
@@ -330,4 +321,7 @@ def tcav_importance(grads_A, W):
         raise ValueError("grads_A must be n x p matching W's row count")
     if grads_A.shape[0] == 0:
         raise ValueError("grads_A has no gradient rows to score")
+    for name, value in (("grads_A", grads_A), ("W", W)):
+        if not np.all(np.isfinite(value)):
+            raise DataError(f"{name} contains NaN or Inf")
     return np.mean((grads_A @ W) > 0.0, axis=0)

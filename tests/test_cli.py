@@ -143,8 +143,10 @@ class TestFit:
         save_npy(U, ref / "coeffs.npy")
         save_npy(ctx["crops"], ref / "crops.npy")
         save_npy(ctx["activations"], ref / "activations.npy")
-        (ref / "provenance.json").write_text(
-            json.dumps(ctx["provenance"], indent=2, sort_keys=True) + "\n")
+        prov = ctx["provenance"]
+        (ref / "provenance.json").write_text(json.dumps(
+            [{name: int(row[name]) for name in prov.dtype.names} for row in prov],
+            indent=2, sort_keys=True) + "\n")
         assert run_dir_files(out) == run_dir_files(ref)
         for rel in run_dir_files(ref):
             assert (out / rel).read_bytes() == (ref / rel).read_bytes(), rel

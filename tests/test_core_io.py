@@ -13,7 +13,7 @@ import pytest
 import craftkit
 from craftkit.core import Rng
 from craftkit.errors import DataError, FormatError, UnsupportedError
-from craftkit.npyio import load_npy, save_npy
+from craftkit.npyio import load_npy, save_json, save_npy
 
 
 def write_raw_npy(path, descr, fortran_order, shape, payload, version=(1, 0)):
@@ -169,6 +169,28 @@ class TestSaveRoundTrip:
         with pytest.raises(DataError):
             save_npy(np.zeros((0, 0)), tmp_path / "e.npy")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 3, 1)])
+    def test_non_finite_rejected_without_a_file(self, tmp_path, bad, shape):
+        a = np.ones(shape)
+        a.flat[-2] = bad
+        with pytest.raises(DataError, match="NaN or Inf"):
+            save_npy(a, tmp_path / "bad.npy")
+        assert not (tmp_path / "bad.npy").exists()
+
+    def test_finiteness_check_allocates_no_copy(self, tmp_path):
+        # a 3.1 MB stack of 1600 crops; an elementwise isfinite mask alone
+        # took 0.39 MB, min and max about 6 KB
+        a = np.random.default_rng(4).uniform(size=(1600, 16, 16, 1))
+        tracemalloc.start()
+        try:
+            save_npy(a, tmp_path / "stack.npy")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert load_npy(tmp_path / "stack.npy").tobytes() == a.tobytes()
+
     def test_tensor4_round_trip(self, tmp_path):
         path = tmp_path / "t.npy"
         t = np.arange(4.0).reshape(1, 2, 2, 1)
@@ -228,6 +250,12 @@ class TestSaveRoundTrip:
             save_npy(m, path)
             out = load_npy(path)
             assert out.tobytes() == m.tobytes()
+
+
+def test_save_json_leaves_no_file_for_a_value_json_cannot_encode(tmp_path):
+    with pytest.raises(TypeError):
+        save_json({"layer_tag": np.bool_(True)}, tmp_path / "meta.json")
+    assert not (tmp_path / "meta.json").exists()
 
 
 class TestRng:

@@ -68,7 +68,7 @@ class TestExtractCrops:
                         resize_to=(4, 4), seed=3)
         _, prov1 = extract_crops(images, spec)
         _, prov2 = extract_crops(images, spec)
-        assert prov1 == prov2
+        assert prov1.tobytes() == prov2.tobytes()
 
     @pytest.mark.parametrize("shape, fraction", [((3, 10, 10, 2), 0.4),
                                                  ((2, 8, 12, 1), 0.5),
@@ -86,8 +86,10 @@ class TestExtractCrops:
         expected = [(i, int(gen.integers(0, h - side_y + 1)),
                      int(gen.integers(0, w - side_x + 1)))
                     for i in range(n) for _ in range(7)]
-        assert [(p["image"], p["y0"], p["x0"]) for p in prov] == expected
-        assert all(type(v) is int for p in prov for v in p.values())
+        assert prov[["image", "y0", "x0"]].tolist() == expected
+        assert prov.dtype.names == ("image", "y0", "x0", "h", "w")
+        assert all(prov.dtype[name] == np.int64 for name in prov.dtype.names)
+        assert (prov["h"] == side_y).all() and (prov["w"] == side_x).all()
 
     def test_provenance_recuts_bit_exactly(self):
         rng = np.random.default_rng(0)
@@ -255,6 +257,23 @@ class TestBuildConceptBank:
         zero_rows = np.flatnonzero(np.abs(ctx["activations"]).max(axis=1) < 1e-12)
         if zero_rows.size:
             np.testing.assert_allclose(U[zero_rows], 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("mode", ["grid", "random"])
+    def test_provenance_indexes_the_full_image_stack(self, mode):
+        # about half the images are class 1, so each row's image must be
+        # mapped from the class set back to the full stack
+        model = standard_backbone()
+        images = make_synthetic_dataset(model, 40, noise=0.02, seed=5).images
+        predictions = model.predict(images)
+        assert 0 < (predictions == 1).sum() < len(predictions)
+        _, _, ctx = build_concept_bank(images, model, 1, 2, nmf_params=FIT_PARAMS,
+                                       spec=CropSpec(mode=mode, crops_per_image=5, seed=3))
+        prov = ctx["provenance"]
+        np.testing.assert_array_equal(predictions[prov["image"]], 1)
+        assert set(prov["image"].tolist()) == set(np.flatnonzero(predictions == 1).tolist())
+        out_h, out_w = ctx["crops"].shape[1:3]
+        recut = _cut_and_resize(images, prov, out_h, out_w)
+        assert ctx["crops"].tobytes() == recut.tobytes()
 
     def test_rank_one_bank_on_single_template_data(self):
         model = pair_backbone()
@@ -656,17 +675,19 @@ class TestAttributionMapsOnePass:
         expected_vjp = 0 if method == "occlusion" else 1
         assert counting.calls["vjp_features"] == expected_vjp
 
+    @pytest.mark.parametrize("h, w", [(36, 28), (37, 29)])
     def test_occlusion_matches_per_patch_loop_on_strided_rectangle(self, three_concepts,
-                                                                   monkeypatch):
+                                                                   monkeypatch, h, w):
         # a 36 x 28 image gives 4-pixel patches at stride 2, so each pixel is
-        # covered by up to four overlapping patches; reference: one
-        # single-row solve per patch, accumulated corner by corner. Single-row
-        # and batched solves agree to rounding in u, and a drop is a
-        # difference of nearly equal coefficients, so the tolerance is
+        # covered by up to four overlapping patches; at 37 x 29 no patch
+        # covers the last row and column, whose maps stay zero. Reference:
+        # one single-row solve per patch, accumulated corner by corner.
+        # Single-row and batched solves agree to rounding in u, and a drop
+        # is a difference of nearly equal coefficients, so the tolerance is
         # absolute, on the scale of u
         monkeypatch.setattr(nnls, "_KKT_TOL", ATTRIBUTION_KKT_TOL)
         _, bank, _ = three_concepts
-        model = standard_backbone(input_shape=(36, 28, 1))
+        model = standard_backbone(input_shape=(h, w, 1))
         x = make_synthetic_dataset(model, 1, noise=0.05, seed=12).images
         patch, stride = 4, 2
 
@@ -674,10 +695,10 @@ class TestAttributionMapsOnePass:
             return solve_nnls(model.features(image), bank.W).U[0]
 
         u0 = coefficients(x)
-        heat = np.zeros((bank.r, 36, 28))
-        count = np.zeros((36, 28))
-        for y0 in range(0, 36 - patch + 1, stride):
-            for x0 in range(0, 28 - patch + 1, stride):
+        heat = np.zeros((bank.r, h, w))
+        count = np.zeros((h, w))
+        for y0 in range(0, h - patch + 1, stride):
+            for x0 in range(0, w - patch + 1, stride):
                 occluded = x.copy()
                 occluded[0, y0:y0 + patch, x0:x0 + patch, :] = 0.0
                 drop = u0 - coefficients(occluded)
@@ -690,6 +711,7 @@ class TestAttributionMapsOnePass:
         for c, hm in enumerate(hms):
             np.testing.assert_allclose(hm.values, expected[c], rtol=0,
                                        atol=1e-14 * np.abs(u0).max())
+            np.testing.assert_array_equal(hm.values[count == 0], 0.0)
 
     @pytest.mark.parametrize("input_shape", [(16, 16, 1), (36, 28, 1), (16, 16, 3)])
     def test_occlusion_equals_the_per_patch_loop_stack(self, three_concepts, input_shape):
@@ -882,6 +904,27 @@ class TestBankPersistence:
                 loaded.nnls_steps) == (bank.converged, bank.kkt_residual,
                                        bank.outer_iters, bank.nnls_steps)
 
+    def test_numpy_integer_layer_tag_saves_as_int(self, tmp_path):
+        # the loaded tag is the int 1, which IntLayerModel alone accepts
+        toy = two_layer_backbone()
+        images = make_synthetic_dataset(toy, 80, noise=0.02, seed=5).images
+        bank, _, _ = build_concept_bank(images, toy, 1, 2, nmf_params=NmfParams(rank=2),
+                                        layer=np.int64(1))
+        save_bank(bank, tmp_path / "bank")
+        loaded = load_bank(tmp_path / "bank")
+        assert type(loaded.layer_tag) is int and loaded.layer_tag == 1
+        np.testing.assert_array_equal(loaded.W, bank.W)
+        hms = concept_attribution_maps(images[0], loaded, IntLayerModel(), [0, 1])
+        assert [hm.concept_index for hm in hms] == [0, 1]
+
+    @pytest.mark.parametrize("tag", [True, np.bool_(False), 1.0, ("layer1",)])
+    def test_unloadable_layer_tag_rejected_before_writing(self, tmp_path, tag):
+        bank = ConceptBank(W=np.eye(2), layer_tag=tag, fit_objective=0.0,
+                           column_norms=np.ones(2))
+        with pytest.raises(ValueError, match="layer_tag"):
+            save_bank(bank, tmp_path / "bank")
+        assert not (tmp_path / "bank").exists()
+
     def test_hand_built_bank_saves_without_diagnostics(self, tmp_path):
         bank = ConceptBank(W=np.eye(2), layer_tag="final", fit_objective=0.0,
                            column_norms=np.ones(2))
@@ -891,8 +934,11 @@ class TestBankPersistence:
         assert load_bank(tmp_path / "bank").converged is None
 
 
-def _provenance(shape, **spec):
-    return extract_crops(np.zeros(shape), CropSpec(**spec))[1]
+def _provenance(shape, images=None, **spec):
+    rows = extract_crops(np.zeros(shape), CropSpec(**spec))[1]
+    if images is not None:
+        rows["image"] = images
+    return rows
 
 
 class TestSaveProvenance:
@@ -901,13 +947,14 @@ class TestSaveProvenance:
         _provenance((3, 16, 16, 1), mode="random", seed=4),
         _provenance((2, 8, 12, 1), crops_per_image=4),
         _provenance((1, 4, 4, 1), crop_fraction=1.0),
-        [dict(row, image=image) for row, image in zip(
-            _provenance((3, 16, 16, 1), crops_per_image=1), (10_000, 123_456, 9_876_543))],
-        [],
+        _provenance((3, 16, 16, 1), images=(10_000, 123_456, 9_876_543), crops_per_image=1),
+        _provenance((3, 16, 16, 1))[:0],
     ], ids=["grid", "random", "rectangular", "one_crop", "wide_image_indices", "empty"])
     def test_bytes_are_those_of_sorted_indented_json(self, tmp_path, rows):
+        # the oracle: one dict of Python ints per row, through json itself
+        dicts = [{name: int(row[name]) for name in rows.dtype.names} for row in rows]
         path = tmp_path / "provenance.json"
         save_provenance(rows, path)
-        assert path.read_bytes() == (json.dumps(rows, indent=2, sort_keys=True)
+        assert path.read_bytes() == (json.dumps(dicts, indent=2, sort_keys=True)
                                      + "\n").encode()
-        assert json.loads(path.read_text()) == rows
+        assert json.loads(path.read_text()) == dicts

@@ -5,6 +5,8 @@ on the same published direction-number table; estimator targets come from
 closed-form variance decompositions in oracles.py.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -317,8 +319,8 @@ class TestConceptImportance:
 
 class TestBlockedEvaluator:
     """_mean_head_outputs streams (mask, row) pairs through the head in
-    blocks of at most max(1, chunk // p) rows, in mask-major order, through
-    one reused activation buffer."""
+    blocks of at most max(1, chunk // p) rows, in mask-major order, each
+    block's activations a new array."""
 
     # p = 20, 5 rows and 12 masks. Chunk 40 gives 2-row blocks, 60 gives
     # 3-row blocks over 3 masks an outer step, 140 gives 7-row blocks over 7
@@ -395,24 +397,22 @@ class TestBlockedEvaluator:
             np.testing.assert_array_equal(blocked_acts, acts)
             np.testing.assert_array_equal(out, full)
 
-    def test_inputs_share_one_buffer_so_a_head_keeps_copies(self):
+    @pytest.mark.parametrize("chunk", (1,) + CHUNKS)
+    def test_a_head_that_keeps_its_inputs_holds_each_blocks_activations(self, chunk):
         from craftkit.sobol import _mean_head_outputs
         U, W, masks = self.problem(24)
-        seen, copies = [], []
+        seen = []
 
         def head(acts):
             seen.append(acts)
-            copies.append(acts.copy())
             return acts[:, 0]
 
-        _mean_head_outputs(U, W, head, masks, 0.3, chunk=60)
-        assert len(seen) == 20  # 60 pairs in blocks of 3
-        # every call's input is the same buffer, overwritten by the next
-        # block, so only the copies still hold what the head was given
-        assert all(np.shares_memory(acts, seen[0]) for acts in seen)
+        _mean_head_outputs(U, W, head, masks, 0.3, chunk=chunk)
+        # no block is written over by a later one: the kept arrays still
+        # hold every (mask, row) pair's activations, in order
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(seen, 2))
         expected = np.concatenate([perturb(U, m, 0.3) @ W.T for m in masks])
-        np.testing.assert_array_equal(np.concatenate(copies), expected)
-        assert not np.array_equal(seen[0], copies[0])
+        np.testing.assert_array_equal(np.concatenate(seen), expected)
 
 
 class TestAffineHead:
@@ -505,6 +505,16 @@ class TestTcav:
         # without the check the empty mean warns and returns NaN scores
         with pytest.raises(ValueError, match="no gradient rows"):
             tcav_importance(np.zeros((0, 3)), np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["grads_A", "W"])
+    def test_non_finite_input_rejected(self, name, bad):
+        # unchecked, [[nan, 1], [1, inf]] against the identity scored [0, 0.5]
+        # with only a RuntimeWarning
+        args = {"grads_A": np.ones((3, 2)), "W": np.eye(2)}
+        args[name][1, 0] = bad
+        with pytest.raises(DataError, match=f"{name} contains NaN or Inf"):
+            tcav_importance(**args)
 
     def test_orthogonal_ties_break_to_zero(self):
         grads = np.tile([1.0, 0.0], (4, 1))
