@@ -4,9 +4,11 @@ A thin layer over ``pipeline``: each command parses its arguments, calls
 the library, and reads or writes run-directory files. Commands populate an
 output directory incrementally: ``fit`` writes the bank and coefficients,
 and on ``--model`` also the crops, their provenance and their activations
-(``build_concept_bank``); on ``--activations`` it runs ``fit_bank`` and
-writes no copy of its input; ``importance`` adds importance.json; ``explain``
-fills heatmaps/ in one attribution pass over all requested concepts;
+(``build_concept_bank``), the crops streamed block by block into a
+temporary directory and moved into the run once the fit is accepted; on
+``--activations`` it runs ``fit_bank`` and writes no copy of its input;
+``importance`` adds importance.json; ``explain`` fills heatmaps/ in one
+attribution pass over all requested concepts;
 ``fidelity`` writes curve CSVs; ``recurse`` adds a sub-bank directory;
 ``sanity`` compares banks from trained and weight-randomized models. Every
 bank directory is written by ``save_bank``, fit diagnostics included. Exit
@@ -38,7 +40,9 @@ nothing.
 import argparse
 import functools
 import math
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -124,7 +128,8 @@ def cmd_fit(args):
     nmf_params = NmfParams(rank=args.rank, outer_iters=args.outer_iters,
                            objective_tol=tol)
 
-    ctx = None
+    # the run directory is created only once the input is accepted, so a
+    # rejected fit writes nothing
     if args.activations is not None:
         given = [name for dest, name in _IMAGE_ROUTE.items()
                  if getattr(args, dest) is not None]
@@ -132,17 +137,22 @@ def cmd_fit(args):
             raise ValueError(f"--activations replaces the image route; drop {' '.join(given)}")
         bank, U = fit_bank(load_npy(Path(args.activations)), nmf_params,
                            args.layer or "external")
+        out.mkdir(parents=True, exist_ok=True)
     else:
         model, seed = _load_model(args.model, args.seed)
         images = _input_images(args, model, seed)
         target_class = 1 if args.target_class is None else args.target_class
-        bank, U, ctx = build_concept_bank(images, model, target_class, args.rank,
-                                          _crop_spec(args, model, seed), nmf_params,
-                                          layer=args.layer or "final")
-    # created only once the input is accepted, so a rejected fit writes nothing
-    out.mkdir(parents=True, exist_ok=True)
-    if ctx is not None:
-        save_npy(ctx["crops"], out / "crops.npy")
+        # the crops stream into a temporary directory in the deepest existing
+        # directory on the way to the run directory, the same file system,
+        # and move in once the fit is accepted; the directory goes either way
+        nearest = next(d for d in (out, *out.parents) if d.is_dir())
+        with tempfile.TemporaryDirectory(prefix=".craftkit-fit-", dir=nearest) as scratch:
+            crops = Path(scratch) / "crops.npy"
+            bank, U, ctx = build_concept_bank(images, model, target_class, args.rank,
+                                              _crop_spec(args, model, seed), nmf_params,
+                                              layer=args.layer or "final", crops_path=crops)
+            out.mkdir(parents=True, exist_ok=True)
+            os.replace(crops, out / "crops.npy")
         save_provenance(ctx["provenance"], out / "provenance.json")
         save_npy(ctx["activations"], out / "activations.npy")
 

@@ -7,6 +7,8 @@ being coerced: wrong magic, a malformed header or a payload of the wrong
 length is a FormatError, a declared feature outside this subset (version,
 dtype, Fortran order, rank) is an UnsupportedError, and non-finite or empty
 payloads are a DataError.
+NpyBlockWriter writes one file block by block, in the bytes save_npy
+writes for the whole stack.
 save_json writes the JSON sidecars kept next to them, load_json reads
 them, and load_record also checks the keys and value types of one; a
 sidecar that does not parse, or whose top level, key set or value types
@@ -143,13 +145,66 @@ def save_npy(arr, path):
     a = np.asarray(arr, dtype=np.float64)
     if a.ndim == 1:
         a = a.reshape(1, -1)
-    if a.ndim not in (2, 4):
-        raise ValueError(f"only 2-D or 4-D arrays can be saved, got shape {a.shape}")
-    if a.size == 0:
-        raise DataError("empty arrays are not supported")
-    # min and max propagate NaN and reach any infinity without allocating
-    if not (np.isfinite(a.min()) and np.isfinite(a.max())):
-        raise DataError("payload contains NaN or Inf")
+    _check_shape(a.shape)
+    _check_finite(a)
     with open(path, "wb") as fh:
         np.lib.format.write_array(fh, np.ascontiguousarray(a), version=(1, 0),
                                   allow_pickle=False)
+
+
+def _check_shape(shape):
+    if len(shape) not in (2, 4):
+        raise ValueError(f"only 2-D or 4-D arrays can be saved, got shape {shape}")
+    if math.prod(shape) == 0:
+        raise DataError("empty arrays are not supported")
+
+
+def _check_finite(a):
+    # min and max propagate NaN and reach any infinity without allocating
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+        raise DataError("payload contains NaN or Inf")
+
+
+class NpyBlockWriter:
+    """Write a 2-D or 4-D float64 stack as NPY v1.0, a block of rows at a time.
+
+    shape is the whole stack's; entering the writer opens path and writes
+    numpy's v1.0 header for it, and each write appends the next rows, so
+    the file's bytes are those save_npy writes for the whole stack. shape
+    and every block get save_npy's checks: a rank other than 2 or 4, or a
+    block whose rows do not continue the stack, is a ValueError, and an
+    empty shape or a non-finite block a DataError. Leaving the writer on an
+    exception, or with another row count than shape declares (a ValueError),
+    removes the file, so only a whole stack is ever left at path.
+    """
+
+    def __init__(self, path, shape):
+        self.path = path
+        self.shape = tuple(int(d) for d in shape)
+        _check_shape(self.shape)
+        self.rows = 0
+
+    def __enter__(self):
+        self._fh = open(self.path, "wb")
+        np.lib.format.write_array_header_1_0(
+            self._fh, {"descr": "<f8", "fortran_order": False, "shape": self.shape})
+        return self
+
+    def write(self, block):
+        a = np.asarray(block, dtype="<f8")
+        if a.shape[1:] != self.shape[1:]:
+            raise ValueError(f"a block of shape {a.shape} does not continue "
+                             f"a stack of shape {self.shape}")
+        if self.rows + len(a) > self.shape[0]:
+            raise ValueError(f"{self.rows + len(a)} rows for a stack of {self.shape[0]}")
+        _check_finite(a)
+        self._fh.write(np.ascontiguousarray(a).data)
+        self.rows += len(a)
+
+    def __exit__(self, exc_type, exc, tb):
+        self._fh.close()
+        short = exc_type is None and self.rows != self.shape[0]
+        if exc_type is not None or short:
+            os.unlink(self.path)
+        if short:
+            raise ValueError(f"{self.rows} rows written for a stack of {self.shape[0]}")

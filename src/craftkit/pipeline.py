@@ -6,9 +6,15 @@ vjp_features(x, cotangent, layer=None); a head is passed to fidelity_curves
 on its own, never read from the model. A bank stores unit-norm nonnegative
 concept vectors and the layer value they were fit at, which goes back to
 the model unchanged; coefficients live in the rows of U.
+
+Crops are cut and resized in blocks of about 2^16 floats by one private
+loop, which extract_crops runs into one stack. build_concept_bank runs
+the model on each block as soon as it is cut and keeps the crops in one
+stack, or appends each block to an NPY file when given a path for them.
 """
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +26,7 @@ from .errors import DataError, EmptySetError, InsufficientDataError
 from .implicit import jacobian_u_wrt_a
 from .nmf import NmfParams, fit_nmf
 from .nnls import solve_nnls
-from .npyio import load_npy, load_record, save_json, save_npy
+from .npyio import NpyBlockWriter, load_npy, load_record, save_json, save_npy
 from .sobol import _coefficients, _evaluate, _mean_head_outputs
 
 # fewest crops above the refinement threshold that recursive_decompose fits
@@ -183,8 +189,28 @@ def extract_crops(images, spec):
     besides it memory stays near one block; each crop is resized on its
     own, so the bytes do not depend on the blocking.
     """
+    provenance, shape, blocks = _crop_blocks(images, spec)
+    crops = np.empty(shape)
+    for _ in blocks(crops):
+        pass
+    return crops, provenance
+
+
+def _crop_blocks(images, spec, sources=None):
+    """Place the crops of the images at the indices sources (default: every
+    image, in order), and cut them block by block.
+
+    Returns (provenance, shape, blocks): provenance as extract_crops returns
+    it, with the sources' own indices in its image field, the crop stack's
+    shape, and blocks(out=None), a generator over consecutive blocks of
+    about 2^16 crop floats. It reads each block's windows through a view of
+    the images, resizes them into out's rows of the block when out is
+    given, else into a new array, and yields (rows, crops): the slice of
+    the stack and the crops in it.
+    """
     images = as_tensor4(images, "images")
     n, h, w, c = images.shape
+    sources = np.arange(n) if sources is None else sources
     side_y = int(round(spec.crop_fraction * h))
     side_x = int(round(spec.crop_fraction * w))
     if side_y < 1 or side_x < 1:
@@ -198,26 +224,31 @@ def extract_crops(images, spec):
         ys = _grid_positions(h, side_y, per_axis)
         xs = _grid_positions(w, side_x, per_axis)
         grid = np.array([(y, x) for y in ys for x in xs][:spec.crops_per_image])
-        per_image, corners = len(grid), np.tile(grid, (n, 1))
+        per_image, corners = len(grid), np.tile(grid, (len(sources), 1))
     else:
         # row by row, y then x: the draws of one scalar integers call each
         gen = Rng(spec.seed, stream=11).generator()
         per_image = spec.crops_per_image
         corners = gen.integers(0, (h - side_y + 1, w - side_x + 1),
-                               size=(n * per_image, 2))
-    idx = np.repeat(np.arange(n), per_image)
+                               size=(len(sources) * per_image, 2))
+    idx = np.repeat(sources, per_image)
     top, left = corners.T
-    # (n, positions y, positions x, side_y, side_x, c), a view of the images
-    windows = np.moveaxis(sliding_window_view(images, (side_y, side_x), axis=(1, 2)), 3, -1)
-    crops = np.empty((len(idx), out_h, out_w, c))
-    block = max(1, _BLOCK_FLOATS // max(out_h * out_w * c, 1))
-    for start in range(0, len(idx), block):
-        cut = slice(start, start + block)
-        _resize_into(windows[idx[cut], top[cut], left[cut]], crops[cut])
     provenance = np.empty(len(idx), _PROVENANCE)
     provenance["image"], provenance["y0"], provenance["x0"] = idx, top, left
     provenance["h"], provenance["w"] = side_y, side_x
-    return crops, provenance
+    shape = (len(idx), out_h, out_w, c)
+    # (n, positions y, positions x, side_y, side_x, c), a view of the images
+    windows = np.moveaxis(sliding_window_view(images, (side_y, side_x), axis=(1, 2)), 3, -1)
+    step = max(1, _BLOCK_FLOATS // max(out_h * out_w * c, 1))
+
+    def blocks(out=None):
+        for start in range(0, len(idx), step):
+            rows = slice(start, start + step)
+            crops = np.empty((len(idx[rows]),) + shape[1:]) if out is None else out[rows]
+            _resize_into(windows[idx[rows], top[rows], left[rows]], crops)
+            yield rows, crops
+
+    return provenance, shape, blocks
 
 
 def select_class_set(predictions, target_class):
@@ -250,22 +281,40 @@ def fit_bank(activations, nmf_params, layer, bank_id="bank", parent=None):
 
 
 def build_concept_bank(images, model, target_class, r, spec=None, nmf_params=None,
-                       layer=None):
+                       layer=None, crops_path=None):
     """Fit a concept bank on crops of the images the model assigns to a class.
 
     Returns (bank, U, context); the bank's layer_tag is layer, unchanged, and
-    context carries the crops, provenance and activations for later stages.
+    context carries the provenance and activations for later stages. The
+    crops are cut, as extract_crops cuts them, in blocks of about 2^16
+    floats, and model.features encodes each block as soon as it is cut.
+    With crops_path None, the blocks are resized straight into one stack,
+    context["crops"]. Given a path, each block is appended to an NPY file
+    there instead (NpyBlockWriter; the same bytes as save_npy of the stack),
+    complete before the fit starts, and context has no "crops": memory holds
+    one block of crops besides the activations and the provenance.
     """
     spec = spec or CropSpec()
-    idx = select_class_set(model.predict(images), target_class)
-    crops, provenance = extract_crops(np.asarray(images)[idx], spec)
-    provenance["image"] = idx[provenance["image"]]
-    activations = model.features(crops, layer=layer)
     params = nmf_params or NmfParams(rank=r)
     if params.rank != r:
         raise ValueError("nmf_params.rank disagrees with r")
+    idx = select_class_set(model.predict(images), target_class)
+    provenance, shape, blocks = _crop_blocks(images, spec, idx)
+    stack = np.empty(shape) if crops_path is None else None
+    writer = nullcontext() if crops_path is None else NpyBlockWriter(crops_path, shape)
+    activations = None
+    with writer as file:
+        for rows, crops in blocks(stack):
+            features = model.features(crops, layer=layer)
+            if activations is None:
+                activations = np.empty((len(provenance),) + np.shape(features)[1:])
+            activations[rows] = features
+            if file is not None:
+                file.write(crops)
     bank, U = fit_bank(activations, params, layer)
-    context = {"crops": crops, "provenance": provenance, "activations": activations}
+    context = {"provenance": provenance, "activations": activations}
+    if stack is not None:
+        context["crops"] = stack
     return bank, U, context
 
 

@@ -60,11 +60,14 @@ class TestFit:
         (["fit", "--model", "toy:7", "--rank", "2", "--images", "small.npy"], 2),
         (["fit", "--model", "toy:7", "--rank", "2", "--n-images", "0"], 2),
         (["fit", "--model", "toy:abc", "--rank", "2"], 2),
+        # toy2 has two final features, so fit_nmf rejects rank 3, but only
+        # after every crop has been cut and streamed to a temporary file
+        (["fit", "--model", "toy2:7", "--rank", "3"], 2),
     ], ids=["fit_rank_0", "crop_fraction_2", "crops_per_image_0", "missing_activations",
             "sanity_rank_0", "activations_images", "activations_class",
             "activations_crop_mode", "activations_crop_fraction",
             "activations_crops_per_image", "images_of_another_size", "n_images_0",
-            "bad_toy_seed"])
+            "bad_toy_seed", "rank_above_features"])
     def test_rejected_run_writes_nothing(self, tmp_path, monkeypatch, argv, code):
         monkeypatch.chdir(tmp_path)
         save_npy(np.zeros((3, 12, 12, 1)), tmp_path / "small.npy")
@@ -73,6 +76,19 @@ class TestFit:
         assert main(argv[:1] + ["--n-images", "20"] + argv[1:]
                     + ["--out", str(out)]) == code
         assert not out.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["small.npy"]
+
+    def test_rejected_fit_leaves_an_existing_run_as_it_was(self, tmp_path):
+        out = tmp_path / "run"
+        base = ["--model", "toy2:7", "--n-images", "40", "--out", str(out)]
+        assert main(["fit", "--rank", "2"] + base) == 0
+        before = {rel: (out / rel).read_bytes() for rel in run_dir_files(out)}
+        assert main(["fit", "--rank", "3", "--crop-mode", "random"] + base) == 2
+        assert {rel: (out / rel).read_bytes() for rel in run_dir_files(out)} == before
+        # no temporary file or directory beside the run or inside it
+        assert [p.name for p in tmp_path.iterdir()] == ["run"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            {rel.split("/")[0] for rel in before})
 
     def test_crafted_activations_header_is_data_error(self, tmp_path, capsys):
         # a bool dimension, which escaped the reader as a TypeError (exit 1)

@@ -13,7 +13,7 @@ import pytest
 import craftkit
 from craftkit.core import Rng
 from craftkit.errors import DataError, FormatError, UnsupportedError
-from craftkit.npyio import load_npy, save_json, save_npy
+from craftkit.npyio import NpyBlockWriter, load_npy, save_json, save_npy
 
 
 def write_raw_npy(path, descr, fortran_order, shape, payload, version=(1, 0)):
@@ -250,6 +250,70 @@ class TestSaveRoundTrip:
             save_npy(m, path)
             out = load_npy(path)
             assert out.tobytes() == m.tobytes()
+
+
+class TestBlockWriter:
+    """NpyBlockWriter writes the bytes of save_npy on the whole stack, and
+    leaves no file when a block or the row count is rejected."""
+
+    @pytest.mark.parametrize("shape, sizes", [
+        ((10, 3), [4, 4, 2]),
+        ((10, 3), [1, 6, 3]),
+        ((13, 5, 4, 2), [5, 5, 3]),
+        ((13, 5, 4, 2), [13]),
+        ((7, 2, 3, 1), [1, 1, 4, 1]),
+    ], ids=["2d_partial_last", "2d_uneven", "4d_partial_last", "4d_one_block",
+            "4d_single_rows"])
+    def test_bytes_equal_save_npy_of_the_stack(self, tmp_path, shape, sizes):
+        a = np.random.default_rng(5).normal(size=shape)
+        with NpyBlockWriter(tmp_path / "blocks.npy", shape) as writer:
+            start = 0
+            for size in sizes:
+                writer.write(a[start:start + size])
+                start += size
+        save_npy(a, tmp_path / "whole.npy")
+        assert (tmp_path / "blocks.npy").read_bytes() == (tmp_path / "whole.npy").read_bytes()
+
+    def _write(self, path, shape, blocks):
+        with NpyBlockWriter(path, shape) as writer:
+            for block in blocks:
+                writer.write(block)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_leaves_no_file(self, tmp_path, bad):
+        second = np.ones((2, 3, 3, 1))
+        second.flat[5] = bad
+        path = tmp_path / "bad.npy"
+        with pytest.raises(DataError, match="NaN or Inf"):
+            self._write(path, (4, 3, 3, 1), [np.ones((2, 3, 3, 1)), second])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("sizes, match", [
+        ([3, 3], "6 rows written for a stack of 7"),
+        ([4, 4], "8 rows for a stack of 7"),
+        ([], "0 rows written for a stack of 7"),
+    ], ids=["too_few", "too_many", "none"])
+    def test_wrong_row_count_leaves_no_file(self, tmp_path, sizes, match):
+        path = tmp_path / "rows.npy"
+        with pytest.raises(ValueError, match=match):
+            self._write(path, (7, 2), [np.ones((size, 2)) for size in sizes])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("block", [np.ones((2, 3)), np.ones((2, 2, 1)), np.ones(2)],
+                             ids=["wider", "other_rank", "one_d"])
+    def test_block_that_does_not_continue_the_stack(self, tmp_path, block):
+        path = tmp_path / "shape.npy"
+        with pytest.raises(ValueError, match="does not continue"):
+            self._write(path, (4, 2), [np.ones((1, 2)), block])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("shape, error", [
+        ((6,), ValueError), ((2, 3, 4), ValueError), ((0, 4), DataError),
+        ((3, 0, 2, 1), DataError)], ids=["one_d", "three_d", "no_rows", "no_columns"])
+    def test_shape_rejected_before_a_file_is_opened(self, tmp_path, shape, error):
+        with pytest.raises(error):
+            NpyBlockWriter(tmp_path / "never.npy", shape)
+        assert not (tmp_path / "never.npy").exists()
 
 
 def test_save_json_leaves_no_file_for_a_value_json_cannot_encode(tmp_path):

@@ -20,6 +20,7 @@ from craftkit.pipeline import (ConceptBank, CropSpec, bilinear_resize,
                                concept_percentile_threshold, extract_crops,
                                fidelity_curves, load_bank, recursive_decompose,
                                save_bank, save_provenance, select_class_set)
+from craftkit.npyio import save_npy
 from craftkit.sobol import AffineHead, concept_importance
 from craftkit.toy import (make_synthetic_dataset, pair_backbone, standard_backbone,
                           two_layer_backbone)
@@ -284,6 +285,54 @@ class TestBuildConceptBank:
                                                              objective_tol=1e-8))
         direction = model.template_directions()[0]
         assert float(direction @ bank.W[:, 0]) > 0.95
+
+
+class TestStreamedConceptBank:
+    """build_concept_bank with a crops path writes the crops block by block
+    to an NPY file and returns what it returns without one."""
+
+    @pytest.fixture(scope="class")
+    def toy2_images(self):
+        return make_synthetic_dataset(two_layer_backbone(), 80, noise=0.02, seed=3).images
+
+    @pytest.mark.parametrize("spec", [
+        CropSpec(resize_to=(16, 16), seed=3),
+        CropSpec(mode="random", crops_per_image=13, resize_to=(16, 16), seed=3),
+    ], ids=["grid", "random_13"])
+    def test_same_bank_and_crops_as_the_stack(self, tmp_path, toy2_images, spec):
+        model = two_layer_backbone()
+        params = NmfParams(rank=2, objective_tol=1e-4)
+        bank, U, ctx = build_concept_bank(toy2_images, model, 1, 2, spec, params, "final")
+        path = tmp_path / "crops.npy"
+        s_bank, s_U, s_ctx = build_concept_bank(toy2_images, model, 1, 2, spec, params,
+                                                "final", crops_path=path)
+        # two or more blocks of 256 crops, the last one partial
+        assert len(U) > 256 and len(U) % 256
+        assert "crops" not in s_ctx
+        assert (s_bank.fit_objective, s_bank.outer_iters, s_bank.nnls_steps) == (
+            bank.fit_objective, bank.outer_iters, bank.nnls_steps)
+        for a, b in [(s_bank.W, bank.W), (s_U, U), (s_ctx["activations"], ctx["activations"]),
+                     (s_ctx["provenance"], ctx["provenance"])]:
+            assert a.tobytes() == b.tobytes()
+        save_npy(ctx["crops"], tmp_path / "stack.npy")
+        assert path.read_bytes() == (tmp_path / "stack.npy").read_bytes()
+
+    def test_streamed_peak_is_below_the_crop_stack(self, tmp_path):
+        # 3200 toy2 crops of 6.6 MB; only a block of them is held at a time
+        import tracemalloc
+        model = two_layer_backbone()
+        images = make_synthetic_dataset(model, 400, noise=0.02, seed=1).images
+        spec = CropSpec(resize_to=(16, 16), seed=1)
+        tracemalloc.start()
+        try:
+            _, _, ctx = build_concept_bank(images, model, 1, 2, spec, layer="final",
+                                           crops_path=tmp_path / "crops.npy")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack_bytes = len(ctx["provenance"]) * 16 * 16 * 8
+        assert stack_bytes > 6e6
+        assert peak < stack_bytes, peak
 
 
 class TestPercentileSelection:
