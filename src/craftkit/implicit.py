@@ -6,11 +6,12 @@ from the first-order conditions restricted to the free coordinates: for each
 row, dU restricted to the free set I solves G_II dU_I = W_I^T dA, with
 G = W^T W. Rows of dU on clamped coordinates are identically zero. These
 are the reduced systems the NNLS solver itself solves at every pivoting
-step, so the Jacobian reuses its batched, padded r x r solve, and checks
-once, at construction, that every block G_II is nonsingular. That check
-is one eigvalsh of G itself: by Cauchy interlacing a principal block has
-its eigenvalues between G's extreme ones, so when G passes the rank test
-every block does too. Only a rank-deficient G is checked block by block.
+step, so the Jacobian reuses its solve (one compact k x k system per row,
+batched by k), and checks once, at construction, that every block G_II
+is nonsingular. That check is one eigvalsh of G itself: by Cauchy
+interlacing a principal block has its eigenvalues between G's extreme
+ones, so when G passes the rank test every block does too. Only a
+rank-deficient G is checked block by block.
 
 Only transform mode is implemented: the bank W stays fixed and only the
 coefficients move. That is the map CRAFT's concept attribution maps chain
@@ -42,12 +43,12 @@ class ConceptJacobian:
     optimality-condition Jacobian of Blondel et al., "Efficient and Modular
     Implicit Differentiation", arXiv 2105.15183). jvp, vjp and the dense
     form each go through the NNLS solver's own batched reduced solve, one
-    padded r x r system per row; G_II is symmetric, so the adjoint solves
-    the same systems. A numerically singular block (linearly dependent or
-    zero columns among the free concepts) raises NumericalError at
-    construction, naming the first such row and its concepts. The dense
-    matrix is not built at construction; ``dense_form`` builds it on first
-    read.
+    compact system G_II per row, batched by the size of I; G_II is
+    symmetric, so the adjoint solves the same systems. A numerically
+    singular block (linearly dependent or zero columns among the free
+    concepts) raises NumericalError at construction, naming the first such
+    row and its concepts. The dense matrix is not built at construction;
+    ``dense_form`` builds it on first read.
     """
 
     def __init__(self, W, inactive):

@@ -8,22 +8,23 @@ step solves the reduced system G_FF u_F = (A W)_F with u = 0 off F, and
 the gradient y = u G - A W then marks the infeasible coordinates, passive
 ones with u < 0 and clamped ones with y < 0, which swap sides. A row is
 finished when none is left, and its solution is then exact to rounding.
-Every unfinished row with a nonempty passive set is solved in one
-batched LAPACK call per step. A cold start takes its first step in
-closed form: at u = 0 the gradient is -A W, so the passive sets become
-A W > 0, and a row with no such coordinate finishes at u = 0; the step is
-counted like any other. The loop then carries only the unfinished rows,
-their passive sets, A W rows and exchange counters in compact arrays, and
-writes a row's coefficients and support once, when it finishes or when
-the step budget runs out. The exchange rule is Kim and Park's ("Fast
-nonnegative matrix factorization: an active-set-like method and
-comparisons", SIAM J. Sci. Comput. 33(6), 2011): a row swaps all of its
-infeasible coordinates while their count falls, three more times when
-it does not, and after that only its last infeasible index, which
-bounds cycling. Warm starts reuse the previous
-support U > 0, so an alternating factorization re-pivots only the rows
-whose support moved. The multipliers of U >= 0 are the clipped gradient
-on the clamped set, which downstream implicit differentiation requires.
+Each unfinished row with a nonempty passive set of k coordinates solves
+its own compact k x k system, and the rows are batched by k: one LAPACK
+call per k and per block of rows on each step. A cold start takes its
+first step in closed form: at u = 0 the gradient is -A W, so the passive
+sets become A W > 0, and a row with no such coordinate finishes at
+u = 0; the step is counted like any other. The loop then carries only
+the unfinished rows, their passive sets, A W rows and exchange counters
+in compact arrays, and writes a row's coefficients and support once,
+when it finishes or when the step budget runs out. The exchange rule is
+Kim and Park's ("Fast nonnegative matrix factorization: an active-set-like
+method and comparisons", SIAM J. Sci. Comput. 33(6), 2011): a row swaps
+all of its infeasible coordinates while their count falls, three more
+times when it does not, and after that only its last infeasible index,
+which bounds cycling. Warm starts reuse the previous support U > 0, so
+an alternating factorization re-pivots only the rows whose support
+moved. The multipliers of U >= 0 are the clipped gradient on the clamped
+set, which downstream implicit differentiation requires.
 A itself enters only through A W: a NaN or infinity in A makes A W
 non-finite, so A is scanned for one only when A W is not finite.
 """
@@ -34,8 +35,9 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 
-# matrix entries per batched reduced solve: the stack of padded r x r
-# systems goes through in row blocks of this many floats (128 KiB)
+# matrix entries per batched reduced solve: the rows with k free
+# coordinates go through in blocks of this many floats of k x k systems
+# (128 KiB)
 _SOLVE_FLOATS = 1 << 14
 
 # full exchanges a row may make without reducing its infeasible count
@@ -218,35 +220,43 @@ def _rank_deficient(lowest, highest, k):
 def _reduced_solve(AW, G, free, rows):
     """Solve every row's reduced Gram system G_FF u_F = (A W)_F, u = 0 off F.
 
-    All rows are solved by one batched LAPACK call over r x r systems: the
-    free block of a row's system is G_FF, and each clamped coordinate gets
-    an identity row and column with a zero right-hand side. A row whose
-    free set is empty has u = 0 exactly, which is what that system would
-    return, so it gets no system at all. The other rows go through in
-    blocks of _SOLVE_FLOATS matrix entries (at least one row), so the
-    stack of systems stays small. A singular system or a non-finite
-    solution raises NumericalError naming the rows, by their indices in
+    A row with k free coordinates gets its own compact k x k system G_FF,
+    and its clamped coordinates are exact zeros. One count of the rows by
+    k forms the groups, each in row order, and each group goes to LAPACK
+    in blocks of _SOLVE_FLOATS matrix entries (at least one row), one
+    system per row: no factorization is shared. A row whose free set is
+    empty has u = 0 exactly and gets no system at all, and when every row
+    has every coordinate free, each solves G itself through views, with
+    no gathers. A singular system or a non-finite solution raises
+    NumericalError naming the rows, in row order, by their indices in
     ``rows``.
     """
     n, r = free.shape
     x = np.zeros((n, r))
-    identity = np.eye(r)
-    busy = free.any(axis=1).nonzero()[0]
-    step = max(1, _SOLVE_FLOATS // (r * r))
-    # most calls solve every row in one block, through views, not gathers
-    blocks = ([slice(None)] if busy.size == n <= step else
-              [busy[start:start + step] for start in range(0, busy.size, step)])
-    for at in blocks:
-        block = free[at]
-        systems = np.where(block[:, :, None] & block[:, None, :], G, identity)
-        rhs = np.where(block, AW[at], 0.0)
-        try:
-            x[at] = np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            # LAPACK only reports that some system is singular: name the
-            # rank-deficient ones, or the whole block if none looks it
-            singular = np.linalg.matrix_rank(systems) < r
-            x[np.arange(n)[at][singular | ~singular.any()]] = np.nan
+    size = free.sum(axis=1)
+    counts = np.bincount(size, minlength=r + 1).tolist()
+    if counts[r] == n:
+        # no gathers: each row solves G itself, in blocks of views
+        step = max(1, _SOLVE_FLOATS // (r * r))
+        for start in range(0, n, step):
+            x[start:start + step] = _solve_stack(G, AW[start:start + step])
+    else:
+        for k in range(1, r + 1):
+            if not counts[k]:
+                continue
+            group = np.arange(n) if counts[k] == n else (size == k).nonzero()[0]
+            step = max(1, _SOLVE_FLOATS // (k * k))
+            for start in range(0, counts[k], step):
+                at = group[start:start + step]
+                if k == r:
+                    x[at] = _solve_stack(G, AW.take(at, axis=0))
+                else:
+                    # each row's free entries, k per row, as flat indices
+                    i, cols = free.take(at, axis=0).nonzero()
+                    flat = at[i] * r + cols
+                    cols = cols.reshape(-1, k)
+                    systems = G[cols[:, :, None], cols[:, None, :]]
+                    x.put(flat, _solve_stack(systems, AW.take(flat).reshape(-1, k)))
     if not np.isfinite(x).all():
         failed = np.flatnonzero(~np.isfinite(x).all(axis=1))
         raise NumericalError(
@@ -254,6 +264,20 @@ def _reduced_solve(AW, G, free, rows):
             f"finite solution: the bank's columns on their supports are linearly "
             f"dependent, or the data overflow")
     return x
+
+
+def _solve_stack(systems, rhs):
+    """Row i of rhs (m x k) solved against systems[i], or against systems
+    itself when it is one k x k matrix, by one batched LAPACK call. LAPACK
+    only reports that some system is singular, so then the rank-deficient
+    systems' rows are NaN, or every row when none looks it.
+    """
+    try:
+        return np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        m, k = rhs.shape
+        singular = np.linalg.matrix_rank(np.broadcast_to(systems, (m, k, k))) < k
+        return np.where((singular | ~singular.any())[:, None], np.nan, np.zeros((m, k)))
 
 
 def _kkt_max(stationarity, U, dual_U):

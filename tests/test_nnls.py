@@ -132,6 +132,68 @@ class TestReducedSolve:
         with pytest.raises(NumericalError, match=r"rows \[4, 6\]"):
             _reduced_solve(A @ W, W.T @ W, free, np.array([4, 5, 6]))
 
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_compact_systems_give_the_padded_bytes_at_r_up_to_2(self, r):
+        # a 1 x 1 free block inside a padded 2 x 2 system is eliminated by
+        # the same operations as on its own, so at r <= 2 the compact
+        # systems reproduce the padded ones bit for bit
+        rng = np.random.default_rng(37 + r)
+        n, p = 300, 12
+        W = rng.uniform(size=(p, r))
+        AW = (rng.uniform(size=(n, p)) * rng.uniform(0.1, 10.0, size=(n, 1))) @ W
+        free = rng.uniform(size=(n, r)) < 0.6
+        free[::7] = False
+        assert len(set(free.sum(axis=1))) == r + 1
+        x = _reduced_solve(AW, W.T @ W, free, np.arange(n))
+        assert x.tobytes() == padded_reference(AW, W.T @ W, free).tobytes()
+
+    def test_every_free_count_at_r_25_matches_per_row_solves(self):
+        # free counts 0 to 25, three rows each, plus 40 rows with every
+        # coordinate free, which cross a 26-row block at k = 25
+        rng = np.random.default_rng(43)
+        r, p = 25, 60
+        W = rng.uniform(size=(p, r))
+        G = W.T @ W
+        counts = np.r_[np.repeat(np.arange(r + 1), 3), np.full(40, r)]
+        free = np.zeros((counts.size, r), dtype=bool)
+        for row, k in enumerate(rng.permutation(counts)):
+            free[row, rng.choice(r, size=k, replace=False)] = True
+        n = len(free)
+        assert set(free.sum(axis=1)) == set(range(r + 1))
+        AW = rng.uniform(size=(n, p)) @ W
+        U_ref = np.zeros((n, r))
+        for row in range(n):
+            F = np.flatnonzero(free[row])
+            if F.size:
+                U_ref[row, F] = np.linalg.solve(G[np.ix_(F, F)], AW[row, F])
+        U_red = _reduced_solve(AW, G, free, np.arange(n))
+        tol = 100 * np.linalg.cond(G) * np.finfo(np.float64).eps
+        row_scale = np.abs(U_ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(U_red - U_ref) <= tol * row_scale)
+        assert not U_red[~free].any()
+
+    @pytest.mark.parametrize("density", [0.5, 1.0])
+    def test_block_size_does_not_change_the_bytes(self, monkeypatch, density):
+        # 16 floats per block: 16 rows at k = 1, 4 at k = 2, one row beyond
+        rng = np.random.default_rng(47)
+        n, p, r = 200, 10, 6
+        W = rng.uniform(size=(p, r))
+        AW = rng.uniform(size=(n, p)) @ W
+        free = rng.uniform(size=(n, r)) < density
+        x = _reduced_solve(AW, W.T @ W, free, np.arange(n))
+        monkeypatch.setattr(nnls, "_SOLVE_FLOATS", 16)
+        assert _reduced_solve(AW, W.T @ W, free, np.arange(n)).tobytes() == x.tobytes()
+
+    def test_singular_blocks_in_two_free_counts_are_named_in_row_order(self):
+        # columns 0 and 1 are equal: the 3 x 3 block of row 0 and the 2 x 2
+        # block of row 3 are singular; rows 1, 2 and 4 are solvable or empty
+        W = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0], [0.5, 0.5, 3.0]])
+        A = np.random.default_rng(53).uniform(size=(5, 3))
+        free = np.array([[True, True, True], [False, False, False], [False, False, True],
+                         [True, True, False], [True, False, True]])
+        with pytest.raises(NumericalError, match=r"rows \[10, 13\] "):
+            _reduced_solve(A @ W, W.T @ W, free, np.arange(10, 15))
+
     def test_empty_free_sets_are_exact_zeros_without_lapack(self, monkeypatch):
         W = np.random.default_rng(1).uniform(size=(5, 3))
         AW = np.random.default_rng(2).uniform(size=(4, 5)) @ W
@@ -144,12 +206,20 @@ class TestReducedSolve:
         assert x.tobytes() == np.zeros((4, 3)).tobytes()
 
 
+def padded_reference(AW, G, free):
+    """Every row's reduced system padded to r x r: G_FF on the free block,
+    an identity row and column with a zero right-hand side on each clamped
+    coordinate, all rows in one batched LAPACK call."""
+    systems = np.where(free[:, :, None] & free[:, None, :], G, np.eye(free.shape[1]))
+    return np.linalg.solve(systems, np.where(free, AW, 0.0)[:, :, None])[:, :, 0]
+
+
 def every_pass_pivoting(A, W):
     """solve_nnls's block principal pivoting with no pass left out: the
-    backup-rule pass, the compaction of the unfinished rows and a LAPACK
-    solve of every row's padded system, empty free sets included, run on
-    every step. Shares only the ridge and the residual with the solver.
-    Returns (U, dual_U, iterations, kkt_residual)."""
+    backup-rule pass, the compaction of the unfinished rows and the
+    per-row solve of every row's compact free block, each with its own
+    np.linalg.solve, run on every step. Shares only the ridge and the
+    residual with the solver. Returns (U, dual_U, iterations, kkt_residual)."""
     G, AW = W.T @ W, A @ W
     G_pivot = nnls._pivot_gram(G)
     n, r = AW.shape
@@ -160,8 +230,11 @@ def every_pass_pivoting(A, W):
     while todo.size and iterations < nnls._MAX_PIVOTS:
         iterations += 1
         free = passive[todo]
-        systems = np.where(free[:, :, None] & free[:, None, :], G_pivot, np.eye(r))
-        x = np.linalg.solve(systems, np.where(free, AW[todo], 0.0)[:, :, None])[:, :, 0]
+        x = np.zeros((todo.size, r))
+        for i, row in enumerate(todo):
+            F = np.flatnonzero(free[i])
+            if F.size:
+                x[i, F] = np.linalg.solve(G_pivot[np.ix_(F, F)], AW[row, F])
         y = x @ G_pivot - AW[todo]
         U[todo], support[todo] = x, free
         infeasible = np.where(free, x < 0.0, y < 0.0)
