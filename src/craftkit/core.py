@@ -11,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 _U64 = np.uint64
-# floats per block of the image route (512 KiB, inside a 2 MiB L2 cache):
-# extract_crops writes about this many crop floats at a time, and
-# ToyBackbone.features half as many correlation-map floats plus their
-# rectified copy
+# floats per block (512 KiB, inside a 2 MiB L2 cache): extract_crops writes
+# about this many crop floats at a time, ToyBackbone.features half as many
+# correlation-map floats plus their rectified copy, and concept_importance
+# this many perturbed coefficients or head activations
 _BLOCK_FLOATS = 1 << 16
 
 

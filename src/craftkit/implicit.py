@@ -6,12 +6,12 @@ from the first-order conditions restricted to the free coordinates: for each
 row, dU restricted to the free set I solves G_II dU_I = W_I^T dA, with
 G = W^T W. Rows of dU on clamped coordinates are identically zero. These
 are the reduced systems the NNLS solver itself solves at every pivoting
-step, so the Jacobian reuses its solve (one compact k x k system per row,
-batched by k), and checks once, at construction, that every block G_II
-is nonsingular. That check is one eigvalsh of G itself: by Cauchy
-interlacing a principal block has its eigenvalues between G's extreme
-ones, so when G passes the rank test every block does too. Only a
-rank-deficient G is checked block by block.
+step, so the Jacobian's one product, its VJP, reuses that solve (one
+compact k x k system per row, batched by k), and the Jacobian checks once,
+at construction, that every block G_II is nonsingular. That check is one
+eigvalsh of G itself: by Cauchy interlacing a principal block has its
+eigenvalues between G's extreme ones, so when G passes the rank test every
+block does too. Only a rank-deficient G is checked block by block.
 
 Only transform mode is implemented: the bank W stays fixed and only the
 coefficients move. That is the map CRAFT's concept attribution maps chain
@@ -41,14 +41,13 @@ class ConceptJacobian:
     Row-local: perturbing one row of A only moves the same row of U, on
     that row's free set I, through the reduced Gram system G_II (the
     optimality-condition Jacobian of Blondel et al., "Efficient and Modular
-    Implicit Differentiation", arXiv 2105.15183). jvp, vjp and the dense
-    form each go through the NNLS solver's own batched reduced solve, one
-    compact system G_II per row, batched by the size of I; G_II is
-    symmetric, so the adjoint solves the same systems. A numerically
-    singular block (linearly dependent or zero columns among the free
-    concepts) raises NumericalError at construction, naming the first such
-    row and its concepts. The dense matrix is not built at construction;
-    ``dense_form`` builds it on first read.
+    Implicit Differentiation", arXiv 2105.15183). Its one product is the
+    adjoint, vjp, which goes through the NNLS solver's own batched reduced
+    solve, one compact system G_II per row, batched by the size of I. A
+    numerically singular block (linearly dependent or zero columns among
+    the free concepts) raises NumericalError at construction, naming the
+    first such row and its concepts. The dense matrix is not built at
+    construction; ``dense_form`` builds it from vjp on first read.
     """
 
     def __init__(self, W, inactive):
@@ -58,13 +57,6 @@ class ConceptJacobian:
         self.p = self.W.shape[0]
         self.gram = self.W.T @ self.W
         _check_reduced_blocks(self.gram, self.inactive)
-
-    def jvp(self, dA):
-        """dU for a perturbation dA of the input rows."""
-        dA = np.asarray(dA, dtype=np.float64)
-        if dA.shape != (self.n, self.p):
-            raise ValueError(f"dA must be {(self.n, self.p)}, got {dA.shape}")
-        return _reduced_solve(dA @ self.W, self.gram, self.inactive, np.arange(self.n))
 
     def vjp(self, cotangent):
         """Adjoint map: cotangent on U (n x r) back to the input (n x p)."""
@@ -77,17 +69,16 @@ class ConceptJacobian:
     def dense_form(self):
         """The full (n r) x (n p) matrix, built on first read and then kept.
 
-        None when its n^2 r p entries would number more than 10^6.
+        None when its n^2 r p entries would number more than 10^6. Row c
+        of row i's diagonal block G_II^-1 W_I^T is row i of the vjp of
+        concept c's one-hot cotangent, zero where c is clamped.
         """
         n, r, p = self.n, self.r, self.p
         if n**2 * r * p > _DENSE_LIMIT:
             return None
-        # row i's diagonal block G_II^-1 W_I^T, one column of W^T at a time
-        blocks = _reduced_solve(np.tile(self.W, (n, 1)), self.gram,
-                                np.repeat(self.inactive, p, axis=0),
-                                np.repeat(np.arange(n), p))
         J = np.zeros((n, r, n, p))
-        J[np.arange(n), :, np.arange(n), :] = blocks.reshape(n, p, r).transpose(0, 2, 1)
+        for c, onehot in enumerate(np.eye(r)):
+            J[np.arange(n), c, np.arange(n)] = self.vjp(np.tile(onehot, (n, 1)))
         return J.reshape(n * r, n * p)
 
 
@@ -104,17 +95,12 @@ def _check_reduced_blocks(gram, free):
     covers every distinct free pattern: G masked to a pattern with k free
     concepts has the eigenvalues of G_II plus r - k zeros, so entry r - k
     of its sorted eigenvalues is the smallest of G_II. Rows with nothing
-    free have no block. The distinct patterns are found by a 1-D unique
-    over each row's packed bits read as one fixed-width byte string, which
-    keeps np.unique(free, axis=0)'s first indices at a fraction of its
-    cost.
+    free have no block.
     """
     eigvals = np.linalg.eigvalsh(gram)
     if not _rank_deficient(eigvals[0], eigvals[-1], gram.shape[0]):
         return
-    packed = np.packbits(free, axis=1)
-    _, first = np.unique(packed.view(f"S{packed.shape[1]}").ravel(), return_index=True)
-    patterns = free[first]
+    patterns, first = np.unique(free, axis=0, return_index=True)
     k = patterns.sum(axis=1)
     patterns, first, k = patterns[k > 0], first[k > 0], k[k > 0]
     masked = np.where(patterns[:, :, None] & patterns[:, None, :], gram, 0.0)

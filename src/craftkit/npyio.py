@@ -7,8 +7,8 @@ being coerced: wrong magic, a malformed header or a payload of the wrong
 length is a FormatError, a declared feature outside this subset (version,
 dtype, Fortran order, rank) is an UnsupportedError, and non-finite or empty
 payloads are a DataError.
-NpyBlockWriter writes one file block by block, in the bytes save_npy
-writes for the whole stack.
+NpyBlockWriter writes one file block by block, and save_npy writes a
+whole stack through it as one block.
 save_json writes the JSON sidecars kept next to them, load_json reads
 them, and load_record also checks the keys and value types of one; a
 sidecar that does not parse, or whose top level, key set or value types
@@ -138,18 +138,18 @@ def save_npy(arr, path):
 
     1-D input is saved as a single-row matrix. An array of another rank is
     a ValueError, and an empty or non-finite one a DataError, so every file
-    written here loads again through load_npy. The header and payload are
-    numpy's own v1.0 writer's (np.lib.format.write_array), and a round trip
-    reproduces the float64 data bit-exactly.
+    written here loads again through load_npy. Both are checked before the
+    file is opened, so a rejected array leaves an existing file as it was.
+    The array is then written as NpyBlockWriter's one block, and a round
+    trip reproduces the float64 data bit-exactly.
     """
     a = np.asarray(arr, dtype=np.float64)
     if a.ndim == 1:
         a = a.reshape(1, -1)
-    _check_shape(a.shape)
+    writer = NpyBlockWriter(path, a.shape)
     _check_finite(a)
-    with open(path, "wb") as fh:
-        np.lib.format.write_array(fh, np.ascontiguousarray(a), version=(1, 0),
-                                  allow_pickle=False)
+    with writer:
+        writer.write(a)
 
 
 def _check_shape(shape):
@@ -170,8 +170,8 @@ class NpyBlockWriter:
 
     shape is the whole stack's; entering the writer opens path and writes
     numpy's v1.0 header for it, and each write appends the next rows, so
-    the file's bytes are those save_npy writes for the whole stack. shape
-    and every block get save_npy's checks: a rank other than 2 or 4, or a
+    the file holds numpy's own v1.0 bytes for the whole stack. shape and
+    every block get save_npy's checks: a rank other than 2 or 4, or a
     block whose rows do not continue the stack, is a ValueError, and an
     empty shape or a non-finite block a DataError. Leaving the writer on an
     exception, or with another row count than shape declares (a ValueError),

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _BLOCK_FLOATS
 from .errors import DataError, UnsupportedError
 
 _DIRECTIONS = (
@@ -266,7 +267,7 @@ def concept_importance(U, W, head, n, mu=0.0):
                          *mask_designs(U.shape[1], n))
 
 
-def _mean_head_outputs(U, W, head, masks, mu, chunk=1 << 16):
+def _mean_head_outputs(U, W, head, masks, mu, chunk=_BLOCK_FLOATS):
     """Row-averaged head output for every mask, streamed in cache-sized blocks.
 
     The (mask, row) pairs are walked in mask-major order. Each outer step
@@ -274,15 +275,16 @@ def _mean_head_outputs(U, W, head, masks, mu, chunk=1 << 16):
     temporary (2 * masks * n_rows * r floats) within ``chunk``, and at least
     one mask. Its pairs then go to ``head`` in blocks of max(1, chunk // p)
     rows; a block may span masks. Each block's activations are a new array,
-    its rows times W^T made contiguous once; the default chunk of 2^16
-    floats (512 KiB) keeps a block and W^T in a 2 MiB L2 cache. Besides W^T
-    and the head's own temporaries, memory stays within about 2 * chunk
-    floats, or twice U's size when one mask alone exceeds the chunk. Each
-    mask's mean is taken over all its rows at once, and a one-row block is
-    multiplied out as two copies of its row (BLAS rounds a matrix-vector
-    product differently in the last bit), so the result does not depend on
-    the blocking. An ``AffineHead`` commutes with the row mean, so it gets
-    the mean coefficient row alone.
+    its rows times W^T made contiguous once; the default chunk is the image
+    route's block budget, core._BLOCK_FLOATS (2^16 floats, 512 KiB), which
+    keeps a block and W^T in a 2 MiB L2 cache. Besides W^T and the head's
+    own temporaries, memory stays within about 2 * chunk floats, or twice
+    U's size when one mask alone exceeds the chunk. Each mask's mean is
+    taken over all its rows at once, and a one-row block is multiplied out
+    as two copies of its row (BLAS rounds a matrix-vector product
+    differently in the last bit), so the result does not depend on the
+    blocking. An ``AffineHead`` commutes with the row mean, so it gets the
+    mean coefficient row alone.
     """
     if not np.all(np.isfinite(mu)):
         raise DataError(f"baseline mu must be finite, got {mu!r}")

@@ -178,6 +178,20 @@ class TestSaveRoundTrip:
             save_npy(a, tmp_path / "bad.npy")
         assert not (tmp_path / "bad.npy").exists()
 
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([[1.0, np.nan]]), DataError),
+        (np.zeros((0, 3)), DataError),
+        (np.ones((2, 3, 4)), ValueError),
+    ], ids=["nan", "empty", "3d"])
+    def test_rejected_array_leaves_an_existing_file_unchanged(self, tmp_path, bad, error):
+        # shape and finiteness are checked before the file is opened
+        path = tmp_path / "kept.npy"
+        save_npy(np.arange(6.0).reshape(2, 3), path)
+        before = path.read_bytes()
+        with pytest.raises(error):
+            save_npy(bad, path)
+        assert path.read_bytes() == before
+
     def test_finiteness_check_allocates_no_copy(self, tmp_path):
         # a 3.1 MB stack of 1600 crops; an elementwise isfinite mask alone
         # took 0.39 MB, min and max about 6 KB

@@ -98,18 +98,6 @@ class TestTransformJacobian:
         jac = jacobian_u_wrt_a(sol, W)
         np.testing.assert_array_equal(jac.dense_form[0], 0.0)  # u1 is clamped
 
-    def test_adjoint_consistency(self):
-        rng = np.random.default_rng(21)
-        A, W = random_nondegenerate_instance(rng)
-        sol = solve_nnls(A, W)
-        jac = jacobian_u_wrt_a(sol, W)
-        for _ in range(5):
-            dA = rng.normal(size=A.shape)
-            Y = rng.normal(size=sol.U.shape)
-            lhs = float(np.sum(jac.jvp(dA) * Y))
-            rhs = float(np.sum(dA * jac.vjp(Y)))
-            assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
-
     def test_vjp_row_locality(self):
         rng = np.random.default_rng(31)
         W = rng.normal(size=(4, 2))
@@ -135,15 +123,13 @@ class TestTransformJacobian:
 
     def test_grouped_solves_match_per_row_reference(self):
         # rows share free sets in several patterns; every row must agree with
-        # its own solve of G_II dU_I = W_I^T dA_i
+        # its own solve of G_II x_I = Y_I
         rng = np.random.default_rng(51)
         W = rng.normal(size=(6, 3))
         inactive = rng.uniform(size=(9, 3)) < 0.6
         inactive[0] = False
         jac = ConceptJacobian(W, inactive)
-        dA = rng.normal(size=(9, 6))
         Y = rng.normal(size=(9, 3))
-        dU_ref = np.zeros((9, 3))
         dA_ref = np.zeros((9, 6))
         J_ref = np.zeros((9 * 3, 9 * 6))
         for i in range(9):
@@ -151,10 +137,8 @@ class TestTransformJacobian:
             if free.size == 0:
                 continue
             M = W[:, free].T @ W[:, free]
-            dU_ref[i, free] = np.linalg.solve(M, W[:, free].T @ dA[i])
             dA_ref[i] = W[:, free] @ np.linalg.solve(M, Y[i, free])
             J_ref[i * 3 + free, i * 6:(i + 1) * 6] = np.linalg.solve(M, W[:, free].T)
-        np.testing.assert_allclose(jac.jvp(dA), dU_ref, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(jac.vjp(Y), dA_ref, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(jac.dense_form, J_ref, rtol=1e-10, atol=1e-12)
 
@@ -177,38 +161,38 @@ class TestTransformJacobian:
         assert jac.dense_form is jac.dense_form
 
 
-def per_row_reference(W, inactive, dA, Y):
-    """jvp, vjp and each row's r x p diagonal block of the dense form, from
-    one np.linalg.solve of G_II per row."""
+def per_row_reference(W, inactive, Y):
+    """vjp and each row's r x p diagonal block of the dense form, from one
+    np.linalg.solve of G_II per row."""
     (n, r), p = inactive.shape, W.shape[0]
-    dU, dA_back, blocks = np.zeros((n, r)), np.zeros((n, p)), np.zeros((n, r, p))
+    dA_back, blocks = np.zeros((n, p)), np.zeros((n, r, p))
     for i in range(n):
         free = np.flatnonzero(inactive[i])
         if free.size == 0:
             continue
         M = W[:, free].T @ W[:, free]
-        dU[i, free] = np.linalg.solve(M, W[:, free].T @ dA[i])
         dA_back[i] = W[:, free] @ np.linalg.solve(M, Y[i, free])
         blocks[i, free] = np.linalg.solve(M, W[:, free].T)
-    return dU, dA_back, blocks
+    return dA_back, blocks
 
 
 class TestBatchedSolves:
-    # at r = 5 one batched solve block holds 655 rows, so both instances
-    # cross a block boundary: 700 rows for jvp and vjp, 180 x 6 repeated
-    # rows for the dense form (700 rows would exceed its 10^6-entry gate
-    # at any p)
+    # with nnls._SOLVE_FLOATS at 9 a solve block holds 9 rows at k = 1 free
+    # concepts, 2 at k = 2 and one from k = 3 on, so in both instances
+    # every free count spans several blocks: 700 rows for vjp, and 180
+    # rows once per concept for the dense form, which is built from vjp
+    # of one-hot cotangents (700 rows would exceed its 10^6-entry gate at
+    # any p)
     @pytest.mark.parametrize("n, p", [(700, 8), (180, 6)])
-    def test_mixed_supports_match_per_row_reference(self, n, p):
+    def test_mixed_supports_match_per_row_reference(self, n, p, monkeypatch):
+        monkeypatch.setattr(nnls, "_SOLVE_FLOATS", 9)
         rng = np.random.default_rng(71)
         W = rng.normal(size=(p, 5))
         inactive = rng.uniform(size=(n, 5)) < 0.6
         inactive[::50] = False  # all-clamped rows
         jac = ConceptJacobian(W, inactive)
-        dA = rng.normal(size=(n, p))
         Y = rng.normal(size=(n, 5))
-        dU_ref, dA_ref, blocks = per_row_reference(W, inactive, dA, Y)
-        np.testing.assert_allclose(jac.jvp(dA), dU_ref, rtol=1e-10, atol=1e-12)
+        dA_ref, blocks = per_row_reference(W, inactive, Y)
         np.testing.assert_allclose(jac.vjp(Y), dA_ref, rtol=1e-10, atol=1e-12)
         if n**2 * 5 * p > 10**6:
             assert jac.dense_form is None
@@ -231,10 +215,10 @@ class TestBatchedSolves:
             ConceptJacobian(W, inactive)
 
     def test_singular_block_named_by_first_row_across_pattern_bytes(self):
-        # at r = 10 a free pattern spans two bytes; concepts 8 and 9 (the
-        # second byte) are duplicates. Row 3 shares its first byte with the
-        # well-posed rows 0 and 2 and is the first singular row; row 4's
-        # singular pattern sorts before it
+        # at r = 10 concepts 8 and 9, past the first eight, are duplicates.
+        # Row 3 frees the same concepts 0-7 as the well-posed rows 0 and 2
+        # and is the first singular row; row 4's singular pattern sorts
+        # before it
         W = np.random.default_rng(73).normal(size=(12, 10))
         W[:, 9] = W[:, 8]
         free_sets = ([0, 8], [1, 2, 8], [0, 8], [0, 8, 9], [8, 9], [0, 8, 9])
@@ -346,8 +330,10 @@ class TestGuards:
         jac = ConceptJacobian(W, np.ones((20, 5), dtype=bool))
         assert jac.dense_form is None
 
-    def test_jvp_shape_check(self):
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3)], ids=["rows", "width"])
+    def test_vjp_shape_check(self, shape):
+        # the Jacobian of one row over two concepts takes 1 x 2 cotangents
         jac = ConceptJacobian(np.eye(2), np.ones((1, 2), dtype=bool))
-        with pytest.raises(ValueError):
-            jac.jvp(np.ones((2, 2)))
+        with pytest.raises(ValueError, match=r"cotangent must be \(1, 2\)"):
+            jac.vjp(np.ones(shape))
 
