@@ -13,7 +13,7 @@ from .errors import (CraftError, DataError, DegeneracyError, EmptySetError,
                      UnsupportedError)
 from .implicit import ConceptJacobian, jacobian_u_wrt_a
 from .nmf import FactorizationState, NmfParams, fit_nmf, init_factors, transform
-from .nnls import NnlsSolution, kkt_residual, nnls_objective, solve_nnls
+from .nnls import Gram, NnlsSolution, kkt_residual, nnls_objective, solve_nnls
 from .npyio import load_npy, save_npy
 from .pipeline import (ConceptBank, CropSpec, FidelityCurve, Heatmap,
                        bilinear_resize, build_concept_bank,

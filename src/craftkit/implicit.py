@@ -8,10 +8,12 @@ G = W^T W. Rows of dU on clamped coordinates are identically zero. These
 are the reduced systems the NNLS solver itself solves at every pivoting
 step, so the Jacobian's one product, its VJP, reuses that solve (one
 compact k x k system per row, batched by k), and the Jacobian checks once,
-at construction, that every block G_II is nonsingular. That check is one
-eigvalsh of G itself: by Cauchy interlacing a principal block has its
-eigenvalues between G's extreme ones, so when G passes the rank test every
-block does too. Only a rank-deficient G is checked block by block.
+at construction, that every block G_II is nonsingular. That check is the
+rank test of G itself, which the solver's Gram object has already made:
+by Cauchy interlacing a principal block has its eigenvalues between G's
+extreme ones, so when G passes the rank test every block does too. Only a
+rank-deficient G is checked block by block. Given the Gram object of a
+bank (ConceptBank keeps one), a Jacobian computes nothing from W alone.
 
 Only transform mode is implemented: the bank W stays fixed and only the
 coefficients move. That is the map CRAFT's concept attribution maps chain
@@ -25,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegeneracyError, NumericalError
-from .nnls import _rank_deficient, _reduced_solve
+from .nnls import Gram, _rank_deficient, _reduced_solve
 
 _DENSE_LIMIT = 10**6
 
@@ -46,17 +48,20 @@ class ConceptJacobian:
     solve, one compact system G_II per row, batched by the size of I. A
     numerically singular block (linearly dependent or zero columns among
     the free concepts) raises NumericalError at construction, naming the
-    first such row and its concepts. The dense matrix is not built at
-    construction; ``dense_form`` builds it from vjp on first read.
+    first such row and its concepts. W is the bank, as an array (checked
+    as solve_nnls checks it) or as the nnls.Gram already built from it.
+    The dense matrix is not built at construction; ``dense_form`` builds it
+    from vjp on first read.
     """
 
     def __init__(self, W, inactive):
-        self.W = np.asarray(W, dtype=np.float64)
+        bank = W if isinstance(W, Gram) else Gram.of(W)
+        self.W, self.gram = bank.W, bank.G
         self.inactive = np.asarray(inactive, dtype=bool)
         self.n, self.r = self.inactive.shape
         self.p = self.W.shape[0]
-        self.gram = self.W.T @ self.W
-        _check_reduced_blocks(self.gram, self.inactive)
+        if not bank.full_rank:
+            _check_reduced_blocks(self.gram, self.inactive)
 
     def vjp(self, cotangent):
         """Adjoint map: cotangent on U (n x r) back to the input (n x p)."""
@@ -85,21 +90,17 @@ class ConceptJacobian:
 def _check_reduced_blocks(gram, free):
     """Raise NumericalError at the first row whose block G_II is singular.
 
-    The whole Gram matrix is tested first. By Cauchy interlacing a
+    Called only when G itself fails the rank test. By Cauchy interlacing a
     principal k x k block G_II of the r x r matrix G has
     lambda_min(G_II) >= lambda_min(G) and lambda_max(G_II) <= lambda_max(G),
     and k <= r, so when G passes the rank test (lambda_min > r * eps *
-    lambda_max) every block passes it too, and no row is checked.
+    lambda_max) every block passes it too, and no row needs checking.
 
-    Only a rank-deficient G gets the per-pattern check. One eigvalsh call
-    covers every distinct free pattern: G masked to a pattern with k free
-    concepts has the eigenvalues of G_II plus r - k zeros, so entry r - k
-    of its sorted eigenvalues is the smallest of G_II. Rows with nothing
-    free have no block.
+    One eigvalsh call covers every distinct free pattern: G masked to a
+    pattern with k free concepts has the eigenvalues of G_II plus r - k
+    zeros, so entry r - k of its sorted eigenvalues is the smallest of
+    G_II. Rows with nothing free have no block.
     """
-    eigvals = np.linalg.eigvalsh(gram)
-    if not _rank_deficient(eigvals[0], eigvals[-1], gram.shape[0]):
-        return
     patterns, first = np.unique(free, axis=0, return_index=True)
     k = patterns.sum(axis=1)
     patterns, first, k = patterns[k > 0], first[k > 0], k[k > 0]
@@ -116,7 +117,8 @@ def _check_reduced_blocks(gram, free):
 
 
 def jacobian_u_wrt_a(solution, W):
-    """ConceptJacobian of an NNLS solution against the fixed bank W.
+    """ConceptJacobian of an NNLS solution against the fixed bank W (an
+    array, or its nnls.Gram).
 
     ``solution`` is the NnlsSolution of some input rows A; the Jacobian
     does not read A itself. It accepts exactly the solutions solve_nnls

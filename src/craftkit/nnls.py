@@ -27,6 +27,11 @@ moved. The multipliers of U >= 0 are the clipped gradient on the clamped
 set, which downstream implicit differentiation requires.
 A itself enters only through A W: a NaN or infinity in A makes A W
 non-finite, so A is scanned for one only when A W is not finite.
+
+What depends on W alone, its checks, G, the one eigvalsh rank test and the
+pivoting matrix, is a Gram object. solve_nnls builds one per call from a
+plain array, and a caller that solves many problems against one bank (the
+attribution maps of a ConceptBank) builds it once and passes it instead.
 """
 
 from dataclasses import dataclass
@@ -74,6 +79,52 @@ class NnlsSolution:
     scale: float
 
 
+@dataclass(frozen=True)
+class Gram:
+    """What solve_nnls derives from the dictionary W alone.
+
+    W is the checked float64 dictionary: finite, with at least one column,
+    and W^T W neither overflows nor, on a nonzero column, underflows. G is
+    W^T W, pivot the matrix the pivoting runs on (G, or G plus a ridge when
+    G is numerically singular), and full_rank the result of the one
+    eigvalsh rank test that chose it. Build one with Gram.of(W).
+    """
+
+    W: np.ndarray
+    G: np.ndarray
+    pivot: np.ndarray
+    full_rank: bool
+
+    @classmethod
+    def of(cls, W):
+        """Check W and derive its constants; raises the errors solve_nnls
+        raises for the same W."""
+        W = np.asarray(W, dtype=np.float64)
+        if W.ndim != 2:
+            raise ValueError("W must be 2-D")
+        if not np.isfinite(W).all():
+            raise DataError("W contains NaN or Inf")
+        if W.shape[1] < 1:
+            raise ValueError("W must have at least one column")
+        return cls._of_finite(W)
+
+    @classmethod
+    def _of_finite(cls, W):
+        """Gram.of for a float64 W already known to be finite, 2-D and at
+        least one column wide."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = W.T @ W
+        if not np.isfinite(G).all():
+            raise DataError("W^T W or A W overflows; rescale A and W")
+        low = G.diagonal() < np.finfo(np.float64).tiny
+        if low.any() and (low & (W != 0.0).any(axis=0)).any():
+            raise DataError("W^T W underflows to subnormals or zero on a nonzero column "
+                            "of W; rescale A and W")
+        pivot = _pivot_gram(G)
+        # _pivot_gram returns G itself exactly when G passes the rank test
+        return cls(W=W, G=G, pivot=pivot, full_rank=pivot is G)
+
+
 def solve_nnls(A, W, warm=None):
     """Solve min_{U>=0} 0.5 * ||A - U W^T||_F^2 for U (n x r).
 
@@ -81,13 +132,14 @@ def solve_nnls(A, W, warm=None):
     ----------
     A : ndarray, n x p
         Targets, one problem per row. Must be finite (checked through A W).
-    W : ndarray, p x r
+    W : ndarray, p x r, or Gram
         Fixed dictionary. Full column rank is not required: when W^T W is
         numerically singular, the pivoting runs on W^T W plus a ridge of
         1e-12 times its largest eigenvalue, and the KKT residual is still
         scored against W^T W itself. W^T W must neither overflow nor, on
         a nonzero column of W, underflow below the smallest normal float;
-        either raises DataError.
+        either raises DataError. A Gram built by Gram.of(W) gives the same
+        solution without deriving W's constants again.
     warm : ndarray, n x r, optional
         Coefficients whose support warm > 0 is the first passive set, e.g.
         the previous iterate of an alternating factorization.
@@ -101,12 +153,13 @@ def solve_nnls(A, W, warm=None):
         LAPACK cannot solve raises NumericalError naming its rows.
     """
     A = np.asarray(A, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
+    gram = W if isinstance(W, Gram) else None
+    W = np.asarray(W, dtype=np.float64) if gram is None else gram.W
     if A.ndim != 2 or W.ndim != 2:
         raise ValueError("A and W must be 2-D")
     if A.shape[1] != W.shape[0]:
         raise ValueError(f"A has {A.shape[1]} columns but W has {W.shape[0]} rows")
-    if not np.isfinite(W).all():
+    if gram is None and not np.isfinite(W).all():
         raise DataError("W contains NaN or Inf")
     n, _ = A.shape
     r = W.shape[1]
@@ -119,18 +172,15 @@ def solve_nnls(A, W, warm=None):
                             kkt_residual=0.0, converged=True, scale=0.0)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        G = W.T @ W
         AW = A @ W
-    if not (np.isfinite(G).all() and np.isfinite(AW).all()):
+    if not np.isfinite(AW).all():
         # a NaN or infinity in A reaches A W, so A is scanned only here
         if not np.all(np.isfinite(A)):
             raise DataError("A contains NaN or Inf")
         raise DataError("W^T W or A W overflows; rescale A and W")
-    low = G.diagonal() < np.finfo(np.float64).tiny
-    if low.any() and (low & (W != 0.0).any(axis=0)).any():
-        raise DataError("W^T W underflows to subnormals or zero on a nonzero column "
-                        "of W; rescale A and W")
-    G_pivot = _pivot_gram(G)
+    if gram is None:
+        gram = Gram._of_finite(W)
+    G, G_pivot = gram.G, gram.pivot
 
     U = np.zeros((n, r))
     support = np.zeros((n, r), dtype=bool)

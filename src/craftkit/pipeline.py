@@ -16,6 +16,7 @@ stack, or appends each block to an NPY file when given a path for them.
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .core import _BLOCK_FLOATS, Rng, as_tensor4
 from .errors import DataError, EmptySetError, InsufficientDataError
 from .implicit import jacobian_u_wrt_a
 from .nmf import NmfParams, fit_nmf
-from .nnls import solve_nnls
+from .nnls import Gram, solve_nnls
 from .npyio import NpyBlockWriter, load_npy, load_record, save_json, save_npy
 from .sobol import _coefficients, _evaluate, _mean_head_outputs
 
@@ -80,6 +81,11 @@ class ConceptBank:
     converged, kkt_residual, outer_iters and nnls_steps (the pivoting steps
     of all its NNLS solves) are the diagnostics of the fit that produced the
     bank (see fit_bank); they are None for a bank built by hand.
+
+    The bank keeps a read-only copy of W, so writing into bank.W raises
+    ValueError. What the NNLS solver derives from W alone (its checks,
+    W^T W and the rank test) is computed once, on first use, as ``gram``,
+    and every attribution map of the bank reuses it.
     """
 
     W: np.ndarray
@@ -93,9 +99,19 @@ class ConceptBank:
     outer_iters: int | None = None
     nnls_steps: int | None = None
 
+    def __post_init__(self):
+        W = np.array(self.W)
+        W.flags.writeable = False
+        object.__setattr__(self, "W", W)
+
     @property
     def r(self):
         return self.W.shape[1]
+
+    @cached_property
+    def gram(self):
+        """The nnls.Gram of W, built on first read and then kept."""
+        return Gram.of(self.W)
 
 
 _DIAGNOSTICS = ("converged", "kkt_residual", "outer_iters", "nnls_steps")
@@ -371,7 +387,7 @@ def _gradient_heatmaps(x, bank, model, concepts):
     Jacobian, and one vjp_features call on the stack repeated per concept.
     """
     acts = model.features(x, layer=bank.layer_tag)
-    jac = jacobian_u_wrt_a(solve_nnls(acts, bank.W), bank.W)
+    jac = jacobian_u_wrt_a(solve_nnls(acts, bank.gram), bank.gram)
     d_acts = [jac.vjp(np.tile(one_hot, (len(x), 1)))
               for one_hot in np.eye(bank.r)[concepts]]
     dx = model.vjp_features(np.concatenate([x] * len(concepts)),
@@ -439,7 +455,7 @@ def _occlusion_heatmaps(x, bank, model, concepts):
     hidden = np.zeros((len(ys) * len(xs) + 1, h, w, 1), dtype=bool)
     hidden[1:, :, :, 0] = (in_y[:, None, :, None] & in_x[None, :, None, :]).reshape(-1, h, w)
     stack = np.where(hidden, 0.0, x)
-    u = solve_nnls(model.features(stack, layer=bank.layer_tag), bank.W).U
+    u = solve_nnls(model.features(stack, layer=bank.layer_tag), bank.gram).U
     drop = (u[0] - u[1:])[:, concepts].T.reshape(len(concepts), len(ys), len(xs))
     # a pixel's heat and count sum the drops and the number of its patches
     heat = in_y.T.astype(np.float64) @ drop @ in_x.astype(np.float64)

@@ -27,15 +27,21 @@ pooled rows into one output array, so its memory stays near one block
 at any batch size; every image is computed on its own, so the result
 does not depend on the blocking.
 
-The pool writes the rectified maps positions-major, (H' W', b, k), in
-the pass that applies the ReLU, then adds them with np.add.reduce over
-the positions: one vector add of b k numbers per position, in the order
-mean(axis=(1, 2)) adds them, so the result is bit for bit the same at
-about twice the speed for k >= 2, where mean adds only k numbers per
-step. At k = 1 mean sums each image's contiguous positions pairwise, so
-the pool keeps that layout there. The rectified copy is a second buffer
-the size of a block, which is why a block holds half the 2^16 floats of
-the rest of the image route: the two stay within 512 KiB together.
+The pool lays the maps out positions-major, (H' W', b, k), rectifies
+them in place, and adds them with np.add.reduce over the positions: one
+vector add of b k numbers per position, in the order mean(axis=(1, 2))
+adds them, so the result is bit for bit the same and faster for k >= 2,
+where mean adds only k numbers per step. The transpose moves each
+position's k channels as one record of k * 8 bytes, one copy per
+(image, position) pair instead of an inner loop of k floats: 113 maps
+of 12 x 12 x 2 pool in 34 us instead of 103 us, 226 such maps in 81 us
+instead of 199 us, and 56 maps of 12 x 12 x 4 in 47 us instead of 62 us
+(best of 9, one thread of a 2-CPU x86-64 host). A single map pays about
+1.8 us more for the record views. At k = 1 mean sums each image's
+contiguous positions pairwise, so the pool keeps that layout there. The
+positions-major copy is a second buffer the size of a block, which is
+why a block holds half the 2^16 floats of the rest of the image route:
+the two stay within 512 KiB together.
 """
 
 from dataclasses import dataclass, replace
@@ -281,8 +287,12 @@ def _pool(z):
     if k == 1:
         rect = np.maximum(z, 0.0).reshape(b, positions, 1)
         return np.add.reduce(rect, axis=1) / positions
-    rect = np.maximum(z.reshape(b, positions, k).transpose(1, 0, 2), 0.0,
-                      out=np.empty((positions, b, k)))
+    # each position's k channels as one record: the transpose copies
+    # (b, positions) records, not b * positions runs of k floats
+    record = np.dtype((np.void, k * z.itemsize))
+    rect = np.empty((positions, b, k))
+    rect.view(record)[..., 0] = z.reshape(b, positions, k).view(record)[..., 0].T
+    np.maximum(rect, 0.0, out=rect)
     return np.add.reduce(rect, axis=0) / positions
 
 

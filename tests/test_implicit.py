@@ -11,7 +11,7 @@ import pytest
 from craftkit import nnls
 from craftkit.errors import DegeneracyError, NumericalError
 from craftkit.implicit import ConceptJacobian, jacobian_u_wrt_a
-from craftkit.nnls import solve_nnls
+from craftkit.nnls import Gram, solve_nnls
 
 from oracles import nnls_enumerate, nnls_enumerate_row
 
@@ -337,3 +337,33 @@ class TestGuards:
         with pytest.raises(ValueError, match=r"cotangent must be \(1, 2\)"):
             jac.vjp(np.ones(shape))
 
+
+class TestGramInput:
+    """A ConceptJacobian built from a bank's Gram is the one built from W."""
+
+    def test_same_products_and_no_rank_test(self, monkeypatch):
+        rng = np.random.default_rng(81)
+        W = rng.uniform(size=(7, 4))
+        inactive = rng.uniform(size=(12, 4)) < 0.6
+        Y = rng.normal(size=(12, 4))
+        gram = Gram.of(W)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, *args: calls.append(1) or eigvalsh(a, *args))
+        jac = ConceptJacobian(gram, inactive)
+        assert not calls  # the Gram's rank test covers every block
+        ref = ConceptJacobian(W, inactive)
+        assert len(calls) == 1
+        assert jac.vjp(Y).tobytes() == ref.vjp(Y).tobytes()
+        assert jac.dense_form.tobytes() == ref.dense_form.tobytes()
+
+    def test_rank_deficient_gram_still_checks_each_block(self):
+        W = np.random.default_rng(82).normal(size=(8, 3))
+        W[:, 2] = W[:, 0]
+        inactive = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=bool)
+        gram = Gram.of(W)
+        assert not gram.full_rank
+        with pytest.raises(NumericalError, match=r"row 1 on concepts \[0, 2\]"):
+            ConceptJacobian(gram, inactive)
+        ConceptJacobian(gram, inactive[:1])

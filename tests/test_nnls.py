@@ -8,8 +8,8 @@ import pytest
 
 from craftkit import nnls
 from craftkit.errors import DataError, NumericalError
-from craftkit.nnls import (NnlsSolution, kkt_residual, nnls_objective, solve_nnls,
-                           _reduced_solve)
+from craftkit.nnls import (Gram, NnlsSolution, kkt_residual, nnls_objective,
+                           solve_nnls, _reduced_solve)
 
 from oracles import nnls_dual, nnls_enumerate
 
@@ -497,3 +497,69 @@ class TestValidation:
             solve_nnls(A, W)
         with pytest.raises(DataError, match="A contains NaN or Inf"):
             solve_nnls(A[2:3], W, warm=np.ones((1, W.shape[1])))
+
+
+def gram_problem(name):
+    """(A, W) with a full-rank, duplicate-column or zero-column bank."""
+    rng = np.random.default_rng(40)
+    A, W = rng.normal(size=(30, 6)), rng.uniform(size=(6, 3))
+    if name == "duplicate_columns":
+        W[:, 2] = W[:, 0]
+    elif name == "zero_column":
+        W[:, 1] = 0.0
+    return A, W
+
+
+def counted_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args: calls.append(1) or eigvalsh(a, *args))
+    return calls
+
+
+class TestGram:
+    """A Gram built once stands in for its W, byte for byte."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("name", ["full_rank", "duplicate_columns", "zero_column"])
+    def test_prebuilt_gram_gives_the_same_bytes(self, name, warm):
+        A, W = gram_problem(name)
+        start = np.ones((len(A), W.shape[1])) if warm else None
+        gram = Gram.of(W)
+        assert gram.full_rank == (name == "full_rank")
+        assert (gram.pivot is gram.G) == gram.full_rank
+        assert_same_solution(solve_nnls(A, gram, warm=start), solve_nnls(A, W, warm=start))
+
+    def test_one_rank_test_for_many_solves(self, monkeypatch):
+        calls = counted_eigvalsh(monkeypatch)
+        A, W = gram_problem("full_rank")
+        gram = Gram.of(W)
+        for rows in (A[:1], A[1:5], A):
+            solve_nnls(rows, gram)
+        assert len(calls) == 1
+        solve_nnls(A, W)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("W, error, message", [
+        (np.array([[1.0, np.nan], [1.0, 1.0]]), DataError, "W contains NaN or Inf"),
+        (np.array([[np.inf, 1.0], [1.0, 1.0]]), DataError, "W contains NaN or Inf"),
+        (np.zeros((2, 0)), ValueError, "W must have at least one column"),
+        (np.full((2, 2), 1e160), DataError, "W^T W or A W overflows; rescale A and W"),
+        (np.full((2, 2), 1e-170), DataError, "W^T W underflows"),
+    ], ids=["nan", "inf", "no_columns", "overflow", "underflow"])
+    def test_raises_what_solve_nnls_raises(self, W, error, message):
+        with pytest.raises(error) as direct:
+            solve_nnls(np.ones((1, 2)), W)
+        with pytest.raises(error) as built:
+            Gram.of(W)
+        assert str(built.value) == str(direct.value)
+        assert str(built.value).startswith(message)
+
+    def test_array_path_keeps_its_error_order(self):
+        # solve_nnls derives W's constants only after the rows' own checks:
+        # no rows return before them, and a bad A is named first
+        W = np.full((2, 2), 1e160)
+        assert solve_nnls(np.zeros((0, 2)), W).U.shape == (0, 2)
+        with pytest.raises(DataError, match="A contains NaN or Inf"):
+            solve_nnls(np.array([[np.nan, 1.0]]), W)

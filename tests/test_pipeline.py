@@ -983,6 +983,64 @@ class TestBankPersistence:
         assert load_bank(tmp_path / "bank").converged is None
 
 
+    def test_round_trip_keeps_the_bytes(self, tmp_path, fitted_pair):
+        _, _, bank, _, _, _ = fitted_pair
+        save_bank(bank, tmp_path / "first")
+        save_bank(load_bank(tmp_path / "first"), tmp_path / "second")
+        for name in ("W.npy", "meta.json"):
+            assert ((tmp_path / "first" / name).read_bytes()
+                    == (tmp_path / "second" / name).read_bytes())
+
+
+METHODS = ("gradient", "smoothgrad", "occlusion")
+
+
+class TestBankConstants:
+    """A bank derives its NNLS constants once, and they cannot go stale."""
+
+    @pytest.fixture(scope="class")
+    def probes(self, fitted_pair):
+        model = fitted_pair[0]
+        return make_synthetic_dataset(model, 2, noise=0.02, seed=7001, max_stamps=1,
+                                      template_pool=(0, 1)).images
+
+    def test_one_eigvalsh_over_the_six_maps_of_a_probe(self, fitted_pair, probes,
+                                                       monkeypatch):
+        model, _, fitted, _, _, _ = fitted_pair
+        bank = replace(fitted)  # a fresh bank, with no constants yet
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, *args: calls.append(1) or eigvalsh(a, *args))
+        for concept in range(bank.r):
+            for method in METHODS:
+                concept_attribution_map(probes[0], bank, model, concept, method=method,
+                                        n_noise=4)
+        assert len(calls) == 1
+
+    def test_maps_equal_those_of_a_fresh_bank_per_map(self, fitted_pair, probes):
+        model, _, bank, _, _, _ = fitted_pair
+        for image in probes:
+            for method in METHODS:
+                for concept in range(bank.r):
+                    shared = concept_attribution_map(image, bank, model, concept,
+                                                     method=method, seed=3, n_noise=4)
+                    fresh = concept_attribution_map(image, replace(bank), model, concept,
+                                                    method=method, seed=3, n_noise=4)
+                    assert shared.values.tobytes() == fresh.values.tobytes()
+
+    def test_W_is_a_read_only_copy(self):
+        W = np.array([[1.0, 0.0], [0.0, 1.0]])
+        bank = ConceptBank(W=W, layer_tag="final", fit_objective=0.0,
+                           column_norms=np.ones(2))
+        gram = bank.gram
+        with pytest.raises(ValueError, match="read-only"):
+            bank.W[0, 1] = 1.0
+        W[0, 1] = 1.0  # the caller's array is not the bank's
+        assert bank.W[0, 1] == 0.0
+        assert bank.gram is gram and gram.G.tobytes() == np.eye(2).tobytes()
+
+
 def _provenance(shape, images=None, **spec):
     rows = extract_crops(np.zeros(shape), CropSpec(**spec))[1]
     if images is not None:

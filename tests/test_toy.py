@@ -9,7 +9,7 @@ import pytest
 from craftkit.core import _BLOCK_FLOATS
 from craftkit.errors import DataError
 from craftkit.sobol import AffineHead
-from craftkit.toy import (ToyBackbone, load_backbone, make_synthetic_dataset,
+from craftkit.toy import (ToyBackbone, _pool, load_backbone, make_synthetic_dataset,
                           pair_backbone, save_backbone, standard_backbone,
                           two_layer_backbone)
 from oracles import correlate_all_bands, correlate_windows, scatter_all_bands
@@ -330,6 +330,29 @@ class TestBlockedFeatures:
                 assert peak < 3200 * 4 * 8 + 4 * 8 * _BLOCK_FLOATS, (layer, peak)
                 assert out.shape == (3200, 4 if layer == 1 else 2)
 
+
+
+class TestPool:
+    """The pool is the two-axis mean of the rectified maps, byte for byte."""
+
+    @pytest.mark.parametrize("fill", ["signed", "signed_zeros", "negative"])
+    @pytest.mark.parametrize("b", [0, 1, 7])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_equals_the_mean_of_the_rectified_maps(self, k, b, fill):
+        rng = np.random.default_rng(10 * k + b)
+        z = rng.normal(size=(b, 12, 11, k))
+        if fill == "signed_zeros":
+            # +0.0 and -0.0 among the values, and one map of zeros alone
+            z[rng.uniform(size=z.shape) < 0.4] = 0.0
+            z = np.where(rng.uniform(size=z.shape) < 0.5, -np.abs(z), z)
+            z[:1] = np.copysign(0.0, rng.normal(size=z[:1].shape))
+        elif fill == "negative":
+            z = -np.abs(z) - 0.5
+        before = z.copy()
+        pooled = _pool(z)
+        assert pooled.shape == (b, k)
+        assert pooled.tobytes() == np.maximum(z, 0).mean(axis=(1, 2)).tobytes()
+        assert z.tobytes() == before.tobytes()
 
 
 def rows_0_and_2_backbone():
