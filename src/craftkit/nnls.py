@@ -15,8 +15,11 @@ first step in closed form: at u = 0 the gradient is -A W, so the passive
 sets become A W > 0, and a row with no such coordinate finishes at
 u = 0; the step is counted like any other. The loop then carries only
 the unfinished rows, their passive sets, A W rows and exchange counters
-in compact arrays, and writes a row's coefficients and support once,
-when it finishes or when the step budget runs out. The exchange rule is
+in compact arrays. Each step writes every unfinished row's iterate and
+support into the output once, so a row keeps its last iterate when it
+finishes or when the step budget runs out; then it compacts, by integer
+index, only the rows still infeasible, and nothing on a step where no
+row finished. The exchange rule is
 Kim and Park's ("Fast nonnegative matrix factorization: an active-set-like
 method and comparisons", SIAM J. Sci. Comput. 33(6), 2011): a row swaps
 all of its infeasible coordinates while their count falls, three more
@@ -204,19 +207,17 @@ def solve_nnls(A, W, warm=None):
     while rows.size and iterations < _MAX_PIVOTS:
         iterations += 1
         x = _reduced_solve(AW_rows, G_pivot, passive, rows)
+        # every unfinished row holds its latest iterate: a row that
+        # finishes now, or is cut off by the budget, keeps it
+        U[rows], support[rows] = x, passive
         infeasible = np.where(passive, x < 0.0, x @ G_pivot - AW_rows < 0.0)
         count = infeasible.sum(axis=1)
-        # finished rows, or every row once the budget is spent, keep this
-        # iterate; the others go on in compacted arrays
-        settled = count == 0 if iterations < _MAX_PIVOTS else np.ones(rows.size, dtype=bool)
-        if settled.all():
-            U[rows], support[rows] = x, passive
+        going = count.nonzero()[0]
+        if not going.size:
             break
-        if settled.any():
-            U[rows[settled]], support[rows[settled]] = x[settled], passive[settled]
-            keep = ~settled
-            rows, passive, infeasible = rows[keep], passive[keep], infeasible[keep]
-            count, fewest, tries, AW_rows = count[keep], fewest[keep], tries[keep], AW_rows[keep]
+        if going.size < rows.size:
+            rows, passive, infeasible = rows[going], passive[going], infeasible[going]
+            count, fewest, tries, AW_rows = count[going], fewest[going], tries[going], AW_rows[going]
         improved = count < fewest
         full = improved | (tries > 0)
         fewest = np.minimum(fewest, count)

@@ -190,3 +190,35 @@ def scatter_all_bands(weights, templates, shape):
     for i, band in enumerate(template_bands(templates, w)):
         dx[:, i:i + hp] += weights @ band.T
     return dx.reshape(shape)
+
+
+def reference_synthetic_dataset(model, n, noise, gen, max_stamps, pool):
+    """make_synthetic_dataset's draws one image at a time: its noise, then
+    its stamp count, templates and positions, each stamp added in place as
+    it is placed. gen is the generator positioned at the start of the
+    dataset's stream, max_stamps is already clamped to len(pool). Returns
+    (images, labels, stamps)."""
+    h, w, c = model.input_shape
+    th, tw = model.templates.shape[1:3]
+    images = np.zeros((n, h, w, c))
+    labels = np.zeros(n, dtype=np.int64)
+    stamps = []
+    for i in range(n):
+        if noise > 0:
+            images[i] = gen.uniform(0.0, noise, size=(h, w, c))
+        count = int(gen.integers(1, max_stamps + 1))
+        chosen = gen.choice(pool, size=count, replace=False)
+        placed = []
+        for t_idx in chosen:
+            for _ in range(1000):
+                y0 = int(gen.integers(0, h - th + 1))
+                x0 = int(gen.integers(0, w - tw + 1))
+                if all(abs(y0 - py) >= th or abs(x0 - px) >= tw for _, py, px in placed):
+                    break
+            else:
+                raise RuntimeError("could not place stamps without overlap")
+            images[i, y0:y0 + th, x0:x0 + tw, :] += model.templates[t_idx]
+            placed.append((int(t_idx), y0, x0))
+        labels[i] = int(any(t == 0 for t, _, _ in placed))
+        stamps.append(tuple(placed))
+    return images, labels, tuple(stamps)

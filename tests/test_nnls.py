@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from craftkit import nnls
+from craftkit import nmf, nnls
 from craftkit.errors import DataError, NumericalError
+from craftkit.nmf import NmfParams, fit_nmf
 from craftkit.nnls import (Gram, NnlsSolution, kkt_residual, nnls_objective,
                            solve_nnls, _reduced_solve)
 
@@ -214,16 +215,18 @@ def padded_reference(AW, G, free):
     return np.linalg.solve(systems, np.where(free, AW, 0.0)[:, :, None])[:, :, 0]
 
 
-def every_pass_pivoting(A, W):
+def every_pass_pivoting(A, W, warm=None):
     """solve_nnls's block principal pivoting with no pass left out: the
     backup-rule pass, the compaction of the unfinished rows and the
     per-row solve of every row's compact free block, each with its own
-    np.linalg.solve, run on every step. Shares only the ridge and the
-    residual with the solver. Returns (U, dual_U, iterations, kkt_residual)."""
+    np.linalg.solve, run on every step. The passive set starts at
+    warm > 0, or empty on a cold start, whose first step is then taken
+    like any other. Shares only the ridge and the residual with the
+    solver. Returns (U, dual_U, iterations, kkt_residual)."""
     G, AW = W.T @ W, A @ W
     G_pivot = nnls._pivot_gram(G)
     n, r = AW.shape
-    passive = np.zeros((n, r), dtype=bool)
+    passive = np.zeros((n, r), dtype=bool) if warm is None else np.asarray(warm) > 0.0
     U, support = np.zeros((n, r)), passive.copy()
     todo, fewest, tries = np.arange(n), np.full(n, r + 1), np.full(n, nnls._BACKUP_TRIES)
     iterations = 0
@@ -269,6 +272,29 @@ def pivoting_problem(name):
     return rng.normal(size=(4, 6)), W
 
 
+def warm_started_solves(monkeypatch):
+    """(A, W, warm, solution) of every warm-started solve of one rank-6
+    fit_nmf on planted sparse factors; they take one to four steps, and
+    nearly all of them move the support they start from."""
+    g = np.random.default_rng(6)
+    factor = lambda n: g.uniform(size=(n, 6)) * (g.uniform(size=(n, 6)) < 0.4)
+    A = factor(40) @ factor(30).T + g.uniform(0.0, 1e-3, size=(40, 30))
+    calls = []
+
+    def recorded(data, W, warm=None):
+        sol = solve_nnls(data, W, warm=warm)
+        if warm is not None:
+            calls.append((np.array(data), np.array(W), np.array(warm), sol))
+        return sol
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nmf, "solve_nnls", recorded)
+        fit_nmf(A, NmfParams(rank=6, outer_iters=40))
+    assert len(calls) > 20 and max(sol.iterations for *_, sol in calls) == 4
+    assert sum(((warm > 0) != (sol.U > 0)).any() for _, _, warm, sol in calls) > 20
+    return calls
+
+
 class TestLeanPivoting:
     """The pivot loop skips the passes that do nothing on a step, bit for bit."""
 
@@ -282,6 +308,41 @@ class TestLeanPivoting:
         assert sol.iterations == iterations
         assert sol.kkt_residual == residual
         assert sol.converged
+
+    @pytest.mark.parametrize("budget", [None, 1, 2, 4])
+    def test_warm_starts_of_a_factorization_equal_the_every_pass_loop(self, monkeypatch,
+                                                                      budget):
+        # fit_nmf warm-starts every solve from the previous iterate; its
+        # solves, replayed at a step budget, against the loop started from
+        # the same passive sets
+        calls = warm_started_solves(monkeypatch)
+        if budget is not None:
+            monkeypatch.setattr(nnls, "_MAX_PIVOTS", budget)
+        for A, W, warm, sol in calls:
+            if budget is not None:
+                sol = solve_nnls(A, W, warm=warm)
+            U, dual_U, iterations, residual = every_pass_pivoting(A, W, warm)
+            assert sol.U.tobytes() == U.tobytes()
+            assert sol.dual_U.tobytes() == dual_U.tobytes()
+            assert sol.iterations == iterations
+            assert sol.kkt_residual == residual
+        if budget is not None:
+            # some of the solves reach the budget
+            assert any(sol.iterations >= budget for *_, sol in calls)
+
+    def test_warm_start_that_needs_the_backup_rule(self, monkeypatch):
+        # started from the complement of the cold start's first passive
+        # sets, a row of the single-exchange problem again runs out of
+        # full exchanges
+        A, W = pivoting_problem("single_exchange")
+        warm = (A @ W < 0.0).astype(float)
+        sol = solve_nnls(A, W, warm=warm)
+        U, dual_U, iterations, residual = every_pass_pivoting(A, W, warm)
+        assert (sol.U.tobytes(), sol.dual_U.tobytes()) == (U.tobytes(), dual_U.tobytes())
+        assert sol.iterations == iterations and sol.kkt_residual == residual
+        assert sol.converged
+        monkeypatch.setattr(nnls, "_BACKUP_TRIES", nnls._MAX_PIVOTS)
+        assert not solve_nnls(A, W, warm=warm).converged
 
     def test_single_exchange_problem_needs_the_backup_rule(self, monkeypatch):
         # with the backup rule out of reach the full exchanges cycle

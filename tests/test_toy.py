@@ -6,13 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from craftkit.core import _BLOCK_FLOATS
+from craftkit.core import _BLOCK_FLOATS, Rng
 from craftkit.errors import DataError
 from craftkit.sobol import AffineHead
 from craftkit.toy import (ToyBackbone, _pool, load_backbone, make_synthetic_dataset,
                           pair_backbone, save_backbone, standard_backbone,
                           two_layer_backbone)
-from oracles import correlate_all_bands, correlate_windows, scatter_all_bands
+from oracles import (correlate_all_bands, correlate_windows, reference_synthetic_dataset,
+                     scatter_all_bands)
 
 BUILT_IN = {
     "standard": standard_backbone,
@@ -486,7 +487,54 @@ class TestValidation:
         assert pair_backbone().features(np.zeros((0, 16, 16, 1))).shape == (0, 2)
 
 
+def reference_dataset(model, n, noise, seed, max_stamps=3, template_pool=None):
+    """The per-image reference on make_synthetic_dataset's stream and
+    defaults: (images, labels, stamps)."""
+    pool = list(range(model.n_templates)) if template_pool is None else list(template_pool)
+    return reference_synthetic_dataset(model, n, noise, Rng(seed).generator(),
+                                       min(max_stamps, len(pool)), pool)
+
+
+def assert_equals_reference(model, n, noise, seed, **options):
+    data = make_synthetic_dataset(model, n, noise=noise, seed=seed, **options)
+    images, labels, stamps = reference_dataset(model, n, noise, seed, **options)
+    assert data.images.tobytes() == images.tobytes()
+    assert data.labels.dtype == labels.dtype and data.labels.tobytes() == labels.tobytes()
+    assert data.stamps == stamps
+    assert all(type(v) is int for placed in data.stamps for stamp in placed for v in stamp)
+
+
 class TestSyntheticDataset:
+    @pytest.fixture(params=["standard", "pair", "two_layer", "saved_two_layer", "rgb"])
+    def generator_model(self, request, tmp_path):
+        if request.param == "saved_two_layer":
+            save_backbone(two_layer_backbone(), tmp_path / "model")
+            return load_backbone(tmp_path / "model")
+        return rgb_backbone() if request.param == "rgb" else BUILT_IN[request.param]()
+
+    @pytest.mark.parametrize("noise", [0.0, 0.02, 0.3])
+    @pytest.mark.parametrize("n, seeds", [(1, range(6)), (400, (0, 11))], ids=["n1", "n400"])
+    def test_equals_the_per_image_reference(self, generator_model, noise, n, seeds):
+        for seed in seeds:
+            assert_equals_reference(generator_model, n, noise, seed)
+
+    @pytest.mark.parametrize("options", [
+        {"max_stamps": 1}, {"max_stamps": 10}, {"template_pool": (3, 0, 2)},
+        {"template_pool": np.array([2, 1]), "max_stamps": 5}],
+        ids=["one_stamp", "clamped", "reordered_pool", "array_pool_clamped"])
+    def test_stamp_options_equal_the_per_image_reference(self, options):
+        for seed in (0, 4):
+            assert_equals_reference(standard_backbone(), 400, 0.02, seed, **options)
+
+    def test_stamps_that_cannot_fit_raise(self):
+        # two 5x5 stamps on a 5x5 input always overlap
+        model = ToyBackbone(templates=standard_backbone(k=2).templates,
+                            head_weights=np.zeros(2), head_bias=0.0, input_shape=(5, 5, 1))
+        for draw in (lambda: make_synthetic_dataset(model, 8, noise=0.02, seed=0),
+                     lambda: reference_dataset(model, 8, 0.02, 0)):
+            with pytest.raises(RuntimeError, match="could not place stamps without overlap"):
+                draw()
+
     def test_deterministic(self):
         model = standard_backbone()
         d1 = make_synthetic_dataset(model, 16, noise=0.05, seed=9)
