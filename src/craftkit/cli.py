@@ -3,13 +3,14 @@
 A thin layer over ``pipeline``: each command parses its arguments, calls
 the library, and reads or writes run-directory files. Commands populate an
 output directory incrementally: ``fit`` writes the bank and coefficients,
-and on ``--model`` also the crops, their provenance and their activations
-(``build_concept_bank``), the crops streamed block by block into a
-temporary directory and moved into the run once the fit is accepted; on
-``--activations`` it runs ``fit_bank`` and writes no copy of its input;
-``importance`` adds importance.json; ``explain`` fills heatmaps/ in one
-attribution pass over all requested concepts;
-``fidelity`` writes curve CSVs; ``recurse`` adds a sub-bank directory;
+and on ``--model`` also the crop windows as cut, before the resize, their
+provenance and their activations (``build_concept_bank``), the windows
+streamed block by block into a temporary directory and moved into the run
+once the fit is accepted; on ``--activations`` it runs ``fit_bank`` and
+writes no copy of its input; ``importance`` adds importance.json;
+``explain`` fills heatmaps/ in one attribution pass over all requested
+concepts; ``fidelity`` writes curve CSVs; ``recurse`` reads only the
+top-decile crop windows of crops.npy and adds a sub-bank directory;
 ``sanity`` compares banks from trained and weight-randomized models. Every
 bank directory is written by ``save_bank``, fit diagnostics included. Exit
 codes: 0 success, 2 usage or argument error, 3 data error, 4 numerical
@@ -52,10 +53,10 @@ from .errors import CraftError, DataError, NumericalError
 from .nmf import NmfParams, fit_nmf
 from .npyio import load_json, load_npy, save_json, save_npy
 # concept_attribution_map is unused here but wrapped by perfbench/spans.py
-from .pipeline import (CropSpec, build_concept_bank, concept_attribution_map,
-                       concept_attribution_maps, extract_crops, fidelity_curves,
-                       fit_bank, load_bank, recursive_decompose, save_bank,
-                       save_provenance)
+from .pipeline import (CropSpec, CropWindows, build_concept_bank,
+                       concept_attribution_map, concept_attribution_maps,
+                       extract_crops, fidelity_curves, fit_bank, load_bank,
+                       recursive_decompose, save_bank, save_provenance)
 from .sobol import concept_importance, tcav_importance
 from .toy import (load_backbone, make_synthetic_dataset, standard_backbone,
                   two_layer_backbone)
@@ -251,8 +252,14 @@ def cmd_recurse(args):
     out = Path(args.out)
     bank = load_bank(out / "bank")
     coeffs = load_npy(out / "coeffs.npy")
-    crops = load_npy(out / "crops.npy")
     model, _ = _load_model(args.model)
+    path = out / "crops.npy"
+    if not path.exists():
+        raise DataError(f"{path} is missing: recurse re-encodes the crops of a "
+                        f"fit --model run, and fit --activations writes no crops")
+    # the crop windows as fit cut them; only the selected ones are read,
+    # resized to the model input as fit resized them
+    crops = CropWindows(path, model.input_shape[:2])
     sub_bank, u_sub, selected = recursive_decompose(
         bank, coeffs, args.concept, crops, model, "layer1",
         NmfParams(rank=args.rank_sub, outer_iters=args.outer_iters,

@@ -276,38 +276,31 @@ def _reduced_solve(AW, G, free, rows):
     k forms the groups, each in row order, and each group goes to LAPACK
     in blocks of _SOLVE_FLOATS matrix entries (at least one row), one
     system per row: no factorization is shared. A row whose free set is
-    empty has u = 0 exactly and gets no system at all, and when every row
-    has every coordinate free, each solves G itself through views, with
-    no gathers. A singular system or a non-finite solution raises
-    NumericalError naming the rows, in row order, by their indices in
-    ``rows``.
+    empty has u = 0 exactly and gets no system at all, and a row with every
+    coordinate free solves G itself. A singular system or a non-finite
+    solution raises NumericalError naming the rows, in row order, by their
+    indices in ``rows``.
     """
     n, r = free.shape
     x = np.zeros((n, r))
     size = free.sum(axis=1)
     counts = np.bincount(size, minlength=r + 1).tolist()
-    if counts[r] == n:
-        # no gathers: each row solves G itself, in blocks of views
-        step = max(1, _SOLVE_FLOATS // (r * r))
-        for start in range(0, n, step):
-            x[start:start + step] = _solve_stack(G, AW[start:start + step])
-    else:
-        for k in range(1, r + 1):
-            if not counts[k]:
-                continue
-            group = np.arange(n) if counts[k] == n else (size == k).nonzero()[0]
-            step = max(1, _SOLVE_FLOATS // (k * k))
-            for start in range(0, counts[k], step):
-                at = group[start:start + step]
-                if k == r:
-                    x[at] = _solve_stack(G, AW.take(at, axis=0))
-                else:
-                    # each row's free entries, k per row, as flat indices
-                    i, cols = free.take(at, axis=0).nonzero()
-                    flat = at[i] * r + cols
-                    cols = cols.reshape(-1, k)
-                    systems = G[cols[:, :, None], cols[:, None, :]]
-                    x.put(flat, _solve_stack(systems, AW.take(flat).reshape(-1, k)))
+    for k in range(1, r + 1):
+        if not counts[k]:
+            continue
+        group = np.arange(n) if counts[k] == n else (size == k).nonzero()[0]
+        step = max(1, _SOLVE_FLOATS // (k * k))
+        for start in range(0, counts[k], step):
+            at = group[start:start + step]
+            if k == r:
+                x[at] = _solve_stack(G, AW.take(at, axis=0))
+            else:
+                # each row's free entries, k per row, as flat indices
+                i, cols = free.take(at, axis=0).nonzero()
+                flat = at[i] * r + cols
+                cols = cols.reshape(-1, k)
+                systems = G[cols[:, :, None], cols[:, None, :]]
+                x.put(flat, _solve_stack(systems, AW.take(flat).reshape(-1, k)))
     if not np.isfinite(x).all():
         failed = np.flatnonzero(~np.isfinite(x).all(axis=1))
         raise NumericalError(

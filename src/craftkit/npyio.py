@@ -7,6 +7,8 @@ being coerced: wrong magic, a malformed header or a payload of the wrong
 length is a FormatError, a declared feature outside this subset (version,
 dtype, Fortran order, rank) is an UnsupportedError, and non-finite or empty
 payloads are a DataError.
+load_npy_rows reads selected rows of a file and npy_shape its shape, both
+after load_npy's checks of the header and the file size.
 NpyBlockWriter writes one file block by block, and save_npy writes a
 whole stack through it as one block.
 save_json writes the JSON sidecars kept next to them, load_json reads
@@ -41,55 +43,108 @@ def load_npy(path):
     whole, checked, and then copied into the array.
     """
     with open(path, "rb") as fh:
-        prefix = fh.read(10)
-        if len(prefix) < 10 or prefix[:6] != _MAGIC:
-            raise FormatError(f"{path}: not an NPY file (bad magic)")
-        if prefix[6:8] != b"\x01\x00":
-            raise UnsupportedError(f"{path}: NPY version {prefix[6]}.{prefix[7]}, "
-                                   f"only 1.0 supported")
-        data_start = 10 + int.from_bytes(prefix[8:10], "little")
-        text = fh.read(data_start - 10)
-        try:
-            header = ast.literal_eval(text.decode("latin1"))
-            descr, fortran_order, shape = (header[k] for k in ("descr", "fortran_order", "shape"))
-        except (ValueError, TypeError, KeyError, SyntaxError, MemoryError,
-                RecursionError) as exc:
-            raise FormatError(f"{path}: malformed header") from exc
-
-        if descr not in _DTYPES:
-            raise UnsupportedError(f"{path}: dtype {descr!r}, only <f4/<f8 supported")
-        if fortran_order is True:
-            raise UnsupportedError(f"{path}: Fortran-order payloads are not supported")
-        if fortran_order is not False:
-            raise FormatError(f"{path}: malformed fortran_order flag")
-        if not (isinstance(shape, tuple) and all(type(d) is int and d >= 0 for d in shape)):
-            raise FormatError(f"{path}: malformed shape {shape!r}")
-        if len(shape) not in _RANKS:
-            raise UnsupportedError(f"{path}: rank-{len(shape)} array, only 1/2/4-D supported")
-
-        dtype = np.dtype(descr)
-        count = math.prod(shape)
-        if count == 0:
-            raise DataError(f"{path}: empty arrays are not supported")
-        expected = data_start + count * dtype.itemsize
-        info = os.fstat(fh.fileno())
-        # a pipe cannot report its size, so its payload is read first
-        raw = None if stat.S_ISREG(info.st_mode) else fh.read()
-        size = info.st_size if raw is None else 10 + len(text) + len(raw)
-        if size != expected:
-            raise FormatError(f"{path}: file is {size} bytes, expected {expected}")
+        dtype, shape, raw = _read_header(fh, path)
         if raw is None:
-            payload = np.empty(count, dtype)
-            if fh.readinto(payload.data.cast("B")) != payload.nbytes:
-                raise FormatError(f"{path}: file shrank while it was read")
+            payload = np.empty(math.prod(shape), dtype)
+            _read_into(fh, path, payload)
         else:
             payload = np.frombuffer(raw, dtype).astype(np.float64)
 
     arr = payload.astype(np.float64, copy=False)
-    # min and max propagate NaN and reach any infinity without allocating
-    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-        raise DataError(f"{path}: payload contains NaN or Inf")
-    return arr.reshape((1, -1) if len(shape) == 1 else shape)
+    _check_finite(arr, f"{path}: payload")
+    return arr.reshape(shape)
+
+
+def load_npy_rows(path, rows):
+    """Load the given rows of an NPY v1.0 file, as load_npy(path)[rows].
+
+    The header and the file size get load_npy's checks before any row is
+    read. Then only the selected rows are read, one seek and one read per
+    run of adjacent rows, so memory holds the selected rows alone. rows is
+    a 1-D integer array or a slice of the first axis, as numpy takes it
+    (negative indices count from the end). Only the rows read are checked
+    for NaN or infinity. A pipe cannot seek, so its payload is read whole
+    and the rows are taken from it.
+    """
+    with open(path, "rb") as fh:
+        dtype, shape, raw = _read_header(fh, path)
+        order = np.arange(shape[0])[rows].reshape(-1)
+        if raw is None:
+            data_start = fh.tell()
+            row_bytes = math.prod(shape[1:]) * dtype.itemsize
+            payload = np.empty((len(order),) + shape[1:], dtype)
+            # the first position of each run of adjacent rows, then the end
+            runs = np.flatnonzero(np.diff(order, prepend=-2) != 1).tolist() + [len(order)]
+            for start, stop in zip(runs, runs[1:]):
+                fh.seek(data_start + int(order[start]) * row_bytes)
+                _read_into(fh, path, payload[start:stop])
+        else:
+            payload = np.frombuffer(raw, dtype).reshape(shape)[order]
+
+    arr = payload.astype(np.float64, copy=False)
+    _check_finite(arr, f"{path}: payload")
+    return arr
+
+
+def npy_shape(path):
+    """The shape of an NPY v1.0 file, as load_npy would return it (1-D as
+    one row), after load_npy's checks of the header and the file size;
+    no payload is read from a regular file."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)[1]
+
+
+def _read_header(fh, path):
+    """Parse the header of the NPY file open as fh and check its size.
+
+    Returns (dtype, shape, raw), shape as load_npy returns the array (a
+    1-D payload as one row). A regular file is left at the payload's start
+    with raw None; a pipe's payload is read whole into raw.
+    """
+    prefix = fh.read(10)
+    if len(prefix) < 10 or prefix[:6] != _MAGIC:
+        raise FormatError(f"{path}: not an NPY file (bad magic)")
+    if prefix[6:8] != b"\x01\x00":
+        raise UnsupportedError(f"{path}: NPY version {prefix[6]}.{prefix[7]}, "
+                               f"only 1.0 supported")
+    data_start = 10 + int.from_bytes(prefix[8:10], "little")
+    text = fh.read(data_start - 10)
+    try:
+        header = ast.literal_eval(text.decode("latin1"))
+        descr, fortran_order, shape = (header[k] for k in ("descr", "fortran_order", "shape"))
+    except (ValueError, TypeError, KeyError, SyntaxError, MemoryError,
+            RecursionError) as exc:
+        raise FormatError(f"{path}: malformed header") from exc
+
+    if descr not in _DTYPES:
+        raise UnsupportedError(f"{path}: dtype {descr!r}, only <f4/<f8 supported")
+    if fortran_order is True:
+        raise UnsupportedError(f"{path}: Fortran-order payloads are not supported")
+    if fortran_order is not False:
+        raise FormatError(f"{path}: malformed fortran_order flag")
+    if not (isinstance(shape, tuple) and all(type(d) is int and d >= 0 for d in shape)):
+        raise FormatError(f"{path}: malformed shape {shape!r}")
+    if len(shape) not in _RANKS:
+        raise UnsupportedError(f"{path}: rank-{len(shape)} array, only 1/2/4-D supported")
+
+    dtype = np.dtype(descr)
+    count = math.prod(shape)
+    if count == 0:
+        raise DataError(f"{path}: empty arrays are not supported")
+    expected = data_start + count * dtype.itemsize
+    info = os.fstat(fh.fileno())
+    # a pipe cannot report its size, so its payload is read first
+    raw = None if stat.S_ISREG(info.st_mode) else fh.read()
+    size = info.st_size if raw is None else 10 + len(text) + len(raw)
+    if size != expected:
+        raise FormatError(f"{path}: file is {size} bytes, expected {expected}")
+    return dtype, ((1, shape[0]) if len(shape) == 1 else shape), raw
+
+
+def _read_into(fh, path, payload):
+    """Fill the C-ordered array payload from fh's current position."""
+    if fh.readinto(payload.data.cast("B")) != payload.nbytes:
+        raise FormatError(f"{path}: file shrank while it was read")
 
 
 def load_json(path, kind):
@@ -159,10 +214,10 @@ def _check_shape(shape):
         raise DataError("empty arrays are not supported")
 
 
-def _check_finite(a):
+def _check_finite(a, what="payload"):
     # min and max propagate NaN and reach any infinity without allocating
     if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
-        raise DataError("payload contains NaN or Inf")
+        raise DataError(f"{what} contains NaN or Inf")
 
 
 class NpyBlockWriter:

@@ -10,7 +10,9 @@ the model unchanged; coefficients live in the rows of U.
 Crops are cut and resized in blocks of about 2^16 floats by one private
 loop, which extract_crops runs into one stack. build_concept_bank runs
 the model on each block as soon as it is cut and keeps the crops in one
-stack, or appends each block to an NPY file when given a path for them.
+stack, or, given a path, appends each block's windows as cut to an NPY
+file, which CropWindows reads back row by row, resized, for
+recursive_decompose.
 """
 
 import math
@@ -27,7 +29,8 @@ from .errors import DataError, EmptySetError, InsufficientDataError
 from .implicit import jacobian_u_wrt_a
 from .nmf import NmfParams, fit_nmf
 from .nnls import Gram, solve_nnls
-from .npyio import NpyBlockWriter, load_npy, load_record, save_json, save_npy
+from .npyio import (NpyBlockWriter, load_npy, load_npy_rows, load_record, npy_shape,
+                    save_json, save_npy)
 from .sobol import _coefficients, _evaluate, _mean_head_outputs
 
 # fewest crops above the refinement threshold that recursive_decompose fits
@@ -180,10 +183,20 @@ def _resize_into(t, out):
     wy = (ys - y0)[None, :, None, None]
     wx = (xs - x0)[None, None, :, None]
     # along x on the h source rows once, then along y on the output rows;
-    # take (unlike a[:, idx]) returns C order, which the model reads faster
-    rows = t.take(x0, axis=2) * (1 - wx) + t.take(x1, axis=2) * wx
+    # take (unlike a[:, idx]) returns C order, which the model reads faster.
+    # The second term of each pass is scaled in place, the same numbers as
+    # a product, so besides out only the rows and one output-sized
+    # temporary are held at a time
+    rows = t.take(x0, axis=2)
+    rows *= 1 - wx
+    term = t.take(x1, axis=2)
+    term *= wx
+    rows += term
+    del term
     np.multiply(rows.take(y0, axis=1), 1 - wy, out=out)
-    out += rows.take(y1, axis=1) * wy
+    term = rows.take(y1, axis=1)
+    term *= wy
+    out += term
 
 
 def _grid_positions(extent, side, count):
@@ -219,10 +232,10 @@ def _crop_blocks(images, spec, sources=None):
     Returns (provenance, shape, blocks): provenance as extract_crops returns
     it, with the sources' own indices in its image field, the crop stack's
     shape, and blocks(out=None), a generator over consecutive blocks of
-    about 2^16 crop floats. It reads each block's windows through a view of
-    the images, resizes them into out's rows of the block when out is
-    given, else into a new array, and yields (rows, crops): the slice of
-    the stack and the crops in it.
+    about 2^16 crop floats. It gathers each block's windows, as cut, from
+    a view of the images, resizes them into out's rows of the block when
+    out is given, else into a new array, and yields (rows, cut, crops): the
+    slice of the stack, the windows and the crops resized from them.
     """
     images = as_tensor4(images, "images")
     n, h, w, c = images.shape
@@ -260,9 +273,10 @@ def _crop_blocks(images, spec, sources=None):
     def blocks(out=None):
         for start in range(0, len(idx), step):
             rows = slice(start, start + step)
-            crops = np.empty((len(idx[rows]),) + shape[1:]) if out is None else out[rows]
-            _resize_into(windows[idx[rows], top[rows], left[rows]], crops)
-            yield rows, crops
+            cut = windows[idx[rows], top[rows], left[rows]]
+            crops = np.empty((len(cut),) + shape[1:]) if out is None else out[rows]
+            _resize_into(cut, crops)
+            yield rows, cut, crops
 
     return provenance, shape, blocks
 
@@ -305,10 +319,12 @@ def build_concept_bank(images, model, target_class, r, spec=None, nmf_params=Non
     crops are cut, as extract_crops cuts them, in blocks of about 2^16
     floats, and model.features encodes each block as soon as it is cut.
     With crops_path None, the blocks are resized straight into one stack,
-    context["crops"]. Given a path, each block is appended to an NPY file
-    there instead (NpyBlockWriter; the same bytes as save_npy of the stack),
-    complete before the fit starts, and context has no "crops": memory holds
-    one block of crops besides the activations and the provenance.
+    context["crops"]. Given a path, each block's windows, as cut and before
+    the resize, are appended to an NPY file there instead (NpyBlockWriter),
+    a (crops, h, w, channels) stack with h and w as the provenance gives
+    them, complete before the fit starts, and context has no "crops": memory
+    holds one block of crops besides the activations and the provenance.
+    CropWindows reads the file back, resized to the same bytes.
     """
     spec = spec or CropSpec()
     params = nmf_params or NmfParams(rank=r)
@@ -316,22 +332,59 @@ def build_concept_bank(images, model, target_class, r, spec=None, nmf_params=Non
         raise ValueError("nmf_params.rank disagrees with r")
     idx = select_class_set(model.predict(images), target_class)
     provenance, shape, blocks = _crop_blocks(images, spec, idx)
-    stack = np.empty(shape) if crops_path is None else None
-    writer = nullcontext() if crops_path is None else NpyBlockWriter(crops_path, shape)
+    if crops_path is None:
+        stack, writer = np.empty(shape), nullcontext()
+    else:
+        stack = None
+        writer = NpyBlockWriter(crops_path, (len(provenance), int(provenance["h"][0]),
+                                             int(provenance["w"][0]), shape[3]))
     activations = None
     with writer as file:
-        for rows, crops in blocks(stack):
+        for rows, cut, crops in blocks(stack):
             features = model.features(crops, layer=layer)
             if activations is None:
                 activations = np.empty((len(provenance),) + np.shape(features)[1:])
             activations[rows] = features
             if file is not None:
-                file.write(crops)
+                file.write(cut)
     bank, U = fit_bank(activations, params, layer)
     context = {"provenance": provenance, "activations": activations}
     if stack is not None:
         context["crops"] = stack
     return bank, U, context
+
+
+class CropWindows:
+    """The crop windows of an NPY file, read on demand and resized.
+
+    The file holds each crop's window as cut, as build_concept_bank writes
+    it given crops_path (fit --model's crops.npy), a 4-D stack. len() is
+    the window count, read from the header, and indexing with an integer
+    array reads only those windows (npyio.load_npy_rows) and bilinearly
+    resizes them to size, (height, width), in blocks of about 2^16 output
+    floats: the crops the model encoded, byte for byte, when size is the
+    CropSpec's resize_to. recursive_decompose takes it in place of a crop
+    stack. A file of another rank is a DataError.
+    """
+
+    def __init__(self, path, size):
+        self.path, self.size = path, tuple(size)
+        self.shape = npy_shape(path)
+        if len(self.shape) != 4:
+            raise DataError(f"{path}: crop windows must be a 4-D stack, "
+                            f"got shape {self.shape}")
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, rows):
+        rows = np.asarray(rows)
+        out = np.empty((len(rows),) + self.size + self.shape[3:])
+        step = max(1, _BLOCK_FLOATS // math.prod(out.shape[1:]))
+        for start in range(0, len(rows), step):
+            block = slice(start, start + step)
+            _resize_into(load_npy_rows(self.path, rows[block]), out[block])
+        return out
 
 
 def concept_percentile_threshold(values):
@@ -354,7 +407,9 @@ def recursive_decompose(bank, U, concept_index, crops, model, layer, nmf_params)
     threshold are re-encoded with model.features(crops, layer=layer) and
     factorized again. The sub-bank keeps layer as its layer_tag, as
     build_concept_bank's bank does, so it can drive attribution maps.
-    U must be n x bank.r, one row per crop; no crops at all raise
+    crops is a stack of n crops or anything with len() and integer-array
+    indexing, such as CropWindows, and only the selected crops are read
+    from it. U must be n x bank.r, one row per crop; no crops at all raise
     InsufficientDataError. Returns (sub_bank, U_sub, selected_indices).
     """
     U = np.asarray(U)
@@ -374,7 +429,7 @@ def recursive_decompose(bank, U, concept_index, crops, model, layer, nmf_params)
         raise InsufficientDataError(
             f"only {selected.size} crops exceed the refinement threshold "
             f"(need {_MIN_CROPS})")
-    activations = model.features(np.asarray(crops)[selected], layer=layer)
+    activations = model.features(crops[selected], layer=layer)
     sub_bank, U_sub = fit_bank(activations, nmf_params, layer,
                                bank_id=f"{bank.bank_id}/concept{concept_index}",
                                parent=(bank.bank_id, concept_index))

@@ -142,7 +142,8 @@ class TestFit:
 
     def test_fit_writes_what_build_concept_bank_returns(self, tmp_path):
         from craftkit.nmf import NmfParams
-        from craftkit.pipeline import CropSpec, build_concept_bank, save_bank
+        from craftkit.pipeline import (CropSpec, bilinear_resize, build_concept_bank,
+                                       save_bank)
         from craftkit.toy import make_synthetic_dataset, two_layer_backbone
         out = tmp_path / "cli"
         assert main(["fit", "--model", "toy2:5", "--rank", "2", "--n-images", "80",
@@ -157,9 +158,14 @@ class TestFit:
         ref = tmp_path / "library"
         save_bank(bank, ref / "bank")
         save_npy(U, ref / "coeffs.npy")
-        save_npy(ctx["crops"], ref / "crops.npy")
         save_npy(ctx["activations"], ref / "activations.npy")
         prov = ctx["provenance"]
+        # crops.npy holds each window as cut, and resized they are the crop stack
+        save_npy(np.stack([images[i, y:y + h, x:x + w]
+                           for i, y, x, h, w in prov[["image", "y0", "x0", "h", "w"]]]),
+                 ref / "crops.npy")
+        windows = load_npy(out / "crops.npy")
+        assert bilinear_resize(windows, 16, 16).tobytes() == ctx["crops"].tobytes()
         (ref / "provenance.json").write_text(json.dumps(
             [{name: int(row[name]) for name in prov.dtype.names} for row in prov],
             indent=2, sort_keys=True) + "\n")
@@ -425,7 +431,9 @@ def _fit_external(run):
 
 
 def _three_images(run):
-    save_npy(load_npy(run / "crops.npy")[:3], run / "three.npy")
+    # the first three crops, as the model saw them
+    from craftkit.pipeline import bilinear_resize
+    save_npy(bilinear_resize(load_npy(run / "crops.npy")[:3], 16, 16), run / "three.npy")
 
 
 def _equal_columns(run):
@@ -651,6 +659,38 @@ class TestExplainFidelityRecurse:
         code = main(["recurse", "--model", "toy:3", "--concept", "0",
                      "--rank-sub", "2", "--out", str(out)])
         assert code == 3
+
+    def test_recurse_on_an_activations_run_is_data_error(self, tmp_path, capsys):
+        # fit --activations writes no crops.npy for recurse to re-encode
+        g = np.random.default_rng(0)
+        save_npy(g.uniform(size=(40, 3)) @ g.uniform(size=(3, 8)), tmp_path / "A.npy")
+        out = tmp_path / "run"
+        assert main(["fit", "--activations", str(tmp_path / "A.npy"), "--rank", "2",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = main(["recurse", "--model", "toy2:5", "--concept", "0",
+                     "--rank-sub", "2", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(out / "crops.npy") in err
+        assert "fit --activations writes no crops" in err
+        assert run_dir_files(out) == ["bank/W.npy", "bank/meta.json", "coeffs.npy"]
+
+    def test_recurse_reads_only_its_crops(self, tmp_path):
+        # 6400 crops: recurse reads the windows of its top decile, so its
+        # peak stays below crops.npy, which the whole stack used to exceed
+        import tracemalloc
+        out = tmp_path / "run"
+        base = ["--model", "toy2:1", "--n-images", "800", "--out", str(out)]
+        assert main(["fit", "--rank", "2"] + base) == 0
+        tracemalloc.start()
+        try:
+            assert main(["recurse", "--concept", "0", "--rank-sub", "2"] + base) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(json.loads((out / "selected_concept0.json").read_text())) == 640
+        assert peak < (out / "crops.npy").stat().st_size, peak
 
 
 class TestSanity:

@@ -13,7 +13,8 @@ import pytest
 import craftkit
 from craftkit.core import Rng
 from craftkit.errors import DataError, FormatError, UnsupportedError
-from craftkit.npyio import NpyBlockWriter, load_npy, save_json, save_npy
+from craftkit.npyio import (NpyBlockWriter, load_npy, load_npy_rows, npy_shape, save_json,
+                            save_npy)
 
 
 def write_raw_npy(path, descr, fortran_order, shape, payload, version=(1, 0)):
@@ -328,6 +329,85 @@ class TestBlockWriter:
         with pytest.raises(error):
             NpyBlockWriter(tmp_path / "never.npy", shape)
         assert not (tmp_path / "never.npy").exists()
+
+
+class TestLoadRows:
+    """load_npy_rows reads the rows load_npy would index, and rejects a file
+    load_npy rejects before it reads any row."""
+
+    @pytest.mark.parametrize("shape", [(40, 3), (40, 5, 4, 2)], ids=["2d", "4d"])
+    @pytest.mark.parametrize("rows", [
+        [0], [39], [0, 39], [3, 4, 5, 6, 20, 21, 39], [38, 39, 0, 1], [7, 7, 2],
+        np.arange(40), [-1, -40], slice(10, 30, 3),
+    ], ids=["first", "last", "first_and_last", "adjacent_runs", "runs_out_of_order",
+            "repeated", "every_row", "negative", "slice"])
+    @pytest.mark.parametrize("descr", ["<f8", "<f4"])
+    def test_rows_equal_load_npy_indexed(self, tmp_path, shape, rows, descr):
+        path = tmp_path / "rows.npy"
+        np.save(path, np.random.default_rng(6).normal(size=shape).astype(descr))
+        expected = load_npy(path)[rows]
+        out = load_npy_rows(path, rows)
+        assert out.dtype == np.float64 and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+    def test_one_d_file_is_one_row(self, tmp_path):
+        path = tmp_path / "v.npy"
+        write_raw_npy(path, "<f8", False, (3,), np.arange(3.0).tobytes())
+        assert npy_shape(path) == (1, 3)
+        assert load_npy_rows(path, [0]).tobytes() == np.arange(3.0).tobytes()
+
+    def test_shape_is_read_from_the_header(self, tmp_path):
+        path = tmp_path / "s.npy"
+        save_npy(np.ones((6, 4, 3, 2)), path)
+        assert npy_shape(path) == (6, 4, 3, 2)
+
+    def test_streamed_input_reads_rows(self, tmp_path):
+        path = tmp_path / "s.npy"
+        m = np.random.default_rng(4).normal(size=(9, 4))
+        save_npy(m, path)
+        src = str(Path(craftkit.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+             "from craftkit.npyio import load_npy_rows; "
+             "sys.stdout.buffer.write(load_npy_rows('/dev/stdin', [8, 2, 3]).tobytes())",
+             src], input=path.read_bytes(), capture_output=True, check=True)
+        assert result.stdout == m[[8, 2, 3]].tobytes()
+
+    def test_unread_rows_are_not_checked(self, tmp_path):
+        # only the rows read are scanned for NaN or infinity
+        path = tmp_path / "nan.npy"
+        m = np.ones((5, 2))
+        m[3, 1] = np.nan
+        write_raw_npy(path, "<f8", False, (5, 2), m.tobytes())
+        assert load_npy_rows(path, [0, 1, 4]).tobytes() == np.ones((3, 2)).tobytes()
+        with pytest.raises(DataError, match="NaN or Inf"):
+            load_npy_rows(path, [1, 3])
+
+    @pytest.mark.parametrize("write, error", [
+        (lambda p: write_raw_npy(p, "<f8", False, (4, 3), np.zeros(11).tobytes()),
+         FormatError),
+        (lambda p: write_raw_npy(p, "<f8", False, "(True, 2)", np.zeros(2).tobytes()),
+         FormatError),
+        (lambda p: write_raw_npy(p, "<f8", True, (4, 3), np.zeros(12).tobytes()),
+         UnsupportedError),
+    ], ids=["truncated", "bool_dim", "fortran_order"])
+    def test_rejected_before_any_row_is_read(self, tmp_path, monkeypatch, write, error):
+        from craftkit import npyio
+        reads = []
+        monkeypatch.setattr(npyio, "_read_into", lambda *args: reads.append(args))
+        path = tmp_path / "bad.npy"
+        write(path)
+        with pytest.raises(error):
+            load_npy_rows(path, [0, 1])
+        with pytest.raises(error):
+            npy_shape(path)
+        assert reads == []
+
+    def test_row_out_of_range(self, tmp_path):
+        path = tmp_path / "r.npy"
+        save_npy(np.ones((4, 2)), path)
+        with pytest.raises(IndexError):
+            load_npy_rows(path, [1, 4])
 
 
 def test_save_json_leaves_no_file_for_a_value_json_cannot_encode(tmp_path):

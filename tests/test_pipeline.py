@@ -9,18 +9,19 @@ import numpy as np
 import pytest
 
 from craftkit.core import _BLOCK_FLOATS, Rng
-from craftkit.errors import DegeneracyError, EmptySetError, InsufficientDataError
+from craftkit.errors import (DataError, DegeneracyError, EmptySetError,
+                             InsufficientDataError)
 from craftkit.implicit import jacobian_u_wrt_a
 from craftkit.nmf import NmfParams
 from craftkit import nnls
 from craftkit.nnls import solve_nnls
-from craftkit.pipeline import (ConceptBank, CropSpec, bilinear_resize,
+from craftkit.pipeline import (ConceptBank, CropSpec, CropWindows, bilinear_resize,
                                build_concept_bank,
                                concept_attribution_map, concept_attribution_maps,
                                concept_percentile_threshold, extract_crops,
                                fidelity_curves, load_bank, recursive_decompose,
                                save_bank, save_provenance, select_class_set)
-from craftkit.npyio import save_npy
+from craftkit.npyio import load_npy, save_npy
 from craftkit.sobol import AffineHead, concept_importance
 from craftkit.toy import (make_synthetic_dataset, pair_backbone, standard_backbone,
                           two_layer_backbone)
@@ -314,8 +315,41 @@ class TestStreamedConceptBank:
         for a, b in [(s_bank.W, bank.W), (s_U, U), (s_ctx["activations"], ctx["activations"]),
                      (s_ctx["provenance"], ctx["provenance"])]:
             assert a.tobytes() == b.tobytes()
-        save_npy(ctx["crops"], tmp_path / "stack.npy")
-        assert path.read_bytes() == (tmp_path / "stack.npy").read_bytes()
+        # the file holds the windows as cut, and resized they are the stack
+        assert bilinear_resize(load_npy(path), 16, 16).tobytes() == ctx["crops"].tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        CropSpec(resize_to=(16, 16), seed=3),
+        CropSpec(mode="random", crop_fraction=0.4, crops_per_image=13, resize_to=(21, 9),
+                 seed=3),
+    ], ids=["grid", "random_13_to_21x9"])
+    def test_crop_windows_read_back_the_stack(self, tmp_path, toy2_images, spec):
+        stack, prov = extract_crops(toy2_images, spec)
+        # resized to their own size, the crops are the windows as cut
+        side = (int(prov["h"][0]), int(prov["w"][0]))
+        save_npy(extract_crops(toy2_images, replace(spec, resize_to=side))[0],
+                 tmp_path / "windows.npy")
+        windows = CropWindows(tmp_path / "windows.npy", spec.resize_to)
+        assert len(windows) == len(stack)
+        # every row (blocks of 256 crops at 16 x 16) and a few out of order
+        for rows in (np.arange(len(stack)), np.array([len(stack) - 1, 0, 5, 6, 7])):
+            assert windows[rows].tobytes() == stack[rows].tobytes()
+
+    def test_crop_windows_refine_as_the_stack(self, tmp_path, toy2_images):
+        model = two_layer_backbone()
+        spec, params = CropSpec(resize_to=(16, 16), seed=3), NmfParams(rank=2)
+        bank, U, ctx = build_concept_bank(toy2_images, model, 1, 2, spec, params, "final")
+        path = tmp_path / "crops.npy"
+        build_concept_bank(toy2_images, model, 1, 2, spec, params, "final", crops_path=path)
+        stacked = recursive_decompose(bank, U, 0, ctx["crops"], model, 1, params)
+        read = recursive_decompose(bank, U, 0, CropWindows(path, (16, 16)), model, 1, params)
+        for a, b in [(read[0].W, stacked[0].W), (read[1], stacked[1]), (read[2], stacked[2])]:
+            assert a.tobytes() == b.tobytes()
+
+    def test_crop_windows_of_another_rank_are_data_error(self, tmp_path):
+        save_npy(np.ones((4, 3)), tmp_path / "flat.npy")
+        with pytest.raises(DataError, match="4-D"):
+            CropWindows(tmp_path / "flat.npy", (16, 16))
 
     def test_streamed_peak_is_below_the_crop_stack(self, tmp_path):
         # 3200 toy2 crops of 6.6 MB; only a block of them is held at a time
