@@ -1,41 +1,39 @@
 """Command-line interface over the run-directory file contract.
 
 A thin layer over ``pipeline``: each command parses its arguments, calls
-the library, and reads or writes run-directory files. Commands populate an
-output directory incrementally: ``fit`` writes the bank and coefficients,
-and on ``--model`` also the crop windows as cut, before the resize, their
-provenance and their activations (``build_concept_bank``), the windows
-streamed block by block into a temporary directory and moved into the run
-once the fit is accepted; on ``--activations`` it runs ``fit_bank`` and
-writes no copy of its input; ``importance`` adds importance.json;
-``explain`` fills heatmaps/ in one attribution pass over all requested
-concepts; ``fidelity`` writes curve CSVs; ``recurse`` reads only the
-top-decile crop windows of crops.npy and adds a sub-bank directory;
-``sanity`` compares banks from trained and weight-randomized models. Every
-bank directory is written by ``save_bank``, fit diagnostics included. Exit
-codes: 0 success, 2 usage or argument error, 3 data error, 4 numerical
-failure (``fit``, ``recurse`` and ``sanity`` exit 4 after writing their
-artifacts when a fit did not converge, flagged ``"converged": false``).
-Each command takes the flags it reads and the run flags ``--model --seed
---images --n-images --noise --out``, shared so that one base argv drives
-the whole chain; ``importance``, ``fidelity`` and ``recurse`` ignore the
-image flags ``--images --n-images --noise``, and ``importance`` and
-``recurse`` ignore ``--seed``. ``fit`` takes exactly one of ``--model`` and
-``--activations``, which replaces the image route: it ignores ``--seed
---n-images --noise`` and exits 2 on ``--images``, ``--class`` or a crop
-flag. ``explain --threads`` has no effect. Any other flag, a missing
-required flag or a bad choice exits 2 through argparse before any file is
-read; ``fit``, ``explain`` and ``sanity`` write only once their input is
-accepted, so a rejected run writes nothing.
+the library, and reads or writes the run-directory files the README's CLI
+section lists. ``fit`` writes the bank and its coefficients, and on
+``--model`` also the crop windows as cut, their provenance and their
+activations (``build_concept_bank``), the windows streamed into a
+temporary directory and moved into the run once the fit is accepted; on
+``--activations`` it runs ``fit_bank`` and writes no copy of its input.
+``importance`` adds importance.json, ``explain`` fills heatmaps/ in one
+attribution pass over all requested concepts, ``fidelity`` writes curve
+CSVs, ``recurse`` reads only the top-decile crop windows of crops.npy and
+adds a sub-bank with its coefficients, and ``sanity`` compares banks from
+trained and weight-randomized models.
 
-``main`` builds its parser once per process, on its first call
-(``build_parser`` still returns a new one). The ``--model`` is built, or
-read from its directory, on every call. Only callers that run several
-commands through ``main`` in one process gain from this: the test suite,
-the benchmark's chain and scripts. Each command after the first skips
-building the argparse tree and collecting the cycles it leaves, about
-2.3 ms. ``python -m craftkit`` runs one command per process and gains
-nothing.
+A bank and its coefficients, the run's bank view, are named, read and
+written by ``_bank_view`` alone; ``importance`` and ``fidelity`` take
+their head from ``_head``, which builds it from ``--model`` as an
+``AffineHead`` and checks it against the bank's width.
+
+Exit codes: 0 success, 2 usage or argument error, 3 data error, 4
+numerical failure (``fit``, ``recurse`` and ``sanity`` exit 4 after writing
+their artifacts when a fit did not converge, flagged ``"converged":
+false``). Each command takes the flags it reads and the run flags
+``--model --seed --images --n-images --noise --out``, shared so that one
+base argv drives the whole chain, and ignores the run flags it does not
+read; ``fit --activations`` exits 2 on ``--images``, ``--class`` or a crop
+flag. Any other flag, a missing required flag or a bad choice exits 2
+through argparse before any file is read; ``fit``, ``explain`` and
+``sanity`` write only once their input is accepted, so a rejected run
+writes nothing.
+
+``main`` builds its parser once per process (``build_parser`` still
+returns a new one), which spares a caller running several commands through
+it about 2.3 ms per command after the first; ``--model`` is built, or read
+from its directory, on every call.
 """
 
 import argparse
@@ -65,6 +63,11 @@ _EXIT_OK = 0
 _EXIT_USAGE = 2
 _EXIT_DATA = 3
 _EXIT_NUMERICAL = 4
+
+# how main reports a failure: its label and exit code, by exception class
+_FAILURES = ((OSError, "error", _EXIT_DATA), (ValueError, "error", _EXIT_USAGE),
+             (NumericalError, "numerical error", _EXIT_NUMERICAL),
+             (DataError, "data error", _EXIT_DATA), (CraftError, "error", _EXIT_DATA))
 
 # outer-loop objective tolerances: image-mode banks are statistical, while
 # external activation matrices are commonly exact fixtures, fit much tighter
@@ -114,6 +117,28 @@ def _crop_spec(args, model, seed):
                     **{field: v for field, v in given.items() if v is not None})
 
 
+def _bank_view(out, concept=None, save=None, coeffs=True):
+    """The run's bank view, the one place that names its files: bank/ with
+    coeffs.npy or, for concept c, recurse's bank_concept<c>/ with
+    coeffs_concept<c>.npy. Writes save, a (bank, coefficients) pair, there;
+    else returns (bank, coefficients), the coefficients read only if coeffs."""
+    suffix = "" if concept is None else f"_concept{concept}"
+    if save is not None:
+        save_bank(save[0], out / f"bank{suffix}")
+        return save_npy(save[1], out / f"coeffs{suffix}.npy")
+    return (load_bank(out / f"bank{suffix}"),
+            load_npy(out / f"coeffs{suffix}.npy") if coeffs else None)
+
+
+def _head(model, bank):
+    """--model's head as an AffineHead; a ValueError unless it reads the bank's width."""
+    head = model.affine_head
+    if bank.W.shape[0] != len(head.weights):
+        raise ValueError(f"the bank fit at layer {bank.layer_tag!r} is {bank.W.shape[0]} "
+                         f"features wide, but the head reads {len(head.weights)}")
+    return head
+
+
 def _fit_exit(command, converged):
     """0, or 4 with a note when a fit whose artifacts are written did not converge."""
     if converged:
@@ -157,40 +182,31 @@ def cmd_fit(args):
         save_provenance(ctx["provenance"], out / "provenance.json")
         save_npy(ctx["activations"], out / "activations.npy")
 
-    save_bank(bank, out / "bank")
-    save_npy(U, out / "coeffs.npy")
+    _bank_view(out, save=(bank, U))
     return _fit_exit("fit", bank.converged)
 
 
 def cmd_importance(args):
     out = Path(args.out)
-    bank = load_bank(out / "bank")
-    coeffs = load_npy(out / "coeffs.npy")
-    model, _ = _load_model(args.model)
-    estimate = concept_importance(coeffs, bank.W, model.affine_head, args.n_samples,
-                                  mu=args.mu)
+    bank, coeffs = _bank_view(out)
+    head = _head(_load_model(args.model)[0], bank)
+    estimate = concept_importance(coeffs, bank.W, head, args.n_samples, mu=args.mu)
 
     # an affine head's gradient is its weight row, the same for every crop
-    grads = (model.head_weights[None] if args.gradients is None
+    grads = (head.weights[None] if args.gradients is None
              else load_npy(Path(args.gradients)))
     tcav = tcav_importance(grads, bank.W)
 
-    records = []
-    for i in range(bank.r):
-        records.append({
-            "concept_id": i,
-            "total_sobol": float(estimate.total_indices[i]),
-            "tcav": float(tcav[i]),
-            "n_samples": args.n_samples,
-            "degenerate": bool(estimate.degenerate),
-        })
-    save_json(records, out / "importance.json")
+    save_json([{"concept_id": i, "total_sobol": float(estimate.total_indices[i]),
+                "tcav": float(tcav[i]), "n_samples": args.n_samples,
+                "degenerate": bool(estimate.degenerate)} for i in range(bank.r)],
+              out / "importance.json")
     return _EXIT_OK
 
 
 def cmd_explain(args):
     out = Path(args.out)
-    bank = load_bank(out / "bank")
+    bank, _ = _bank_view(out, coeffs=False)
     model, seed = _load_model(args.model, args.seed)
     index = args.image_index
     # checked before generating, since only the first index + 1 are built
@@ -211,9 +227,9 @@ def cmd_explain(args):
 
 def cmd_fidelity(args):
     out = Path(args.out)
-    bank = load_bank(out / "bank")
-    coeffs = load_npy(out / "coeffs.npy")
+    bank, coeffs = _bank_view(out)
     model, seed = _load_model(args.model, args.seed)
+    head = _head(model, bank)
 
     if args.ranking in ("sobol", "tcav"):
         importance_path = out / "importance.json"
@@ -234,24 +250,21 @@ def cmd_fidelity(args):
         gen = Rng(seed, stream=23).generator()
         importance = gen.permutation(bank.r).astype(np.float64)
 
-    curve = fidelity_curves(coeffs, bank.W, model.affine_head, importance,
+    curve = fidelity_curves(coeffs, bank.W, head, importance,
                             direction=args.direction, mu=args.mu)
     parts = ["curves"]
     if args.ranking != "sobol":
         parts.append(args.ranking)
     if args.direction != "deletion":
         parts.append(args.direction)
-    lines = ["fraction,mean_output"]
-    for x, y in zip(curve.xs, curve.ys):
-        lines.append(f"{x:.17g},{y:.17g}")
-    (out / ("_".join(parts) + ".csv")).write_text("\n".join(lines) + "\n")
+    rows = "".join(f"{x:.17g},{y:.17g}\n" for x, y in zip(curve.xs, curve.ys))
+    (out / ("_".join(parts) + ".csv")).write_text("fraction,mean_output\n" + rows)
     return _EXIT_OK
 
 
 def cmd_recurse(args):
     out = Path(args.out)
-    bank = load_bank(out / "bank")
-    coeffs = load_npy(out / "coeffs.npy")
+    bank, coeffs = _bank_view(out)
     model, _ = _load_model(args.model)
     path = out / "crops.npy"
     if not path.exists():
@@ -264,8 +277,7 @@ def cmd_recurse(args):
         bank, coeffs, args.concept, crops, model, "layer1",
         NmfParams(rank=args.rank_sub, outer_iters=args.outer_iters,
                   objective_tol=_IMAGE_TOL))
-    save_bank(sub_bank, out / f"bank_concept{args.concept}")
-    save_npy(u_sub, out / f"coeffs_concept{args.concept}.npy")
+    _bank_view(out, args.concept, save=(sub_bank, u_sub))
     save_json([int(i) for i in selected], out / f"selected_concept{args.concept}.json")
     return _fit_exit("recurse", sub_bank.converged)
 
@@ -376,21 +388,12 @@ def main(argv=None):
     args = _main_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DATA
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return _EXIT_DATA
-    except CraftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DATA
+    except (OSError, ValueError, CraftError) as exc:
+        # the first class in _FAILURES that exc is an instance of
+        label, code = next((label, code) for kind, label, code in _FAILURES
+                           if isinstance(exc, kind))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -6,15 +6,13 @@ widened to float64 in memory. Anything else is rejected loudly instead of
 being coerced: wrong magic, a malformed header or a payload of the wrong
 length is a FormatError, a declared feature outside this subset (version,
 dtype, Fortran order, rank) is an UnsupportedError, and non-finite or empty
-payloads are a DataError.
-load_npy_rows reads selected rows of a file and npy_shape its shape, both
-after load_npy's checks of the header and the file size.
+payloads are a DataError. load_npy_rows reads selected rows, load_npy all
+of them through it, and npy_shape a file's shape after the same checks.
 NpyBlockWriter writes one file block by block, and save_npy writes a
-whole stack through it as one block.
-save_json writes the JSON sidecars kept next to them, load_json reads
-them, and load_record also checks the keys and value types of one; a
-sidecar that does not parse, or whose top level, key set or value types
-are wrong, is a DataError naming the file.
+whole stack through it as one block. save_json writes the JSON sidecars
+kept next to them, load_json reads them, and load_record also checks the
+keys and value types of one; a sidecar that does not parse, or whose top
+level, key set or value types are wrong, is a DataError naming the file.
 """
 
 import ast
@@ -33,57 +31,55 @@ _RANKS = (1, 2, 4)
 
 
 def load_npy(path):
-    """Load an NPY v1.0 file as a float64 matrix or 4-D tensor.
-
-    The header is parsed and the payload size it declares is checked
-    against the file before anything sized from the header is allocated.
-    A regular file's payload is then read straight into the returned
-    array, so a float64 file is held once and a float32 file gets one
-    widening copy. A pipe cannot report its size, so its payload is read
-    whole, checked, and then copied into the array.
-    """
-    with open(path, "rb") as fh:
-        dtype, shape, raw = _read_header(fh, path)
-        if raw is None:
-            payload = np.empty(math.prod(shape), dtype)
-            _read_into(fh, path, payload)
-        else:
-            payload = np.frombuffer(raw, dtype).astype(np.float64)
-
-    arr = payload.astype(np.float64, copy=False)
-    _check_finite(arr, f"{path}: payload")
-    return arr.reshape(shape)
+    """Load an NPY v1.0 file as a float64 matrix or 4-D tensor: load_npy_rows
+    over every row."""
+    return load_npy_rows(path, slice(None))
 
 
 def load_npy_rows(path, rows):
     """Load the given rows of an NPY v1.0 file, as load_npy(path)[rows].
 
-    The header and the file size get load_npy's checks before any row is
-    read. Then only the selected rows are read, one seek and one read per
-    run of adjacent rows, so memory holds the selected rows alone. rows is
-    a 1-D integer array or a slice of the first axis, as numpy takes it
-    (negative indices count from the end). Only the rows read are checked
-    for NaN or infinity. A pipe cannot seek, so its payload is read whole
-    and the rows are taken from it.
+    rows is a 1-D integer array or a slice of the first axis, as numpy
+    takes it. The header is parsed and the payload size it declares is
+    checked against the file before anything sized from the header is
+    allocated. A regular file's rows are then read straight into the
+    returned array, one seek and one read per run of adjacent rows, so a
+    float64 file is held once and a float32 file gets one widening copy.
+    A pipe cannot seek or report its size, so its payload is read whole,
+    checked, and its rows copied into the array. Only the rows read are
+    checked for NaN or infinity.
     """
     with open(path, "rb") as fh:
         dtype, shape, raw = _read_header(fh, path)
-        order = np.arange(shape[0])[rows].reshape(-1)
+        runs = _row_runs(shape[0], rows)
+        payload = np.empty((sum(n for *_, n in runs),) + shape[1:],
+                           dtype if raw is None else np.float64)
         if raw is None:
             data_start = fh.tell()
             row_bytes = math.prod(shape[1:]) * dtype.itemsize
-            payload = np.empty((len(order),) + shape[1:], dtype)
-            # the first position of each run of adjacent rows, then the end
-            runs = np.flatnonzero(np.diff(order, prepend=-2) != 1).tolist() + [len(order)]
-            for start, stop in zip(runs, runs[1:]):
-                fh.seek(data_start + int(order[start]) * row_bytes)
-                _read_into(fh, path, payload[start:stop])
+            for at, first, n in runs:
+                fh.seek(data_start + first * row_bytes)
+                _read_into(fh, path, payload[at:at + n])
         else:
-            payload = np.frombuffer(raw, dtype).reshape(shape)[order]
+            source = np.frombuffer(raw, dtype).reshape(shape)
+            for at, first, n in runs:
+                payload[at:at + n] = source[first:first + n]
 
     arr = payload.astype(np.float64, copy=False)
     _check_finite(arr, f"{path}: payload")
     return arr
+
+
+def _row_runs(count, rows):
+    """(position in the result, first row, length) of each run of adjacent
+    rows that rows selects from count rows; a slice of step 1 is one run
+    and builds no index array."""
+    start, stop, step = rows.indices(count) if isinstance(rows, slice) else (0, 0, 0)
+    if step == 1:
+        return [(0, start, stop - start)] if stop > start else []
+    order = np.arange(count)[rows].reshape(-1)
+    bounds = np.flatnonzero(np.diff(order, prepend=-2) != 1).tolist() + [len(order)]
+    return [(a, int(order[a]), b - a) for a, b in zip(bounds, bounds[1:])]
 
 
 def npy_shape(path):

@@ -99,6 +99,18 @@ def ishigami_total_indices(a, b):
     return np.array([(v1 + v13) / total, v2 / total, v13 / total])
 
 
+def affine_total_indices(U, W, weights, mu=0.0):
+    """Closed-form total Sobol' indices of concept masks under an affine head.
+
+    The head's output on the row-mean perturbed coefficients,
+    sum_i (mu + m_i (ubar_i - mu)) (W^T w)_i + bias, is additive in the
+    independent uniform masks m_i with slopes c_i = (ubar_i - mu) (W^T w)_i,
+    so each total index is c_i^2 / sum_j c_j^2.
+    """
+    c = (np.mean(U, axis=0) - mu) * (np.asarray(W).T @ np.asarray(weights))
+    return c**2 / np.sum(c**2)
+
+
 def ishigami(x, a, b):
     """Ishigami on the unit cube (inputs rescaled to [-pi, pi])."""
     z = -np.pi + 2.0 * np.pi * np.asarray(x)

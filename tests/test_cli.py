@@ -1,6 +1,7 @@
 """CLI commands over the run-directory contract, exit codes included."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from craftkit import cli
 from craftkit.cli import build_parser, main
 from craftkit.npyio import load_npy, save_npy
+from craftkit.toy import two_layer_backbone
+from oracles import affine_total_indices
 
 
 def run_dir_files(path):
@@ -305,6 +308,20 @@ class TestImportance:
                                 "n_samples", "degenerate"}
             assert rec["n_samples"] == 128
 
+    def test_total_indices_match_the_affine_oracle(self, tmp_path):
+        # toy2's head is affine, so the indices approach c_i^2 / sum_j c_j^2;
+        # the largest error measured on this run was 0.0018
+        out = tmp_path / "run"
+        base = ["--model", "toy2:7", "--seed", "7", "--out", str(out)]
+        assert main(["fit", "--class", "1", "--rank", "2"] + base) == 0
+        assert main(["importance", "--n-samples", "1024"] + base) == 0
+        records = json.loads((out / "importance.json").read_text())
+        expected = affine_total_indices(load_npy(out / "coeffs.npy"),
+                                        load_npy(out / "bank" / "W.npy"),
+                                        two_layer_backbone().head_weights)
+        np.testing.assert_allclose([rec["total_sobol"] for rec in records], expected,
+                                   rtol=0, atol=0.0025)
+
     def test_zero_samples_is_usage_error(self, fitted_run):
         code = main(["importance", "--model", "toy:3", "--n-samples", "0",
                      "--out", str(fitted_run)])
@@ -588,6 +605,46 @@ class TestExplainFidelityRecurse:
         assert main(argv + ["--model", "toy2:5", "--n-images", "80",
                             "--out", str(full_run)]) == 2
         assert {p: p.read_bytes() for p in full_run.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("command, missing, named", [
+        (command, "bank", "bank/meta.json")
+        for command in ("importance", "explain", "fidelity", "recurse")] + [
+        (command, "coeffs.npy", "coeffs.npy")
+        for command in ("importance", "fidelity", "recurse")])
+    def test_missing_bank_view_is_data_error(self, full_run, capsys, command, missing,
+                                             named):
+        path = full_run / missing
+        if path.is_dir():
+            shutil.rmtree(path)
+        else:
+            path.unlink()
+        before = {p: p.is_file() and p.read_bytes() for p in full_run.rglob("*")}
+        capsys.readouterr()
+        flags = ["--concept", "0"] if command == "recurse" else []
+        assert main([command, "--model", "toy2:5", "--n-images", "80", "--out",
+                     str(full_run)] + flags) == 3
+        assert str(full_run / named) in capsys.readouterr().err
+        assert {p: p.is_file() and p.read_bytes() for p in full_run.rglob("*")} == before
+
+    @pytest.mark.parametrize("command", ["importance", "fidelity"])
+    def test_bank_of_another_width_than_the_head_is_usage_error(self, tmp_path, capsys,
+                                                                monkeypatch, command):
+        # a layer1 bank under toy2's two-feature head; unchecked, both failed
+        # inside the head with only "activations must be (batch, 2)"
+        out = tmp_path / "run"
+        base = ["--model", "toy2:7", "--seed", "7", "--out", str(out)]
+        assert main(["fit", "--rank", "2", "--layer", "layer1"] + base) == 0
+        width = load_npy(out / "bank" / "W.npy").shape[0]
+        assert width != 2
+        for name in ("concept_importance", "fidelity_curves"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("masks built"))
+        before = sorted(out.rglob("*"))
+        capsys.readouterr()
+        flags = ["--ranking", "random"] if command == "fidelity" else []
+        assert main([command] + flags + base) == 2
+        err = capsys.readouterr().err
+        assert "'layer1'" in err and f"{width} features wide" in err and "reads 2" in err
+        assert sorted(out.rglob("*")) == before
 
     def test_fidelity_without_importance_is_data_error(self, tmp_path):
         out = tmp_path / "run"

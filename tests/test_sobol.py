@@ -18,7 +18,8 @@ from craftkit.sobol import (AffineHead, concept_importance, mask_designs, pertur
                             sobol_sequence, tcav_importance, total_sobol_jansen,
                             _jansen_total)
 
-from oracles import first_order_saltelli, ishigami, ishigami_total_indices
+from oracles import (affine_total_indices, first_order_saltelli, ishigami,
+                     ishigami_total_indices)
 
 
 class TestSobolSequence:
@@ -431,6 +432,18 @@ class TestAffineHead:
                                        rtol=1e-12)
             np.testing.assert_allclose(affine.variance_Y, general.variance_Y,
                                        rtol=1e-12)
+
+    @pytest.mark.parametrize("n, atol", [(256, 0.03), (1024, 0.006)])
+    @pytest.mark.parametrize("mu", [0.0, 0.25])
+    def test_matches_the_closed_form_indices(self, n, atol, mu):
+        # an affine head is additive in the masks, so its total indices are
+        # c_i^2 / sum_j c_j^2; the largest errors measured on this fixture
+        # were 0.0235 at n = 256 and 0.0044 at n = 1024
+        rng = np.random.default_rng(41)
+        U, W, w = rng.uniform(size=(50, 4)), rng.uniform(size=(9, 4)), rng.normal(size=9)
+        estimate = concept_importance(U, W, AffineHead(w, 0.3), n, mu=mu)
+        np.testing.assert_allclose(estimate.total_indices,
+                                   affine_total_indices(U, W, w, mu), rtol=0, atol=atol)
 
     def test_head_sees_one_row_per_mask(self):
         rows = []
