@@ -8,10 +8,10 @@ activations (``build_concept_bank``), the windows streamed into a
 temporary directory and moved into the run once the fit is accepted; on
 ``--activations`` it runs ``fit_bank`` and writes no copy of its input.
 ``importance`` adds importance.json, ``explain`` fills heatmaps/ in one
-attribution pass over all requested concepts, ``fidelity`` writes curve
-CSVs, ``recurse`` reads only the top-decile crop windows of crops.npy and
-adds a sub-bank with its coefficients, and ``sanity`` compares banks from
-trained and weight-randomized models.
+attribution pass over all requested images and concepts, ``fidelity``
+writes curve CSVs, ``recurse`` reads only the top-decile crop windows of
+crops.npy and adds a sub-bank with its coefficients, and ``sanity``
+compares banks from trained and weight-randomized models.
 
 A bank and its coefficients, the run's bank view, are named, read and
 written by ``_bank_view`` alone; ``importance`` and ``fidelity`` take
@@ -121,13 +121,18 @@ def _bank_view(out, concept=None, save=None, coeffs=True):
     """The run's bank view, the one place that names its files: bank/ with
     coeffs.npy or, for concept c, recurse's bank_concept<c>/ with
     coeffs_concept<c>.npy. Writes save, a (bank, coefficients) pair, there;
-    else returns (bank, coefficients), the coefficients read only if coeffs."""
+    else returns (bank, coefficients), the coefficients read only if coeffs.
+    A missing file is a DataError naming it and the command that writes it."""
     suffix = "" if concept is None else f"_concept{concept}"
     if save is not None:
         save_bank(save[0], out / f"bank{suffix}")
         return save_npy(save[1], out / f"coeffs{suffix}.npy")
-    return (load_bank(out / f"bank{suffix}"),
-            load_npy(out / f"coeffs{suffix}.npy") if coeffs else None)
+    try:
+        return (load_bank(out / f"bank{suffix}"),
+                load_npy(out / f"coeffs{suffix}.npy") if coeffs else None)
+    except FileNotFoundError as exc:
+        writer = "fit" if concept is None else f"recurse --concept {concept}"
+        raise DataError(f"{exc.filename} is missing: the {writer} command writes it") from exc
 
 
 def _head(model, bank):
@@ -208,20 +213,28 @@ def cmd_explain(args):
     out = Path(args.out)
     bank, _ = _bank_view(out, coeffs=False)
     model, seed = _load_model(args.model, args.seed)
-    index = args.image_index
-    # checked before generating, since only the first index + 1 are built
-    if args.images is None and not 0 <= index < args.n_images:
-        raise ValueError(f"--image-index {index} out of range")
-    images = _input_images(args, model, seed, count=index + 1)
-    if not 0 <= index < len(images):
-        raise ValueError(f"--image-index {index} out of range")
+    indices = args.image_index
+    if len(set(indices)) < len(indices):
+        raise ValueError(f"--image-index repeats an index: {' '.join(map(str, indices))}")
+
+    def check(n):
+        for index in indices:
+            if not 0 <= index < n:
+                raise ValueError(f"--image-index {index} out of range")
+
+    # checked before generating, since only the first max(index) + 1 are built
+    if args.images is None:
+        check(args.n_images)
+    images = _input_images(args, model, seed, count=max(indices) + 1)
+    check(len(images))
     concepts = [args.concept] if args.concept is not None else range(bank.r)
-    heatmaps = concept_attribution_maps(images[index], bank, model, concepts,
+    heatmaps = concept_attribution_maps(images[indices], bank, model, concepts,
                                         method=args.method, seed=seed)
     # created only once the maps exist, so a rejected explain writes nothing
     (out / "heatmaps").mkdir(exist_ok=True)
-    for hm in heatmaps:
-        save_npy(hm.values, out / "heatmaps" / f"{index}_{hm.concept_index}.npy")
+    for index, maps in zip(indices, heatmaps):
+        for hm in maps:
+            save_npy(hm.values, out / "heatmaps" / f"{index}_{hm.concept_index}.npy")
     return _EXIT_OK
 
 
@@ -369,7 +382,8 @@ def build_parser():
          default="sobol")
     flag("fidelity", "--direction", choices=("deletion", "insertion"),
          default="deletion")
-    flag("explain", "--image-index", type=int, default=0)
+    flag("explain", "--image-index", type=int, nargs="+", default=[0],
+         help="indices of the images to explain, distinct (default: 0)")
     flag("explain", "--method", choices=("gradient", "smoothgrad", "occlusion"),
          default="gradient")
     flag("explain", "--concept", type=int, help="concept index (default: all)")

@@ -2,10 +2,12 @@
 and fidelity curves.
 
 A "model" here is anything with features(x, layer=None), predict(x) and
-vjp_features(x, cotangent, layer=None); a head is passed to fidelity_curves
-on its own, never read from the model. A bank stores unit-norm nonnegative
-concept vectors and the layer value they were fit at, which goes back to
-the model unchanged; coefficients live in the rows of U.
+features_vjp(x, layer=None), which returns (features(x, layer), pullback)
+with pullback(cotangent) the gradient of <features, cotangent> w.r.t. x,
+as jax.vjp does; a head is passed to fidelity_curves on its own, never
+read from the model. A bank stores unit-norm nonnegative concept vectors
+and the layer value they were fit at, which goes back to the model
+unchanged; coefficients live in the rows of U.
 
 Crops are cut and resized in blocks of about 2^16 floats by one private
 loop, which extract_crops runs into one stack. build_concept_bank runs
@@ -13,8 +15,16 @@ the model on each block as soon as it is cut and keeps the crops in one
 stack, or, given a path, appends each block's windows as cut to an NPY
 file, which CropWindows reads back row by row, resized, for
 recursive_decompose.
+
+concept_attribution_maps takes one image or a stack. Gradient maps take
+one features_vjp pass over a group of images and one pullback per
+concept; occlusion copies each image into its rows and zeroes each
+patch through flat pixel indices computed once per image size. Every
+image is solved on its own, so a stack's maps are those of its images'
+own calls.
 """
 
+import functools
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -25,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import _BLOCK_FLOATS, Rng, as_tensor4
-from .errors import DataError, EmptySetError, InsufficientDataError
+from .errors import CraftError, DataError, EmptySetError, InsufficientDataError
 from .implicit import jacobian_u_wrt_a
 from .nmf import NmfParams, fit_nmf
 from .nnls import Gram, solve_nnls
@@ -436,23 +446,10 @@ def recursive_decompose(bank, U, concept_index, crops, model, layer, nmf_params)
     return sub_bank, U_sub, selected
 
 
-def _gradient_heatmaps(x, bank, model, concepts):
-    """Mean over the images of x of |d u_c / d pixel|, channel-summed, per
-    concept c: one features call, one NNLS solve (rows are separable), one
-    Jacobian, and one vjp_features call on the stack repeated per concept.
-    """
-    acts = model.features(x, layer=bank.layer_tag)
-    jac = jacobian_u_wrt_a(solve_nnls(acts, bank.gram), bank.gram)
-    d_acts = [jac.vjp(np.tile(one_hot, (len(x), 1)))
-              for one_hot in np.eye(bank.r)[concepts]]
-    dx = model.vjp_features(np.concatenate([x] * len(concepts)),
-                            np.concatenate(d_acts), layer=bank.layer_tag)
-    return np.abs(dx).sum(axis=-1).reshape(len(concepts), *x.shape[:3]).mean(axis=1)
-
-
 def concept_attribution_maps(x, bank, model, concepts, method="gradient",
                              seed=0, n_noise=16):
-    """Locate each of the given concepts in one image, in one pass.
+    """Locate each of the given concepts in an image, or in each image of a
+    (b, H, W, C) stack, in one pass.
 
     gradient: implicit differentiation of the coefficient chained with the
     model's input gradient, channel-reduced by summed absolute values.
@@ -461,13 +458,23 @@ def concept_attribution_maps(x, bank, model, concepts, method="gradient",
     degenerate solution on any copy raises DegeneracyError for the pass.
     occlusion: coefficient drop from zeroing a sliding patch (forward only).
 
-    All concepts share one stack (the image, its jittered copies, or the
-    clean image and one copy per occluded patch), one features call and
-    one NNLS solve. Returns one Heatmap per entry of concepts, in order.
+    All concepts and images share the model passes: one features_vjp
+    call per group of images, or features calls on blocks of the clean
+    images and one copy per occluded patch, each group or block about
+    core._BLOCK_FLOATS floats of images. The occlusion geometry and one
+    normal draw from Rng(seed, stream=17), scaled by each image's own
+    deviation, serve every image. Each image's rows get their own NNLS
+    solve and Jacobian, so its maps and its errors are those of a call on
+    that image alone; on a stack of several images, the message of an
+    error raised for one image starts with that image's position.
+
+    Returns one Heatmap per entry of concepts, in order, for an image
+    (H, W, C); for a stack, one such list per image.
     """
-    x = as_tensor4(np.asarray(x)[None] if np.asarray(x).ndim == 3 else x, "image")
-    if x.shape[0] != 1:
-        raise ValueError("one image at a time")
+    stack = np.ndim(x) == 4
+    x = as_tensor4(x if stack else np.asarray(x)[None], "image")
+    if not len(x):
+        raise ValueError("no images to explain")
     concepts = list(concepts)
     if not concepts:
         raise ValueError("no concepts requested")
@@ -475,20 +482,22 @@ def concept_attribution_maps(x, bank, model, concepts, method="gradient",
         if not 0 <= c < bank.r:
             raise ValueError(f"concept index {c} out of range")
 
+    several = len(x) > 1
     if method == "gradient":
-        values = _gradient_heatmaps(x, bank, model, concepts)
+        values = _gradient_heatmaps(x[:, None], bank, model, concepts, several)
     elif method == "smoothgrad":
         if n_noise < 1:
             raise ValueError(f"n_noise must be at least 1, got {n_noise}")
-        sigma = _NOISE_SCALE * float(x.max() - x.min())
-        gen = Rng(seed, stream=17).generator()
-        jittered = x + sigma * gen.normal(size=(n_noise,) + x.shape[1:])
-        values = _gradient_heatmaps(jittered, bank, model, concepts)
+        sigma = _NOISE_SCALE * (x.max(axis=(1, 2, 3)) - x.min(axis=(1, 2, 3)))
+        noise = Rng(seed, stream=17).generator().standard_normal((n_noise,) + x.shape[1:])
+        values = _gradient_heatmaps(x[:, None], bank, model, concepts, several,
+                                    jitter=(sigma, noise))
     elif method == "occlusion":
-        values = _occlusion_heatmaps(x, bank, model, concepts)
+        values = _occlusion_heatmaps(x, bank, model, concepts, several)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return [Heatmap(v, c, method) for c, v in zip(concepts, values)]
+    maps = [[Heatmap(v, c, method) for c, v in zip(concepts, image)] for image in values]
+    return maps if stack else maps[0]
 
 
 def concept_attribution_map(x, bank, model, concept_index, method="gradient",
@@ -498,24 +507,119 @@ def concept_attribution_map(x, bank, model, concept_index, method="gradient",
                                     seed, n_noise)[0]
 
 
-def _occlusion_heatmaps(x, bank, model, concepts):
-    h, w = x.shape[1:3]
+def _solve_image(acts, bank, i, several, jacobian=False):
+    """solve_nnls of image i's rows of activations, or with jacobian their
+    ConceptJacobian; among several images, an error's message starts with
+    the image's position."""
+    try:
+        solution = solve_nnls(acts, bank.gram)
+        return jacobian_u_wrt_a(solution, bank.gram) if jacobian else solution
+    except (CraftError, ValueError) as exc:
+        if several:
+            exc.args = (f"image {i} of the stack: {exc}",)
+        raise
+
+
+def _gradient_heatmaps(x, bank, model, concepts, several, jitter=None):
+    """Mean over the rows of each image of |d u_c / d pixel|, channel-summed,
+    per image and concept c: (b, len(concepts), H, W) maps of x, (b, 1, H,
+    W, C). jitter, (sigma, noise), replaces each image's row by n copies
+    x + sigma_i noise. Per group of images, one features_vjp call; then
+    per image one NNLS solve (rows are separable) and one Jacobian, and
+    per concept one pullback.
+    """
+    b, _, h, w, c = x.shape
+    n = 1 if jitter is None else len(jitter[1])
+    maps = np.empty((b, len(concepts), h, w))
+    one_hots = np.eye(bank.r)[concepts]
+    step = max(1, _BLOCK_FLOATS // (n * h * w * c))
+    for start in range(0, b, step):
+        group = x[start:start + step]
+        if jitter is not None:
+            sigma, noise = jitter
+            group = group + sigma[start:start + step, None, None, None, None] * noise
+        size = len(group)
+        acts, pullback = model.features_vjp(group.reshape(size * n, h, w, c),
+                                            layer=bank.layer_tag)
+        cot = np.empty((len(concepts), size * n, np.shape(acts)[1]))
+        for i in range(size):
+            rows = slice(i * n, (i + 1) * n)
+            jac = _solve_image(acts[rows], bank, start + i, several, jacobian=True)
+            for j, one_hot in enumerate(one_hots):
+                cot[j, rows] = jac.vjp(np.tile(one_hot, (n, 1)))
+        for j in range(len(concepts)):
+            dx = np.abs(pullback(cot[j])).sum(axis=-1)
+            maps[start:start + size, j] = dx.reshape(size, n, h, w).mean(axis=1)
+    return maps
+
+
+def _occlusion_heatmaps(x, bank, model, concepts, several):
+    """Each image's coefficient drops from zeroing a sliding patch, spread
+    back over the pixels each patch covers: (b, len(concepts), H, W).
+
+    Image i's rows are its clean copy and then one copy per patch, with
+    that patch zeroed (see _occlusion_geometry). The rows of all images
+    are built and encoded in blocks of about _BLOCK_FLOATS floats: each
+    row is copied from its image, and its patch's pixels are zeroed
+    through the flat indices. Each image's rows are solved together.
+    """
+    b, h, w, c = x.shape
+    per_image, area, zeroed, cover_y, cover_x, count = _occlusion_geometry(h, w)
+    pixels = h * w
+    step = max(1, _BLOCK_FLOATS // (pixels * c))
+    acts = []
+    for start in range(0, b * per_image, step):
+        stop = min(start + step, b * per_image)
+        block = np.empty((stop - start, h, w, c))
+        for i in range(start // per_image, (stop - 1) // per_image + 1):
+            # image i's rows first to last - 1 are this block's rows
+            # offset + first to offset + last - 1
+            offset = i * per_image - start
+            first, last = max(-offset, 0), min(stop - start - offset, per_image)
+            part = block[offset + first:offset + last]
+            part[...] = x[i]
+            part.reshape(-1, c)[zeroed[max(first - 1, 0) * area:(last - 1) * area]
+                                - first * pixels] = 0.0
+        acts.append(model.features(block, layer=bank.layer_tag))
+    acts = np.concatenate(acts)
+    maps = np.empty((b, len(concepts), h, w))
+    for i in range(b):
+        u = _solve_image(acts[i * per_image:(i + 1) * per_image], bank, i, several).U
+        drop = (u[0] - u[1:])[:, concepts].T.reshape(len(concepts), cover_y.shape[1],
+                                                      cover_x.shape[0])
+        maps[i] = cover_y @ drop @ cover_x / count
+    return maps
+
+
+@functools.lru_cache(maxsize=8)
+def _occlusion_geometry(h, w):
+    """The patches of an h x w occlusion map, read-only, computed once per
+    size: (per_image, area, zeroed, cover_y, cover_x, count).
+
+    per_image counts an image's rows, its clean copy and one copy per
+    patch, the corners row-major; the patches are squares of area pixels.
+    zeroed[(k - 1) * area:k * area] are the pixels row k zeroes, as flat
+    indices into an image's rows of h * w pixels. cover_y (h, patch rows)
+    and cover_x (patch columns, w) are the 0/1 cover matrices, so
+    cover_y @ drop @ cover_x sums each pixel's patch drops, and count is
+    the number of patches over each pixel, at least 1.
+    """
     patch = max(1, round(min(h, w) / 8))
     stride = max(1, patch // 2)
-    ys, xs = range(0, h - patch + 1, stride), range(0, w - patch + 1, stride)
+    ys, xs = np.arange(0, h - patch + 1, stride), np.arange(0, w - patch + 1, stride)
     # in_y[j, i] (in_x[j, i]): pixel row (column) i lies in the j-th patch row (column)
-    in_y, in_x = np.arange(h) - np.array(ys)[:, None], np.arange(w) - np.array(xs)[:, None]
+    in_y, in_x = np.arange(h) - ys[:, None], np.arange(w) - xs[:, None]
     in_y, in_x = (in_y >= 0) & (in_y < patch), (in_x >= 0) & (in_x < patch)
-    # row 0 is the clean image, row k the copy with patch k - 1 zeroed
-    hidden = np.zeros((len(ys) * len(xs) + 1, h, w, 1), dtype=bool)
-    hidden[1:, :, :, 0] = (in_y[:, None, :, None] & in_x[None, :, None, :]).reshape(-1, h, w)
-    stack = np.where(hidden, 0.0, x)
-    u = solve_nnls(model.features(stack, layer=bank.layer_tag), bank.gram).U
-    drop = (u[0] - u[1:])[:, concepts].T.reshape(len(concepts), len(ys), len(xs))
-    # a pixel's heat and count sum the drops and the number of its patches
-    heat = in_y.T.astype(np.float64) @ drop @ in_x.astype(np.float64)
-    count = np.outer(in_y.sum(axis=0), in_x.sum(axis=0)).astype(np.float64)
-    return heat / np.maximum(count, 1.0)
+    per_image = len(ys) * len(xs) + 1
+    corners = (ys[:, None] * w + xs).ravel()
+    span = np.arange(patch)
+    zeroed = ((np.arange(1, per_image) * (h * w) + corners)[:, None]
+              + (span[:, None] * w + span).ravel()).ravel()
+    cover_y, cover_x = in_y.T.astype(np.float64), in_x.astype(np.float64)
+    count = np.maximum(np.outer(in_y.sum(axis=0), in_x.sum(axis=0)).astype(np.float64), 1.0)
+    for a in (zeroed, cover_y, cover_x, count):
+        a.flags.writeable = False
+    return per_image, patch * patch, zeroed, cover_y, cover_x, count
 
 
 def fidelity_curves(U, W, head, importance, direction="deletion", mu=0.0):

@@ -25,7 +25,11 @@ speed. features runs them per block of images, about
 2^15 correlation floats (256 KiB) at a time, and writes each block's
 pooled rows into one output array, so its memory stays near one block
 at any batch size; every image is computed on its own, so the result
-does not depend on the blocking.
+does not depend on the blocking. features_vjp makes the same pass and
+keeps each block's ReLU gates, one byte per correlation output, so its
+pullback, the VJP, runs the blocks again from the gates alone, with no
+second correlation, however many cotangents it is given; vjp_features
+is that pullback applied once.
 
 The pool lays the maps out positions-major, (H' W', b, k), rectifies
 them in place, and adds them with np.add.reduce over the positions: one
@@ -105,9 +109,9 @@ class ToyBackbone:
     the final layer. Feature outputs are nonnegative by construction.
     Construction raises ValueError, naming the field, when the templates,
     input shape, mixing and head do not fit together, or when one of them
-    holds NaN or infinity. features, feature_maps and vjp_features raise
-    DataError, naming the images, on an image stack holding NaN or
-    infinity.
+    holds NaN or infinity. features, feature_maps, features_vjp and
+    vjp_features raise DataError, naming the images, on an image stack
+    holding NaN or infinity.
     """
 
     templates: np.ndarray
@@ -198,17 +202,59 @@ class ToyBackbone:
         blocks (see the module docstring); the result does not depend on
         the blocking.
         """
+        return self._forward(x, layer)[2]
+
+    def features_vjp(self, x, layer=None):
+        """(features(x, layer), pullback), from one correlation per block.
+
+        pullback(cotangent) is the exact gradient of <features(x, layer),
+        cotangent> w.r.t. x for a (b, width) cotangent, the width of the
+        layer. The pass keeps each block's ReLU gates (and the layer-2
+        gates of its pooled features), so pullback, which may be called
+        any number of times, correlates nothing; it runs the images in
+        the same blocks.
+        """
+        x, layer, out, gates, blocks = self._forward(x, layer, keep_gates=True)
+        b, h, w, c = x.shape
+        _, hp, wp, k = gates.shape
+        gate2 = out > 0.0 if layer == 2 else None
+
+        def pullback(cotangent):
+            cot = np.asarray(cotangent, dtype=np.float64)
+            if gate2 is not None:
+                cot = (cot * gate2) @ self.mixing.T
+            if cot.shape != (b, k):
+                raise ValueError(f"cotangent must be (batch, {k}) at layer 1")
+            dx = np.zeros((b, h, w * c))
+            for rows in blocks:
+                weights = (gates[rows].astype(np.float64)
+                           * (cot[rows, None, None, :] / (hp * wp))).reshape(-1, hp, wp * k)
+                for i, band in self._live_bands:
+                    dx[rows, i:i + hp] += weights @ band.T
+            return dx.reshape(x.shape)
+
+        return out, pullback
+
+    def _forward(self, x, layer, keep_gates=False):
+        """The one pass behind features and features_vjp: returns (x checked,
+        layer resolved, features, the ReLU gates of the correlation maps
+        (b, H', W', k) if keep_gates else None, the blocks as row slices)."""
         x = self._check_input(x)
         layer = self._resolve_layer(layer)
         k, th, tw, _ = self.templates.shape
-        per_image = (x.shape[1] - th + 1) * (x.shape[2] - tw + 1) * k
-        block = max(1, _BLOCK_FLOATS // max(2 * per_image, 1))
+        hp, wp = x.shape[1] - th + 1, x.shape[2] - tw + 1
+        step = max(1, _BLOCK_FLOATS // max(2 * hp * wp * k, 1))
+        blocks = [slice(start, start + step) for start in range(0, len(x), step)]
         z1 = np.empty((len(x), k))
-        for start in range(0, len(x), block):
-            z1[start:start + block] = _pool(self._correlate(x[start:start + block]))
-        if layer == 1:
-            return z1
-        return np.maximum(z1 @ self.mixing, 0.0)
+        gates = np.empty((len(x), hp, wp, k), dtype=bool) if keep_gates else None
+        for rows in blocks:
+            z = self._correlate(x[rows])
+            z1[rows] = _pool(z)
+            if keep_gates:
+                np.greater(z, 0.0, out=gates[rows])
+            del z  # freed before the next block's maps are allocated
+        out = z1 if layer == 1 else np.maximum(z1 @ self.mixing, 0.0)
+        return x, layer, out, gates, blocks
 
     @property
     def affine_head(self):
@@ -226,23 +272,9 @@ class ToyBackbone:
         return (self.head(self.features(x)) > 0.0).astype(np.int64)
 
     def vjp_features(self, x, cotangent, layer=None):
-        """Exact gradient of <features(x, layer), cotangent> w.r.t. x."""
-        x = self._check_input(x)
-        cot = np.asarray(cotangent, dtype=np.float64)
-        layer = self._resolve_layer(layer)
-        z1_maps = self._correlate(x)
-        b, hp, wp, k = z1_maps.shape
-        if layer == 2:
-            gate2 = (_pool(z1_maps) @ self.mixing) > 0.0
-            cot = (cot * gate2) @ self.mixing.T
-        if cot.shape != (b, k):
-            raise ValueError(f"cotangent must be (batch, {k}) at layer 1")
-        gates = (z1_maps > 0.0).astype(np.float64)
-        weights = (gates * (cot[:, None, None, :] / (hp * wp))).reshape(b, hp, wp * k)
-        dx = np.zeros((b, x.shape[1], x.shape[2] * x.shape[3]))
-        for i, band in self._live_bands:
-            dx[:, i:i + hp] += weights @ band.T
-        return dx.reshape(x.shape)
+        """Exact gradient of <features(x, layer), cotangent> w.r.t. x:
+        features_vjp's pullback, applied once."""
+        return self.features_vjp(x, layer)[1](cotangent)
 
     def randomize_weights(self, seed):
         """Replace the stencils with unit-norm noise; head and mixing kept."""

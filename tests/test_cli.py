@@ -8,6 +8,7 @@ import pytest
 
 from craftkit import cli
 from craftkit.cli import build_parser, main
+from craftkit.errors import DataError
 from craftkit.npyio import load_npy, save_npy
 from craftkit.toy import two_layer_backbone
 from oracles import affine_total_indices
@@ -488,25 +489,50 @@ class TestExplainFidelityRecurse:
                             or make_synthetic_dataset(model, n, **kw))
         assert main(["explain", "--model", "toy2:5", "--n-images", "80",
                      "--image-index", "3", "--out", str(full_run)]) == 0
-        assert sizes == [4]
+        assert main(["explain", "--model", "toy2:5", "--n-images", "80",
+                     "--image-index", "6", "2", "--out", str(full_run)]) == 0
+        assert sizes == [4, 7]
         model = two_layer_backbone()
-        image = make_synthetic_dataset(model, 80, noise=0.02, seed=5).images[3]
+        images = make_synthetic_dataset(model, 80, noise=0.02, seed=5).images
         bank = load_bank(full_run / "bank")
-        for hm in concept_attribution_maps(image, bank, model, range(bank.r), seed=5):
-            np.testing.assert_array_equal(
-                load_npy(full_run / "heatmaps" / f"3_{hm.concept_index}.npy"),
-                hm.values)
+        for index in (3, 6, 2):
+            for hm in concept_attribution_maps(images[index], bank, model, range(bank.r),
+                                               seed=5):
+                np.testing.assert_array_equal(
+                    load_npy(full_run / "heatmaps" / f"{index}_{hm.concept_index}.npy"),
+                    hm.values)
+
+    @pytest.mark.parametrize("method", ["gradient", "smoothgrad", "occlusion"])
+    def test_several_indices_write_the_maps_of_single_index_runs(self, full_run,
+                                                                 tmp_path, method):
+        # one process, one explain over three images: every map holds the
+        # bytes of the run that explains its image alone
+        runs = {}
+        for name, indices in (("all", ["0", "3", "5"]), ("0", ["0"]), ("3", ["3"]),
+                              ("5", ["5"])):
+            runs[name] = tmp_path / name
+            shutil.copytree(full_run, runs[name])
+            assert main(["explain", "--model", "toy2:5", "--n-images", "80",
+                         "--method", method, "--image-index", *indices,
+                         "--out", str(runs[name])]) == 0
+        written = run_dir_files(runs["all"] / "heatmaps")
+        assert written == [f"{i}_{c}.npy" for i in (0, 3, 5) for c in (0, 1)]
+        for name in written:
+            single = runs[name.split("_")[0]] / "heatmaps" / name
+            assert (runs["all"] / "heatmaps" / name).read_bytes() == single.read_bytes()
 
     @pytest.mark.parametrize("flags, prepare, code", [
         (["--image-index", "80"], None, 2),
         (["--image-index", "-1"], None, 2),
+        (["--image-index", "0", "3", "0"], None, 2),
+        (["--image-index", "3", "80"], None, 2),
         (["--concept", "5"], None, 2),
         ([], _fit_external, 2),
         (["--images", "three.npy", "--image-index", "3"], _three_images, 2),
         # a singular bank fails the NNLS solve: the numerical error exit
         ([], _equal_columns, 4),
-    ], ids=["80", "-1", "concept_5", "external_layer", "past_the_given_images",
-            "equal_bank_columns"])
+    ], ids=["80", "-1", "repeated", "one_past_n_images", "concept_5", "external_layer",
+            "past_the_given_images", "equal_bank_columns"])
     def test_rejected_explain_writes_no_heatmaps(self, full_run, monkeypatch, flags,
                                                  prepare, code):
         monkeypatch.chdir(full_run)
@@ -623,8 +649,25 @@ class TestExplainFidelityRecurse:
         flags = ["--concept", "0"] if command == "recurse" else []
         assert main([command, "--model", "toy2:5", "--n-images", "80", "--out",
                      str(full_run)] + flags) == 3
-        assert str(full_run / named) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert f"{full_run / named} is missing: the fit command writes it" in err
         assert {p: p.is_file() and p.read_bytes() for p in full_run.rglob("*")} == before
+
+    @pytest.mark.parametrize("missing, named", [
+        ("bank_concept0", "bank_concept0/meta.json"),
+        ("coeffs_concept0.npy", "coeffs_concept0.npy")])
+    def test_missing_sub_bank_view_names_recurse(self, full_run, missing, named):
+        assert main(["recurse", "--model", "toy2:5", "--concept", "0",
+                     "--out", str(full_run)]) == 0
+        path = full_run / missing
+        if path.is_dir():
+            shutil.rmtree(path)
+        else:
+            path.unlink()
+        with pytest.raises(DataError, match="the recurse --concept 0 command writes it") as err:
+            cli._bank_view(full_run, 0)
+        assert str(err.value).startswith(f"{full_run / named} is missing")
 
     @pytest.mark.parametrize("command", ["importance", "fidelity"])
     def test_bank_of_another_width_than_the_head_is_usage_error(self, tmp_path, capsys,

@@ -653,27 +653,36 @@ def three_concepts():
 
 
 class CountingModel:
-    """Delegates to a model and counts its features and vjp_features calls."""
+    """Delegates to a model and counts the calls of its features and
+    features_vjp, and every read of any other attribute (vjp_features
+    among them)."""
 
     def __init__(self, model):
         self.model = model
         self.calls = Counter()
 
     def __getattr__(self, name):
+        self.calls[name] += 1
         return getattr(self.model, name)
 
     def features(self, x, layer=None):
         self.calls["features"] += 1
         return self.model.features(x, layer=layer)
 
-    def vjp_features(self, x, cotangent, layer=None):
-        self.calls["vjp_features"] += 1
-        return self.model.vjp_features(x, cotangent, layer=layer)
+    def features_vjp(self, x, layer=None):
+        self.calls["features_vjp"] += 1
+        out, pullback = self.model.features_vjp(x, layer=layer)
+
+        def counted(cotangent):
+            self.calls["pullback"] += 1
+            return pullback(cotangent)
+
+        return out, counted
 
 
 class IntLayerModel:
     """two_layer_backbone behind the README's model contract alone: features,
-    vjp_features and predict, no input_shape and no head. Its layers are
+    features_vjp and predict, no input_shape and no head. Its layers are
     None (the final one) and the int 1; any other value is rejected."""
 
     def __init__(self):
@@ -688,8 +697,8 @@ class IntLayerModel:
     def features(self, x, layer=None):
         return self.toy.features(x, layer=self._layer(layer))
 
-    def vjp_features(self, x, cotangent, layer=None):
-        return self.toy.vjp_features(x, cotangent, layer=self._layer(layer))
+    def features_vjp(self, x, layer=None):
+        return self.toy.features_vjp(x, layer=self._layer(layer))
 
     def predict(self, x):
         return self.toy.predict(x)
@@ -753,10 +762,13 @@ class TestAttributionMapsOnePass:
         hms = concept_attribution_maps(probes[0], bank, counting, range(bank.r),
                                        method=method, n_noise=5)
         assert len(hms) == bank.r
-        assert counting.calls["features"] == 1
+        # one model pass and nothing else read from the model: no
+        # vjp_features, and no features call before a gradient's pass,
+        # whose stack is not repeated per concept but pulled back once each
+        expected = (Counter(features=1) if method == "occlusion"
+                    else Counter(features_vjp=1, pullback=bank.r))
+        assert counting.calls == expected
         assert len(solves) == 1
-        expected_vjp = 0 if method == "occlusion" else 1
-        assert counting.calls["vjp_features"] == expected_vjp
 
     @pytest.mark.parametrize("h, w", [(36, 28), (37, 29)])
     def test_occlusion_matches_per_patch_loop_on_strided_rectangle(self, three_concepts,
@@ -815,15 +827,22 @@ class TestAttributionMapsOnePass:
             reference[k, y0:y0 + patch, x0:x0 + patch, :] = 0.0
 
         class ReferenceStack:
-            """The model, fed the loop's stack after checking it got the same."""
+            """The model, fed the loop's stack block by block after checking
+            that each block holds the next rows of it."""
 
-            def features(self, stack, layer=None):
-                assert stack.tobytes() == reference.tobytes()
-                return model.features(reference, layer=layer)
+            row = 0
 
-        maps = concept_attribution_maps(x, bank, model, range(bank.r), method="occlusion")
-        expected = concept_attribution_maps(x, bank, ReferenceStack(), range(bank.r),
+            def features(self, block, layer=None):
+                rows = reference[self.row:self.row + len(block)]
+                assert block.tobytes() == rows.tobytes()
+                self.row += len(block)
+                return model.features(rows, layer=layer)
+
+        maps = concept_attribution_maps(x[0], bank, model, range(bank.r), method="occlusion")
+        fed = ReferenceStack()
+        expected = concept_attribution_maps(x[0], bank, fed, range(bank.r),
                                             method="occlusion")
+        assert fed.row == len(reference)
         for hm, ref in zip(maps, expected):
             assert hm.values.tobytes() == ref.values.tobytes()
 
@@ -836,6 +855,73 @@ class TestAttributionMapsOnePass:
         model, bank, probes = three_concepts
         with pytest.raises(ValueError, match=message):
             concept_attribution_maps(probes[0], bank, model, concepts)
+
+
+@pytest.fixture(scope="module")
+def toy2_banks():
+    """two_layer_backbone with a rank-2 bank at its final layer and one at
+    layer 1, and five noisy images."""
+    model = two_layer_backbone()
+    data = make_synthetic_dataset(model, 200, noise=0.02, seed=7)
+    banks = {layer: build_concept_bank(data.images, model, 1, 2, layer=layer,
+                                       nmf_params=NmfParams(rank=2))[0]
+             for layer in ("final", "layer1")}
+    images = make_synthetic_dataset(model, 5, noise=0.05, seed=17).images
+    return model, banks, images
+
+
+class TestAttributionMapsOfAStack:
+    """A (b, H, W, C) stack gives each image the maps of its own call."""
+
+    @pytest.mark.parametrize("block", [None, 256, 3 * 256])
+    @pytest.mark.parametrize("method", ["gradient", "smoothgrad", "occlusion"])
+    @pytest.mark.parametrize("layer", ["final", "layer1"])
+    def test_equals_per_image_calls(self, toy2_banks, monkeypatch, layer, method, block):
+        # a block of 256 floats holds one 16 x 16 row, so every occlusion
+        # block holds one patch; 3 x 256 gives gradient groups of 3 and 2
+        # images and occlusion blocks of 3 rows that straddle images, the
+        # last one partial
+        import craftkit.pipeline as pipeline_module
+        model, banks, images = toy2_banks
+        bank, concepts = banks[layer], [1, 0, 1]
+        expected = [concept_attribution_maps(image, bank, model, concepts, method=method,
+                                             seed=3, n_noise=2) for image in images]
+        if block is not None:
+            monkeypatch.setattr(pipeline_module, "_BLOCK_FLOATS", block)
+        maps = concept_attribution_maps(images, bank, model, concepts, method=method,
+                                        seed=3, n_noise=2)
+        assert len(maps) == len(images)
+        for got, want in zip(maps, expected):
+            assert [hm.concept_index for hm in got] == concepts
+            assert [hm.method for hm in got] == [method] * len(concepts)
+            for hm, ref in zip(got, want):
+                assert hm.values.tobytes() == ref.values.tobytes()
+
+    def test_a_stack_of_one_returns_one_list(self, toy2_banks):
+        model, banks, images = toy2_banks
+        single = concept_attribution_maps(images[2], banks["final"], model, [0, 1])
+        (maps,) = concept_attribution_maps(images[2:3], banks["final"], model, [0, 1])
+        assert [hm.values.tobytes() for hm in maps] == [hm.values.tobytes() for hm in single]
+
+    @pytest.mark.parametrize("method", ["gradient", "smoothgrad"])
+    def test_a_degenerate_image_raises_its_own_error_with_its_position(self, toy2_banks,
+                                                                       method):
+        # an all-zero image has zero features, so every coefficient and
+        # every multiplier is zero: no coordinate is strictly complementary
+        model, banks, images = toy2_banks
+        stack = images[:3].copy()
+        stack[1] = 0.0
+        with pytest.raises(DegeneracyError) as own:
+            concept_attribution_maps(stack[1], banks["final"], model, [0], method=method)
+        with pytest.raises(DegeneracyError) as raised:
+            concept_attribution_maps(stack, banks["final"], model, [0], method=method)
+        assert str(raised.value) == f"image 1 of the stack: {own.value}"
+        assert raised.value.coordinates == own.value.coordinates
+
+    def test_an_empty_stack_is_rejected(self, toy2_banks):
+        model, banks, images = toy2_banks
+        with pytest.raises(ValueError, match="no images to explain"):
+            concept_attribution_maps(images[:0], banks["final"], model, [0])
 
 
 class TestFidelityCurves:

@@ -15,6 +15,7 @@ def test_library_sketch_runs():
     namespace = {}
     exec(compile(blocks[0], str(README), "exec"), namespace)
     assert [hm.concept_index for hm in namespace["heats"]] == list(range(namespace["bank"].r))
+    assert [len(maps) for maps in namespace["per_image"]] == [namespace["bank"].r] * 8
 
 
 def test_cli_example_parses():

@@ -430,6 +430,61 @@ class TestLiveBands:
             assert dx.tobytes() == np.zeros(x.shape).tobytes()
 
 
+class TestFeaturesVjp:
+    """features_vjp correlates each block once: its features are those of
+    features, and its pullback, called once or again, gives the bytes of
+    vjp_features and of the every-row reference."""
+
+    MODELS = {**{f"standard_k{k}": (lambda k=k: standard_backbone(k=k)) for k in (1, 2, 3, 4)},
+              "pair": pair_backbone, "two_layer": two_layer_backbone, "rgb": rgb_backbone,
+              "randomized": lambda: standard_backbone().randomize_weights(3)}
+
+    @pytest.mark.parametrize("size", ["1", "7", "block+1"])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_equals_features_and_vjp_features(self, name, size):
+        model = self.MODELS[name]()
+        batch = {"1": 1, "7": 7, "block+1": block_size(model) + 1}[size]
+        rng = np.random.default_rng(batch)
+        x = rng.normal(size=(batch,) + model.input_shape)
+        for layer in (1, 2) if model.mixing is not None else (1,):
+            out, pullback = model.features_vjp(x, layer=layer)
+            assert out.tobytes() == model.features(x, layer=layer).tobytes()
+            for _ in range(2):
+                cot = rng.normal(size=out.shape)
+                dx = pullback(cot)
+                assert dx.tobytes() == model.vjp_features(x, cot, layer=layer).tobytes()
+                assert dx.tobytes() == every_row_vjp(model, x, cot, layer).tobytes()
+
+    def test_the_randomized_templates_have_five_live_rows(self):
+        assert len(self.MODELS["randomized"]()._live_bands) == 5
+
+    @pytest.mark.parametrize("name", ["pair", "two_layer"])
+    def test_one_correlation_per_block_for_any_number_of_pullbacks(self, name,
+                                                                    monkeypatch):
+        model = self.MODELS[name]()
+        calls = []
+        correlate = ToyBackbone._correlate
+        monkeypatch.setattr(ToyBackbone, "_correlate",
+                            lambda self, x: calls.append(len(x)) or correlate(self, x))
+        batch = 2 * block_size(model) + 3
+        x = np.random.default_rng(0).normal(size=(batch,) + model.input_shape)
+        out, pullback = model.features_vjp(x)
+        for _ in range(3):
+            pullback(np.ones(out.shape))
+        assert calls == [block_size(model)] * 2 + [3]
+
+    @pytest.mark.parametrize("layer, width", [(1, 5), (2, 3)])
+    def test_pullback_rejects_a_cotangent_as_vjp_features_does(self, layer, width):
+        model = two_layer_backbone()
+        x = np.random.default_rng(0).normal(size=(2,) + model.input_shape)
+        cot = np.ones((2, width))
+        with pytest.raises(ValueError) as expected:
+            model.vjp_features(x, cot, layer=layer)
+        with pytest.raises(ValueError) as raised:
+            model.features_vjp(x, layer=layer)[1](cot)
+        assert str(raised.value) == str(expected.value)
+
+
 class TestValidation:
     @pytest.mark.parametrize("change, field", [
         (dict(templates=np.zeros((4, 5, 5))), "templates"),
@@ -459,7 +514,8 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{field} has NaN or infinite entries"):
             replace(two_layer_backbone(), **change)
 
-    @pytest.mark.parametrize("method", ["features", "feature_maps", "vjp_features"])
+    @pytest.mark.parametrize("method", ["features", "feature_maps", "features_vjp",
+                                        "vjp_features"])
     @pytest.mark.parametrize("position, value", [((0, 3), np.nan), ((5, 5), np.inf)],
                              ids=["nan_at_0_3", "inf_at_5_5"])
     @pytest.mark.parametrize("layout", ["contiguous", "strided"])
