@@ -1,4 +1,4 @@
-"""Dense array containers and deterministic RNG.
+"""Dense array containers, deterministic RNG and row blocks.
 
 Matrices are plain 2-D float64 ndarrays and image/feature stacks are 4-D
 float64 ndarrays (batch, height, width, channels). The helpers here
@@ -11,11 +11,18 @@ from dataclasses import dataclass
 import numpy as np
 
 _U64 = np.uint64
-# floats per block (512 KiB, inside a 2 MiB L2 cache): extract_crops writes
-# about this many crop floats at a time, ToyBackbone.features half as many
-# correlation-map floats plus their rectified copy, and concept_importance
-# this many perturbed coefficients or head activations
+# floats per block of row_blocks (512 KiB, inside a 2 MiB L2 cache)
 _BLOCK_FLOATS = 1 << 16
+
+
+def row_blocks(n, row_floats, budget=None):
+    """Consecutive slices over n rows of row_floats floats each, in order:
+    each holds at most budget // row_floats rows and at least one, and the
+    last stops at n. budget defaults to _BLOCK_FLOATS, read at call time.
+    Every blocked loop of the package takes its rows from here."""
+    budget = _BLOCK_FLOATS if budget is None else budget
+    step = max(1, budget // max(row_floats, 1))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def as_tensor4(t, name="tensor"):

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import row_blocks
 from .errors import DataError, NumericalError
 
 # matrix entries per batched reduced solve: the rows with k free
@@ -274,9 +275,9 @@ def _reduced_solve(AW, G, free, rows):
     A row with k free coordinates gets its own compact k x k system G_FF,
     and its clamped coordinates are exact zeros. One count of the rows by
     k forms the groups, each in row order, and each group goes to LAPACK
-    in blocks of _SOLVE_FLOATS matrix entries (at least one row), one
-    system per row: no factorization is shared. A row whose free set is
-    empty has u = 0 exactly and gets no system at all, and a row with every
+    in core.row_blocks of _SOLVE_FLOATS matrix entries, one system per
+    row: no factorization is shared. A row whose free set is empty has
+    u = 0 exactly and gets no system at all, and a row with every
     coordinate free solves G itself. A singular system or a non-finite
     solution raises NumericalError naming the rows, in row order, by their
     indices in ``rows``.
@@ -289,9 +290,8 @@ def _reduced_solve(AW, G, free, rows):
         if not counts[k]:
             continue
         group = np.arange(n) if counts[k] == n else (size == k).nonzero()[0]
-        step = max(1, _SOLVE_FLOATS // (k * k))
-        for start in range(0, counts[k], step):
-            at = group[start:start + step]
+        for block in row_blocks(counts[k], k * k, _SOLVE_FLOATS):
+            at = group[block]
             if k == r:
                 x[at] = _solve_stack(G, AW.take(at, axis=0))
             else:

@@ -9,19 +9,19 @@ read from the model. A bank stores unit-norm nonnegative concept vectors
 and the layer value they were fit at, which goes back to the model
 unchanged; coefficients live in the rows of U.
 
-Crops are cut and resized in blocks of about 2^16 floats by one private
-loop, which extract_crops runs into one stack. build_concept_bank runs
-the model on each block as soon as it is cut and keeps the crops in one
-stack, or, given a path, appends each block's windows as cut to an NPY
-file, which CropWindows reads back row by row, resized, for
-recursive_decompose.
+Crops are cut and resized in blocks of core.row_blocks, counting each
+crop's output floats, by one private loop, which extract_crops runs into
+one stack. build_concept_bank runs the model on each block as soon as it
+is cut and keeps the crops in one stack, or, given a path, appends each
+block's windows as cut to an NPY file, which CropWindows reads back row
+by row, resized, for recursive_decompose.
 
 concept_attribution_maps takes one image or a stack. Gradient maps take
 one features_vjp pass over a group of images and one pullback per
-concept; occlusion copies each image into its rows and zeroes each
-patch through flat pixel indices computed once per image size. Every
-image is solved on its own, so a stack's maps are those of its images'
-own calls.
+concept; occlusion gathers each block of rows from their images and
+zeroes each patch through pixel indices computed once per image size.
+Every image is solved on its own, so a stack's maps are those of its
+images' own calls.
 """
 
 import functools
@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import _BLOCK_FLOATS, Rng, as_tensor4
+from .core import Rng, as_tensor4, row_blocks
 from .errors import CraftError, DataError, EmptySetError, InsufficientDataError
 from .implicit import jacobian_u_wrt_a
 from .nmf import NmfParams, fit_nmf
@@ -223,10 +223,10 @@ def extract_crops(images, spec):
     per crop, of int64 fields image (the source image index), y0, x0, h and
     w, exact enough to re-cut the crop bit-for-bit. Grid mode dedupes
     coincident windows (e.g. fraction 1.0 yields a single full-image crop).
-    The windows are read through a view of the images and resized in blocks
-    of about 2^16 output floats straight into the returned array, so
-    besides it memory stays near one block; each crop is resized on its
-    own, so the bytes do not depend on the blocking.
+    The windows are read through a view of the images and resized in
+    row_blocks of the output straight into the returned array, so besides
+    it memory stays near one block; each crop is resized on its own, so
+    the bytes do not depend on the blocking.
     """
     provenance, shape, blocks = _crop_blocks(images, spec)
     crops = np.empty(shape)
@@ -241,11 +241,12 @@ def _crop_blocks(images, spec, sources=None):
 
     Returns (provenance, shape, blocks): provenance as extract_crops returns
     it, with the sources' own indices in its image field, the crop stack's
-    shape, and blocks(out=None), a generator over consecutive blocks of
-    about 2^16 crop floats. It gathers each block's windows, as cut, from
-    a view of the images, resizes them into out's rows of the block when
-    out is given, else into a new array, and yields (rows, cut, crops): the
-    slice of the stack, the windows and the crops resized from them.
+    shape, and blocks(out=None), a generator over the row_blocks of the
+    stack, counting each crop's floats. It gathers each block's windows,
+    as cut, from a view of the images, resizes them into out's rows of the
+    block when out is given, else into a new array, and yields (rows, cut,
+    crops): the slice of the stack, the windows and the crops resized from
+    them.
     """
     images = as_tensor4(images, "images")
     n, h, w, c = images.shape
@@ -278,11 +279,9 @@ def _crop_blocks(images, spec, sources=None):
     shape = (len(idx), out_h, out_w, c)
     # (n, positions y, positions x, side_y, side_x, c), a view of the images
     windows = np.moveaxis(sliding_window_view(images, (side_y, side_x), axis=(1, 2)), 3, -1)
-    step = max(1, _BLOCK_FLOATS // max(out_h * out_w * c, 1))
 
     def blocks(out=None):
-        for start in range(0, len(idx), step):
-            rows = slice(start, start + step)
+        for rows in row_blocks(len(idx), out_h * out_w * c):
             cut = windows[idx[rows], top[rows], left[rows]]
             crops = np.empty((len(cut),) + shape[1:]) if out is None else out[rows]
             _resize_into(cut, crops)
@@ -326,8 +325,8 @@ def build_concept_bank(images, model, target_class, r, spec=None, nmf_params=Non
 
     Returns (bank, U, context); the bank's layer_tag is layer, unchanged, and
     context carries the provenance and activations for later stages. The
-    crops are cut, as extract_crops cuts them, in blocks of about 2^16
-    floats, and model.features encodes each block as soon as it is cut.
+    crops are cut, as extract_crops cuts them, in blocks, and
+    model.features encodes each block as soon as it is cut.
     With crops_path None, the blocks are resized straight into one stack,
     context["crops"]. Given a path, each block's windows, as cut and before
     the resize, are appended to an NPY file there instead (NpyBlockWriter),
@@ -371,8 +370,8 @@ class CropWindows:
     it given crops_path (fit --model's crops.npy), a 4-D stack. len() is
     the window count, read from the header, and indexing with an integer
     array reads only those windows (npyio.load_npy_rows) and bilinearly
-    resizes them to size, (height, width), in blocks of about 2^16 output
-    floats: the crops the model encoded, byte for byte, when size is the
+    resizes them to size, (height, width), in row_blocks of the output:
+    the crops the model encoded, byte for byte, when size is the
     CropSpec's resize_to. recursive_decompose takes it in place of a crop
     stack. A file of another rank is a DataError.
     """
@@ -390,9 +389,7 @@ class CropWindows:
     def __getitem__(self, rows):
         rows = np.asarray(rows)
         out = np.empty((len(rows),) + self.size + self.shape[3:])
-        step = max(1, _BLOCK_FLOATS // math.prod(out.shape[1:]))
-        for start in range(0, len(rows), step):
-            block = slice(start, start + step)
+        for block in row_blocks(len(rows), math.prod(out.shape[1:])):
             _resize_into(load_npy_rows(self.path, rows[block]), out[block])
         return out
 
@@ -459,9 +456,11 @@ def concept_attribution_maps(x, bank, model, concepts, method="gradient",
     occlusion: coefficient drop from zeroing a sliding patch (forward only).
 
     All concepts and images share the model passes: one features_vjp
-    call per group of images, or features calls on blocks of the clean
-    images and one copy per occluded patch, each group or block about
-    core._BLOCK_FLOATS floats of images. The occlusion geometry and one
+    call per group of images, or one features call per block of rows,
+    the clean images and one copy per occluded patch, with groups and
+    blocks from core.row_blocks over the images' floats. A model whose
+    features at bank.layer_tag are not as wide as the bank raises
+    ValueError naming both widths. The occlusion geometry and one
     normal draw from Rng(seed, stream=17), scaled by each image's own
     deviation, serve every image. Each image's rows get their own NNLS
     solve and Jacobian, so its maps and its errors are those of a call on
@@ -520,6 +519,14 @@ def _solve_image(acts, bank, i, several, jacobian=False):
         raise
 
 
+def _check_width(acts, bank):
+    """ValueError unless the model's features are as wide as the bank's concepts."""
+    if np.shape(acts)[1] != bank.W.shape[0]:
+        raise ValueError(f"the bank fit at layer {bank.layer_tag!r} is {bank.W.shape[0]} "
+                         f"features wide, but the model's features there are "
+                         f"{np.shape(acts)[1]} wide")
+
+
 def _gradient_heatmaps(x, bank, model, concepts, several, jitter=None):
     """Mean over the rows of each image of |d u_c / d pixel|, channel-summed,
     per image and concept c: (b, len(concepts), H, W) maps of x, (b, 1, H,
@@ -532,24 +539,24 @@ def _gradient_heatmaps(x, bank, model, concepts, several, jitter=None):
     n = 1 if jitter is None else len(jitter[1])
     maps = np.empty((b, len(concepts), h, w))
     one_hots = np.eye(bank.r)[concepts]
-    step = max(1, _BLOCK_FLOATS // (n * h * w * c))
-    for start in range(0, b, step):
-        group = x[start:start + step]
+    for images in row_blocks(b, n * h * w * c):
+        group = x[images]
         if jitter is not None:
             sigma, noise = jitter
-            group = group + sigma[start:start + step, None, None, None, None] * noise
+            group = group + sigma[images, None, None, None, None] * noise
         size = len(group)
         acts, pullback = model.features_vjp(group.reshape(size * n, h, w, c),
                                             layer=bank.layer_tag)
+        _check_width(acts, bank)
         cot = np.empty((len(concepts), size * n, np.shape(acts)[1]))
         for i in range(size):
             rows = slice(i * n, (i + 1) * n)
-            jac = _solve_image(acts[rows], bank, start + i, several, jacobian=True)
+            jac = _solve_image(acts[rows], bank, images.start + i, several, jacobian=True)
             for j, one_hot in enumerate(one_hots):
                 cot[j, rows] = jac.vjp(np.tile(one_hot, (n, 1)))
         for j in range(len(concepts)):
             dx = np.abs(pullback(cot[j])).sum(axis=-1)
-            maps[start:start + size, j] = dx.reshape(size, n, h, w).mean(axis=1)
+            maps[images, j] = dx.reshape(size, n, h, w).mean(axis=1)
     return maps
 
 
@@ -558,29 +565,21 @@ def _occlusion_heatmaps(x, bank, model, concepts, several):
     back over the pixels each patch covers: (b, len(concepts), H, W).
 
     Image i's rows are its clean copy and then one copy per patch, with
-    that patch zeroed (see _occlusion_geometry). The rows of all images
-    are built and encoded in blocks of about _BLOCK_FLOATS floats: each
-    row is copied from its image, and its patch's pixels are zeroed
-    through the flat indices. Each image's rows are solved together.
+    that patch zeroed (see _occlusion_geometry). Each block of the rows
+    of all images is gathered from their images and encoded at once; a
+    row with a patch has that patch's pixels zeroed. Each image's rows
+    are solved together.
     """
     b, h, w, c = x.shape
-    per_image, area, zeroed, cover_y, cover_x, count = _occlusion_geometry(h, w)
-    pixels = h * w
-    step = max(1, _BLOCK_FLOATS // (pixels * c))
+    per_image, zeroed, cover_y, cover_x, count = _occlusion_geometry(h, w)
     acts = []
-    for start in range(0, b * per_image, step):
-        stop = min(start + step, b * per_image)
-        block = np.empty((stop - start, h, w, c))
-        for i in range(start // per_image, (stop - 1) // per_image + 1):
-            # image i's rows first to last - 1 are this block's rows
-            # offset + first to offset + last - 1
-            offset = i * per_image - start
-            first, last = max(-offset, 0), min(stop - start - offset, per_image)
-            part = block[offset + first:offset + last]
-            part[...] = x[i]
-            part.reshape(-1, c)[zeroed[max(first - 1, 0) * area:(last - 1) * area]
-                                - first * pixels] = 0.0
+    for rows in row_blocks(b * per_image, h * w * c):
+        image, patch = np.divmod(np.arange(rows.start, rows.stop), per_image)
+        block = x[image]
+        patched = np.flatnonzero(patch)
+        block.reshape(len(block), h * w, c)[patched[:, None], zeroed[patch[patched] - 1]] = 0.0
         acts.append(model.features(block, layer=bank.layer_tag))
+        _check_width(acts[-1], bank)
     acts = np.concatenate(acts)
     maps = np.empty((b, len(concepts), h, w))
     for i in range(b):
@@ -594,12 +593,12 @@ def _occlusion_heatmaps(x, bank, model, concepts, several):
 @functools.lru_cache(maxsize=8)
 def _occlusion_geometry(h, w):
     """The patches of an h x w occlusion map, read-only, computed once per
-    size: (per_image, area, zeroed, cover_y, cover_x, count).
+    size: (per_image, zeroed, cover_y, cover_x, count).
 
     per_image counts an image's rows, its clean copy and one copy per
-    patch, the corners row-major; the patches are squares of area pixels.
-    zeroed[(k - 1) * area:k * area] are the pixels row k zeroes, as flat
-    indices into an image's rows of h * w pixels. cover_y (h, patch rows)
+    patch, the corners row-major; the patches are squares. zeroed[k - 1]
+    are the pixels row k zeroes, as flat indices into the image's h * w
+    pixels, one row of zeroed per patch. cover_y (h, patch rows)
     and cover_x (patch columns, w) are the 0/1 cover matrices, so
     cover_y @ drop @ cover_x sums each pixel's patch drops, and count is
     the number of patches over each pixel, at least 1.
@@ -613,13 +612,12 @@ def _occlusion_geometry(h, w):
     per_image = len(ys) * len(xs) + 1
     corners = (ys[:, None] * w + xs).ravel()
     span = np.arange(patch)
-    zeroed = ((np.arange(1, per_image) * (h * w) + corners)[:, None]
-              + (span[:, None] * w + span).ravel()).ravel()
+    zeroed = corners[:, None] + (span[:, None] * w + span).ravel()
     cover_y, cover_x = in_y.T.astype(np.float64), in_x.astype(np.float64)
     count = np.maximum(np.outer(in_y.sum(axis=0), in_x.sum(axis=0)).astype(np.float64), 1.0)
     for a in (zeroed, cover_y, cover_x, count):
         a.flags.writeable = False
-    return per_image, patch * patch, zeroed, cover_y, cover_x, count
+    return per_image, zeroed, cover_y, cover_x, count
 
 
 def fidelity_curves(U, W, head, importance, direction="deletion", mu=0.0):

@@ -12,8 +12,8 @@ two batches: f(A) and f(B) together, then all r AB_i blocks together,
 skipped when f(A) and f(B) are equal up to rounding (spread within 64 eps
 of their largest magnitude, a cut as free of the head's scale as the
 estimator's ratio). Within a batch, the (mask, row) pairs stream through
-the head in mask-major blocks of at most max(1, chunk // p) activation
-rows, each block a new array that fits a 2 MiB L2 cache with W^T.
+the head in mask-major core.row_blocks of p-float activation rows, each
+block a new array that fits a 2 MiB L2 cache with W^T.
 
 The Sobol' sequence uses the Joe-Kuo direction numbers (new-joe-kuo-6),
 embedded below for dimensions up to 64, with the zero point skipped.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BLOCK_FLOATS
+from .core import row_blocks
 from .errors import DataError, UnsupportedError
 
 _DIRECTIONS = (
@@ -177,9 +177,7 @@ class SobolEstimate:
 
 
 def _evaluate(eval_batch, masks, what):
-    y = np.asarray(eval_batch(masks), dtype=np.float64).reshape(-1)
-    if y.shape[0] != masks.shape[0]:
-        raise ValueError(f"{what}: expected {masks.shape[0]} outputs, got {y.shape[0]}")
+    y = eval_batch(masks)
     if not np.all(np.isfinite(y)):
         raise DataError(f"{what}: output contains NaN or Inf")
     return y
@@ -267,45 +265,46 @@ def concept_importance(U, W, head, n, mu=0.0):
                          *mask_designs(U.shape[1], n))
 
 
-def _mean_head_outputs(U, W, head, masks, mu, chunk=_BLOCK_FLOATS):
+def _mean_head_outputs(U, W, head, masks, mu, chunk=None):
     """Row-averaged head output for every mask, streamed in cache-sized blocks.
 
-    The (mask, row) pairs are walked in mask-major order. Each outer step
-    perturbs as many whole masks as keep the coefficients and perturb's
-    temporary (2 * masks * n_rows * r floats) within ``chunk``, and at least
-    one mask. Its pairs then go to ``head`` in blocks of max(1, chunk // p)
-    rows; a block may span masks. Each block's activations are a new array,
-    its rows times W^T made contiguous once; the default chunk is the image
-    route's block budget, core._BLOCK_FLOATS (2^16 floats, 512 KiB), which
-    keeps a block and W^T in a 2 MiB L2 cache. Besides W^T and the head's
-    own temporaries, memory stays within about 2 * chunk floats, or twice
-    U's size when one mask alone exceeds the chunk. Each mask's mean is
-    taken over all its rows at once, and a one-row block is multiplied out
-    as two copies of its row (BLAS rounds a matrix-vector product
-    differently in the last bit), so the result does not depend on the
-    blocking. An ``AffineHead`` commutes with the row mean, so it gets the
-    mean coefficient row alone.
+    The (mask, row) pairs are walked in mask-major order, in the
+    core.row_blocks of a budget of ``chunk`` floats (default: the
+    package's block budget, which keeps a block and W^T in a 2 MiB L2
+    cache). Each outer block perturbs whole masks, each counted at the
+    coefficients and perturb's temporary, 2 * n_rows * r floats. Its pairs
+    then go to ``head`` in blocks of rows of p activations; a block may
+    span masks. Each block's activations are a new array, its rows times
+    W^T made contiguous once. Besides W^T and the head's own temporaries,
+    memory stays within about two budgets, or twice U's size when one mask
+    alone exceeds it. Each mask's mean is taken over all its rows at once,
+    and a one-row block is multiplied out as two copies of its row (BLAS
+    rounds a matrix-vector product differently in the last bit), so the
+    result does not depend on the blocking. An ``AffineHead`` commutes
+    with the row mean, so it gets the mean coefficient row alone. A head
+    that returns other than one output per row raises ValueError.
     """
     if not np.all(np.isfinite(mu)):
         raise DataError(f"baseline mu must be finite, got {mu!r}")
     if isinstance(head, AffineHead):
         U = U.mean(axis=0, keepdims=True)
     n_rows, r = U.shape
-    step = max(1, chunk // max(2 * n_rows * r, 1))
-    block = max(1, chunk // max(W.shape[0], 1))
     W_T = np.ascontiguousarray(W.T)
     out = np.empty(masks.shape[0])
-    for start in range(0, masks.shape[0], step):
-        m = masks[start:start + step]
-        coeffs = perturb(U[None, :, :], m[:, None, :], mu).reshape(-1, r)
+    for group in row_blocks(masks.shape[0], 2 * n_rows * r, chunk):
+        coeffs = perturb(U[None, :, :], masks[group, None, :], mu).reshape(-1, r)
         y = np.empty(len(coeffs))
-        for lo in range(0, len(coeffs), block):
-            rows = coeffs[lo:lo + block]
+        for rows in row_blocks(len(coeffs), W.shape[0], chunk):
             # BLAS rounds a one-row (matrix-vector) product differently
             # in the last bit, so the lone row is multiplied out twice
-            acts = ((rows if len(rows) > 1 else rows[[0, 0]]) @ W_T)[:len(rows)]
-            y[lo:lo + len(acts)] = np.asarray(head(acts), dtype=np.float64).reshape(len(acts))
-        out[start:start + step] = y.reshape(len(m), n_rows).mean(axis=1)
+            part = coeffs[rows]
+            acts = ((part if len(part) > 1 else part[[0, 0]]) @ W_T)[:len(part)]
+            outputs = np.asarray(head(acts), dtype=np.float64)
+            if outputs.size != len(acts):
+                raise ValueError(f"the head must return one output per activation row: "
+                                 f"expected {len(acts)}, got shape {outputs.shape}")
+            y[rows] = outputs.reshape(len(acts))
+        out[group] = y.reshape(-1, n_rows).mean(axis=1)
     return out
 
 

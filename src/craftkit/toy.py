@@ -21,15 +21,14 @@ template touches has an all-zero band, whose product adds exactly +0.0,
 so it is skipped; the standard stencils fill 2 or 3 of their 5 frame
 rows. The band is mostly zeros, so the products do W / tw times the
 useful multiply-adds, but they need no copy per window and run at BLAS
-speed. features runs them per block of images, about
-2^15 correlation floats (256 KiB) at a time, and writes each block's
-pooled rows into one output array, so its memory stays near one block
-at any batch size; every image is computed on its own, so the result
-does not depend on the blocking. features_vjp makes the same pass and
-keeps each block's ReLU gates, one byte per correlation output, so its
-pullback, the VJP, runs the blocks again from the gates alone, with no
-second correlation, however many cotangents it is given; vjp_features
-is that pullback applied once.
+speed. features runs them per block of images, from core.row_blocks,
+and writes each block's pooled rows into one output array, so its memory
+stays near one block at any batch size; every image is computed on its
+own, so the result does not depend on the blocking. features_vjp makes
+the same pass and keeps each block's ReLU gates, one byte per
+correlation output, so its pullback, the VJP, runs the blocks again from
+the gates alone, with no second correlation, however many cotangents it
+is given; vjp_features is that pullback applied once.
 
 The pool lays the maps out positions-major, (H' W', b, k), rectifies
 them in place, and adds them with np.add.reduce over the positions: one
@@ -43,9 +42,9 @@ instead of 199 us, and 56 maps of 12 x 12 x 4 in 47 us instead of 62 us
 (best of 9, one thread of a 2-CPU x86-64 host). A single map pays about
 1.8 us more for the record views. At k = 1 mean sums each image's
 contiguous positions pairwise, so the pool keeps that layout there. The
-positions-major copy is a second buffer the size of a block, which is
-why a block holds half the 2^16 floats of the rest of the image route:
-the two stay within 512 KiB together.
+positions-major copy is a second buffer the size of the maps, which is
+why features counts each image's correlation floats twice to row_blocks:
+the two stay within one block's 512 KiB together.
 
 make_synthetic_dataset draws image by image, in a fixed order: the
 noise, the stamp count, the templates, then each stamp's position. The
@@ -64,7 +63,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _BLOCK_FLOATS, Rng, as_tensor4
+from .core import Rng, as_tensor4, row_blocks
 from .errors import DataError
 from .npyio import load_npy, load_record, save_json, save_npy
 from .sobol import AffineHead
@@ -221,10 +220,11 @@ class ToyBackbone:
 
         def pullback(cotangent):
             cot = np.asarray(cotangent, dtype=np.float64)
+            if cot.shape != out.shape:
+                raise ValueError(f"cotangent must be (batch, {out.shape[1]}) at layer "
+                                 f"{layer} for a batch of {b}, got shape {cot.shape}")
             if gate2 is not None:
                 cot = (cot * gate2) @ self.mixing.T
-            if cot.shape != (b, k):
-                raise ValueError(f"cotangent must be (batch, {k}) at layer 1")
             dx = np.zeros((b, h, w * c))
             for rows in blocks:
                 weights = (gates[rows].astype(np.float64)
@@ -243,8 +243,8 @@ class ToyBackbone:
         layer = self._resolve_layer(layer)
         k, th, tw, _ = self.templates.shape
         hp, wp = x.shape[1] - th + 1, x.shape[2] - tw + 1
-        step = max(1, _BLOCK_FLOATS // max(2 * hp * wp * k, 1))
-        blocks = [slice(start, start + step) for start in range(0, len(x), step)]
+        # each row holds its correlation maps and the pool's rectified copy
+        blocks = row_blocks(len(x), 2 * hp * wp * k)
         z1 = np.empty((len(x), k))
         gates = np.empty((len(x), hp, wp, k), dtype=bool) if keep_gates else None
         for rows in blocks:

@@ -67,11 +67,14 @@ class TestFit:
         # toy2 has two final features, so fit_nmf rejects rank 3, but only
         # after every crop has been cut and streamed to a temporary file
         (["fit", "--model", "toy2:7", "--rank", "3"], 2),
+        (["fit", "--model", "toy:7", "--rank", "2", "--outer-iters", "0"], 2),
+        # a 4-D stack, such as fit --model's crops.npy, is not a matrix
+        (["fit", "--activations", "small.npy", "--rank", "2"], 2),
     ], ids=["fit_rank_0", "crop_fraction_2", "crops_per_image_0", "missing_activations",
             "sanity_rank_0", "activations_images", "activations_class",
             "activations_crop_mode", "activations_crop_fraction",
             "activations_crops_per_image", "images_of_another_size", "n_images_0",
-            "bad_toy_seed", "rank_above_features"])
+            "bad_toy_seed", "rank_above_features", "outer_iters_0", "activations_4d"])
     def test_rejected_run_writes_nothing(self, tmp_path, monkeypatch, argv, code):
         monkeypatch.chdir(tmp_path)
         save_npy(np.zeros((3, 12, 12, 1)), tmp_path / "small.npy")
@@ -520,6 +523,17 @@ class TestExplainFidelityRecurse:
         for name in written:
             single = runs[name.split("_")[0]] / "heatmaps" / name
             assert (runs["all"] / "heatmaps" / name).read_bytes() == single.read_bytes()
+
+    @pytest.mark.parametrize("method", ["gradient", "smoothgrad", "occlusion"])
+    def test_a_model_of_another_width_is_a_usage_error_naming_both(self, full_run, capsys,
+                                                                   method):
+        # toy:3's final layer is 4 features wide, the toy2 bank's 2
+        assert main(["explain", "--model", "toy:3", "--n-images", "80", "--method", method,
+                     "--image-index", "0", "3", "--out", str(full_run)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: the bank fit at layer 'final' is 2 features wide, but the "
+                       "model's features there are 4 wide\n")
+        assert not (full_run / "heatmaps").exists()
 
     @pytest.mark.parametrize("flags, prepare, code", [
         (["--image-index", "80"], None, 2),

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import craftkit
-from craftkit.core import Rng
+from craftkit import core
+from craftkit.core import Rng, as_tensor4, row_blocks
 from craftkit.errors import DataError, FormatError, UnsupportedError
 from craftkit.npyio import (NpyBlockWriter, load_npy, load_npy_rows, npy_shape, save_json,
                             save_npy)
@@ -113,8 +114,10 @@ class TestLoad:
          FormatError),
         ("{'descr': '<f8', 'fortran_order': False, 'shape': (%d, 4), }" % 2**62,
          FormatError),
+        ("{'descr': '<f8', 'fortran_order': 0, 'shape': (1,), }", FormatError),
+        ("{'descr': '<f8', 'fortran_order': False, 'shape': (0, 4), }", DataError),
     ], ids=["list_descr", "unhashable_key", "not_a_dict", "no_shape", "bool_dim",
-            "31_digit_dim", "count_past_int64"])
+            "31_digit_dim", "count_past_int64", "int_fortran_order", "zero_length_dim"])
     def test_crafted_header_raises_its_error_class(self, tmp_path, header, error):
         path = tmp_path / "h.npy"
         raw = header.encode("latin1")
@@ -442,3 +445,26 @@ class TestRng:
     def test_numpy_integers_draw_like_ints(self):
         a = Rng(np.uint64(7), np.int32(3)).generator().uniform(size=8)
         assert a.tobytes() == Rng(7, 3).generator().uniform(size=8).tobytes()
+
+
+class TestRowBlocks:
+    def test_blocks_cover_the_rows_once_in_order(self):
+        blocks = row_blocks(10, 3, budget=9)
+        assert blocks == [slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 10)]
+        assert np.concatenate([np.arange(10)[b] for b in blocks]).tolist() == list(range(10))
+
+    def test_no_rows_give_no_blocks(self):
+        assert row_blocks(0, 4) == []
+
+    def test_a_row_wider_than_the_budget_is_a_block_of_its_own(self):
+        assert row_blocks(3, 100, budget=10) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    def test_an_explicit_budget_overrides_the_default(self, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK_FLOATS", 8)
+        assert row_blocks(8, 2) == [slice(0, 4), slice(4, 8)]  # read at call time
+        assert row_blocks(8, 2, budget=16) == [slice(0, 8)]
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 4), (1, 2, 3, 4, 5)])
+    def test_as_tensor4_names_a_stack_of_another_rank(self, shape):
+        with pytest.raises(ValueError, match=rf"images must be 4-D, got shape \({shape[0]}, "):
+            as_tensor4(np.zeros(shape), "images")

@@ -117,6 +117,15 @@ class TestInitFactorsMatchesSvdOracle:
 
 
 class TestFitNmf:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: NmfParams(rank=2, outer_iters=0), "outer_iters must be at least 1"),
+        (lambda: NmfParams(rank=2, objective_tol=0.0), "objective_tol must be positive"),
+        (lambda: fit_nmf(np.ones((2, 3, 4)), NmfParams(rank=1)), "A must be 2-D"),
+    ], ids=["no_outer_iters", "zero_tolerance", "three_d_matrix"])
+    def test_rejects_bad_parameters_and_matrices(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_trace_and_steps_are_those_of_the_iterates(self, monkeypatch):
         # each outer iteration solves for U, then W, from an extrapolated W;
         # a trial that raises the objective is redone as the plain step from

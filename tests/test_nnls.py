@@ -538,6 +538,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             solve_nnls(np.ones((2, 3)), np.ones((4, 2)))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Gram.of(np.ones(3)), "W must be 2-D"),
+        (lambda: solve_nnls(np.ones(2), np.ones((2, 1))), "A and W must be 2-D"),
+        (lambda: solve_nnls(np.ones((3, 2)), np.ones((2, 1)), warm=np.ones((2, 1))),
+         "warm start shape mismatch"),
+    ], ids=["one_d_bank", "one_d_targets", "warm_of_other_rows"])
+    def test_shapes_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_non_finite_input(self):
         with pytest.raises(DataError):
             solve_nnls(np.array([[np.nan, 1.0]]), np.ones((2, 1)))

@@ -15,8 +15,8 @@ from craftkit.implicit import jacobian_u_wrt_a
 from craftkit.nmf import NmfParams
 from craftkit import nnls
 from craftkit.nnls import solve_nnls
-from craftkit.pipeline import (ConceptBank, CropSpec, CropWindows, bilinear_resize,
-                               build_concept_bank,
+from craftkit.pipeline import (ConceptBank, CropSpec, CropWindows, FidelityCurve,
+                               Heatmap, bilinear_resize, build_concept_bank,
                                concept_attribution_map, concept_attribution_maps,
                                concept_percentile_threshold, extract_crops,
                                fidelity_curves, load_bank, recursive_decompose,
@@ -242,6 +242,22 @@ class TestSelectClassSet:
 
 
 class TestBuildConceptBank:
+    @pytest.mark.parametrize("build, message", [
+        (lambda images, model: build_concept_bank(images, model, 1, 2,
+                                                  nmf_params=NmfParams(rank=3)),
+         "nmf_params.rank disagrees with r"),
+        (lambda images, model: build_concept_bank(images, model, 1, 2,
+                                                  spec=CropSpec(mode="tiles")),
+         "unknown crop mode 'tiles'"),
+    ], ids=["rank", "crop_mode"])
+    def test_rejects_bad_parameters_before_the_model_runs(self, build, message):
+        class Unused:
+            def __getattr__(self, name):
+                raise AssertionError(f"model.{name} read")
+
+        with pytest.raises(ValueError, match=message):
+            build(np.zeros((2, 16, 16, 1)), Unused())
+
     def test_recovers_ground_truth_directions(self, fitted_pair):
         model, _, bank, _, _, _ = fitted_pair
         dirs = model.template_directions()
@@ -846,15 +862,20 @@ class TestAttributionMapsOnePass:
         for hm, ref in zip(maps, expected):
             assert hm.values.tobytes() == ref.values.tobytes()
 
-    @pytest.mark.parametrize("concepts, message", [
-        ([], "no concepts requested"),
-        ([0, 3], "concept index 3 out of range"),
-        ([-1], "concept index -1 out of range"),
+    @pytest.mark.parametrize("concepts, method, message", [
+        ([], "gradient", "no concepts requested"),
+        ([0, 3], "gradient", "concept index 3 out of range"),
+        ([-1], "gradient", "concept index -1 out of range"),
+        ([0], "lrp", "unknown method 'lrp'"),
     ])
-    def test_rejects_bad_concept_lists(self, three_concepts, concepts, message):
+    def test_rejects_bad_concept_lists(self, three_concepts, concepts, method, message):
         model, bank, probes = three_concepts
         with pytest.raises(ValueError, match=message):
-            concept_attribution_maps(probes[0], bank, model, concepts)
+            concept_attribution_maps(probes[0], bank, model, concepts, method=method)
+
+    def test_a_heatmap_holds_finite_values(self):
+        with pytest.raises(ValueError, match="heatmap contains non-finite values"):
+            Heatmap(np.array([[0.0, np.nan]]), 0, "gradient")
 
 
 @pytest.fixture(scope="module")
@@ -880,14 +901,15 @@ class TestAttributionMapsOfAStack:
         # a block of 256 floats holds one 16 x 16 row, so every occlusion
         # block holds one patch; 3 x 256 gives gradient groups of 3 and 2
         # images and occlusion blocks of 3 rows that straddle images, the
-        # last one partial
-        import craftkit.pipeline as pipeline_module
+        # last one partial. The budget is core's, so the model's own blocks
+        # shrink with it
+        from craftkit import core
         model, banks, images = toy2_banks
         bank, concepts = banks[layer], [1, 0, 1]
         expected = [concept_attribution_maps(image, bank, model, concepts, method=method,
                                              seed=3, n_noise=2) for image in images]
         if block is not None:
-            monkeypatch.setattr(pipeline_module, "_BLOCK_FLOATS", block)
+            monkeypatch.setattr(core, "_BLOCK_FLOATS", block)
         maps = concept_attribution_maps(images, bank, model, concepts, method=method,
                                         seed=3, n_noise=2)
         assert len(maps) == len(images)
@@ -896,6 +918,20 @@ class TestAttributionMapsOfAStack:
             assert [hm.method for hm in got] == [method] * len(concepts)
             for hm, ref in zip(got, want):
                 assert hm.values.tobytes() == ref.values.tobytes()
+
+    @pytest.mark.parametrize("method", ["gradient", "smoothgrad", "occlusion"])
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_a_model_of_another_width_is_named_before_any_solve(self, toy2_banks,
+                                                                method, stack):
+        # the toy2 bank is 2 features wide and standard_backbone's final layer
+        # 4: the solve named only A's and W's shapes, and a stack's image 0
+        _, banks, images = toy2_banks
+        x = images if stack else images[0]
+        with pytest.raises(ValueError) as raised:
+            concept_attribution_maps(x, banks["final"], standard_backbone(), [0],
+                                     method=method, n_noise=2)
+        assert str(raised.value) == ("the bank fit at layer 'final' is 2 features wide, "
+                                     "but the model's features there are 4 wide")
 
     def test_a_stack_of_one_returns_one_list(self, toy2_banks):
         model, banks, images = toy2_banks
@@ -925,6 +961,20 @@ class TestAttributionMapsOfAStack:
 
 
 class TestFidelityCurves:
+    @pytest.mark.parametrize("importance, direction, message", [
+        ([1.0, 0.5], "deletion", "importance length must equal the concept count"),
+        ([1.0, 0.5, 0.2], "sideways", "unknown direction 'sideways'"),
+    ], ids=["short_importance", "unknown_direction"])
+    def test_rejects_bad_rankings(self, importance, direction, message):
+        with pytest.raises(ValueError, match=message):
+            fidelity_curves(np.ones((4, 3)), np.eye(3), lambda acts: acts.sum(axis=1),
+                            importance, direction=direction)
+
+    @pytest.mark.parametrize("xs", [[0.0, 0.5], [0.5, 1.0], [0.0, 0.0, 1.0]])
+    def test_curve_xs_must_run_from_0_to_1(self, xs):
+        with pytest.raises(ValueError, match="xs must increase strictly from 0 to 1"):
+            FidelityCurve(xs=np.array(xs), ys=np.zeros(len(xs)), auc=0.0)
+
     @pytest.mark.parametrize("direction", ["deletion", "insertion"])
     @pytest.mark.parametrize("mu", [0.0, 0.3])
     def test_matches_per_step_loop(self, direction, mu):

@@ -50,6 +50,18 @@ class TestSobolSequence:
         with pytest.raises(UnsupportedError):
             sobol_sequence(65, 4)
 
+    @pytest.mark.parametrize("n, error, message", [
+        (-1, ValueError, "n must be nonnegative"),
+        (2**32, UnsupportedError, "at most 4294967295 points"),
+    ])
+    def test_point_count_checked_before_anything_is_built(self, monkeypatch, n, error,
+                                                          message):
+        calls = []
+        monkeypatch.setattr(sobol, "_direction_integers", lambda *args: calls.append(args))
+        with pytest.raises(error, match=message):
+            sobol_sequence(2, n)
+        assert not calls
+
     def test_equidistribution_coarse(self):
         pts = sobol_sequence(3, 1024)
         np.testing.assert_allclose(pts.mean(axis=0), 0.5, atol=1e-3)
@@ -263,6 +275,30 @@ class TestConceptImportance:
         with pytest.raises(ValueError, match=message):
             score(U, np.eye(2), lambda acts: calls.append(acts) or acts[:, 0])
         assert not calls
+
+    @pytest.mark.parametrize("score", [
+        lambda U, W, head: concept_importance(U, W, head, 16),
+        lambda U, W, head: fidelity_curves(U, W, head, [1.0, 0.5]),
+    ], ids=["concept_importance", "fidelity_curves"])
+    @pytest.mark.parametrize("outputs", [
+        lambda acts: np.ones((len(acts), 2)),
+        lambda acts: np.ones(len(acts) + 1),
+        lambda acts: 1.0,
+    ], ids=["two_per_row", "one_extra", "scalar"])
+    def test_a_head_with_another_output_count_is_named(self, score, outputs):
+        # the count was only checked by a reshape, whose NumPy error named
+        # neither the head nor the count it expected
+        calls = []
+
+        def head(acts):
+            calls.append((len(acts), np.shape(outputs(acts))))
+            return outputs(acts)
+
+        with pytest.raises(ValueError) as raised:
+            score(np.ones((4, 2)), np.eye(2), head)
+        (rows, shape), = calls  # the first block raises
+        assert str(raised.value) == ("the head must return one output per activation "
+                                     f"row: expected {rows}, got shape {shape}")
 
     def test_single_concept_gets_full_index(self):
         est = total_sobol_jansen(lambda m: 2.0 * m[0] + 1.0, 1, 512)

@@ -46,6 +46,11 @@ class TestConstruction:
         flat = model.templates.reshape(4, -1)
         np.testing.assert_allclose(flat @ flat.T, np.eye(4), atol=1e-12)
 
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_stencil_count_outside_the_table_rejected(self, k):
+        with pytest.raises(ValueError, match=r"k must be 1\.\.4"):
+            standard_backbone(k=k)
+
     def test_feature_nonnegativity_and_homogeneity(self):
         model = standard_backbone()
         rng = np.random.default_rng(0)
@@ -483,6 +488,21 @@ class TestFeaturesVjp:
         with pytest.raises(ValueError) as raised:
             model.features_vjp(x, layer=layer)[1](cot)
         assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("layer, shape", [(1, (3, 3)), (1, (4, 4)), (2, (3, 3)),
+                                              (2, (4, 2))],
+                             ids=["layer1_width", "layer1_batch", "layer2_width",
+                                  "layer2_batch"])
+    def test_pullback_names_the_layer_its_width_and_the_batch(self, layer, shape):
+        # at layer 2 the cotangent used to meet the layer-2 gates first, so a
+        # wrong shape raised NumPy's broadcast error
+        model = two_layer_backbone()
+        x = np.random.default_rng(0).normal(size=(3,) + model.input_shape)
+        width = 4 if layer == 1 else 2
+        with pytest.raises(ValueError) as raised:
+            model.features_vjp(x, layer=layer)[1](np.ones(shape))
+        assert str(raised.value) == (f"cotangent must be (batch, {width}) at layer {layer} "
+                                     f"for a batch of 3, got shape {shape}")
 
 
 class TestValidation:
