@@ -166,8 +166,12 @@ def cmd_fit(args):
                  if getattr(args, dest) is not None]
         if given:
             raise ValueError(f"--activations replaces the image route; drop {' '.join(given)}")
-        bank, U = fit_bank(load_npy(Path(args.activations)), nmf_params,
-                           args.layer or "external")
+        activations = load_npy(Path(args.activations))
+        if activations.ndim != 2:
+            raise ValueError(f"{args.activations} has shape {activations.shape}, but "
+                             "--activations needs an (n, p) matrix: one row of p "
+                             "features per crop")
+        bank, U = fit_bank(activations, nmf_params, args.layer or "external")
         out.mkdir(parents=True, exist_ok=True)
     else:
         model, seed = _load_model(args.model, args.seed)

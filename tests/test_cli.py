@@ -109,6 +109,23 @@ class TestFit:
         assert "malformed shape" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_crops_as_activations_names_the_file_and_the_matrix_it_needs(self, tmp_path,
+                                                                        capsys):
+        # a run's own crops.npy is a 4-D stack of windows, not an (n, p) matrix
+        run = tmp_path / "run"
+        assert main(["fit", "--model", "toy2:7", "--rank", "2", "--n-images", "20",
+                     "--out", str(run)]) == 0
+        crops = run / "crops.npy"
+        shape = load_npy(crops).shape
+        capsys.readouterr()
+        out = tmp_path / "not_a_matrix"
+        assert main(["fit", "--activations", str(crops), "--rank", "2",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {crops} has shape {shape}, but --activations needs an "
+                       "(n, p) matrix: one row of p features per crop\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("noise", ["-0.5", "nan", "inf"])
     def test_bad_noise_is_usage_error(self, tmp_path, noise):
         out = tmp_path / "run"

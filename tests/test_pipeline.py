@@ -21,6 +21,7 @@ from craftkit.pipeline import (ConceptBank, CropSpec, CropWindows, FidelityCurve
                                concept_percentile_threshold, extract_crops,
                                fidelity_curves, load_bank, recursive_decompose,
                                save_bank, save_provenance, select_class_set)
+from craftkit.pipeline import _smoothgrad_noise
 from craftkit.npyio import load_npy, save_npy
 from craftkit.sobol import AffineHead, concept_importance
 from craftkit.toy import (make_synthetic_dataset, pair_backbone, standard_backbone,
@@ -615,6 +616,41 @@ class TestAttributionMaps:
         with pytest.raises(ValueError, match="n_noise"):
             concept_attribution_map(np.zeros(model.input_shape), bank, model, 0,
                                     method="smoothgrad", n_noise=n_noise)
+
+    def test_smoothgrad_noise_is_drawn_once_and_read_only(self):
+        first = _smoothgrad_noise(Rng(3, stream=17), 2, (4, 5, 1))
+        assert _smoothgrad_noise(Rng(3, stream=17), 2, (4, 5, 1)) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("seed, n_noise, shape", [
+        (4, 2, (4, 5, 1)), (3, 3, (4, 5, 1)), (3, 2, (5, 4, 1)), (3, 2, (4, 5, 2))],
+        ids=["seed", "n_noise", "transposed", "channels"])
+    def test_smoothgrad_noise_of_another_key_is_its_own_draw(self, seed, n_noise, shape):
+        _smoothgrad_noise(Rng(3, stream=17), 2, (4, 5, 1))
+        noise = _smoothgrad_noise(Rng(seed, stream=17), n_noise, shape)
+        fresh = Rng(seed, stream=17).generator().standard_normal((n_noise,) + shape)
+        np.testing.assert_array_equal(noise, fresh)
+
+    def test_smoothgrad_keeps_the_seed_contract_after_a_cached_call(self, fitted_pair):
+        # True and 1.0 compare equal to 1, so a cache keyed on the raw seed
+        # would hand them seed 1's draw; Rng refuses them first
+        model, _, bank, _, _, _ = fitted_pair
+        probe = make_synthetic_dataset(model, 1, noise=0.05, seed=2050,
+                                       max_stamps=1, template_pool=(0, 1))
+        image = probe.images[0]
+        concept_attribution_map(image, bank, model, 0, method="smoothgrad", seed=1,
+                                n_noise=2)
+        for seed in (True, 1.0, -1):
+            with pytest.raises(ValueError, match="seed"):
+                concept_attribution_map(image, bank, model, 0, method="smoothgrad",
+                                        seed=seed, n_noise=2)
+        # nor does a float or bool count reach the draw of 2 or of 1
+        for n_noise in (2.0, True):
+            with pytest.raises(TypeError):
+                concept_attribution_map(image, bank, model, 0, method="smoothgrad",
+                                        seed=1, n_noise=n_noise)
 
     def test_concept_out_of_range(self, fitted_pair):
         model, _, bank, _, _, _ = fitted_pair
