@@ -16,7 +16,7 @@ compares banks from trained and weight-randomized models.
 A bank and its coefficients, the run's bank view, are named, read and
 written by ``_bank_view`` alone; ``importance`` and ``fidelity`` take
 their head from ``_head``, which builds it from ``--model`` as an
-``AffineHead`` and checks it against the bank's width.
+``AffineHead`` and checks it with ``ConceptBank.check_width``.
 
 Exit codes: 0 success, 2 usage or argument error, 3 data error, 4
 numerical failure (``fit``, ``recurse`` and ``sanity`` exit 4 after writing
@@ -138,9 +138,7 @@ def _bank_view(out, concept=None, save=None, coeffs=True):
 def _head(model, bank):
     """--model's head as an AffineHead; a ValueError unless it reads the bank's width."""
     head = model.affine_head
-    if bank.W.shape[0] != len(head.weights):
-        raise ValueError(f"the bank fit at layer {bank.layer_tag!r} is {bank.W.shape[0]} "
-                         f"features wide, but the head reads {len(head.weights)}")
+    bank.check_width(len(head.weights), "the head reads {}")
     return head
 
 
@@ -251,7 +249,7 @@ def cmd_fidelity(args):
     if args.ranking in ("sobol", "tcav"):
         importance_path = out / "importance.json"
         if not importance_path.exists():
-            raise DataError("importance.json missing; run the importance command first")
+            raise DataError(f"{importance_path} is missing: the importance command writes it")
         records = load_json(importance_path, list)
         ids = [rec.get("concept_id") if isinstance(rec, dict) else None for rec in records]
         if not all(type(i) is int for i in ids) or sorted(ids) != list(range(bank.r)):

@@ -12,8 +12,8 @@ at construction, that every block G_II is nonsingular. That check is the
 rank test of G itself, which the solver's Gram object has already made:
 by Cauchy interlacing a principal block has its eigenvalues between G's
 extreme ones, so when G passes the rank test every block does too. Only a
-rank-deficient G is checked block by block. Given the Gram object of a
-bank (ConceptBank keeps one), a Jacobian computes nothing from W alone.
+rank-deficient G is checked block by block. A solution carries its solve's
+Gram object, so its Jacobian computes nothing from W alone.
 
 Only transform mode is implemented: the bank W stays fixed and only the
 coefficients move. That is the map CRAFT's concept attribution maps chain
@@ -116,9 +116,9 @@ def _check_reduced_blocks(gram, free):
             f"linearly dependent (eigenvalues {lowest[j]:.2e} to {eigvals[j, -1]:.2e})")
 
 
-def jacobian_u_wrt_a(solution, W):
-    """ConceptJacobian of an NNLS solution against the fixed bank W (an
-    array, or its nnls.Gram).
+def jacobian_u_wrt_a(solution):
+    """ConceptJacobian of an NNLS solution against the fixed bank it was
+    solved against, ``solution.bank``.
 
     ``solution`` is the NnlsSolution of some input rows A; the Jacobian
     does not read A itself. It accepts exactly the solutions solve_nnls
@@ -138,4 +138,4 @@ def jacobian_u_wrt_a(solution, W):
     degenerate = (np.abs(solution.U) < margin) & (np.abs(solution.dual_U) < margin)
     if degenerate.any():
         raise DegeneracyError([tuple(ij) for ij in np.argwhere(degenerate)], margin)
-    return ConceptJacobian(W, solution.U > solution.dual_U)
+    return ConceptJacobian(solution.bank, solution.U > solution.dual_U)

@@ -73,6 +73,8 @@ class NnlsSolution:
     convergence the two have complementary supports up to the solver
     tolerance, which kkt_residual reports as a single number. scale is
     max |A W|, the size the convergence test measures kkt_residual against.
+    bank is the Gram the solve ran against, which jacobian_u_wrt_a reads;
+    a solve of no rows on a plain W derives none and keeps the checked W.
     """
 
     U: np.ndarray
@@ -81,6 +83,7 @@ class NnlsSolution:
     kkt_residual: float
     converged: bool
     scale: float
+    bank: "Gram | np.ndarray"
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,8 @@ def solve_nnls(A, W, warm=None):
         raise ValueError("warm start shape mismatch")
     if n == 0:
         return NnlsSolution(U=np.zeros((0, r)), dual_U=np.zeros((0, r)), iterations=0,
-                            kkt_residual=0.0, converged=True, scale=0.0)
+                            kkt_residual=0.0, converged=True, scale=0.0,
+                            bank=W if gram is None else gram)
 
     with np.errstate(over="ignore", invalid="ignore"):
         AW = A @ W
@@ -241,8 +245,8 @@ def solve_nnls(A, W, warm=None):
     # accept arbitrary iterates
     scale = float(np.abs(AW).max())
     converged = residual <= _KKT_TOL * max(scale, 1e-300)
-    return NnlsSolution(U=U, dual_U=dual_U, iterations=iterations,
-                        kkt_residual=residual, converged=bool(converged), scale=scale)
+    return NnlsSolution(U=U, dual_U=dual_U, iterations=iterations, kkt_residual=residual,
+                        converged=bool(converged), scale=scale, bank=gram)
 
 
 def _pivot_gram(G):

@@ -99,8 +99,8 @@ class ConceptBank:
 
     The bank keeps a read-only copy of W, so writing into bank.W raises
     ValueError. What the NNLS solver derives from W alone (its checks,
-    W^T W and the rank test) is computed once, on first use, as ``gram``,
-    and every attribution map of the bank reuses it.
+    W^T W and the rank test) is computed once, on first use, as ``gram``;
+    every attribution map passes it to its solves, and so to their Jacobians.
     """
 
     W: np.ndarray
@@ -127,6 +127,13 @@ class ConceptBank:
     def gram(self):
         """The nnls.Gram of W, built on first read and then kept."""
         return Gram.of(self.W)
+
+    def check_width(self, width, reader="the model's features there are {} wide"):
+        """ValueError unless width, the features that reader (the message's
+        end, {} standing for width) reads, is the bank's feature count."""
+        if width != self.W.shape[0]:
+            raise ValueError(f"the bank fit at layer {self.layer_tag!r} is {self.W.shape[0]} "
+                             f"features wide, but {reader.format(width)}")
 
 
 _DIAGNOSTICS = ("converged", "kkt_residual", "outer_iters", "nnls_steps")
@@ -299,16 +306,18 @@ def select_class_set(predictions, target_class):
     return idx
 
 
-def fit_bank(activations, nmf_params, layer, bank_id="bank", parent=None):
+def fit_bank(activations, nmf_params, layer, parent=None):
     """Factorize an activation matrix (n x p) into a concept bank.
 
     The entry point for activations computed elsewhere; build_concept_bank
     and recursive_decompose call it after encoding their crops. The bank
     keeps layer as its layer_tag and carries the fit's diagnostics
-    (bank.converged among them), so save_bank records them. Returns
+    (bank.converged among them), so save_bank records them. Its id is
+    "<parent id>/concept<c>" for parent (parent id, c), else "bank". Returns
     (bank, U) with one coefficient row per activation row.
     """
     state = fit_nmf(activations, nmf_params)
+    bank_id = "bank" if parent is None else f"{parent[0]}/concept{parent[1]}"
     bank = ConceptBank(W=state.W, layer_tag=layer,
                        fit_objective=float(state.objective_trace[-1]),
                        column_norms=state.column_norms, bank_id=bank_id,
@@ -438,7 +447,6 @@ def recursive_decompose(bank, U, concept_index, crops, model, layer, nmf_params)
             f"(need {_MIN_CROPS})")
     activations = model.features(crops[selected], layer=layer)
     sub_bank, U_sub = fit_bank(activations, nmf_params, layer,
-                               bank_id=f"{bank.bank_id}/concept{concept_index}",
                                parent=(bank.bank_id, concept_index))
     return sub_bank, U_sub, selected
 
@@ -484,18 +492,16 @@ def concept_attribution_maps(x, bank, model, concepts, method="gradient",
         if not 0 <= c < bank.r:
             raise ValueError(f"concept index {c} out of range")
 
-    several = len(x) > 1
     if method == "gradient":
-        values = _gradient_heatmaps(x[:, None], bank, model, concepts, several)
+        values = _gradient_heatmaps(x[:, None], bank, model, concepts)
     elif method == "smoothgrad":
         if n_noise < 1:
             raise ValueError(f"n_noise must be at least 1, got {n_noise}")
         sigma = _NOISE_SCALE * (x.max(axis=(1, 2, 3)) - x.min(axis=(1, 2, 3)))
         noise = _smoothgrad_noise(Rng(seed, stream=17), n_noise, x.shape[1:])
-        values = _gradient_heatmaps(x[:, None], bank, model, concepts, several,
-                                    jitter=(sigma, noise))
+        values = _gradient_heatmaps(x[:, None], bank, model, concepts, jitter=(sigma, noise))
     elif method == "occlusion":
-        values = _occlusion_heatmaps(x, bank, model, concepts, several)
+        values = _occlusion_heatmaps(x, bank, model, concepts)
     else:
         raise ValueError(f"unknown method {method!r}")
     maps = [[Heatmap(v, c, method) for c, v in zip(concepts, image)] for image in values]
@@ -509,28 +515,20 @@ def concept_attribution_map(x, bank, model, concept_index, method="gradient",
                                     seed, n_noise)[0]
 
 
-def _solve_image(acts, bank, i, several, jacobian=False):
-    """solve_nnls of image i's rows of activations, or with jacobian their
-    ConceptJacobian; among several images, an error's message starts with
-    the image's position."""
+def _solve_image(acts, bank, i, b, jacobian=False):
+    """solve_nnls of the rows of activations of image i of a stack of b,
+    or with jacobian their ConceptJacobian; when b > 1, an error's message
+    starts with the image's position."""
     try:
         solution = solve_nnls(acts, bank.gram)
-        return jacobian_u_wrt_a(solution, bank.gram) if jacobian else solution
+        return jacobian_u_wrt_a(solution) if jacobian else solution
     except (CraftError, ValueError) as exc:
-        if several:
+        if b > 1:
             exc.args = (f"image {i} of the stack: {exc}",)
         raise
 
 
-def _check_width(acts, bank):
-    """ValueError unless the model's features are as wide as the bank's concepts."""
-    if np.shape(acts)[1] != bank.W.shape[0]:
-        raise ValueError(f"the bank fit at layer {bank.layer_tag!r} is {bank.W.shape[0]} "
-                         f"features wide, but the model's features there are "
-                         f"{np.shape(acts)[1]} wide")
-
-
-def _gradient_heatmaps(x, bank, model, concepts, several, jitter=None):
+def _gradient_heatmaps(x, bank, model, concepts, jitter=None):
     """Mean over the rows of each image of |d u_c / d pixel|, channel-summed,
     per image and concept c: (b, len(concepts), H, W) maps of x, (b, 1, H,
     W, C). jitter, (sigma, noise), replaces each image's row by n copies
@@ -550,11 +548,11 @@ def _gradient_heatmaps(x, bank, model, concepts, several, jitter=None):
         size = len(group)
         acts, pullback = model.features_vjp(group.reshape(size * n, h, w, c),
                                             layer=bank.layer_tag)
-        _check_width(acts, bank)
+        bank.check_width(np.shape(acts)[1])
         cot = np.empty((len(concepts), size * n, np.shape(acts)[1]))
         for i in range(size):
             rows = slice(i * n, (i + 1) * n)
-            jac = _solve_image(acts[rows], bank, images.start + i, several, jacobian=True)
+            jac = _solve_image(acts[rows], bank, images.start + i, b, jacobian=True)
             for j, one_hot in enumerate(one_hots):
                 cot[j, rows] = jac.vjp(np.tile(one_hot, (n, 1)))
         for j in range(len(concepts)):
@@ -563,7 +561,7 @@ def _gradient_heatmaps(x, bank, model, concepts, several, jitter=None):
     return maps
 
 
-def _occlusion_heatmaps(x, bank, model, concepts, several):
+def _occlusion_heatmaps(x, bank, model, concepts):
     """Each image's coefficient drops from zeroing a sliding patch, spread
     back over the pixels each patch covers: (b, len(concepts), H, W).
 
@@ -582,11 +580,11 @@ def _occlusion_heatmaps(x, bank, model, concepts, several):
         patched = np.flatnonzero(patch)
         block.reshape(len(block), h * w, c)[patched[:, None], zeroed[patch[patched] - 1]] = 0.0
         acts.append(model.features(block, layer=bank.layer_tag))
-        _check_width(acts[-1], bank)
+        bank.check_width(np.shape(acts[-1])[1])
     acts = np.concatenate(acts)
     maps = np.empty((b, len(concepts), h, w))
     for i in range(b):
-        u = _solve_image(acts[i * per_image:(i + 1) * per_image], bank, i, several).U
+        u = _solve_image(acts[i * per_image:(i + 1) * per_image], bank, i, b).U
         drop = (u[0] - u[1:])[:, concepts].T.reshape(len(concepts), cover_y.shape[1],
                                                       cover_x.shape[0])
         maps[i] = cover_y @ drop @ cover_x / count

@@ -253,3 +253,27 @@ def reference_synthetic_dataset(model, n, noise, gen, max_stamps, pool):
         labels[i] = int(any(t == 0 for t, _, _ in placed))
         stamps.append(tuple(placed))
     return images, labels, tuple(stamps)
+
+
+def map_scores(values, box, image, features, W, concept, steps=10):
+    """(share, deletion AUC) of one concept attribution map (H, W).
+
+    share is the fraction of the map's absolute mass inside box, (y0, x0,
+    height, width), the stamp. The deletion AUC zeroes the image's pixels
+    (every channel) in order of decreasing |map|, ties by flat index, in
+    steps equal parts, and integrates u_c / u_c(clean) over the deleted
+    fraction by the trapezoid rule, where u_c is concept's exact NNLS
+    coefficient (nnls_enumerate_row) of features(image) against W. Lower
+    is better: a map that ranks the concept's pixels first drops u_c soon.
+    """
+    mass = np.abs(values)
+    y0, x0, bh, bw = box
+    share = mass[y0:y0 + bh, x0:x0 + bw].sum() / mass.sum()
+    h, w = mass.shape
+    order = np.argsort(-mass, axis=None, kind="stable")
+    cuts = np.linspace(0, h * w, steps + 1).round().astype(int)
+    deleted = np.repeat(image[None], steps + 1, axis=0)
+    for k, cut in enumerate(cuts):
+        deleted[k].reshape(h * w, -1)[order[:cut]] = 0.0
+    u = np.array([nnls_enumerate_row(a, W)[0][concept] for a in features(deleted)])
+    return float(share), float(np.trapezoid(u / u[0], cuts / (h * w)))

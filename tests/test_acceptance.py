@@ -1,5 +1,6 @@
 """Acceptance suite: one test per release criterion, each printing a
-PASS/FAIL line (visible with pytest -s or in captured output on failure).
+PASS/FAIL line (visible with pytest -s or in captured output on failure),
+and the scores of criterion 7's maps at the noise the bank was fit on.
 
 Tolerances and runtime budgets are fixed constants of each test. The
 oracles are the independent implementations in oracles.py (exhaustive
@@ -12,6 +13,7 @@ from contextlib import contextmanager
 from itertools import permutations
 
 import numpy as np
+import pytest
 
 from craftkit import nnls
 from craftkit.cli import main as cli_main
@@ -26,7 +28,7 @@ from craftkit.pipeline import (build_concept_bank, concept_attribution_map,
 from craftkit.sobol import concept_importance, tcav_importance, total_sobol_jansen
 from craftkit.toy import make_synthetic_dataset, pair_backbone, two_layer_backbone
 
-from oracles import (ishigami, ishigami_total_indices, nnls_enumerate,
+from oracles import (ishigami, ishigami_total_indices, map_scores, nnls_enumerate,
                      nnls_enumerate_row)
 
 # NNLS solves in criteria 1, 2, 3 and 7 are flagged converged only at a
@@ -123,7 +125,7 @@ def test_criterion_3_implicit_vs_finite_differences(monkeypatch):
                 continue  # too close to degenerate for clean differences
             checked += 1
             sol = solve_nnls(A, W)
-            jac = jacobian_u_wrt_a(sol, W)
+            jac = jacobian_u_wrt_a(sol)
             step = 1e-5
             for i in range(n):
                 active_rows = np.flatnonzero(~jac.inactive[i])
@@ -245,6 +247,47 @@ def test_criterion_7_attribution_localization(monkeypatch):
                 if strict_zero_checked == 5:
                     break
         assert strict_zero_checked >= 5
+
+
+def _fails_at_noise(reading):
+    return pytest.mark.xfail(strict=True, reason=f"at noise 0.02 {reading}; criterion 7 "
+                             "passes only on clean probes")
+
+
+@pytest.mark.parametrize("method", [
+    "occlusion",
+    pytest.param("gradient", marks=_fails_at_noise(
+        "0 of 40 maps localize (median share 0.147, deletion AUC 0.185)")),
+    pytest.param("smoothgrad", marks=_fails_at_noise(
+        "0 of 40 maps localize (median share 0.157, deletion AUC 0.114)")),
+])
+def test_maps_localize_at_the_fit_noise(monkeypatch, method):
+    # criterion 7's bank and rule, on probes with the noise the bank was
+    # fit on (0.02, also explain's default) instead of clean ones
+    monkeypatch.setattr(nnls, "_KKT_TOL", TIGHT_KKT_TOL)
+    model, _, bank, _, _ = pair_fit(seed=0)
+    concept_of = np.argmax(model.template_directions() @ bank.W, axis=1)
+    side_y, side_x = model.templates.shape[1:3]
+    shares, aucs = [], []
+    for seed in range(40):
+        probe = make_synthetic_dataset(model, 1, 0.02, 7000 + seed, max_stamps=1,
+                                       template_pool=(0, 1))
+        (t_idx, y0, x0), = probe.stamps[0]
+        concept = int(concept_of[t_idx])
+        hm = concept_attribution_map(probe.images[0], bank, model, concept, method=method)
+        share, auc = map_scores(hm.values, (y0, x0, side_y, side_x), probe.images[0],
+                                lambda x: model.features(x, layer=bank.layer_tag),
+                                bank.W, concept)
+        shares.append(share)
+        aucs.append(auc)
+    localized = sum(share > 0.5 for share in shares)
+    print(f"[noise 0.02] {method}: {localized} of 40 maps localize, share median "
+          f"{np.median(shares):.3f} (min {min(shares):.3f}), deletion AUC median "
+          f"{np.median(aucs):.3f}")
+    assert localized >= 36  # criterion 7's 90 %
+    # pinned from occlusion's readings: share min 0.835, deletion AUC median
+    # 0.146, where deleting pixels in a random order reads 0.516
+    assert min(shares) > 0.8 and np.median(aucs) < 0.2
 
 
 def test_criterion_8_recursive_refinement():

@@ -720,13 +720,16 @@ class TestExplainFidelityRecurse:
         assert "'layer1'" in err and f"{width} features wide" in err and "reads 2" in err
         assert sorted(out.rglob("*")) == before
 
-    def test_fidelity_without_importance_is_data_error(self, tmp_path):
+    def test_fidelity_without_importance_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["fit", "--model", "toy:3", "--rank", "2", "--n-images",
                      "40", "--out", str(out)]) == 0
+        capsys.readouterr()
         code = main(["fidelity", "--model", "toy:3", "--ranking", "sobol",
                      "--out", str(out)])
         assert code == 3
+        assert capsys.readouterr().err == (f"data error: {out / 'importance.json'} is missing: "
+                                           f"the importance command writes it\n")
 
     def test_recurse_writes_sub_bank(self, full_run):
         records = json.loads((full_run / "importance.json").read_text())

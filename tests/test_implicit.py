@@ -59,7 +59,7 @@ class TestTransformJacobian:
         W = np.array([[1.0], [2.0]])
         A = np.array([[1.0, 1.0]])
         sol = solve_nnls(A, W)
-        jac = jacobian_u_wrt_a(sol, W)
+        jac = jacobian_u_wrt_a(sol)
         np.testing.assert_allclose(jac.dense_form, [[0.2, 0.4]], atol=1e-9)
         # the adjoint of the same map, probed with a unit cotangent
         np.testing.assert_allclose(jac.vjp(np.array([[1.0]])),
@@ -69,14 +69,14 @@ class TestTransformJacobian:
         W = np.array([[1.0], [0.0], [0.0]])
         A = np.array([[0.7, 0.3, -0.1]])
         sol = solve_nnls(A, W)
-        jac = jacobian_u_wrt_a(sol, W)
+        jac = jacobian_u_wrt_a(sol)
         np.testing.assert_allclose(jac.dense_form, [[1.0, 0.0, 0.0]], atol=1e-9)
 
     def test_active_constraint_matches_finite_differences(self):
         W = np.array([[1.0, 1.0], [0.0, 1.0], [0.2, -0.3]])
         A = np.array([[-0.1, 1.0, 0.05]])
         sol = solve_nnls(A, W)
-        jac = jacobian_u_wrt_a(sol, W)
+        jac = jacobian_u_wrt_a(sol)
         ref = fd_jacobian(A, W)
         np.testing.assert_allclose(jac.dense_form, ref, rtol=1e-4, atol=1e-7)
 
@@ -85,7 +85,7 @@ class TestTransformJacobian:
         for _ in range(25):
             A, W = random_nondegenerate_instance(rng)
             sol = solve_nnls(A, W)
-            jac = jacobian_u_wrt_a(sol, W)
+            jac = jacobian_u_wrt_a(sol)
             ref = fd_jacobian(A, W)
             err = np.abs(jac.dense_form - ref)
             tol = np.maximum(1e-4 * np.abs(ref), 1e-7)
@@ -95,7 +95,7 @@ class TestTransformJacobian:
         W = np.array([[1.0, 1.0], [0.0, 1.0]])
         A = np.array([[0.0, 1.0]])
         sol = solve_nnls(A, W)
-        jac = jacobian_u_wrt_a(sol, W)
+        jac = jacobian_u_wrt_a(sol)
         np.testing.assert_array_equal(jac.dense_form[0], 0.0)  # u1 is clamped
 
     def test_vjp_row_locality(self):
@@ -103,7 +103,7 @@ class TestTransformJacobian:
         W = rng.normal(size=(4, 2))
         A = rng.normal(size=(3, 4)) + 2.0
         sol = solve_nnls(A, W)
-        jac = jacobian_u_wrt_a(sol, W)
+        jac = jacobian_u_wrt_a(sol)
         Y = np.zeros((3, 2))
         Y[1] = rng.normal(size=2)
         dA = jac.vjp(Y)
@@ -114,7 +114,7 @@ class TestTransformJacobian:
         rng = np.random.default_rng(41)
         A, W = random_nondegenerate_instance(rng)
         sol = solve_nnls(A, W)
-        jac = jacobian_u_wrt_a(sol, W)
+        jac = jacobian_u_wrt_a(sol)
         y1 = rng.normal(size=sol.U.shape)
         y2 = rng.normal(size=sol.U.shape)
         np.testing.assert_allclose(jac.vjp(y1 + y2), jac.vjp(y1) + jac.vjp(y2),
@@ -301,7 +301,7 @@ class TestGuards:
         A = np.array([[0.0, 0.5]])  # residual orthogonal to w -> dual exactly 0
         sol = solve_nnls(A, W)
         with pytest.raises(DegeneracyError) as err:
-            jacobian_u_wrt_a(sol, W)
+            jacobian_u_wrt_a(sol)
         assert (0, 0) in [(int(i), int(j)) for i, j in err.value.coordinates]
 
     def test_sloppy_solution_rejected(self):
@@ -309,9 +309,9 @@ class TestGuards:
         W = np.array([[1.0], [1.0]])
         sloppy = NnlsSolution(U=np.array([[0.1]]), dual_U=np.zeros((1, 1)),
                               iterations=1, kkt_residual=0.5, converged=False,
-                              scale=1.0)
+                              scale=1.0, bank=Gram.of(W))
         with pytest.raises(NumericalError):
-            jacobian_u_wrt_a(sloppy, W)
+            jacobian_u_wrt_a(sloppy)
 
     @pytest.mark.parametrize("W", [
         np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),   # duplicate unit columns
@@ -357,6 +357,40 @@ class TestGramInput:
         assert len(calls) == 1
         assert jac.vjp(Y).tobytes() == ref.vjp(Y).tobytes()
         assert jac.dense_form.tobytes() == ref.dense_form.tobytes()
+
+    def test_a_solve_carries_its_bank_to_its_jacobian(self):
+        # the Jacobian of a solve is the one built from that solve's Gram:
+        # a solve against one bank cannot be differentiated against another
+        rng = np.random.default_rng(83)
+        W = rng.uniform(size=(6, 3))
+        A = rng.uniform(size=(9, 6))
+        Y = rng.normal(size=(9, 3))
+        sol = solve_nnls(A, W)
+        assert isinstance(sol.bank, Gram) and sol.bank.W.tobytes() == W.tobytes()
+        free = sol.U > sol.dual_U
+        want = ConceptJacobian(Gram.of(W), free).vjp(Y)
+        assert jacobian_u_wrt_a(sol).vjp(Y).tobytes() == want.tobytes()
+        assert ConceptJacobian(W, free).vjp(Y).tobytes() == want.tobytes()
+        gram = Gram.of(W)
+        assert solve_nnls(A, gram).bank is gram
+
+    def test_a_plain_w_solve_and_its_jacobian_make_one_rank_test(self, monkeypatch):
+        rng = np.random.default_rng(84)
+        W, A = rng.uniform(size=(6, 3)), rng.uniform(size=(9, 6))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, *args: calls.append(1) or eigvalsh(a, *args))
+        jacobian_u_wrt_a(solve_nnls(A, W))
+        assert len(calls) == 1
+
+    def test_a_solve_of_no_rows_keeps_the_checked_w(self):
+        # no rows return before W's constants are derived; the Jacobian of
+        # that solve derives them, and has no rows either
+        sol = solve_nnls(np.zeros((0, 2)), [[1.0, 0.0], [0.0, 1.0]])
+        assert isinstance(sol.bank, np.ndarray) and sol.bank.dtype == np.float64
+        jac = jacobian_u_wrt_a(sol)
+        assert jac.vjp(np.zeros((0, 2))).shape == (0, 2)
 
     def test_rank_deficient_gram_still_checks_each_block(self):
         W = np.random.default_rng(82).normal(size=(8, 3))

@@ -7,14 +7,20 @@ the optimum. The deterministic NNDSVD start is compared with an SVD oracle.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import craftkit
 from craftkit import nmf, nnls
 from craftkit.errors import DataError
 from craftkit.nmf import NmfParams, fit_nmf, init_factors, transform
 from craftkit.nnls import kkt_residual, nnls_objective
+from craftkit.npyio import load_npy
 
 from oracles import nndsvd_svd
 
@@ -308,6 +314,49 @@ class TestFitNmf:
                                      objective_tol=1e-13))
         assert state.converged
         assert state.kkt_residual < 1e-6
+
+
+# a planted 600 x 2048 rank-10 fit at the --activations tolerance, as a
+# child process: sparse uniform factors W, then U, from Rng(0, stream=1),
+# plus U(0, 1e-2) noise from Rng(3, stream=1). argv: the source directory
+# and where to write W.npy and U.npy; prints the outer iterations and steps
+_PLANTED_FIT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from craftkit.cli import _MATRIX_TOL
+from craftkit.core import Rng
+from craftkit.nmf import NmfParams, fit_nmf
+from craftkit.npyio import save_npy
+fixed = Rng(0, stream=1).generator()
+W = fixed.uniform(size=(2048, 10)) * (fixed.uniform(size=(2048, 10)) < 0.3)
+U = fixed.uniform(size=(600, 10)) * (fixed.uniform(size=(600, 10)) < 0.3)
+A = U @ W.T + Rng(3, stream=1).generator().uniform(0.0, 1e-2, size=(600, 2048))
+state = fit_nmf(A, NmfParams(rank=10, objective_tol=_MATRIX_TOL))
+save_npy(state.W, sys.argv[2] + "/W.npy")
+save_npy(state.U, sys.argv[2] + "/U.npy")
+print(len(state.objective_trace) - 1, state.nnls_steps)
+"""
+
+
+def test_blas_thread_counts_move_a_fit_only_in_its_last_bits(tmp_path):
+    # the same fit under one and two OpenBLAS threads: the same outer
+    # iterations and NNLS steps, and factors that differ by 1.8e-15 relative
+    # to their largest entry (not byte-equal: the threads split reductions)
+    src = str(Path(craftkit.__file__).resolve().parents[1])
+    runs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads_{threads}"
+        out.mkdir()
+        result = subprocess.run(
+            [sys.executable, "-c", _PLANTED_FIT, src, str(out)], capture_output=True,
+            check=True, text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=str(threads)))
+        runs.append((result.stdout.split(), [load_npy(out / f"{f}.npy") for f in "WU"]))
+    (counts, factors), (counts_2, factors_2) = runs
+    assert counts == counts_2
+    worst = max(np.abs(a - b).max() / np.abs(a).max() for a, b in zip(factors, factors_2))
+    print(f"outer iterations and NNLS steps {counts}; largest relative "
+          f"difference in W and U {worst:.2e}")
+    assert worst <= 5e-15
 
 
 class TestTransform:

@@ -19,7 +19,7 @@ from craftkit.pipeline import (ConceptBank, CropSpec, CropWindows, FidelityCurve
                                Heatmap, bilinear_resize, build_concept_bank,
                                concept_attribution_map, concept_attribution_maps,
                                concept_percentile_threshold, extract_crops,
-                               fidelity_curves, load_bank, recursive_decompose,
+                               fidelity_curves, fit_bank, load_bank, recursive_decompose,
                                save_bank, save_provenance, select_class_set)
 from craftkit.pipeline import _smoothgrad_noise
 from craftkit.npyio import load_npy, save_npy
@@ -426,6 +426,13 @@ class TestPercentileSelection:
 
 
 class TestRecursiveDecompose:
+    def test_a_sub_bank_takes_its_id_from_its_parent(self):
+        A = np.random.default_rng(5).uniform(size=(30, 4))
+        params = NmfParams(rank=2)
+        assert fit_bank(A, params, None)[0].bank_id == "bank"
+        sub, _ = fit_bank(A, params, None, parent=("bank/concept0", 1))
+        assert (sub.bank_id, sub.parent) == ("bank/concept0/concept1", ("bank/concept0", 1))
+
     def test_subconcepts_separate_mixed_directions(self):
         model = two_layer_backbone()
         data = make_synthetic_dataset(model, 240, noise=0.02, seed=0, max_stamps=1)
@@ -602,7 +609,7 @@ class TestAttributionMaps:
             sol = solve_nnls(acts, bank.W)
             cot = np.zeros((1, bank.r))
             cot[0, concept] = 1.0
-            d_act = jacobian_u_wrt_a(sol, bank.W).vjp(cot)
+            d_act = jacobian_u_wrt_a(sol).vjp(cot)
             acc += np.abs(model.vjp_features(jittered, d_act)[0]).sum(axis=-1)
         expected = acc / n_noise
 
@@ -673,7 +680,7 @@ class TestAttributionMaps:
         acts = model.features(x)
         monkeypatch.setattr(nnls, "_KKT_TOL", 1e-12)
         sol = solve_nnls(acts, bank.W)
-        jac = jacobian_u_wrt_a(sol, bank.W)
+        jac = jacobian_u_wrt_a(sol)
         cot = np.zeros((1, 2))
         cot[0, concept] = 1.0
         dx = model.vjp_features(x, jac.vjp(cot))[0]

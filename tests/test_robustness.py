@@ -116,8 +116,8 @@ class TestJacobianScales:
         A -= 0.3  # some coefficients clamp
         W /= np.linalg.norm(W, axis=0)
         cotangent = np.random.default_rng(116).normal(size=(12, 3))
-        base = jacobian_u_wrt_a(solve_nnls(A, W), W).vjp(cotangent)
-        jac = jacobian_u_wrt_a(solve_nnls(scale * A, W), W)
+        base = jacobian_u_wrt_a(solve_nnls(A, W)).vjp(cotangent)
+        jac = jacobian_u_wrt_a(solve_nnls(scale * A, W))
         np.testing.assert_array_equal(jac.vjp(cotangent), base)
 
 
